@@ -21,6 +21,9 @@ from .errors import NcHopfError
 from .partitions import (
     NonCrossingPartition,
     admissible_splits,
+    bell_number,
+    catalan_number,
+    check_enumeration_size,
     enumerate_nc_partitions,
     enumerate_set_partitions,
     moebius,
@@ -131,13 +134,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args, out) -> int:
+    if args.count:
+        check_enumeration_size(args.lattice, args.n)
+        count = (catalan_number(args.n) if args.lattice == "nc"
+                 else bell_number(args.n))
+        print(json.dumps({"count": count}) if args.json else count, file=out)
+        return 0
     enum = (enumerate_nc_partitions if args.lattice == "nc"
             else enumerate_set_partitions)
     parts = enum(args.n)
-    if args.count:
-        print(json.dumps({"count": len(parts)}) if args.json else len(parts),
-              file=out)
-        return 0
     if args.json:
         print(json.dumps([p.to_json() for p in parts]), file=out)
     else:
@@ -146,15 +151,29 @@ def _cmd_enumerate(args, out) -> int:
     return 0
 
 
+def _coproduct_rows(terms, legs) -> list[dict]:
+    """JSON rows of a coproduct value: the coefficient, then the fields that
+    ``legs`` makes of each key."""
+    return [{"coefficient": coeff_str(c), **legs(key)}
+            for key, c in sorted(terms.items(), key=lambda kv: str(kv[0]))]
+
+
+def _tree_legs(key) -> dict:
+    rooted, pruned = key
+    return {"rooted": tree_text(rooted),
+            "pruned": [tree_text(t) for t in pruned]}
+
+
+def _barword_legs(key) -> dict:
+    left, right = key
+    return {"left": barword_text(left), "right": barword_text(right)}
+
+
 def _cmd_coproduct(args, out) -> int:
     if args.kind == "tree":
         terms = tree_coproduct(parse_tree(args.subject))
         if args.json:
-            data = [{"coefficient": coeff_str(c),
-                     "rooted": tree_text(key[0]),
-                     "pruned": [tree_text(t) for t in key[1]]}
-                    for key, c in sorted(terms.items(), key=lambda kv: str(kv[0]))]
-            print(json.dumps(data), file=out)
+            print(json.dumps(_coproduct_rows(terms, _tree_legs)), file=out)
         else:
             print(tree_tensor_text(terms), file=out)
         return 0
@@ -164,11 +183,7 @@ def _cmd_coproduct(args, out) -> int:
     else:
         terms = delta_word(parse_word(args.subject))
     if args.json:
-        data = [{"coefficient": coeff_str(c),
-                 "left": barword_text(key[0]),
-                 "right": barword_text(key[1])}
-                for key, c in sorted(terms.items(), key=lambda kv: str(kv[0]))]
-        print(json.dumps(data), file=out)
+        print(json.dumps(_coproduct_rows(terms, _barword_legs)), file=out)
     else:
         print(tensor_text(terms), file=out)
     return 0
@@ -274,11 +289,7 @@ def _cmd_tree(args, out) -> int:
         terms = tree_coproduct(t)
         if args.json:
             data = {"tree": tree_to_json(t),
-                    "coproduct": [{"coefficient": coeff_str(c),
-                                   "rooted": tree_text(k[0]),
-                                   "pruned": [tree_text(x) for x in k[1]]}
-                                  for k, c in sorted(terms.items(),
-                                                     key=lambda kv: str(kv[0]))]}
+                    "coproduct": _coproduct_rows(terms, _tree_legs)}
             print(json.dumps(data), file=out)
         else:
             print(tree_tensor_text(terms), file=out)

@@ -223,6 +223,14 @@ def _rgs_partitions(n: int):
     yield from rec(1, 0)
 
 
+def check_enumeration_size(lattice: str, n: int) -> None:
+    """Raise SizeLimitError unless 1 <= n <= the enumeration cap of the
+    chosen lattice ("set" or "nc")."""
+    cap = config.nc_cap() if lattice == "nc" else config.set_cap()
+    if not (1 <= n <= cap):
+        raise SizeLimitError(f"n={n} outside allowed range 1..{cap}")
+
+
 @lru_cache(maxsize=None)
 def _all_set_partitions(n: int) -> tuple[SetPartition, ...]:
     parts = [SetPartition.of(blocks) for blocks in _rgs_partitions(n)]
@@ -232,27 +240,27 @@ def _all_set_partitions(n: int) -> tuple[SetPartition, ...]:
 
 def enumerate_set_partitions(n: int) -> list[SetPartition]:
     """All partitions of [n], canonical form, sorted by text encoding."""
-    cap = config.set_cap()
-    if not (1 <= n <= cap):
-        raise SizeLimitError(f"n={n} outside allowed range 1..{cap}")
+    check_enumeration_size("set", n)
     return list(_all_set_partitions(n))
 
 
 def _nc_blocklists(elements: tuple[int, ...]):
-    """All non-crossing partitions of the sorted tuple ``elements``.
+    """All non-crossing partitions of the sorted tuple ``elements``, each as
+    a tuple of blocks already in canonical form.
 
     The block containing the first element is chosen as a subset of the
     remaining elements; everything else must live in the gaps between its
     consecutive members (joining across a gap boundary would cross it).
+    Gaps come in increasing order, so concatenating their canonical
+    sub-partitions after the first block keeps blocks ordered by minimum.
     """
     if not elements:
-        yield []
+        yield ()
         return
     first, rest = elements[0], elements[1:]
     m = len(rest)
     for mask in range(1 << m):
-        chosen = [rest[i] for i in range(m) if mask >> i & 1]
-        block = (first, *chosen)
+        chosen = tuple(rest[i] for i in range(m) if mask >> i & 1)
         gaps: list[list[int]] = [[] for _ in range(len(chosen) + 1)]
         gi = 0
         for x in rest:
@@ -260,17 +268,14 @@ def _nc_blocklists(elements: tuple[int, ...]):
                 gi += 1
                 continue
             gaps[gi].append(x)
-        for combo in product(*(list(_nc_blocklists(tuple(g))) for g in gaps)):
-            blocks = [list(block)]
-            for sub in combo:
-                blocks.extend(sub)
-            yield blocks
+        for combo in product(*(tuple(_nc_blocklists(tuple(g))) for g in gaps)):
+            yield ((first, *chosen), *(b for sub in combo for b in sub))
 
 
 @lru_cache(maxsize=None)
 def _all_nc_partitions(n: int) -> tuple[NonCrossingPartition, ...]:
     elems = tuple(range(1, n + 1))
-    parts = [NonCrossingPartition.of(blocks) for blocks in _nc_blocklists(elems)]
+    parts = [NonCrossingPartition(blocks) for blocks in _nc_blocklists(elems)]
     parts.sort(key=lambda p: p.text())
     return tuple(parts)
 
@@ -278,9 +283,7 @@ def _all_nc_partitions(n: int) -> tuple[NonCrossingPartition, ...]:
 def enumerate_nc_partitions(n: int) -> list[NonCrossingPartition]:
     """All non-crossing partitions of [n], canonical form, sorted by text
     encoding."""
-    cap = config.nc_cap()
-    if not (1 <= n <= cap):
-        raise SizeLimitError(f"n={n} outside allowed range 1..{cap}")
+    check_enumeration_size("nc", n)
     return list(_all_nc_partitions(n))
 
 
@@ -290,7 +293,7 @@ def nc_partitions_of(elements) -> list[NonCrossingPartition]:
     cap = config.nc_cap()
     if len(elems) > cap:
         raise SizeLimitError(f"carrier size {len(elems)} exceeds cap {cap}")
-    parts = [NonCrossingPartition.of(blocks) for blocks in _nc_blocklists(elems)]
+    parts = [NonCrossingPartition(blocks) for blocks in _nc_blocklists(elems)]
     parts.sort(key=lambda p: p.text())
     return parts
 
@@ -385,31 +388,6 @@ def admissible_splits(p: NonCrossingPartition) -> tuple[AdmissibleSplit, ...]:
 # Möbius calculus
 
 
-def _interval(lattice: str, lo: SetPartition, hi: SetPartition):
-    """All elements of [lo, hi] in the chosen lattice, enumerated as merges:
-    within each hi-block, partition the lo-blocks it contains."""
-    owner = {x: i for i, block in enumerate(hi.blocks) for x in block}
-    groups: list[list[Block]] = [[] for _ in hi.blocks]
-    for block in lo.blocks:
-        groups[owner[block[0]]].append(block)
-    per_group = []
-    for group in groups:
-        merges = []
-        for bp in _rgs_partitions(len(group)):
-            merged = [tuple(sorted(x for idx in cell for x in group[idx - 1]))
-                      for cell in bp]
-            merges.append(merged)
-        per_group.append(merges)
-    out = []
-    for combo in product(*per_group):
-        blocks = [b for merged in combo for b in merged]
-        if lattice == "nc" and not _blocks_noncrossing(
-                tuple(sorted(blocks, key=lambda b: b[0]))):
-            continue
-        out.append(SetPartition.of(blocks))
-    return out
-
-
 def _check_interval_args(lattice, lo, hi):
     if lattice not in ("set", "nc"):
         raise ValueError(f"unknown lattice selector: {lattice!r}")
@@ -421,68 +399,75 @@ def _check_interval_args(lattice, lo, hi):
         raise OrderError(f"{lo} is not below {hi}")
 
 
-_moebius_memo: dict[tuple, int] = {}
+@lru_cache(maxsize=None)
+def _mu_memo(lattice: str, m: int) -> dict[tuple[Block, ...], int]:
+    """The memo of ``_mu_to_top`` on partitions of [m].  It only ever holds
+    elements of the chosen lattice of [m]; once it holds all of them it is
+    the ``moebius_to_top`` column."""
+    return {}
+
+
+def _mu_to_top(lattice: str, blocks: tuple[Block, ...], memo: dict) -> int:
+    """mu(pi, 1̂_m) for the partition pi of [m] with canonical ``blocks``, by
+    the dual form of the defining recursion: mu(1̂, 1̂) = 1 and
+    mu(pi, 1̂) = -sum of mu(M, 1̂) over the proper coarsenings M of pi in
+    the chosen lattice.  Every M is again a partition of [m], so one
+    ``memo = _mu_memo(lattice, m)`` serves the whole recursion."""
+    value = memo.get(blocks)
+    if value is not None:
+        return value
+    k = len(blocks)
+    total = 0
+    for cells in _rgs_partitions(k):
+        if len(cells) == k:
+            continue  # pi itself
+        # cells come ordered by their first index, so the merged blocks
+        # are already ordered by minimum
+        merged = tuple([tuple(sorted(x for i in cell for x in blocks[i - 1]))
+                        for cell in cells])
+        if lattice == "nc" and not _blocks_noncrossing(merged):
+            continue
+        total += _mu_to_top(lattice, merged, memo)
+    value = memo[blocks] = 1 if k == 1 else -total
+    return value
 
 
 def moebius(lattice: str, lo: SetPartition, hi: SetPartition) -> int:
     """Möbius function of the interval [lo, hi] in the set-partition or
-    non-crossing lattice, by the defining recursion
-    mu(lo, lo) = 1, mu(lo, hi) = -sum over lo <= M < hi of mu(lo, M)."""
-    _check_interval_args(lattice, lo, hi)
-    key = (lattice, standardize(lo).blocks, standardize(hi).blocks)
-    if key in _moebius_memo:
-        return _moebius_memo[key]
+    non-crossing lattice.
 
-    elements = _interval(lattice, lo, hi)
-    # finer partitions first, so each mu value is ready when summed
-    elements.sort(key=lambda p: -len(p.blocks))
-    mu: dict[tuple, int] = {}
-    for m in elements:
-        if m.blocks == lo.blocks:
-            mu[m.blocks] = 1
-        else:
-            # sum over lo <= p < m; strict refinement means more blocks
-            below = [p for p in elements
-                     if len(p.blocks) > len(m.blocks) and refines(p, m)]
-            mu[m.blocks] = -sum(mu[p.blocks] for p in below)
-    value = mu[hi.blocks]
-    _moebius_memo[key] = value
+    [lo, hi] is the product over the blocks H of hi of [lo|_H, 1̂_H], so
+    mu(lo, hi) is the product of mu(lo|_H, 1̂_H), each read on [|H|] after
+    standardizing.  In the non-crossing lattice this holds because each block
+    of a non-crossing hi lies in one gap of every other block: blocks merged
+    inside different hi-blocks never cross.
+    """
+    _check_interval_args(lattice, lo, hi)
+    value = 1
+    for block in hi.blocks:
+        below = standardize(lo.restrict(block)).blocks
+        value *= _mu_to_top(lattice, below, _mu_memo(lattice, len(block)))
     return value
 
 
 @lru_cache(maxsize=None)
 def moebius_to_top(lattice: str, n: int) -> dict[tuple[Block, ...], int]:
-    """mu(L, 1̂_n) for every L in the chosen lattice of [n], via the dual form
-    of the defining recursion: mu(L, K) = -sum over L < M <= K of mu(M, K).
-
-    Used by the transform layer, which needs the whole column at once; the
-    per-interval ``moebius`` recursion would redo shared work per element.
-    """
+    """mu(L, 1̂_n) for every L in the chosen lattice of [n], keyed by the
+    blocks of L.  Used by the transform layer, which needs the whole column
+    at once.  The dict is the recursion's memo, shared by every caller:
+    read it, never change it."""
     if lattice == "set":
-        elements = list(_all_set_partitions(n))
+        elements = _all_set_partitions(n)
     elif lattice == "nc":
-        elements = list(_all_nc_partitions(n))
+        elements = _all_nc_partitions(n)
     else:
         raise ValueError(f"unknown lattice selector: {lattice!r}")
-    # coarser partitions first
-    elements.sort(key=lambda p: len(p.blocks))
-    mu: dict[tuple[Block, ...], int] = {}
-    for m in elements:
-        if len(m.blocks) == 1:
-            mu[m.blocks] = 1
-            continue
-        total = 0
-        for bp in _rgs_partitions(len(m.blocks)):
-            if len(bp) == len(m.blocks):
-                continue  # m itself
-            merged = tuple(sorted(
-                (tuple(sorted(x for idx in cell for x in m.blocks[idx - 1]))
-                 for cell in bp), key=lambda b: b[0]))
-            if lattice == "nc" and not _blocks_noncrossing(merged):
-                continue
-            total += mu[merged]
-        mu[m.blocks] = -total
-    return mu
+    memo = _mu_memo(lattice, n)
+    # coarser partitions first, so that each coarsening the recursion looks
+    # up is already in the memo under the enumerated blocks it shares
+    for p in sorted(elements, key=lambda p: len(p.blocks)):
+        _mu_to_top(lattice, p.blocks, memo)
+    return memo
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .coefficients import ONE, Coefficient
+from .coefficients import ONE, Coefficient, coeff_str
 from .errors import AlgebraMismatchError, ParseError, SizeLimitError
 from .partitions import (
     NonCrossingPartition,
@@ -142,28 +142,9 @@ def counit(t: LinComb) -> Coefficient:
 
 
 @lru_cache(maxsize=None)
-def delta_word(w: Word) -> LinComb:
-    """Full coproduct of a word: sum over subsets S of letter positions of
-    a_S tensor the bar word of connected components of the complement."""
-    n = w.degree
-    out: LinComb = {}
-    for mask in range(1 << n):
-        s = [i + 1 for i in range(n) if mask >> i & 1]
-        left: BarWord = (w.subword(s),) if s else UNIT
-        comps = connected_components(s, range(1, n + 1))
-        right: BarWord = tuple(w.subword(c) for c in comps)
-        add_into(out, (left, right), ONE)
-    return out
-
-
 def delta_word_halves(w: Word) -> tuple[LinComb, LinComb]:
     """(left, right) splitting of delta_word by whether position 1 lies in
     the kept subset S.  left + right == delta_word(w)."""
-    return _delta_word_split(w)
-
-
-@lru_cache(maxsize=None)
-def _delta_word_split(w: Word) -> tuple[LinComb, LinComb]:
     n = w.degree
     left_half: LinComb = {}
     right_half: LinComb = {}
@@ -175,6 +156,14 @@ def _delta_word_split(w: Word) -> tuple[LinComb, LinComb]:
         target = left_half if mask & 1 else right_half
         add_into(target, (left, right), ONE)
     return left_half, right_half
+
+
+@lru_cache(maxsize=None)
+def delta_word(w: Word) -> LinComb:
+    """Full coproduct of a word: sum over subsets S of letter positions of
+    a_S tensor the bar word of connected components of the complement,
+    taken as the sum of the two halves."""
+    return lincomb_sum(*delta_word_halves(w))
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +215,7 @@ def _generator_delta(atom: Atom, variant: str) -> LinComb:
     if isinstance(atom, Word):
         if variant == "full":
             return delta_word(atom)
-        halves = _delta_word_split(atom)
+        halves = delta_word_halves(atom)
     elif isinstance(atom, DecoratedNC):
         if variant == "full":
             return delta_nc(atom)
@@ -309,25 +298,27 @@ def sp(b: BarWord) -> LinComb:
 # encodings
 
 
-def tensor_text(t: LinComb) -> str:
-    """Canonical text of a linear combination over pair keys, one term per
-    line helper not included: terms joined by ' + ' in sorted key order."""
-    from .coefficients import coeff_str
-
-    def key_text(key) -> str:
-        if isinstance(key, tuple) and key and isinstance(key[0], tuple):
-            return " ⊗ ".join(barword_text(leg) for leg in key)
-        return barword_text(key)
-
+def lincomb_text(t: LinComb, key_text) -> str:
+    """Terms of ``t`` as ``coeff·key`` (a coefficient of 1 left out), in
+    the order of their key texts, joined by ' + '; ``0`` when empty."""
     parts = []
     for key in sorted(t, key=key_text):
         c = t[key]
         body = key_text(key)
-        if c == 1:
-            parts.append(body)
-        else:
-            parts.append(f"{coeff_str(c)}·{body}")
+        parts.append(body if c == 1 else f"{coeff_str(c)}·{body}")
     return " + ".join(parts) if parts else "0"
+
+
+def _tensor_key_text(key) -> str:
+    if isinstance(key, tuple) and key and isinstance(key[0], tuple):
+        return " ⊗ ".join(barword_text(leg) for leg in key)
+    return barword_text(key)
+
+
+def tensor_text(t: LinComb) -> str:
+    """Canonical text of a linear combination over bar words or over pairs
+    of bar words."""
+    return lincomb_text(t, _tensor_key_text)
 
 
 def parse_word(text: str) -> Word:

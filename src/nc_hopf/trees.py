@@ -37,7 +37,7 @@ from functools import lru_cache
 from .coefficients import ONE
 from .errors import ParseError
 from .partitions import NonCrossingPartition
-from .tensor import LinComb, add_into
+from .tensor import LinComb, add_into, lincomb_text
 
 Tree = tuple            # nested tuples of children and GAP marks; () is the bare root
 Forest = tuple          # tuple[Tree, ...]; () is the empty forest
@@ -209,12 +209,6 @@ def _cut_sets(t: Tree, prefix: EdgePath):
 # tree coproduct
 
 
-def _subtree_at(t: Tree, path: EdgePath) -> Tree:
-    for i in path:
-        t = t[i]
-    return t
-
-
 def _remove_cut(t: Tree, cut_set: frozenset, prefix: EdgePath) -> Tree:
     """The rooted part: ``t`` without its cut subtrees, each mark kept only
     where it still separates two remaining siblings."""
@@ -270,17 +264,11 @@ def tree_coproduct(t: Tree) -> LinComb:
     return out
 
 
+def _tree_pair_text(key) -> str:
+    rooted, pruned = key
+    return f"{tree_text(rooted)} ⊗ {forest_text(pruned)}"
+
+
 def tree_tensor_text(terms: LinComb) -> str:
     """Canonical text of a coproduct value on trees."""
-    from .coefficients import coeff_str
-
-    def key_text(key) -> str:
-        rooted, pruned = key
-        return f"{tree_text(rooted)} ⊗ {forest_text(pruned)}"
-
-    parts = []
-    for key in sorted(terms, key=key_text):
-        c = terms[key]
-        body = key_text(key)
-        parts.append(body if c == 1 else f"{coeff_str(c)}·{body}")
-    return " + ".join(parts) if parts else "0"
+    return lincomb_text(terms, _tree_pair_text)

@@ -108,6 +108,11 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+def _failing(names: list) -> str:
+    """Failure detail of a check: how many cases failed, then every one."""
+    return f"{len(names)} failing: {', '.join(names)}" if names else ""
+
+
 # ---------------------------------------------------------------------------
 # coproduct operator plumbing
 
@@ -157,7 +162,7 @@ def verify_coassociativity(max_degree: int = 6,
                     bad.append(barword_text(b))
                 count += 1
         report.add(f"{kind}: generators up to degree {max_degree} ({count})",
-                   not bad, ", ".join(bad[:3]))
+                   not bad, _failing(bad))
     return report
 
 
@@ -202,7 +207,7 @@ def verify_unshuffle(max_degree: int = 5,
                     failures["D2"].append(name)
         for label, bad in failures.items():
             report.add(f"{kind}: {label} up to degree {max_degree}",
-                       not bad, ", ".join(bad[:3]))
+                       not bad, _failing(bad))
     return report
 
 
@@ -259,7 +264,7 @@ def verify_halfshuffle(max_degree: int = 6, trials: int = 100,
                     failures["units"].append(name)
         for label, bad in failures.items():
             report.add(f"{kind}: {label} ({trials} triples, {checked} samples)",
-                       not bad, ", ".join(bad[:3]))
+                       not bad, _failing(bad))
     return report
 
 
@@ -291,7 +296,7 @@ def verify_sp_morphism(max_word_len: int = 6,
                     bad.append(barword_text(b))
                 count += 1
         report.add(f"structural {variant} on words up to length {max_word_len}"
-                   f" ({count})", not bad, ", ".join(bad[:3]))
+                   f" ({count})", not bad, _failing(bad))
 
     nc_algebra = Algebra(NC, alphabet)
     words_algebra = Algebra(WORDS, alphabet)
@@ -314,7 +319,7 @@ def verify_sp_morphism(max_word_len: int = 6,
                     failures[label].append(f"trial {trial}: {barword_text(b)}")
     for label, bad in failures.items():
         report.add(f"dual preserves {label} ({trials} pairs)",
-                   not bad, ", ".join(bad[:3]))
+                   not bad, _failing(bad))
     return report
 
 
@@ -331,16 +336,16 @@ def verify_character_bijection(truncation: int = 8, commute_degree: int = 6,
     basis = [b for d in range(truncation + 1) for b in algebra.barwords(d)]
     bad = [barword_text(b) for b in basis if phi_fix(b) != phi_exp(b)]
     report.add(f"exp≺ = fixed point on {len(basis)} bar words, N={truncation}",
-               not bad, ", ".join(bad[:3]))
+               not bad, _failing(bad))
 
     char = check_character(phi_fix)
     report.add(f"fixed point is a character ({char.checked} products)",
-               char.ok, str(char.violations[:3]))
+               char.ok, _failing([str(v) for v in char.violations]))
 
     recovered = extract_infinitesimal(phi_fix)
     bad = [f"a^{n}" for n in range(1, truncation + 1)
            if recovered((Word(("a",) * n),)) != kappa((Word(("a",) * n),))]
-    report.add("generator recovered exactly", not bad, ", ".join(bad))
+    report.add("generator recovered exactly", not bad, _failing(bad))
 
     nc_algebra = Algebra(NC, ("a",))
     kappa_nc = random_infinitesimal(nc_algebra, commute_degree, seed + 1)
@@ -351,7 +356,7 @@ def verify_character_bijection(truncation: int = 8, commute_degree: int = 6,
              for b in words_algebra.barwords(d)]
     bad = [barword_text(b) for b in basis if lhs(b) != rhs(b)]
     report.add(f"Sp* commutes with exp≺ up to degree {commute_degree}",
-               not bad, ", ".join(bad[:3]))
+               not bad, _failing(bad))
     return report
 
 
@@ -412,7 +417,7 @@ def verify_keyrell(max_n: int = 6, seed: int = 31,
             if psi((DecoratedNC(shape, w),)) != expect:
                 bad.append(f"{shape.text()} on {w.text()}")
     report.add(f"Psi(L⊗w) = block product of kappa ({count} partitions)",
-               not bad, ", ".join(bad[:3]))
+               not bad, _failing(bad))
 
     # principal equation: with kappa solved from phi, the lattice sum of
     # block products returns phi
@@ -434,7 +439,7 @@ def verify_keyrell(max_n: int = 6, seed: int = 31,
         if total != phi_fn(w):
             bad.append(w.text())
     report.add(f"lattice sum of cumulant block products = moments, n ≤ {max_n}",
-               not bad, ", ".join(bad))
+               not bad, _failing(bad))
     return report
 
 
@@ -464,7 +469,7 @@ def verify_roundtrip(count: int = 50, order: int = 8,
             if back_m.values != m.values or back_c.values != c.values:
                 bad.append(f"trial {trial}")
         report.add(f"{flavor}: {count} random sequences, N={order}",
-                   not bad, ", ".join(bad[:3]))
+                   not bad, _failing(bad))
     return report
 
 
@@ -486,7 +491,7 @@ def verify_semicircular(order: int = 8) -> SuiteReport:
         if m.moment(n) != pairings:
             bad.append(f"moment at n={n}")
     report.add(f"moments = non-crossing pair counts = Catalan, N={order}",
-               not bad, ", ".join(bad))
+               not bad, _failing(bad))
     return report
 
 
@@ -525,7 +530,7 @@ def verify_tree_consistency(max_n: int = 6) -> SuiteReport:
             bare_wrong.append(shape.text())
     report.add(f"coproducts agree through the gapped hierarchy map "
                f"({len(shapes)} shapes)",
-               not bad, f"{len(bad)} failing: {', '.join(bad)}" if bad else "")
+               not bad, _failing(bad))
     detail = f"marked: {', '.join(marked)}" if marked else "marked: none"
     if bare_wrong:
         detail += (f"; {len(bare_wrong)} against the rule: "
@@ -537,7 +542,7 @@ def verify_tree_consistency(max_n: int = 6) -> SuiteReport:
     bad = [shape.text() for shape in shapes
            if not tree_degree(gapped_hierarchy_tree(shape))
            == tree_degree(hierarchy_tree(shape)) == len(shape.blocks)]
-    report.add("degree preserved (vertices = blocks)", not bad, ", ".join(bad))
+    report.add("degree preserved (vertices = blocks)", not bad, _failing(bad))
 
     a = NonCrossingPartition.of([[1, 4], [2, 3], [5, 6, 7]])
     b = NonCrossingPartition.of([[1, 3], [2], [4, 5]])
@@ -572,10 +577,10 @@ def verify_counting(max_n: int = 10) -> SuiteReport:
     report = SuiteReport("counting")
     bad = [f"nc n={n}" for n in range(1, max_n + 1)
            if len(enumerate_nc_partitions(n)) != catalan_number(n)]
-    report.add(f"|NC_n| = Catalan(n), n ≤ {max_n}", not bad, ", ".join(bad))
+    report.add(f"|NC_n| = Catalan(n), n ≤ {max_n}", not bad, _failing(bad))
     bad = [f"set n={n}" for n in range(1, max_n + 1)
            if len(enumerate_set_partitions(n)) != bell_number(n)]
-    report.add(f"|P_n| = Bell(n), n ≤ {max_n}", not bad, ", ".join(bad))
+    report.add(f"|P_n| = Bell(n), n ≤ {max_n}", not bad, _failing(bad))
     return report
 
 

@@ -30,6 +30,15 @@ class TestEnumerate:
         code, out = run("enumerate", "set", "--n", "5", "--count")
         assert code == 0 and out == "52\n"
 
+    def test_count_at_the_caps_is_closed_form(self):
+        # Catalan(14) and Bell(12), returned without enumerating
+        code, out = run("enumerate", "nc", "--n", "14", "--count")
+        assert code == 0 and out == "2674440\n"
+        code, out = run("enumerate", "set", "--n", "12", "--count", "--json")
+        assert code == 0 and json.loads(out) == {"count": 4213597}
+        code, _ = run("enumerate", "set", "--n", "0", "--count")
+        assert code == 1
+
     def test_listing(self):
         code, out = run("enumerate", "nc", "--n", "3")
         lines = out.strip().split("\n")
@@ -210,6 +219,19 @@ class TestVerify:
         code, out = run("verify", "counting", "--max-degree", "6", "--json")
         data = json.loads(out)
         assert data[0]["passed"] is True
+
+    def test_json_report_lists_every_failure(self, monkeypatch):
+        # every generator fails: 3 + 9 words and 1 + 2 partitions
+        monkeypatch.setattr(nc_hopf.verify, "_apply_left",
+                            lambda terms, variant: {})
+        code, out = run("verify", "coassociativity", "--max-degree", "2",
+                        "--json")
+        assert code == 1
+        words, partitions = json.loads(out)[0]["checks"]
+        count, _, names = words["detail"].partition(" failing: ")
+        assert count == "12" and sorted(names.split(", ")) == sorted(
+            [*"abc", *(f"{x}.{y}" for x in "abc" for y in "abc")])
+        assert partitions["detail"] == "3 failing: {1}, {1,2}, {1}{2}"
 
     def test_unknown_suite(self):
         code, _ = run("verify", "bogus")

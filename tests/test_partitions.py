@@ -224,6 +224,40 @@ class TestMoebius:
             assert sum(moebius_to_top("nc", n).values()) == 0
             assert sum(moebius_to_top("set", n).values()) == 0
 
+    def test_set_product_rule_on_every_interval(self):
+        # mu(lo, hi) = prod over hi-blocks H of (-1)^(k-1) (k-1)!, where k
+        # is the number of lo-blocks inside H
+        for n in range(1, 6):
+            parts = enumerate_set_partitions(n)
+            for hi in parts:
+                for lo in parts:
+                    if not refines(lo, hi):
+                        continue
+                    expect = 1
+                    for block in hi.blocks:
+                        k = sum(1 for b in lo.blocks if b[0] in block)
+                        expect *= (-1) ** (k - 1) * factorial(k - 1)
+                    assert moebius("set", lo, hi) == expect, (lo, hi)
+
+    def test_nc_product_rule_from_bottom(self):
+        # mu(0̂, hi) = prod over hi-blocks H of the signed Catalan number
+        # (-1)^(|H|-1) C(|H|-1)
+        for n in range(1, 7):
+            bottom = singleton_partition(range(1, n + 1))
+            for hi in enumerate_nc_partitions(n):
+                expect = 1
+                for block in hi.blocks:
+                    expect *= ((-1) ** (len(block) - 1)
+                               * catalan_closed_form(len(block) - 1))
+                assert moebius("nc", bottom, hi) == expect, hi
+
+    def test_two_element_interval_on_a_large_carrier(self):
+        # [lo, hi] has two elements; the product rule never visits the
+        # Bell(12) partitions of the carrier
+        lo = SetPartition.of([range(1, 12), [12]])
+        hi = SetPartition.of([range(1, 13)])
+        assert moebius("set", lo, hi) == -1
+
     def test_order_violation(self):
         lo = SetPartition.of([[1, 2], [3]])
         hi = SetPartition.of([[1, 3], [2]])
