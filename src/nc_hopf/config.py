@@ -1,10 +1,13 @@
 """Size caps and defaults, overridable through environment variables.
 
-Caps exist to keep enumerations at desk scale; exceeding one raises
-SizeLimitError rather than silently truncating.
+Caps keep enumerations and the transforms that sum over a lattice at desk
+scale; exceeding one raises SizeLimitError rather than silently truncating.
+A variable that is set but is not an integer is an error, not a default.
 """
 
 import os
+
+from .errors import NcHopfError
 
 DEFAULT_NC_CAP = 14
 DEFAULT_SET_CAP = 12
@@ -21,7 +24,8 @@ def _env_int(name: str, fallback: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        return fallback
+        raise NcHopfError(
+            f"environment variable {name}={raw!r} is not an integer") from None
 
 
 def nc_cap() -> int:

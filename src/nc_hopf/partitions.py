@@ -1,9 +1,10 @@
 """Set partitions and non-crossing partitions: enumeration, lattice calculus,
-block orders, standardization, and admissible splittings.
+standardization, and admissible splittings.
 
-Canonical form everywhere: each block sorted ascending, blocks ordered by
-their minimum element.  Carriers are finite sets of positive integers; the
-carrier of a partition is always the union of its blocks.
+Canonical form everywhere: each block strictly increasing (no element
+repeats), blocks ordered by their minimum element.  Carriers are finite sets
+of positive integers; the carrier of a partition is always the union of its
+blocks.
 
 Text encoding (the golden-file format): blocks concatenated, each ``{a,b,c}``
 with ascending members, e.g. ``{1,4}{2,3}``.  JSON: ``{"blocks": [[1,4],[2,3]]}``.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import product
 
@@ -40,15 +40,17 @@ class SetPartition:
         for block in self.blocks:
             if not block:
                 raise ValueError("empty block")
-            if list(block) != sorted(block):
-                raise ValueError(f"block not sorted: {block}")
+            members = set(block)
+            # equal to the sorted members only if strictly increasing
+            if list(block) != sorted(members):
+                raise ValueError(f"block not strictly increasing: {block}")
+            if block[0] < 1:
+                raise ValueError("carrier elements must be positive")
             if block[0] <= prev_min:
                 raise ValueError("blocks not ordered by minimum element")
-            if any(x < 1 for x in block):
-                raise ValueError("carrier elements must be positive")
-            if seen & set(block):
+            if not seen.isdisjoint(members):
                 raise ValueError("blocks not disjoint")
-            seen |= set(block)
+            seen |= members
             prev_min = block[0]
 
     @classmethod
@@ -67,16 +69,6 @@ class SetPartition:
     def size(self) -> int:
         """Number of carrier elements."""
         return sum(len(b) for b in self.blocks)
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
-    def block_of(self, x: int) -> int:
-        """Index of the block containing x."""
-        for i, block in enumerate(self.blocks):
-            if x in block:
-                return i
-        raise KeyError(x)
 
     def restrict(self, subset) -> "SetPartition":
         """Intersect every block with ``subset``, dropping empties."""
@@ -105,27 +97,6 @@ class NonCrossingPartition(SetPartition):
             raise ValueError(f"partition is crossing: {self.blocks}")
 
 
-class BlockRelation(Enum):
-    """Mutual position of two distinct blocks of a non-crossing partition."""
-
-    DISJOINT_BEFORE = "disjoint_before"   # L_i entirely left of L_j
-    DISJOINT_AFTER = "disjoint_after"     # L_i entirely right of L_j
-    NESTED_INSIDE = "nested_inside"       # L_i <_L L_j
-    NESTED_OUTSIDE = "nested_outside"     # L_j <_L L_i
-
-    @property
-    def inverse(self) -> "BlockRelation":
-        return _RELATION_INVERSE[self]
-
-
-_RELATION_INVERSE = {
-    BlockRelation.DISJOINT_BEFORE: BlockRelation.DISJOINT_AFTER,
-    BlockRelation.DISJOINT_AFTER: BlockRelation.DISJOINT_BEFORE,
-    BlockRelation.NESTED_INSIDE: BlockRelation.NESTED_OUTSIDE,
-    BlockRelation.NESTED_OUTSIDE: BlockRelation.NESTED_INSIDE,
-}
-
-
 @dataclass(frozen=True)
 class AdmissibleSplit:
     """A two-part block partition L = Q ⊔ T with no Q-block nested inside a
@@ -137,7 +108,7 @@ class AdmissibleSplit:
 
 
 # ---------------------------------------------------------------------------
-# crossing test and block order
+# crossing test and nesting
 
 
 def _pair_crosses(a: Block, b: Block) -> bool:
@@ -167,34 +138,9 @@ def is_noncrossing(p: SetPartition) -> bool:
     return _blocks_noncrossing(p.blocks)
 
 
-def as_noncrossing(p: SetPartition) -> NonCrossingPartition:
-    if isinstance(p, NonCrossingPartition):
-        return p
-    return NonCrossingPartition(p.blocks)
-
-
 def _nested_inside(inner: Block, outer: Block) -> bool:
     # inner <_L outer: every element strictly between min and max of outer.
     return outer[0] < inner[0] and inner[-1] < outer[-1]
-
-
-def block_relation(p: NonCrossingPartition, i: int, j: int) -> BlockRelation:
-    """Relation of block i to block j (0-based canonical indices)."""
-    k = len(p.blocks)
-    if i == j:
-        raise ValueError("blocks must be distinct")
-    if not (0 <= i < k and 0 <= j < k):
-        raise IndexError(f"block index out of range: {i}, {j}")
-    a, b = p.blocks[i], p.blocks[j]
-    if a[-1] < b[0]:
-        return BlockRelation.DISJOINT_BEFORE
-    if b[-1] < a[0]:
-        return BlockRelation.DISJOINT_AFTER
-    if _nested_inside(a, b):
-        return BlockRelation.NESTED_INSIDE
-    if _nested_inside(b, a):
-        return BlockRelation.NESTED_OUTSIDE
-    raise ValueError(f"blocks {a} and {b} are neither disjoint nor nested")
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +399,9 @@ def moebius(lattice: str, lo: SetPartition, hi: SetPartition) -> int:
 @lru_cache(maxsize=None)
 def moebius_to_top(lattice: str, n: int) -> dict[tuple[Block, ...], int]:
     """mu(L, 1̂_n) for every L in the chosen lattice of [n], keyed by the
-    blocks of L.  Used by the transform layer, which needs the whole column
-    at once.  The dict is the recursion's memo, shared by every caller:
-    read it, never change it."""
+    blocks of L: the lattice oracle for the closed-form Möbius weights of
+    the transforms.  The dict is the recursion's memo, shared by every
+    caller: read it, never change it."""
     if lattice == "set":
         elements = _all_set_partitions(n)
     elif lattice == "nc":

@@ -91,10 +91,6 @@ LinComb = dict   # key -> Coefficient, no zero values stored
 UNIT: BarWord = ()
 
 
-def atom_degree(atom: Atom) -> int:
-    return atom.degree
-
-
 def barword_degree(b: BarWord) -> int:
     return sum(a.degree for a in b)
 
@@ -116,12 +112,6 @@ def add_into(acc: LinComb, key, coeff: Coefficient) -> None:
         acc[key] = new
     elif key in acc:
         del acc[key]
-
-
-def scale(lc: LinComb, c: Coefficient) -> LinComb:
-    if not c:
-        return {}
-    return {k: v * c for k, v in lc.items()}
 
 
 def lincomb_sum(*combs: LinComb) -> LinComb:

@@ -6,20 +6,27 @@ redundancy exists to catch implementation drift, not input problems.
 
 Sequences carry Coefficient values, so the same code runs numerically over
 Fraction inputs and symbolically over polynomial indeterminates (c1, c2, ...
-or k1, k2, ...; multivariate cumulants use k[w] keyed by the word string).
+or k1, k2, ...).  Each call first checks its order against the size cap of
+the lattice it sums over (``check_enumeration_size``), before any work.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iter_product
-from math import comb
+from math import comb, factorial, prod
 
-from .coefficients import ONE, ZERO, Coefficient, Poly, coeff_str
+from .coefficients import (
+    ONE,
+    ZERO,
+    Coefficient,
+    Poly,
+    coeff_str,
+    parse_fraction,
+)
 from .errors import CarrierMismatchError, InconsistencyError, ParseError
 from .functionals import (
-    NC,
     WORDS,
     Algebra,
     InfinitesimalCharacter,
@@ -29,9 +36,8 @@ from .functionals import (
 )
 from .partitions import (
     NonCrossingPartition,
+    check_enumeration_size,
     enumerate_nc_partitions,
-    enumerate_set_partitions,
-    moebius_to_top,
 )
 from .tensor import Word
 
@@ -95,13 +101,6 @@ def symbolic_moments(order: int) -> MomentSequence:
     return MomentSequence.of(Poly.var(f"m{i}") for i in range(1, order + 1))
 
 
-def _block_product(values_by_size, partition) -> Coefficient:
-    total: Coefficient = ONE
-    for block in partition if isinstance(partition, tuple) else partition.blocks:
-        total = total * values_by_size(len(block))
-    return total
-
-
 def _require_agreement(routes: dict[str, list], context: str):
     names = list(routes)
     reference = routes[names[0]]
@@ -111,6 +110,77 @@ def _require_agreement(routes: dict[str, list], context: str):
                 f"{context}: route {names[0]!r} and route {name!r} disagree: "
                 f"{[coeff_str(v) for v in reference]} vs "
                 f"{[coeff_str(v) for v in routes[name]]}")
+
+
+# ---------------------------------------------------------------------------
+# lattice sums by block type
+#
+# In a lattice sum  sum_pi w(pi) prod_{B in pi} v(|B|)  over the set
+# partitions or the non-crossing partitions of [n], the product depends on pi
+# only through its type: the block sizes in decreasing order, an integer
+# partition lam of n.  So the sum regroups by type, each type weighted by the
+# total of w(pi) over the partitions of that type; for w = 1 and for
+# w(pi) = mu(pi, 1̂) that total has a closed form.  Below, k = len(lam) and
+# m_j is the number of parts equal to j.
+
+
+def _integer_partitions(n: int, largest: int):
+    """Partitions of n into parts of size at most ``largest``, each as a
+    tuple of parts in decreasing order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _integer_partitions(n - first, first):
+            yield (first, *rest)
+
+
+def _multiplicity_factorials(lam: tuple[int, ...]) -> int:
+    """prod_j m_j!"""
+    total = 1
+    for count in Counter(lam).values():
+        total *= factorial(count)
+    return total
+
+
+def _set_count(n: int, lam: tuple[int, ...]) -> int:
+    """Set partitions of [n] of type lam: n! / (prod lam_i! prod m_j!)."""
+    return factorial(n) // (prod(map(factorial, lam))
+                            * _multiplicity_factorials(lam))
+
+
+def _nc_count(n: int, lam: tuple[int, ...]) -> int:
+    """Non-crossing partitions of [n] of type lam (Kreweras 1972):
+    n! / ((n - k + 1)! prod m_j!)."""
+    return factorial(n) // (factorial(n - len(lam) + 1)
+                            * _multiplicity_factorials(lam))
+
+
+def _set_moebius(n: int, lam: tuple[int, ...]) -> int:
+    """Total of mu(pi, 1̂_n) over the set partitions pi of type lam; each
+    is (-1)^(k-1) (k-1)!."""
+    k = len(lam)
+    return (-1) ** (k - 1) * factorial(k - 1) * _set_count(n, lam)
+
+
+def _nc_moebius(n: int, lam: tuple[int, ...]) -> int:
+    """Total of mu(pi, 1̂_n) over the non-crossing partitions pi of type
+    lam, by Lagrange inversion of F = K(tF):
+    (-1)^(k-1) (n + k - 2)! / ((n - 1)! prod m_j!)."""
+    k = len(lam)
+    return (-1) ** (k - 1) * (factorial(n + k - 2) // (
+        factorial(n - 1) * _multiplicity_factorials(lam)))
+
+
+def _type_sum(values_by_size, n: int, weight) -> Coefficient:
+    """sum over lam |- n of weight(n, lam) * prod_i values_by_size(lam_i)."""
+    total: Coefficient = ZERO
+    for lam in _integer_partitions(n, n):
+        term: Coefficient = ONE
+        for part in lam:
+            term = term * values_by_size(part)
+        total = total + weight(n, lam) * term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +206,10 @@ def classical_moments_from_cumulants(c: CumulantSequence) -> MomentSequence:
     against the sum over all set partitions of block-size products."""
     if c.flavor != CLASSICAL:
         raise ValueError("expected classical cumulants")
+    check_enumeration_size("set", c.order)
     via_bell = bell_polynomials(c)[1:]
-    via_partitions = [
-        sum((_block_product(c.cumulant, p)
-             for p in enumerate_set_partitions(n)), start=ZERO)
-        for n in range(1, c.order + 1)]
+    via_partitions = [_type_sum(c.cumulant, n, _set_count)
+                      for n in range(1, c.order + 1)]
     _require_agreement(
         {"bell-recursion": via_bell, "partition-sum": via_partitions},
         "classical moments")
@@ -150,14 +219,10 @@ def classical_moments_from_cumulants(c: CumulantSequence) -> MomentSequence:
 def classical_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     """c_n by Möbius inversion over the partition lattice, cross-checked by
     running the forward Bell recursion on the result."""
-    values = []
-    for n in range(1, m.order + 1):
-        mu = moebius_to_top("set", n)
-        total: Coefficient = ZERO
-        for blocks, mu_val in mu.items():
-            total = total + mu_val * _block_product(m.moment, blocks)
-        values.append(total)
-    c = CumulantSequence(tuple(values), CLASSICAL)
+    check_enumeration_size("set", m.order)
+    c = CumulantSequence(
+        tuple(_type_sum(m.moment, n, _set_moebius)
+              for n in range(1, m.order + 1)), CLASSICAL)
     back = bell_polynomials(c)[1:]
     if tuple(back) != m.values[1:]:
         raise InconsistencyError(
@@ -174,10 +239,8 @@ def _one_letter_algebra() -> Algebra:
 
 
 def _free_moments_nc_sum(k: CumulantSequence) -> list:
-    return [
-        sum((_block_product(k.cumulant, p)
-             for p in enumerate_nc_partitions(n)), start=ZERO)
-        for n in range(1, k.order + 1)]
+    return [_type_sum(k.cumulant, n, _nc_count)
+            for n in range(1, k.order + 1)]
 
 
 def _free_moments_fixed_point(k: CumulantSequence) -> list:
@@ -192,36 +255,25 @@ def _free_moments_fixed_point(k: CumulantSequence) -> list:
 
 def _free_moments_series(k: CumulantSequence) -> list:
     """Degree-wise solve of F(t) = K(t F(t)) for the truncated series
-    F = 1 + m_1 t + ... ; the t^n coefficient of K(tF) only involves
-    m_1..m_{n-1}, so substitution closes at each degree."""
+    F = 1 + m_1 t + ... : m_n = sum_s k_s [t^(n-s)] F^s, and the right side
+    only involves m_1..m_{n-1}, so substitution closes at each degree."""
     order = k.order
     f: list = [ONE] + [ZERO] * order
+    # powers[s][d] = t^d coefficient of F^s; degree n fills s + d = n from
+    # F^s = F * F^(s-1), whose factors are known up to degree n - 1
+    powers: list = [[ONE] + [ZERO] * order]
     for n in range(1, order + 1):
-        # powers[s][d] = coefficient of t^d in (t F(t))^s, using known f
+        powers.append([ZERO] * (order + 1))
         coeff: Coefficient = ZERO
         for s in range(1, n + 1):
-            # t^n in (tF)^s needs t^{n-s} in F^s
-            target = n - s
+            d, below = n - s, powers[s - 1]
             total: Coefficient = ZERO
-            for composition in _compositions(target, s):
-                term: Coefficient = ONE
-                for part in composition:
-                    term = term * f[part]
-                total = total + term
+            for j in range(d + 1):
+                total = total + f[j] * below[d - j]
+            powers[s][d] = total
             coeff = coeff + k.cumulant(s) * total
         f[n] = coeff
     return f[1:]
-
-
-def _compositions(total: int, parts: int):
-    """Weak compositions of ``total`` into ``parts`` non-negative parts."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def free_moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
@@ -229,6 +281,7 @@ def free_moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
     half-shuffle fixed point, truncated series F = K(tF)), all compared."""
     if k.flavor != FREE:
         raise ValueError("expected free cumulants")
+    check_enumeration_size("nc", k.order)
     routes = {
         "nc-sum": _free_moments_nc_sum(k),
         "fixed-point": _free_moments_fixed_point(k),
@@ -241,13 +294,9 @@ def free_moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
 def free_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     """k_n by Möbius inversion over the non-crossing lattice, cross-checked
     against extraction from the multiplicative extension of the moments."""
-    via_moebius = []
-    for n in range(1, m.order + 1):
-        mu = moebius_to_top("nc", n)
-        total: Coefficient = ZERO
-        for blocks, mu_val in mu.items():
-            total = total + mu_val * _block_product(m.moment, blocks)
-        via_moebius.append(total)
+    check_enumeration_size("nc", m.order)
+    via_moebius = [_type_sum(m.moment, n, _nc_moebius)
+                   for n in range(1, m.order + 1)]
 
     algebra = _one_letter_algebra()
     phi = extend_multiplicative(
@@ -296,12 +345,6 @@ class MultiCumulantMap(MultiMomentMap):
     """Same shape as MultiMomentMap, holding generalized cumulants."""
 
 
-def symbolic_multi_moments(alphabet, order: int) -> MultiMomentMap:
-    """Indeterminate multivariate moments m[w] keyed by the word string."""
-    return MultiMomentMap.from_function(
-        alphabet, order, lambda w: Poly.var(f"m[{w.text()}]"))
-
-
 def kappa_powers(shape: NonCrossingPartition, w: Word, kappa) -> Coefficient:
     """Product of kappa over the blocks' restricted subwords."""
     if shape.size != w.degree:
@@ -340,6 +383,7 @@ def generalized_free_cumulants(phi: MultiMomentMap) -> MultiCumulantMap:
     """Generalized cumulants of a multivariate moment table, by the direct
     recursive solve and by extraction from the character extension of phi on
     the double tensor algebra; the two must agree."""
+    check_enumeration_size("nc", phi.order)
     via_recursion = _cumulants_by_recursion(phi)
 
     algebra = Algebra(WORDS, phi.alphabet)
@@ -359,33 +403,21 @@ def generalized_free_cumulants(phi: MultiMomentMap) -> MultiCumulantMap:
 # JSON encodings (shared with the CLI)
 
 
-def sequence_to_json(values, kind: str) -> dict:
-    return {"kind": kind,
-            "values": [coeff_str(v) for v in values]}
-
-
-def parse_coefficient(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational number: {text!r}") from exc
-
-
 def moment_sequence_from_json(data: dict) -> MomentSequence:
-    vals = [parse_coefficient(t) for t in data["values"]]
+    vals = [parse_fraction(t) for t in data["values"]]
     if vals and vals[0] == 1:
         vals = vals[1:]  # accept either m_0-led or m_1-led lists
     return MomentSequence.of(vals)
 
 
 def cumulant_sequence_from_json(data: dict, flavor: str) -> CumulantSequence:
-    vals = tuple(parse_coefficient(t) for t in data["values"])
+    vals = tuple(parse_fraction(t) for t in data["values"])
     return CumulantSequence(vals, flavor)
 
 
 def multi_moment_map_from_json(data: dict) -> MultiMomentMap:
     alphabet = tuple(data["alphabet"])
-    values = {tuple(key.split(".")): parse_coefficient(text)
+    values = {tuple(key.split(".")): parse_fraction(text)
               for key, text in data["values"].items()}
     order = max((len(k) for k in values), default=0)
     table = dict(values)

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,10 @@ class TestCoproduct:
         code, _ = run("coproduct", "nc", "{1,3}{2,4}")
         assert code == 1
 
+    def test_repeated_element_is_domain_error(self):
+        code, out = run("coproduct", "nc", "{1,1}{2}")
+        assert code == 1 and out == ""
+
 
 class TestMoebius:
     def test_nc_full_interval(self):
@@ -152,6 +157,34 @@ class TestTransform:
         code, _ = run("transform", "free", "--direction", "k2m", "--n", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("flavor,direction,n", [
+        ("classical", "c2m", "13"), ("classical", "m2c", "13"),
+        ("free", "k2m", "15"), ("free", "m2k", "15")])
+    def test_cap_checked_before_work(self, flavor, direction, n):
+        # one past the set cap (12) or the nc cap (14)
+        start = time.perf_counter()
+        code, out = run("transform", flavor, "--direction", direction,
+                        "--symbolic", "--n", n)
+        assert code == 1 and out == ""
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("direction", ["c2m", "m2c", "k2m", "m2k"])
+    def test_non_positive_order_is_domain_error(self, direction):
+        flavor = "classical" if direction in ("c2m", "m2c") else "free"
+        for n in ("0", "-2"):
+            code, out = run("transform", flavor, "--direction", direction,
+                            "--symbolic", "--n", n)
+            assert code == 1 and out == "", (direction, n)
+
+    @pytest.mark.parametrize("direction", ["c2m", "m2c", "k2m", "m2k"])
+    def test_empty_values_file_is_domain_error(self, tmp_path, direction):
+        flavor = "classical" if direction in ("c2m", "m2c") else "free"
+        f = tmp_path / "empty.json"
+        f.write_text(json.dumps({"values": []}))
+        code, out = run("transform", flavor, "--direction", direction,
+                        "--in", str(f))
+        assert code == 1 and out == ""
+
 
 class TestSplitAndTree:
     def test_split_listing(self):
@@ -166,6 +199,10 @@ class TestSplitAndTree:
     def test_tree_text(self):
         code, out = run("tree", "{1,4}{2,3}{5,6,7}")
         assert code == 0 and out == "((())())\n"
+
+    def test_repeated_element_is_domain_error(self):
+        code, out = run("tree", "{1,2,1}")
+        assert code == 1 and out == ""
 
     def test_tree_marks_gaps(self):
         code, out = run("tree", "{1,3,5}{2}{4}")
@@ -250,6 +287,21 @@ class TestVerify:
         # the gapped tree transport holds where the bare one first fails
         code, out = run("verify", "tree-consistency", "--max-degree", "5")
         assert code == 0 and "tree-consistency: PASS" in out
+
+
+class TestEnvironment:
+    def test_malformed_cap_variable_is_domain_error(self, monkeypatch,
+                                                    capsys):
+        monkeypatch.setenv("NCHOPF_MAX_N", "abc")
+        code, out = run("enumerate", "nc", "--n", "3", "--count")
+        assert code == 1 and out == ""
+        assert "NCHOPF_MAX_N" in capsys.readouterr().err
+
+    def test_well_formed_cap_variable_is_read(self, monkeypatch):
+        monkeypatch.setenv("NCHOPF_MAX_N", "3")
+        assert run("enumerate", "nc", "--n", "3", "--count") == (0, "5\n")
+        code, _ = run("enumerate", "nc", "--n", "4", "--count")
+        assert code == 1
 
 
 class TestUsage:

@@ -69,6 +69,12 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             SetPartition.of([[1, 2], [2, 3]])
 
+    def test_repeated_element_in_a_block_rejected(self):
+        with pytest.raises(ValueError):
+            SetPartition(((1, 1), (2,)))
+        with pytest.raises(ValueError):
+            NonCrossingPartition.of([[1, 2, 1]])
+
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError):
             SetPartition.of([[1], []])
@@ -280,6 +286,13 @@ class TestParsing:
         for bad in ["", "{1,2", "{1}{1}", "{}", "1,2"]:
             with pytest.raises(ParseError):
                 parse_partition(bad)
+
+    def test_parse_rejects_repeated_element_in_a_block(self):
+        for bad in ["{1,1}{2}", "{1,2,1}", "{1}{2,3,3}"]:
+            with pytest.raises(ParseError):
+                parse_partition(bad)
+            with pytest.raises(ParseError):
+                parse_partition(bad, noncrossing=False)
 
     def test_parse_set_flavor_allows_crossing(self):
         p = parse_partition("{1,3}{2,4}", noncrossing=False)

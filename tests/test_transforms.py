@@ -1,14 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from nc_hopf import transforms
 from nc_hopf.coefficients import Poly, poly_str
-from nc_hopf.errors import CarrierMismatchError
+from nc_hopf.errors import CarrierMismatchError, SizeLimitError
 from nc_hopf.partitions import (
     NonCrossingPartition,
     catalan_number,
     enumerate_nc_partitions,
+    enumerate_set_partitions,
+    moebius_to_top,
 )
 from nc_hopf.tensor import Word
 from nc_hopf.transforms import (
@@ -159,6 +163,81 @@ class TestFree:
             back = free_cumulants_from_moments(
                 free_moments_from_cumulants(k))
             assert back.values == k.values
+
+
+def block_type(blocks) -> tuple:
+    return tuple(sorted(map(len, blocks), reverse=True))
+
+
+def block_product(values_by_size, p):
+    total = Fraction(1)
+    for block in p.blocks:
+        total = total * values_by_size(len(block))
+    return total
+
+
+def weights_by_type(n, weight) -> dict:
+    return {lam: weight(n, lam)
+            for lam in transforms._integer_partitions(n, n)}
+
+
+class TestTypeWeights:
+    """The closed-form weights behind the transforms' lattice sums, against
+    the enumerations and the Möbius columns grouped by block type."""
+
+    def test_integer_partitions(self):
+        lams = list(transforms._integer_partitions(5, 5))
+        assert lams == [(5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1),
+                        (2, 1, 1, 1), (1, 1, 1, 1, 1)]
+        assert [sum(1 for _ in transforms._integer_partitions(n, n))
+                for n in range(1, 11)] == [1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+    @pytest.mark.parametrize("lattice", ["set", "nc"])
+    def test_counts_match_enumeration(self, lattice):
+        enum, weight = {
+            "set": (enumerate_set_partitions, transforms._set_count),
+            "nc": (enumerate_nc_partitions, transforms._nc_count)}[lattice]
+        for n in range(1, 11):
+            counted = Counter(block_type(p.blocks) for p in enum(n))
+            assert counted == weights_by_type(n, weight), (lattice, n)
+
+    @pytest.mark.parametrize("lattice", ["set", "nc"])
+    def test_moebius_totals_match_columns(self, lattice):
+        weight = {"set": transforms._set_moebius,
+                  "nc": transforms._nc_moebius}[lattice]
+        for n in range(1, 8):
+            totals = Counter()
+            for blocks, mu in moebius_to_top(lattice, n).items():
+                totals[block_type(blocks)] += mu
+            assert totals == weights_by_type(n, weight), (lattice, n)
+
+    def test_type_sum_is_the_lattice_sum(self):
+        k = symbolic_cumulants(6, FREE)
+        for n in range(1, 7):
+            total = sum((block_product(k.cumulant, p)
+                         for p in enumerate_nc_partitions(n)), start=Poly())
+            assert transforms._type_sum(
+                k.cumulant, n, transforms._nc_count) == total
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("transform,seq", [
+        (classical_moments_from_cumulants,
+         lambda n: symbolic_cumulants(n, CLASSICAL)),
+        (classical_cumulants_from_moments, symbolic_moments),
+        (free_moments_from_cumulants, lambda n: symbolic_cumulants(n, FREE)),
+        (free_cumulants_from_moments, symbolic_moments),
+    ])
+    def test_checked_before_any_work(self, transform, seq):
+        # set cap 12, nc cap 14; an empty sequence is outside 1..cap too
+        too_long = 13 if transform.__name__.startswith("classical") else 15
+        for n in (0, too_long):
+            with pytest.raises(SizeLimitError):
+                transform(seq(n))
+
+    def test_multivariate_table_order(self):
+        with pytest.raises(SizeLimitError):
+            generalized_free_cumulants(MultiMomentMap(("a",), 0, {}))
 
 
 class TestKappaPowers:
