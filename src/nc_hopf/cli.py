@@ -6,7 +6,8 @@ identical invocations produce byte-identical output so the results can be
 kept as golden files.
 
 Exit status: 0 on success, 1 on a domain error (bad partition, failed
-verification, ...), 2 on a usage error.
+verification, ...), 2 on a usage error, 3 on an internal fault (two
+computation routes disagreed).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from .coefficients import coeff_str
 from .config import default_truncation
-from .errors import NcHopfError
+from .errors import InconsistencyError, NcHopfError
 from .partitions import (
     NonCrossingPartition,
     admissible_splits,
@@ -342,6 +343,9 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args, out)
+    except InconsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except NcHopfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

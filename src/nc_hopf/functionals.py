@@ -34,6 +34,7 @@ from .tensor import (
     barword_text,
     delta_bar,
     sp,
+    tensor_product,
 )
 
 WORDS = "words"
@@ -203,17 +204,29 @@ def half_convolve(f: LinearFunctional, g: LinearFunctional,
 def solve_left_fixed_point(kappa: LinearFunctional) -> Character:
     """The unique character Phi with Phi = e + kappa ≺ Phi, computed degree
     by degree: every coproduct term pairing kappa non-trivially strictly
-    lowers the degree of the remaining Phi argument."""
+    lowers the degree of the remaining Phi argument.
+
+    kappa vanishes on the unit and on bar words of two or more atoms, so of
+    the left half coproduct of b = x|y|...|z only the terms whose left leg
+    is one atom pair non-trivially: a left-half term of x, with every later
+    atom contributing a term of its full coproduct whose left leg is the
+    unit.  Those right legs are read from each atom's coproduct, which
+    standardizes the carrier of a decorated partition."""
     _require_infinitesimal(kappa)
     phi_box: list[Character] = []
 
     def ev(b: BarWord) -> Coefficient:
+        terms = delta_bar(b[:1], "left+")
+        for atom in b[1:]:
+            terms = tensor_product(terms, {
+                key: c for key, c in delta_bar((atom,), "full").items()
+                if key[0] == UNIT})
+        phi = phi_box[0]
         total: Coefficient = ZERO
-        for (left, right), c in delta_bar(b, "left+").items():
-            kl = kappa(left) if left != UNIT else kappa.unit_value
+        for (left, right), c in terms.items():
+            kl = kappa(left)
             if not kl:
                 continue
-            phi = phi_box[0]
             pr = phi.unit_value if right == UNIT else phi(right)
             if not pr:
                 continue

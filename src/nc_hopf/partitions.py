@@ -111,25 +111,25 @@ class AdmissibleSplit:
 # crossing test and nesting
 
 
-def _pair_crosses(a: Block, b: Block) -> bool:
-    """True iff blocks a, b admit a quadruple x1 < y1 < x2 < y2 alternating
-    between them.  Scan the merged sequence: crossing iff the run-compressed
-    label sequence has length >= 4."""
-    merged = sorted([(x, 0) for x in a] + [(y, 1) for y in b])
-    runs = 0
-    last = None
-    for _, label in merged:
-        if label != last:
-            runs += 1
-            last = label
-    return runs >= 4
-
-
 def _blocks_noncrossing(blocks: tuple[Block, ...]) -> bool:
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if _pair_crosses(blocks[i], blocks[j]):
-                return False
+    """Whether canonical blocks have no crossing pair, by one stack walk
+    over the carrier: a block is pushed at its first element, must be on
+    top at each later element, and is popped at its last.  A block under
+    the top at one of its elements has the top block's first element
+    between two of its own and the top block's last element beyond, which
+    is a crossing; when every test passes, the blocks nest."""
+    if len(blocks) < 2:
+        return True
+    owner = {x: block for block in blocks for x in block}
+    stack: list[Block] = []
+    for x in sorted(owner):
+        block = owner[x]
+        if x == block[0]:
+            stack.append(block)
+        elif stack[-1] is not block:
+            return False
+        if x == block[-1]:
+            stack.pop()
     return True
 
 
@@ -274,8 +274,8 @@ def refines(fine: SetPartition, coarse: SetPartition) -> bool:
 def standardize(p: SetPartition) -> SetPartition:
     """Relabel the carrier to [n] by the unique increasing bijection."""
     relabel = {x: i + 1 for i, x in enumerate(p.carrier)}
-    blocks = [tuple(relabel[x] for x in b) for b in p.blocks]
-    return type(p).of(blocks)
+    # an increasing relabelling keeps the canonical block order
+    return type(p)(tuple([tuple([relabel[x] for x in b]) for b in p.blocks]))
 
 
 def connected_components(s, u) -> list[tuple[int, ...]]:
@@ -321,10 +321,11 @@ def admissible_splits(p: NonCrossingPartition) -> tuple[AdmissibleSplit, ...]:
         comp_parts = []
         for comp in comps:
             comp_set = set(comp)
-            inside = [b for b in t_blocks if set(b) <= comp_set]
-            comp_parts.append(NonCrossingPartition.of(inside))
+            inside = tuple([b for b in t_blocks if set(b) <= comp_set])
+            comp_parts.append(NonCrossingPartition(inside))
+        # sub-sequences of canonical blocks are canonical
         splits.append(AdmissibleSplit(
-            q_part=NonCrossingPartition.of(q_blocks),
+            q_part=NonCrossingPartition(tuple(q_blocks)),
             components=tuple(comp_parts),
         ))
     return tuple(splits)

@@ -7,23 +7,23 @@ unit.  A bar word never contains a unit part, so normalization of
 ``w|1|w'`` to ``w|w'`` is structural.
 
 Formal linear combinations are plain dicts from a hashable key to a non-zero
-exact coefficient.  Coproduct outputs are keyed by (left, right) pairs of bar
+exact coefficient.  Structural coefficients (coproducts, ``sp``) are plain
+``int`` counts; they mix exactly with ``Fraction`` and ``Poly`` values in
+pairings.  Coproduct outputs are keyed by (left, right) pairs of bar
 words; on generators the left leg always has at most one atom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .coefficients import ONE, Coefficient, coeff_str
+from .coefficients import Coefficient, coeff_str
 from .errors import AlgebraMismatchError, ParseError, SizeLimitError
 from .partitions import (
     NonCrossingPartition,
     admissible_splits,
-    connected_components,
     enumerate_nc_partitions,
     parse_partition,
     standardize,
@@ -124,7 +124,7 @@ def lincomb_sum(*combs: LinComb) -> LinComb:
 
 def counit(t: LinComb) -> Coefficient:
     """Coefficient of the unit basis element."""
-    return t.get(UNIT, Fraction(0))
+    return t.get(UNIT, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +134,41 @@ def counit(t: LinComb) -> Coefficient:
 @lru_cache(maxsize=None)
 def delta_word_halves(w: Word) -> tuple[LinComb, LinComb]:
     """(left, right) splitting of delta_word by whether position 1 lies in
-    the kept subset S.  left + right == delta_word(w)."""
-    n = w.degree
-    left_half: LinComb = {}
-    right_half: LinComb = {}
+    the kept subset S.  left + right == delta_word(w).
+
+    One pass per mask builds the kept letters and the runs of the
+    complement straight from the mask bits, counted on letter tuples; the
+    terms are then keyed by Words, one shared Word per letter tuple."""
+    letters = w.letters
+    n = len(letters)
+    counts: tuple[dict, dict] = ({}, {})  # indexed by bit 0 of the mask
     for mask in range(1 << n):
-        s = [i + 1 for i in range(n) if mask >> i & 1]
-        left: BarWord = (w.subword(s),) if s else UNIT
-        comps = connected_components(s, range(1, n + 1))
-        right: BarWord = tuple(w.subword(c) for c in comps)
-        target = left_half if mask & 1 else right_half
-        add_into(target, (left, right), ONE)
+        kept: list[str] = []
+        runs: list[tuple[str, ...]] = []
+        start = 0
+        for i in range(n):
+            if mask >> i & 1:
+                kept.append(letters[i])
+                if start < i:
+                    runs.append(letters[start:i])
+                start = i + 1
+        if start < n:
+            runs.append(letters[start:])
+        key = (tuple(kept), tuple(runs))
+        half = counts[mask & 1]
+        half[key] = half.get(key, 0) + 1
+    words: dict[tuple[str, ...], Word] = {}
+
+    def word(part: tuple[str, ...]) -> Word:
+        found = words.get(part)
+        if found is None:
+            found = words[part] = Word(part)
+        return found
+
+    right_half, left_half = (
+        {((word(kept),) if kept else UNIT, tuple([word(r) for r in runs])): c
+         for (kept, runs), c in half.items()}
+        for half in counts)
     return left_half, right_half
 
 
@@ -163,7 +187,7 @@ def delta_nc(x: DecoratedNC) -> LinComb:
     out: LinComb = {}
     for term in _delta_nc_split_terms(x):
         _, key = term
-        add_into(out, key, ONE)
+        add_into(out, key, 1)
     return out
 
 
@@ -173,7 +197,7 @@ def delta_nc_halves(x: DecoratedNC) -> tuple[LinComb, LinComb]:
     left_half: LinComb = {}
     right_half: LinComb = {}
     for in_q, key in _delta_nc_split_terms(x):
-        add_into(left_half if in_q else right_half, key, ONE)
+        add_into(left_half if in_q else right_half, key, 1)
     return left_half, right_half
 
 
@@ -244,17 +268,17 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
     if variant in ("left", "right", "reduced"):
         if variant == "left":
             out = dict(delta_bar(b, "left+"))
-            add_into(out, (b, UNIT), -ONE)
+            add_into(out, (b, UNIT), -1)
         elif variant == "right":
             out = dict(delta_bar(b, "right+"))
-            add_into(out, (UNIT, b), -ONE)
+            add_into(out, (UNIT, b), -1)
         else:
             out = dict(delta_bar(b, "full"))
-            add_into(out, (b, UNIT), -ONE)
-            add_into(out, (UNIT, b), -ONE)
+            add_into(out, (b, UNIT), -1)
+            add_into(out, (UNIT, b), -1)
         return out
     if not b:
-        return {(UNIT, UNIT): ONE}
+        return {(UNIT, UNIT): 1}
     first_variant = variant if variant in ("left+", "right+") else "full"
     result = _generator_delta(b[0], first_variant)
     for atom in b[1:]:
@@ -269,7 +293,7 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
 def sp(b: BarWord) -> LinComb:
     """The splitting map: each word atom of length n is replaced by the sum
     over NC_n of that partition decorating the word; bar structure kept."""
-    result: LinComb = {UNIT: ONE}
+    result: LinComb = {UNIT: 1}
     for atom in b:
         if not isinstance(atom, Word):
             raise AlgebraMismatchError("sp expects a bar word over Words")
@@ -278,7 +302,7 @@ def sp(b: BarWord) -> LinComb:
                 f"word length {atom.degree} exceeds NC cap {config.nc_cap()}")
         summand: LinComb = {}
         for shape in enumerate_nc_partitions(atom.degree):
-            add_into(summand, (DecoratedNC(shape, atom),), ONE)
+            add_into(summand, (DecoratedNC(shape, atom),), 1)
         result = {k1 + k2: c1 * c2
                   for k1, c1 in result.items() for k2, c2 in summand.items()}
     return result

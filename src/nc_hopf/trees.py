@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coefficients import ONE
 from .errors import ParseError
 from .partitions import NonCrossingPartition
 from .tensor import LinComb, add_into, lincomb_text
@@ -260,7 +259,7 @@ def tree_coproduct(t: Tree) -> LinComb:
     for cut in admissible_edge_cuts(t):
         rooted = _remove_cut(t, frozenset(cut.edges), ())
         pruned = _pruned_forest(t, cut)
-        add_into(out, (rooted, pruned), ONE)
+        add_into(out, (rooted, pruned), 1)
     return out
 
 

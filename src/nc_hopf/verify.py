@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .coefficients import ONE
 from .functionals import (
     NC,
     WORDS,
@@ -188,7 +187,7 @@ def verify_unshuffle(max_degree: int = 5,
             if _apply_left(right, "reduced") != _apply_right(right, "right"):
                 failures["C3"].append(name)
             rebuilt = lincomb_sum(left, right,
-                                  {(b, UNIT): ONE, (UNIT, b): ONE})
+                                  {(b, UNIT): 1, (UNIT, b): 1})
             if rebuilt != delta_bar(b, "full"):
                 failures["halves"].append(name)
         for a in atoms:
@@ -287,8 +286,8 @@ def verify_sp_morphism(max_word_len: int = 6,
                         add_into(lhs, pair, c * d)
                 rhs: LinComb = {}
                 for (left, right), c in delta_bar(b, variant).items():
-                    left_img = sp(left) if left != UNIT else {UNIT: ONE}
-                    right_img = sp(right) if right != UNIT else {UNIT: ONE}
+                    left_img = sp(left) if left != UNIT else {UNIT: 1}
+                    right_img = sp(right) if right != UNIT else {UNIT: 1}
                     for kl, cl in left_img.items():
                         for kr, cr in right_img.items():
                             add_into(rhs, (kl, kr), c * cl * cr)

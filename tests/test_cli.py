@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import nc_hopf.transforms
 import nc_hopf.verify
 from nc_hopf.cli import main
 from nc_hopf.verify import SuiteReport
@@ -184,6 +185,19 @@ class TestTransform:
         code, out = run("transform", flavor, "--direction", direction,
                         "--in", str(f))
         assert code == 1 and out == ""
+
+
+    def test_route_disagreement_is_internal_fault(self, monkeypatch, capsys):
+        # a series route off by one in m_1 must not pass for bad input
+        series = nc_hopf.transforms._free_moments_series
+        monkeypatch.setattr(nc_hopf.transforms, "_free_moments_series",
+                            lambda k: [series(k)[0] + 1, *series(k)[1:]])
+        code, out = run("transform", "free", "--direction", "k2m",
+                        "--symbolic", "--n", "3")
+        assert code == 3 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: free moments: route 'nc-sum' and "
+                              "route 'series' disagree")
 
 
 class TestSplitAndTree:

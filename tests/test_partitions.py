@@ -31,6 +31,7 @@ from nc_hopf.partitions import (
     singleton_partition,
     standardize,
 )
+from nc_hopf.partitions import _blocks_noncrossing, _rgs_partitions
 
 
 def brute_force_crossing(blocks) -> bool:
@@ -47,6 +48,19 @@ def brute_force_crossing(blocks) -> bool:
                             if p1 < q1 < p2 < q2:
                                 return True
     return False
+
+
+def pair_crosses(a, b) -> bool:
+    """Oracle: blocks a, b admit x1 < y1 < x2 < y2 alternating between them
+    iff the run-compressed label sequence of their merge has length >= 4."""
+    merged = sorted([(x, 0) for x in a] + [(y, 1) for y in b])
+    runs = 0
+    last = None
+    for _, label in merged:
+        if label != last:
+            runs += 1
+            last = label
+    return runs >= 4
 
 
 def catalan_closed_form(n: int) -> int:
@@ -99,6 +113,21 @@ class TestCrossingDetection:
         for n in range(1, 8):
             for p in enumerate_set_partitions(n):
                 assert is_noncrossing(p) == (not brute_force_crossing(p.blocks))
+
+    def test_stack_walk_matches_pairwise_definition(self):
+        checked = crossing = 0
+        for n in range(1, 10):
+            for raw in _rgs_partitions(n):
+                blocks = tuple(tuple(b) for b in raw)
+                pairwise = any(pair_crosses(a, b)
+                               for i, a in enumerate(blocks)
+                               for b in blocks[i + 1:])
+                assert _blocks_noncrossing(blocks) == (not pairwise), blocks
+                checked += 1
+                crossing += pairwise
+        assert checked == sum(bell_number(n) for n in range(1, 10))
+        assert checked - crossing == sum(catalan_number(n)
+                                         for n in range(1, 10))
 
     def test_gapped_carrier(self):
         assert is_noncrossing(SetPartition.of([[1, 9], [3, 5]]))

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -24,6 +26,7 @@ from nc_hopf.tensor import (
     tensor_product,
     tensor_text,
 )
+from nc_hopf.trees import hierarchy_tree, tree_coproduct
 
 ONE = Fraction(1)
 
@@ -84,6 +87,50 @@ class TestWords:
         assert ((w("a"),), (w("b"),)) in left
         assert ((), (w("ab"),)) in right
         assert ((w("b"),), (w("a"),)) in right
+
+
+def subset_halves(word):
+    """Oracle for delta_word_halves, from the definition: for each subset S
+    of positions, a_S (x) the bar word of the maximal runs of positions
+    outside S, in the left half iff position 1 is in S."""
+    n = word.degree
+    halves = (Counter(), Counter())  # right, left
+    for k in range(n + 1):
+        for s in combinations(range(1, n + 1), k):
+            left = (word.subword(s),) if s else ()
+            runs, run = [], []
+            for i in range(1, n + 1):
+                if i in s:
+                    if run:
+                        runs.append(word.subword(run))
+                    run = []
+                else:
+                    run.append(i)
+            if run:
+                runs.append(word.subword(run))
+            halves[1 in s][(left, tuple(runs))] += 1
+    return dict(halves[1]), dict(halves[0])
+
+
+class TestCoproductLayer:
+    def test_word_halves_match_subset_definition(self):
+        for n in range(1, 9):
+            for letters in product("ab", repeat=n):
+                word = Word(letters)
+                assert delta_word_halves(word) == subset_halves(word)
+
+    def test_structural_coefficients_are_int(self):
+        values = []
+        for word in (w("a"), w("aab"), w("abab")):
+            values += delta_word(word).values()
+        values += sp((w("abab"), w("aa"))).values()
+        for n in range(1, 6):
+            for shape in enumerate_nc_partitions(n):
+                values += delta_nc(DecoratedNC(shape)).values()
+                values += tree_coproduct(hierarchy_tree(shape)).values()
+        values += delta_nc(nc("{1,2}{3}{4}", "abab")).values()
+        assert {type(v) for v in values} == {int}
+        assert 2 in values  # a multiplicity, not only units
 
 
 class TestNcCoproduct:
