@@ -221,6 +221,8 @@ def parse_fraction(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into an exact rational."""
     from .errors import ParseError
 
+    if not isinstance(text, str):
+        raise ParseError(f"a rational number is written as a string: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

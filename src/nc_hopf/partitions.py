@@ -233,17 +233,6 @@ def enumerate_nc_partitions(n: int) -> list[NonCrossingPartition]:
     return list(_all_nc_partitions(n))
 
 
-def nc_partitions_of(elements) -> list[NonCrossingPartition]:
-    """Non-crossing partitions of an arbitrary finite integer set."""
-    elems = tuple(sorted(elements))
-    cap = config.nc_cap()
-    if len(elems) > cap:
-        raise SizeLimitError(f"carrier size {len(elems)} exceeds cap {cap}")
-    parts = [NonCrossingPartition(blocks) for blocks in _nc_blocklists(elems)]
-    parts.sort(key=lambda p: p.text())
-    return parts
-
-
 def full_partition(elements) -> NonCrossingPartition:
     """The one-block partition 1̂ of the given carrier."""
     return NonCrossingPartition.of([tuple(sorted(elements))])
@@ -457,14 +446,6 @@ def parse_partition(text: str, noncrossing: bool = True) -> SetPartition:
     if explicit_carrier is not None and p.carrier != explicit_carrier:
         raise ParseError(f"carrier suffix does not match blocks in {text!r}")
     return p
-
-
-def partition_from_json(data: dict, noncrossing: bool = True) -> SetPartition:
-    cls = NonCrossingPartition if noncrossing else SetPartition
-    try:
-        return cls.of(data["blocks"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad partition JSON: {data!r}") from exc
 
 
 # independent count helpers, used for size guards and the CLI

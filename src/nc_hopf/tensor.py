@@ -203,24 +203,24 @@ def delta_nc_halves(x: DecoratedNC) -> tuple[LinComb, LinComb]:
 
 @lru_cache(maxsize=None)
 def _delta_nc_split_terms(x: DecoratedNC) -> tuple:
+    # split on [n], where the decoration's positions are the carrier
+    # elements; every key is standardized, so the terms are the same
     shape, word = x.shape, x.word
+    if shape.carrier != tuple(range(1, shape.size + 1)):
+        shape = standardize(shape)
     first = shape.carrier[0] if shape.blocks else None
+
+    def restricted(part: NonCrossingPartition) -> DecoratedNC:
+        dec = word.subword(part.carrier) if word is not None else None
+        return DecoratedNC(standardize(part), dec)
+
     terms = []
     for split in admissible_splits(shape):
         q = split.q_part
-        if q.blocks:
-            st_q = standardize(q)
-            dec = word.subword(q.carrier) if word is not None else None
-            left: BarWord = (DecoratedNC(st_q, dec),)
-        else:
-            left = UNIT
-        right_atoms = []
-        for comp_part in split.components:
-            st_c = standardize(comp_part)
-            dec = word.subword(comp_part.carrier) if word is not None else None
-            right_atoms.append(DecoratedNC(st_c, dec))
+        left: BarWord = (restricted(q),) if q.blocks else UNIT
+        right = tuple([restricted(part) for part in split.components])
         in_q = first is not None and any(first in b for b in q.blocks)
-        terms.append((in_q, (left, tuple(right_atoms))))
+        terms.append((in_q, (left, right)))
     return tuple(terms)
 
 

@@ -234,10 +234,6 @@ def classical_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
 # free
 
 
-def _one_letter_algebra() -> Algebra:
-    return Algebra(WORDS, ("a",))
-
-
 def _free_moments_nc_sum(k: CumulantSequence) -> list:
     return [_type_sum(k.cumulant, n, _nc_count)
             for n in range(1, k.order + 1)]
@@ -246,9 +242,8 @@ def _free_moments_nc_sum(k: CumulantSequence) -> list:
 def _free_moments_fixed_point(k: CumulantSequence) -> list:
     """One-letter specialization of Phi = e + kappa ≺ Phi: the moments are
     the character values on single powers of the letter."""
-    algebra = _one_letter_algebra()
     kappa = InfinitesimalCharacter.from_atoms(
-        algebra, k.order, lambda w: k.cumulant(w.degree), name="κ")
+        Algebra(WORDS, ("a",)), k.order, lambda w: k.cumulant(w.degree), name="κ")
     phi = solve_left_fixed_point(kappa)
     return [phi((Word(("a",) * n),)) for n in range(1, k.order + 1)]
 
@@ -291,19 +286,24 @@ def free_moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
     return MomentSequence.of(routes["nc-sum"])
 
 
+def _extracted_cumulants(alphabet, order: int, moment):
+    """Letter tuple -> kappa of that word, extracted from the multiplicative
+    extension of ``moment`` (a Word -> value map) on the word algebra."""
+    character = extend_multiplicative(
+        Algebra(WORDS, alphabet), order, moment, name="Φ")
+    kappa = extract_infinitesimal(character)
+    return lambda letters: kappa((Word(letters),))
+
+
 def free_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     """k_n by Möbius inversion over the non-crossing lattice, cross-checked
     against extraction from the multiplicative extension of the moments."""
     check_enumeration_size("nc", m.order)
     via_moebius = [_type_sum(m.moment, n, _nc_moebius)
                    for n in range(1, m.order + 1)]
-
-    algebra = _one_letter_algebra()
-    phi = extend_multiplicative(
-        algebra, m.order, lambda w: m.moment(w.degree), name="Φ")
-    kappa = extract_infinitesimal(phi)
-    via_extraction = [kappa((Word(("a",) * n),))
-                      for n in range(1, m.order + 1)]
+    kappa = _extracted_cumulants(("a",), m.order,
+                                 lambda w: m.moment(w.degree))
+    via_extraction = [kappa(("a",) * n) for n in range(1, m.order + 1)]
     _require_agreement(
         {"nc-moebius": via_moebius, "fixed-point-extraction": via_extraction},
         "free cumulants")
@@ -312,6 +312,12 @@ def free_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
 
 # ---------------------------------------------------------------------------
 # multivariate free cumulants
+
+
+def _letter_tuples(alphabet, degrees):
+    """Every word over the alphabet, as a letter tuple, degree by degree."""
+    for d in degrees:
+        yield from iter_product(alphabet, repeat=d)
 
 
 @dataclass(frozen=True)
@@ -329,15 +335,13 @@ class MultiMomentMap:
         return self.table[w.letters]
 
     def words(self, degree: int) -> list[Word]:
-        return [Word(ls) for ls in iter_product(self.alphabet, repeat=degree)]
+        return [Word(ls) for ls in _letter_tuples(self.alphabet, (degree,))]
 
     @classmethod
     def from_function(cls, alphabet, order: int, fn) -> "MultiMomentMap":
         alphabet = tuple(alphabet)
-        table = {}
-        for d in range(1, order + 1):
-            for ls in iter_product(alphabet, repeat=d):
-                table[ls] = fn(Word(ls))
+        table = {ls: fn(Word(ls))
+                 for ls in _letter_tuples(alphabet, range(1, order + 1))}
         return cls(alphabet, order, table)
 
 
@@ -357,45 +361,48 @@ def kappa_powers(shape: NonCrossingPartition, w: Word, kappa) -> Coefficient:
     return total
 
 
-def _cumulants_by_recursion(phi: MultiMomentMap) -> dict:
-    """Solve phi(w) = sum over NC of block-wise cumulant products for the
-    one-block term, degree by degree."""
+def _lattice_cumulants(moment, words) -> dict:
+    """Solve moment(w) = sum over pi in NC(|w|) of prod_{B in pi} kappa(w|_B)
+    for the one-block term kappa(w), for each letter tuple w in ``words``;
+    returns letter tuple -> kappa, memoised over the subwords it meets.  The
+    blocks of a shape are 1-based positions into the letters."""
     r: dict = {}
 
-    def value(w: Word) -> Coefficient:
-        if w.letters in r:
-            return r[w.letters]
-        total = phi.value(w)
-        for shape in enumerate_nc_partitions(w.degree):
-            if len(shape.blocks) == 1:
+    def value(letters: tuple) -> Coefficient:
+        if letters in r:
+            return r[letters]
+        total = moment(letters)
+        for shape in enumerate_nc_partitions(len(letters)):
+            blocks = shape.blocks
+            if len(blocks) == 1:
                 continue
-            total = total - kappa_powers(shape, w, value)
-        r[w.letters] = total
+            term = value(tuple([letters[i - 1] for i in blocks[0]]))
+            for block in blocks[1:]:
+                term = term * value(tuple([letters[i - 1] for i in block]))
+            total = total - term
+        r[letters] = total
         return total
 
-    for d in range(1, phi.order + 1):
-        for w in phi.words(d):
-            value(w)
+    for letters in words:
+        value(letters)
     return r
 
 
 def generalized_free_cumulants(phi: MultiMomentMap) -> MultiCumulantMap:
     """Generalized cumulants of a multivariate moment table, by the direct
-    recursive solve and by extraction from the character extension of phi on
+    lattice solve and by extraction from the character extension of phi on
     the double tensor algebra; the two must agree."""
     check_enumeration_size("nc", phi.order)
-    via_recursion = _cumulants_by_recursion(phi)
-
-    algebra = Algebra(WORDS, phi.alphabet)
-    character = extend_multiplicative(algebra, phi.order, phi.value, name="Φ")
-    kappa = extract_infinitesimal(character)
-    for d in range(1, phi.order + 1):
-        for w in phi.words(d):
-            if kappa((w,)) != via_recursion[w.letters]:
-                raise InconsistencyError(
-                    f"generalized cumulants disagree at {w.text()}: "
-                    f"{coeff_str(via_recursion[w.letters])} vs "
-                    f"{coeff_str(kappa((w,)))}")
+    words = list(_letter_tuples(phi.alphabet, range(1, phi.order + 1)))
+    via_recursion = _lattice_cumulants(
+        lambda letters: phi.value(Word(letters)), words)
+    via_extraction = _extracted_cumulants(phi.alphabet, phi.order, phi.value)
+    for letters in words:
+        kappa = via_extraction(letters)
+        if kappa != via_recursion[letters]:
+            raise InconsistencyError(
+                f"generalized cumulants disagree at {'.'.join(letters)}: "
+                f"{coeff_str(via_recursion[letters])} vs {coeff_str(kappa)}")
     return MultiCumulantMap(phi.alphabet, phi.order, via_recursion)
 
 
@@ -403,26 +410,46 @@ def generalized_free_cumulants(phi: MultiMomentMap) -> MultiCumulantMap:
 # JSON encodings (shared with the CLI)
 
 
+def _json_field(data, key: str, kind: type):
+    """``data[key]``, which must be a JSON array (list) or object (dict)."""
+    if not isinstance(data, dict) or key not in data:
+        raise ParseError(f"expected a JSON object with the field {key!r}")
+    if not isinstance(data[key], kind):
+        raise ParseError(f"the {key!r} field must be a JSON "
+                         f"{'array' if kind is list else 'object'}")
+    return data[key]
+
+
+def _json_values(data) -> list:
+    return [parse_fraction(t) for t in _json_field(data, "values", list)]
+
+
 def moment_sequence_from_json(data: dict) -> MomentSequence:
-    vals = [parse_fraction(t) for t in data["values"]]
+    vals = _json_values(data)
     if vals and vals[0] == 1:
         vals = vals[1:]  # accept either m_0-led or m_1-led lists
     return MomentSequence.of(vals)
 
 
 def cumulant_sequence_from_json(data: dict, flavor: str) -> CumulantSequence:
-    vals = tuple(parse_fraction(t) for t in data["values"])
-    return CumulantSequence(vals, flavor)
+    return CumulantSequence(tuple(_json_values(data)), flavor)
 
 
 def multi_moment_map_from_json(data: dict) -> MultiMomentMap:
-    alphabet = tuple(data["alphabet"])
-    values = {tuple(key.split(".")): parse_fraction(text)
-              for key, text in data["values"].items()}
-    order = max((len(k) for k in values), default=0)
-    table = dict(values)
-    for d in range(1, order + 1):
-        for ls in iter_product(alphabet, repeat=d):
-            if ls not in table:
-                raise ParseError(f"moment table misses word {'.'.join(ls)}")
+    alphabet = tuple(_json_field(data, "alphabet", list))
+    known = {a for a in alphabet if isinstance(a, str) and a and "." not in a}
+    if len(known) != len(alphabet):
+        raise ParseError("the alphabet must list distinct, non-empty letter "
+                         "names without '.'")
+    table = {}
+    for key, text in _json_field(data, "values", dict).items():
+        letters = tuple(key.split("."))
+        if not known.issuperset(letters):
+            raise ParseError(f"moment table key {key!r} is not a word over "
+                             f"the alphabet")
+        table[letters] = parse_fraction(text)
+    order = max(map(len, table), default=0)
+    for ls in _letter_tuples(alphabet, range(1, order + 1)):
+        if ls not in table:
+            raise ParseError(f"moment table misses word {'.'.join(ls)}")
     return MultiMomentMap(alphabet, order, table)

@@ -66,6 +66,7 @@ from .transforms import (
     free_cumulants_from_moments,
     free_moments_from_cumulants,
     kappa_powers,
+    _lattice_cumulants,
 )
 from .trees import (
     erase_gaps,
@@ -359,32 +360,6 @@ def verify_character_bijection(truncation: int = 8, commute_degree: int = 6,
     return report
 
 
-def _distinct_word(n: int) -> Word:
-    return Word(tuple(f"x{i}" for i in range(1, n + 1)))
-
-
-def _subword_cumulants(phi_fn, w: Word) -> dict:
-    """Generalized cumulants restricted to subwords of a distinct-letter
-    word; the family is closed under block restriction, so the recursive
-    solve stays inside it."""
-    r: dict = {}
-
-    def value(v: Word):
-        if v.letters in r:
-            return r[v.letters]
-        total = phi_fn(v)
-        for shape in enumerate_nc_partitions(v.degree):
-            if len(shape.blocks) == 1:
-                continue
-            total = total - kappa_powers(shape, v, value)
-        r[v.letters] = total
-        return total
-
-    for mask in range(1, 1 << w.degree):
-        value(w.subword([i + 1 for i in range(w.degree) if mask >> i & 1]))
-    return r
-
-
 def verify_keyrell(max_n: int = 6, seed: int = 31,
                    kappa_fn=None) -> SuiteReport:
     """The fixed point of Psi = e + sd(kappa) ≺ Psi evaluates on a decorated
@@ -409,7 +384,7 @@ def verify_keyrell(max_n: int = 6, seed: int = 31,
     bad = []
     count = 0
     for n in range(1, max_n + 1):
-        w = _distinct_word(n)
+        w = Word(alphabet[:n])
         for shape in enumerate_nc_partitions(n):
             count += 1
             expect = kappa_powers(shape, w, kappa_fn)
@@ -420,22 +395,23 @@ def verify_keyrell(max_n: int = 6, seed: int = 31,
 
     # principal equation: with kappa solved from phi, the lattice sum of
     # block products returns phi
-    def phi_fn(w: Word) -> Fraction:
-        r = random.Random(f"{seed + 1}:{w.text()}")
+    def phi_fn(letters: tuple) -> Fraction:
+        r = random.Random(f"{seed + 1}:{'.'.join(letters)}")
         return Fraction(r.randint(-12, 12), r.randint(1, 5))
 
+    # the subwords of x1...x_max_n are closed under block restriction, so
+    # one solve over them serves every n
+    solved = _lattice_cumulants(
+        phi_fn,
+        [tuple(x for i, x in enumerate(alphabet) if mask >> i & 1)
+         for mask in range(1, 1 << max_n)])
     bad = []
     for n in range(1, max_n + 1):
-        w = _distinct_word(n)
-        solved = _subword_cumulants(phi_fn, w)
-
-        def kappa_solved(v: Word):
-            return solved[v.letters]
-
-        total = sum((kappa_powers(shape, w, kappa_solved)
+        w = Word(alphabet[:n])
+        total = sum((kappa_powers(shape, w, lambda v: solved[v.letters])
                      for shape in enumerate_nc_partitions(n)),
                     start=Fraction(0))
-        if total != phi_fn(w):
+        if total != phi_fn(w.letters):
             bad.append(w.text())
     report.add(f"lattice sum of cumulant block products = moments, n ≤ {max_n}",
                not bad, _failing(bad))

@@ -186,6 +186,39 @@ class TestTransform:
                         "--in", str(f))
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("direction,data", [
+        ("m2k", [1, 2]),
+        ("m2k", {}),
+        ("m2k", {"values": 5}),
+        ("m2k", {"values": [1, 2]}),
+        ("m2k", {"values": [None]}),
+        ("m2k", {"values": [{"a": 1}]}),
+        ("m2k", {"values": {"a": "1"}}),
+        ("k2m", {"values": [2]}),
+        ("multi-m2k", [1]),
+        ("multi-m2k", {"values": {"a": "1"}}),
+        ("multi-m2k", {"alphabet": ["a"]}),
+        ("multi-m2k", {"alphabet": ["a"], "values": 5}),
+        ("multi-m2k", {"alphabet": ["a"], "values": ["1"]}),
+        ("multi-m2k", {"alphabet": ["a"], "values": {"a": 1}}),
+        ("multi-m2k", {"alphabet": ["a"], "values": {"a": None}}),
+        ("multi-m2k", {"alphabet": ["a"], "values": {"a": {"a": 1}}}),
+        ("multi-m2k", {"alphabet": "ab", "values": {"a": "1", "b": "2"}}),
+        ("multi-m2k", {"alphabet": ["a"], "values": {"a": "1", "c": "2"}}),
+        ("multi-m2k", {"alphabet": ["a"], "values": {"a": "1", "": "2"}}),
+        ("multi-m2k", {"alphabet": ["a", "a"], "values": {"a": "1"}}),
+        ("multi-m2k", {"alphabet": [1], "values": {"1": "1"}}),
+        ("multi-m2k", {"alphabet": ["a.b"], "values": {"a.b": "1"}}),
+    ])
+    def test_malformed_json_is_parse_error(self, tmp_path, capsys,
+                                           direction, data):
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(data))
+        code, out = run("transform", "free", "--direction", direction,
+                        "--in", str(f))
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_route_disagreement_is_internal_fault(self, monkeypatch, capsys):
         # a series route off by one in m_1 must not pass for bad input

@@ -25,7 +25,6 @@ from nc_hopf.partitions import (
     is_noncrossing,
     moebius,
     moebius_to_top,
-    nc_partitions_of,
     parse_partition,
     refines,
     singleton_partition,
@@ -164,11 +163,6 @@ class TestEnumeration:
             enumerate_nc_partitions(99)
         with pytest.raises(SizeLimitError):
             enumerate_set_partitions(50)
-
-    def test_arbitrary_carrier(self):
-        parts = nc_partitions_of([2, 5, 9])
-        assert len(parts) == catalan_closed_form(3)
-        assert all(p.carrier == (2, 5, 9) for p in parts)
 
 
 class TestOrderAndStandardization:

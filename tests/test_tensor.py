@@ -176,6 +176,15 @@ class TestNcCoproduct:
         with pytest.raises(ValueError):
             nc("{1,2}", "abc")
 
+    @pytest.mark.parametrize("atom,standard", [
+        ("{2,3}:a.b", "{1,2}:a.b"),
+        ("{2,5}{3,4}:a.b.c.d", "{1,4}{2,3}:a.b.c.d"),
+    ])
+    def test_decoration_read_by_rank_on_other_carriers(self, atom, standard):
+        x, y = parse_atom(atom), parse_atom(standard)
+        assert delta_nc(x) == delta_nc(y)
+        assert delta_nc_halves(x) == delta_nc_halves(y)
+
 
 class TestBarWords:
     def test_degree_and_text(self):

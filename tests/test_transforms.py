@@ -350,6 +350,18 @@ class TestJson:
         assert phi.value(Word(("a", "b"))) == Fraction(1, 2)
         assert phi.order == 2
 
+    @pytest.mark.parametrize("load,data", [
+        (moment_sequence_from_json, {"value": ["1"]}),
+        (lambda d: cumulant_sequence_from_json(d, FREE), {}),
+        (multi_moment_map_from_json, {"values": {"a": "1"}}),
+        (multi_moment_map_from_json, {"alphabet": ["a"]}),
+    ])
+    def test_missing_field_is_parse_error(self, load, data):
+        # a domain error, not a stray KeyError
+        from nc_hopf.errors import ParseError
+        with pytest.raises(ParseError):
+            load(data)
+
     def test_multi_map_requires_total_table(self):
         from nc_hopf.errors import ParseError
         data = {"alphabet": ["a", "b"], "values": {"a": "1", "a.a": "2"}}
