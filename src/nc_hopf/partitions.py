@@ -13,7 +13,7 @@ with ascending members, e.g. ``{1,4}{2,3}``.  JSON: ``{"blocks": [[1,4],[2,3]]}`
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -28,11 +28,15 @@ from .errors import (
 Block = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetPartition:
-    """A partition of a finite set of positive integers, in canonical form."""
+    """A partition of a finite set of positive integers, in canonical form.
+
+    The hash is computed once, at construction; equality and hashing are
+    determined by the blocks (and the class, for equality)."""
 
     blocks: tuple[Block, ...]
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -52,6 +56,15 @@ class SetPartition:
                 raise ValueError("blocks not disjoint")
             seen |= members
             prev_min = block[0]
+        object.__setattr__(self, "_hash", hash(self.blocks))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so a value loaded in another
+        # process is validated again and never carries a foreign hash
+        return type(self), (self.blocks,)
 
     @classmethod
     def of(cls, blocks) -> "SetPartition":
@@ -86,15 +99,20 @@ class SetPartition:
         return self.text()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonCrossingPartition(SetPartition):
     """A set partition with no crossing quadruple p1 < q1 < p2 < q2,
     p1 ~ p2, q1 ~ q2, p1 !~ q1."""
 
     def __post_init__(self):
-        super().__post_init__()
+        # zero-argument super() fails in a slotted dataclass subclass
+        SetPartition.__post_init__(self)
         if not _blocks_noncrossing(self.blocks):
             raise ValueError(f"partition is crossing: {self.blocks}")
+
+    # keeps the cached hash: without a __hash__ of its own, the dataclass
+    # decorator would generate one that hashes the blocks on every call
+    __hash__ = SetPartition.__hash__
 
 
 @dataclass(frozen=True)
@@ -300,6 +318,8 @@ def admissible_splits(p: NonCrossingPartition) -> tuple[AdmissibleSplit, ...]:
     k = len(blocks)
     carrier = p.carrier
     splits: list[AdmissibleSplit] = []
+    # a component recurs across splits; it is built once and shared
+    components: dict[tuple[Block, ...], NonCrossingPartition] = {}
     for mask in range(1 << k):
         q_blocks = [blocks[i] for i in range(k) if mask >> i & 1]
         t_blocks = [blocks[i] for i in range(k) if not mask >> i & 1]
@@ -311,7 +331,10 @@ def admissible_splits(p: NonCrossingPartition) -> tuple[AdmissibleSplit, ...]:
         for comp in comps:
             comp_set = set(comp)
             inside = tuple([b for b in t_blocks if set(b) <= comp_set])
-            comp_parts.append(NonCrossingPartition(inside))
+            part = components.get(inside)
+            if part is None:
+                part = components[inside] = NonCrossingPartition(inside)
+            comp_parts.append(part)
         # sub-sequences of canonical blocks are canonical
         splits.append(AdmissibleSplit(
             q_part=NonCrossingPartition(tuple(q_blocks)),

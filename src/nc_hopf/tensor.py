@@ -15,7 +15,7 @@ words; on generators the left leg always has at most one atom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
@@ -31,15 +31,25 @@ from .partitions import (
 from . import config
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
-    """A non-empty word over a declared alphabet of letter names."""
+    """A non-empty word over a declared alphabet of letter names.  The hash
+    is computed once, at construction, from the letters."""
 
     letters: tuple[str, ...]
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.letters:
             raise ValueError("the empty word is represented by the unit only")
+        object.__setattr__(self, "_hash", hash(self.letters))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor: letter hashes are per process
+        return Word, (self.letters,)
 
     @property
     def degree(self) -> int:
@@ -56,20 +66,29 @@ class Word:
         return self.text()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecoratedNC:
     """A non-crossing partition of [n] decorated by a word of length n.
 
     ``word=None`` is the undecorated algebra (equivalently, a one-letter
-    alphabet with the decoration suppressed).
+    alphabet with the decoration suppressed).  The hash is computed once,
+    at construction, from the shape and the word.
     """
 
     shape: NonCrossingPartition
     word: Word | None = None
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.word is not None and self.word.degree != self.shape.size:
             raise ValueError("decoration length differs from carrier size")
+        object.__setattr__(self, "_hash", hash((self.shape, self.word)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return DecoratedNC, (self.shape, self.word)
 
     @property
     def degree(self) -> int:
@@ -136,27 +155,16 @@ def delta_word_halves(w: Word) -> tuple[LinComb, LinComb]:
     """(left, right) splitting of delta_word by whether position 1 lies in
     the kept subset S.  left + right == delta_word(w).
 
-    One pass per mask builds the kept letters and the runs of the
-    complement straight from the mask bits, counted on letter tuples; the
-    terms are then keyed by Words, one shared Word per letter tuple."""
+    Each half is one left-to-right pass over prefix states (kept letters,
+    closed runs, open run), starting from the first letter kept (left) or
+    not (right).  Each further letter is kept, which closes the open run,
+    or extends the open run, so a state costs one step, not a walk over
+    all positions.  The final states are counted on letter tuples, and
+    only then keyed by Words, one shared Word per letter tuple.  (Prefix
+    states are not merged during the pass: over several letters few of
+    them coincide, and the lookups cost more than they save.)"""
     letters = w.letters
-    n = len(letters)
-    counts: tuple[dict, dict] = ({}, {})  # indexed by bit 0 of the mask
-    for mask in range(1 << n):
-        kept: list[str] = []
-        runs: list[tuple[str, ...]] = []
-        start = 0
-        for i in range(n):
-            if mask >> i & 1:
-                kept.append(letters[i])
-                if start < i:
-                    runs.append(letters[start:i])
-                start = i + 1
-        if start < n:
-            runs.append(letters[start:])
-        key = (tuple(kept), tuple(runs))
-        half = counts[mask & 1]
-        half[key] = half.get(key, 0) + 1
+    first, rest = letters[:1], letters[1:]
     words: dict[tuple[str, ...], Word] = {}
 
     def word(part: tuple[str, ...]) -> Word:
@@ -165,11 +173,24 @@ def delta_word_halves(w: Word) -> tuple[LinComb, LinComb]:
             found = words[part] = Word(part)
         return found
 
-    right_half, left_half = (
-        {((word(kept),) if kept else UNIT, tuple([word(r) for r in runs])): c
-         for (kept, runs), c in half.items()}
-        for half in counts)
-    return left_half, right_half
+    halves = []
+    for start in ((first, (), ()), ((), (), first)):
+        states = [start]
+        for letter in rest:
+            step = []
+            for kept, runs, run in states:
+                step.append((kept + (letter,),
+                             runs + (run,) if run else runs, ()))
+                step.append((kept, runs, run + (letter,)))
+            states = step
+        counts: dict = {}
+        for kept, runs, run in states:
+            key = (kept, runs + (run,) if run else runs)
+            counts[key] = counts.get(key, 0) + 1
+        halves.append({((word(kept),) if kept else UNIT,
+                        tuple([word(r) for r in runs])): count
+                       for (kept, runs), count in counts.items()})
+    return halves[0], halves[1]
 
 
 @lru_cache(maxsize=None)
@@ -202,26 +223,52 @@ def delta_nc_halves(x: DecoratedNC) -> tuple[LinComb, LinComb]:
 
 
 @lru_cache(maxsize=None)
-def _delta_nc_split_terms(x: DecoratedNC) -> tuple:
-    # split on [n], where the decoration's positions are the carrier
-    # elements; every key is standardized, so the terms are the same
-    shape, word = x.shape, x.word
+def _split_table(shape: NonCrossingPartition) -> tuple[tuple, tuple]:
+    """The admissible splits of a shape, read once per shape, as
+    (parts, splits).  ``parts`` holds each distinct part once, as
+    (standardized shape, 0-based ranks of its carrier in the shape's
+    carrier).  ``splits`` holds, for each split in order, whether the first
+    carrier element lies in Q, the index of the Q part (``None`` when Q is
+    empty) and the indices of the complement components.  A shape on
+    another carrier is split as its standardization, so the ranks index a
+    decoration of the shape directly."""
     if shape.carrier != tuple(range(1, shape.size + 1)):
         shape = standardize(shape)
-    first = shape.carrier[0] if shape.blocks else None
+    parts: list[tuple] = []
+    index: dict[tuple, int] = {}
 
-    def restricted(part: NonCrossingPartition) -> DecoratedNC:
-        dec = word.subword(part.carrier) if word is not None else None
-        return DecoratedNC(standardize(part), dec)
+    def part(p: NonCrossingPartition) -> int:
+        i = index.get(p.blocks)
+        if i is None:
+            i = index[p.blocks] = len(parts)
+            parts.append((standardize(p), tuple([x - 1 for x in p.carrier])))
+        return i
 
-    terms = []
+    splits = []
     for split in admissible_splits(shape):
         q = split.q_part
-        left: BarWord = (restricted(q),) if q.blocks else UNIT
-        right = tuple([restricted(part) for part in split.components])
-        in_q = first is not None and any(first in b for b in q.blocks)
-        terms.append((in_q, (left, right)))
-    return tuple(terms)
+        # blocks are ordered by minimum, so 1 is in Q iff it opens Q's first
+        in_q = bool(q.blocks) and q.blocks[0][0] == 1
+        splits.append((in_q, part(q) if q.blocks else None,
+                       tuple([part(c) for c in split.components])))
+    return tuple(parts), tuple(splits)
+
+
+@lru_cache(maxsize=None)
+def _delta_nc_split_terms(x: DecoratedNC) -> tuple:
+    """(in_q, (left, right)) for each admissible split of ``x``, one atom
+    per distinct part, its decoration read from ``x`` by rank."""
+    parts, splits = _split_table(x.shape)
+    if x.word is None:
+        atoms = [DecoratedNC(shape) for shape, _ in parts]
+    else:
+        letters = x.word.letters
+        atoms = [DecoratedNC(shape, Word(tuple([letters[i] for i in ranks])))
+                 for shape, ranks in parts]
+    return tuple(
+        (in_q, ((atoms[q],) if q is not None else UNIT,
+                tuple([atoms[i] for i in comps])))
+        for in_q, q, comps in splits)
 
 
 def _generator_delta(atom: Atom, variant: str) -> LinComb:
@@ -336,9 +383,14 @@ def tensor_text(t: LinComb) -> str:
 
 
 def parse_word(text: str) -> Word:
-    letters = tuple(p for p in text.strip().split(".") if p)
-    if not letters:
+    """Parse the ``a.b.c`` text encoding: letters joined by dots, none of
+    them empty."""
+    body = text.strip()
+    if not body:
         raise ParseError(f"empty word: {text!r}")
+    letters = tuple(body.split("."))
+    if not all(letters):
+        raise ParseError(f"empty letter in word {text!r}")
     return Word(letters)
 
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -88,6 +91,13 @@ class TestCoproduct:
     def test_crossing_is_domain_error(self):
         code, _ = run("coproduct", "nc", "{1,3}{2,4}")
         assert code == 1
+
+    @pytest.mark.parametrize("subject", ["a..b", ".a."])
+    def test_empty_letter_is_parse_error(self, subject, capsys):
+        code, out = run("coproduct", "word", subject)
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "empty letter" in err
 
     def test_repeated_element_is_domain_error(self):
         code, out = run("coproduct", "nc", "{1,1}{2}")
@@ -366,3 +376,32 @@ class TestUsage:
         a = run("coproduct", "nc", "{1,2}{3}{4}")
         b = run("coproduct", "nc", "{1,2}{3}{4}")
         assert a == b
+
+
+# every CLI command with a golden file, and that file
+GOLDEN_COMMANDS = [
+    (("coproduct", "nc", "{1,4}{2,3}"), "coproduct_nested_pair.txt"),
+    (("coproduct", "nc", "{1,5}{2}{3,4}"), "coproduct_five_elements.txt"),
+    (("coproduct", "nc", "{1,2}{3}{4}"), "coproduct_bar_term.txt"),
+    (("transform", "free", "--direction", "k2m", "--symbolic", "--n", "4"),
+     "free_moments_symbolic.txt"),
+    (("transform", "classical", "--direction", "c2m", "--symbolic",
+      "--n", "5"), "bell_polynomials_symbolic.txt"),
+    (("tree", "{1,2}{3,4}{5,6}", "--coproduct"), "tree_coproduct_crown.txt"),
+    (("tree", "{1,3}{2}{4,5}", "--coproduct"), "tree_coproduct_nested.txt"),
+]
+
+
+class TestHashSeed:
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_golden_output_independent_of_hash_seed(self, seed):
+        # string hashes, and so dict and set layouts, differ per seed
+        src = str(Path(__file__).parent.parent / "src")
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src,
+               "PYTHONIOENCODING": "utf-8"}
+        for argv, filename in GOLDEN_COMMANDS:
+            done = subprocess.run(
+                [sys.executable, "-m", "nc_hopf.cli", *argv], env=env,
+                capture_output=True, timeout=60)
+            assert (done.returncode, done.stderr) == (0, b"")
+            assert done.stdout == (GOLDEN / filename).read_bytes()

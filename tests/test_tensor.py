@@ -5,7 +5,12 @@ from itertools import combinations, product
 import pytest
 
 from nc_hopf.errors import AlgebraMismatchError, ParseError, SizeLimitError
-from nc_hopf.partitions import NonCrossingPartition, enumerate_nc_partitions
+from nc_hopf.partitions import (
+    NonCrossingPartition,
+    admissible_splits,
+    enumerate_nc_partitions,
+    standardize,
+)
 from nc_hopf.tensor import (
     UNIT,
     DecoratedNC,
@@ -114,10 +119,11 @@ def subset_halves(word):
 
 class TestCoproductLayer:
     def test_word_halves_match_subset_definition(self):
-        for n in range(1, 9):
-            for letters in product("ab", repeat=n):
-                word = Word(letters)
-                assert delta_word_halves(word) == subset_halves(word)
+        for alphabet, max_n in (("ab", 8), ("abc", 6)):
+            for n in range(1, max_n + 1):
+                for letters in product(alphabet, repeat=n):
+                    word = Word(letters)
+                    assert delta_word_halves(word) == subset_halves(word)
 
     def test_structural_coefficients_are_int(self):
         values = []
@@ -133,7 +139,46 @@ class TestCoproductLayer:
         assert 2 in values  # a multiplicity, not only units
 
 
+def split_halves(x):
+    """Oracle for delta_nc_halves, from the definition: each admissible
+    split of x's shape on its own carrier, every part restricted and then
+    standardized, its decoration the letters of x at the ranks of the
+    part's carrier; in the left half iff the first carrier element lies in
+    a Q-block."""
+    carrier = x.shape.carrier
+    rank = {e: i for i, e in enumerate(carrier)}
+
+    def restricted(part):
+        word = None
+        if x.word is not None:
+            word = Word(tuple(x.word.letters[rank[e]] for e in part.carrier))
+        return DecoratedNC(standardize(part), word)
+
+    halves = (Counter(), Counter())  # right, left
+    for split in admissible_splits(x.shape):
+        q = split.q_part
+        left = (restricted(q),) if q.blocks else ()
+        right = tuple(restricted(c) for c in split.components)
+        halves[carrier[0] in q.carrier][(left, right)] += 1
+    return dict(halves[1]), dict(halves[0])
+
+
 class TestNcCoproduct:
+    def test_decorated_halves_match_split_definition(self):
+        # every shape with n <= 7 under a distinct-letter word, and per n
+        # one shape moved to the carrier {3, 5, 7, ...}
+        for n in range(1, 8):
+            word = Word(tuple("abcdefg"[:n]))
+            shapes = enumerate_nc_partitions(n)
+            middle = shapes[len(shapes) // 2]
+            moved = NonCrossingPartition(tuple(
+                tuple(2 * e + 1 for e in block) for block in middle.blocks))
+            for shape in (*shapes, moved):
+                x = DecoratedNC(shape, word)
+                left, right = split_halves(x)
+                assert delta_nc_halves(x) == (left, right)
+                assert delta_nc(x) == lincomb_sum(left, right)
+
     def test_nested_pair_golden(self):
         text = tensor_text(delta_nc(nc("{1,4}{2,3}")))
         assert text == ("1 ⊗ {1,4}{2,3} + {1,2} ⊗ {1,2} + {1,4}{2,3} ⊗ 1")
@@ -283,6 +328,12 @@ class TestParsing:
         assert parse_word("a.b.c") == w("abc")
         with pytest.raises(ParseError):
             parse_word("")
+
+    @pytest.mark.parametrize("text", [
+        "a..b", ".a.", "a.", ".a", ".", "{1,2}:a..b", "{1}:.a"])
+    def test_empty_letter_rejected(self, text):
+        with pytest.raises(ParseError, match="empty letter"):
+            parse_atom(text)
 
     def test_parse_atom_variants(self):
         assert parse_atom("a.b") == w("ab")
