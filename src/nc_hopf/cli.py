@@ -60,7 +60,7 @@ from .trees import (
     tree_text,
     tree_to_json,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 # accepted shorthand for suite names
 _SUITE_ALIASES = {
@@ -310,10 +310,10 @@ def _cmd_verify(args, out) -> int:
         param = _SUITE_SIZE_PARAM.get(name)
         if param:
             kwargs[param] = args.max_degree
-    try:
-        reports = run_suite(name, **kwargs)
-    except KeyError as exc:
-        raise NcHopfError(str(exc)) from exc
+    if name != "all" and name not in SUITES:
+        raise NcHopfError(f"unknown suite {args.suite!r}; choose from "
+                          f"{', '.join(sorted(SUITES))} or 'all'")
+    reports = run_suite(name, **kwargs)
     if args.json:
         print(json.dumps([{
             "suite": r.name,
@@ -346,12 +346,14 @@ def main(argv=None, out=None) -> int:
     except InconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NcHopfError as exc:
+    except (NcHopfError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (KeyError, ValueError) as exc:
+        # bad input raises a domain error, so this is a fault of the tool
+        print(f"error: internal fault: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

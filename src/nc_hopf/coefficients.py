@@ -13,7 +13,6 @@ exact and structural.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Union
 
 Monomial = tuple[tuple[str, int], ...]
@@ -146,35 +145,19 @@ class Poly:
         return f"Poly({self})"
 
 
-def _monomial_cmp(names: tuple[str, ...]):
-    """Comparator placing monomials in graded reverse-lexicographic order,
-    highest degree first.  This is the canonical display order."""
-
-    index = {name: i for i, name in enumerate(names)}
-
-    def exps(mono: Monomial) -> list[int]:
-        vec = [0] * len(names)
-        for name, e in mono:
-            vec[index[name]] = e
-        return vec
-
-    def cmp(a: Monomial, b: Monomial) -> int:
-        ea, eb = exps(a), exps(b)
-        da, db = sum(ea), sum(eb)
-        if da != db:
-            return db - da
-        for i in range(len(names) - 1, -1, -1):
-            d = ea[i] - eb[i]
-            if d:
-                return -1 if d < 0 else 1
-        return 0
-
-    return cmp
-
-
 def sorted_monomials(p: Poly) -> list[Monomial]:
-    names = p.variables()
-    return sorted(p.terms, key=cmp_to_key(_monomial_cmp(names)))
+    """The monomials of p in graded reverse-lexicographic order, highest
+    degree first: within a degree, by exponents from the last variable to
+    the first, lower first.  This is the canonical display order."""
+    index = {name: i for i, name in enumerate(p.variables())}
+
+    def key(mono: Monomial) -> tuple[int, tuple[int, ...]]:
+        exps = [0] * len(index)
+        for name, e in mono:
+            exps[index[name]] = e
+        return -sum(exps), tuple(reversed(exps))
+
+    return sorted(p.terms, key=key)
 
 
 def _monomial_str(mono: Monomial) -> str:

@@ -262,7 +262,7 @@ def singleton_partition(elements) -> NonCrossingPartition:
 
 
 # ---------------------------------------------------------------------------
-# order, standardization, components
+# order and standardization
 
 
 def refines(fine: SetPartition, coarse: SetPartition) -> bool:
@@ -285,62 +285,83 @@ def standardize(p: SetPartition) -> SetPartition:
     return type(p)(tuple([tuple([relabel[x] for x in b]) for b in p.blocks]))
 
 
-def connected_components(s, u) -> list[tuple[int, ...]]:
-    """Connected components of U - S relative to U: maximal runs of elements
-    of U - S with no element of S in between, in increasing order."""
-    s_set, u_set = set(s), set(u)
-    if not s_set <= u_set:
-        raise CarrierMismatchError("S must be a subset of U")
-    components: list[tuple[int, ...]] = []
-    run: list[int] = []
-    for x in sorted(u_set):
-        if x in s_set:
-            if run:
-                components.append(tuple(run))
-                run = []
-        else:
-            run.append(x)
-    if run:
-        components.append(tuple(run))
-    return components
-
-
 # ---------------------------------------------------------------------------
 # admissible splits
+
+
+@lru_cache(maxsize=None)
+def split_table(p: NonCrossingPartition) -> tuple[tuple, tuple]:
+    """The admissible splits Q ⊔ T of p (either part may be empty), read in
+    one loop over the block masks, as (parts, splits).
+
+    ``parts`` holds each distinct part once, as (the indices of its blocks
+    in p, its standardized shape, the 0-based ranks of its carrier in p's
+    carrier), so the ranks index a decoration of p on any carrier.
+    ``splits`` holds, for each split by bitmask of the Q-blocks in
+    canonical order, whether p's first carrier element lies in Q, the index
+    of the Q part (``None`` when Q is empty) and the indices of T's parts on
+    the connected components of the complement of Q's carrier, left to
+    right.
+
+    A split is admissible when no Q-block is nested inside a T-block, that
+    is when Q holds every block around each of its blocks.  Then no Q
+    element lies inside a T-block, so a T-block's component is told by the
+    number of Q elements before its first element."""
+    blocks = p.blocks
+    k = len(blocks)
+    # around[i]: bitmask of the blocks that block i is nested inside
+    around = [sum(1 << j for j, outer in enumerate(blocks)
+                  if _nested_inside(b, outer)) for b in blocks]
+    walk = sorted((x, i) for i, b in enumerate(blocks) for x in b)
+    owner = [i for _, i in walk]
+    opens = [x == blocks[i][0] for x, i in walk]
+    parts: list[tuple] = []
+    index: dict[tuple[int, ...], int] = {}
+
+    def part(ids: tuple[int, ...]) -> int:
+        found = index.get(ids)
+        if found is None:
+            found = index[ids] = len(parts)
+            ranks = tuple([r for r, i in enumerate(owner) if i in ids])
+            members: dict[int, list[int]] = {i: [] for i in ids}
+            for j, r in enumerate(ranks, start=1):
+                members[owner[r]].append(j)
+            shape = tuple([tuple(members[i]) for i in ids])
+            parts.append((ids, NonCrossingPartition(shape), ranks))
+        return found
+
+    splits = []
+    for mask in range(1 << k):
+        q = tuple([i for i in range(k) if mask >> i & 1])
+        if any(around[i] & ~mask for i in q):
+            continue
+        comps: dict[int, list[int]] = {}
+        seen = 0
+        for i, first in zip(owner, opens):
+            if mask >> i & 1:
+                seen += 1
+            elif first:
+                comps.setdefault(seen, []).append(i)
+        splits.append((bool(mask & 1), part(q) if q else None,
+                       tuple([part(tuple(c)) for c in comps.values()])))
+    return tuple(parts), tuple(splits)
 
 
 @lru_cache(maxsize=None)
 def admissible_splits(p: NonCrossingPartition) -> tuple[AdmissibleSplit, ...]:
     """Every admissible two-part block partition Q ⊔ T of p (either part may
     be empty), each with T regrouped by connected component of the complement
-    of Q's carrier.  Order: by bitmask of the Q-blocks in canonical order."""
-    blocks = p.blocks
-    k = len(blocks)
-    carrier = p.carrier
-    splits: list[AdmissibleSplit] = []
-    # a component recurs across splits; it is built once and shared
-    components: dict[tuple[Block, ...], NonCrossingPartition] = {}
-    for mask in range(1 << k):
-        q_blocks = [blocks[i] for i in range(k) if mask >> i & 1]
-        t_blocks = [blocks[i] for i in range(k) if not mask >> i & 1]
-        if any(_nested_inside(q, t) for q in q_blocks for t in t_blocks):
-            continue
-        q_carrier = [x for b in q_blocks for x in b]
-        comps = connected_components(q_carrier, carrier)
-        comp_parts = []
-        for comp in comps:
-            comp_set = set(comp)
-            inside = tuple([b for b in t_blocks if set(b) <= comp_set])
-            part = components.get(inside)
-            if part is None:
-                part = components[inside] = NonCrossingPartition(inside)
-            comp_parts.append(part)
-        # sub-sequences of canonical blocks are canonical
-        splits.append(AdmissibleSplit(
-            q_part=NonCrossingPartition(tuple(q_blocks)),
-            components=tuple(comp_parts),
-        ))
-    return tuple(splits)
+    of Q's carrier, all on p's carrier.  Order: by bitmask of the Q-blocks in
+    canonical order.  A view of ``split_table(p)``."""
+    parts, splits = split_table(p)
+    # sub-sequences of canonical blocks are canonical
+    subs = [NonCrossingPartition(tuple([p.blocks[i] for i in ids]))
+            for ids, _, _ in parts]
+    empty = NonCrossingPartition(())
+    return tuple(
+        AdmissibleSplit(q_part=subs[q] if q is not None else empty,
+                        components=tuple([subs[c] for c in comps]))
+        for _, q, comps in splits)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +454,19 @@ def moebius_to_top(lattice: str, n: int) -> dict[tuple[Block, ...], int]:
 # parsing
 
 
-_BLOCK_RE = re.compile(r"\{([0-9,\s]*)\}")
+# a block: integers separated by single commas, blanks allowed around them
+_BLOCK_RE = re.compile(r"\{(\s*(?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?)\}")
+
+
+def _members(m: re.Match, text: str) -> list[int]:
+    """The integers of one matched block; none for ``{}``."""
+    listed = m.group(1)
+    if not listed.strip():
+        return []
+    try:
+        return [int(x) for x in listed.split(",")]
+    except ValueError as exc:  # more digits than int() reads
+        raise ParseError(f"element too long in {text!r}") from exc
 
 
 def parse_partition(text: str, noncrossing: bool = True) -> SetPartition:
@@ -446,7 +479,7 @@ def parse_partition(text: str, noncrossing: bool = True) -> SetPartition:
         m = _BLOCK_RE.fullmatch(carrier_part.strip())
         if not m:
             raise ParseError(f"malformed carrier suffix in {text!r}")
-        explicit_carrier = tuple(sorted(int(x) for x in m.group(1).split(",") if x.strip()))
+        explicit_carrier = tuple(sorted(_members(m, text)))
     pos = 0
     blocks = []
     body = body.strip()
@@ -454,7 +487,7 @@ def parse_partition(text: str, noncrossing: bool = True) -> SetPartition:
         m = _BLOCK_RE.match(body, pos)
         if not m:
             raise ParseError(f"malformed partition encoding: {text!r}")
-        members = [int(x) for x in m.group(1).split(",") if x.strip()]
+        members = _members(m, text)
         if not members:
             raise ParseError(f"empty block in {text!r}")
         blocks.append(members)

@@ -23,10 +23,9 @@ from .coefficients import Coefficient, coeff_str
 from .errors import AlgebraMismatchError, ParseError, SizeLimitError
 from .partitions import (
     NonCrossingPartition,
-    admissible_splits,
     enumerate_nc_partitions,
     parse_partition,
-    standardize,
+    split_table,
 )
 from . import config
 
@@ -122,6 +121,8 @@ def _check_homogeneous(b: BarWord):
     kinds = {type(a) for a in b}
     if len(kinds) > 1:
         raise AlgebraMismatchError(f"mixed atom kinds in bar word: {b}")
+    if not kinds <= {Word, DecoratedNC}:
+        raise AlgebraMismatchError(f"not a bar word of atoms: {b!r}")
 
 
 def add_into(acc: LinComb, key, coeff: Coefficient) -> None:
@@ -193,7 +194,6 @@ def delta_word_halves(w: Word) -> tuple[LinComb, LinComb]:
     return halves[0], halves[1]
 
 
-@lru_cache(maxsize=None)
 def delta_word(w: Word) -> LinComb:
     """Full coproduct of a word: sum over subsets S of letter positions of
     a_S tensor the bar word of connected components of the complement,
@@ -202,92 +202,35 @@ def delta_word(w: Word) -> LinComb:
 
 
 @lru_cache(maxsize=None)
-def delta_nc(x: DecoratedNC) -> LinComb:
-    """Full coproduct of a (decorated) non-crossing partition: sum over
-    admissible splits, all parts standardized, decorations restricted."""
-    out: LinComb = {}
-    for term in _delta_nc_split_terms(x):
-        _, key = term
-        add_into(out, key, 1)
-    return out
-
-
 def delta_nc_halves(x: DecoratedNC) -> tuple[LinComb, LinComb]:
     """(left, right) splitting of delta_nc by whether the first carrier
-    element lies in a Q-block (left) or a complement block (right)."""
-    left_half: LinComb = {}
-    right_half: LinComb = {}
-    for in_q, key in _delta_nc_split_terms(x):
-        add_into(left_half if in_q else right_half, key, 1)
-    return left_half, right_half
+    element lies in a Q-block (left) or a complement block (right).
 
-
-@lru_cache(maxsize=None)
-def _split_table(shape: NonCrossingPartition) -> tuple[tuple, tuple]:
-    """The admissible splits of a shape, read once per shape, as
-    (parts, splits).  ``parts`` holds each distinct part once, as
-    (standardized shape, 0-based ranks of its carrier in the shape's
-    carrier).  ``splits`` holds, for each split in order, whether the first
-    carrier element lies in Q, the index of the Q part (``None`` when Q is
-    empty) and the indices of the complement components.  A shape on
-    another carrier is split as its standardization, so the ranks index a
-    decoration of the shape directly."""
-    if shape.carrier != tuple(range(1, shape.size + 1)):
-        shape = standardize(shape)
-    parts: list[tuple] = []
-    index: dict[tuple, int] = {}
-
-    def part(p: NonCrossingPartition) -> int:
-        i = index.get(p.blocks)
-        if i is None:
-            i = index[p.blocks] = len(parts)
-            parts.append((standardize(p), tuple([x - 1 for x in p.carrier])))
-        return i
-
-    splits = []
-    for split in admissible_splits(shape):
-        q = split.q_part
-        # blocks are ordered by minimum, so 1 is in Q iff it opens Q's first
-        in_q = bool(q.blocks) and q.blocks[0][0] == 1
-        splits.append((in_q, part(q) if q.blocks else None,
-                       tuple([part(c) for c in split.components])))
-    return tuple(parts), tuple(splits)
-
-
-@lru_cache(maxsize=None)
-def _delta_nc_split_terms(x: DecoratedNC) -> tuple:
-    """(in_q, (left, right)) for each admissible split of ``x``, one atom
-    per distinct part, its decoration read from ``x`` by rank."""
-    parts, splits = _split_table(x.shape)
+    One term per admissible split of the shape's ``split_table``, all parts
+    standardized; each distinct part becomes one atom, its decoration the
+    letters of ``x`` at the ranks of the part's carrier.  The cached dicts
+    are shared by every caller: read them, never change them."""
+    parts, splits = split_table(x.shape)
     if x.word is None:
-        atoms = [DecoratedNC(shape) for shape, _ in parts]
+        atoms = [DecoratedNC(shape) for _, shape, _ in parts]
     else:
         letters = x.word.letters
-        atoms = [DecoratedNC(shape, Word(tuple([letters[i] for i in ranks])))
-                 for shape, ranks in parts]
-    return tuple(
-        (in_q, ((atoms[q],) if q is not None else UNIT,
-                tuple([atoms[i] for i in comps])))
-        for in_q, q, comps in splits)
+        atoms = [DecoratedNC(shape, Word(tuple([letters[r] for r in ranks])))
+                 for _, shape, ranks in parts]
+    left: LinComb = {}
+    right: LinComb = {}
+    for in_q, q, comps in splits:
+        key = ((atoms[q],) if q is not None else UNIT,
+               tuple([atoms[i] for i in comps]))
+        add_into(left if in_q else right, key, 1)
+    return left, right
 
 
-def _generator_delta(atom: Atom, variant: str) -> LinComb:
-    """Coproduct of a single atom.  Variants: full, left+, right+."""
-    if isinstance(atom, Word):
-        if variant == "full":
-            return delta_word(atom)
-        halves = delta_word_halves(atom)
-    elif isinstance(atom, DecoratedNC):
-        if variant == "full":
-            return delta_nc(atom)
-        halves = delta_nc_halves(atom)
-    else:
-        raise AlgebraMismatchError(f"not a bar-word atom: {atom!r}")
-    if variant == "left+":
-        return halves[0]
-    if variant == "right+":
-        return halves[1]
-    raise ValueError(f"unknown variant: {variant!r}")
+def delta_nc(x: DecoratedNC) -> LinComb:
+    """Full coproduct of a (decorated) non-crossing partition: sum over
+    admissible splits, all parts standardized, decorations restricted,
+    taken as the sum of the two halves."""
+    return lincomb_sum(*delta_nc_halves(x))
 
 
 def tensor_product(a: LinComb, b: LinComb) -> LinComb:
@@ -326,10 +269,16 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
         return out
     if not b:
         return {(UNIT, UNIT): 1}
-    first_variant = variant if variant in ("left+", "right+") else "full"
-    result = _generator_delta(b[0], first_variant)
-    for atom in b[1:]:
-        result = tensor_product(result, _generator_delta(atom, "full"))
+    halves = [delta_word_halves(a) if isinstance(a, Word)
+              else delta_nc_halves(a) for a in b]
+    if variant == "full":
+        result = lincomb_sum(*halves[0])
+    elif variant in ("left+", "right+"):
+        result = halves[0][0 if variant == "left+" else 1]
+    else:
+        raise ValueError(f"unknown variant: {variant!r}")
+    for pair in halves[1:]:
+        result = tensor_product(result, lincomb_sum(*pair))
     return result
 
 
@@ -397,12 +346,14 @@ def parse_word(text: str) -> Word:
 def parse_atom(text: str) -> Atom:
     """Parse a word, a partition, or a decorated partition atom."""
     body = text.strip()
-    if body.startswith("{"):
-        if ":" in body:
-            shape_part, _, word_part = body.partition(":")
-            shape = parse_partition(shape_part)
-            return DecoratedNC(NonCrossingPartition(shape.blocks),
-                               parse_word(word_part))
-        shape = parse_partition(body)
-        return DecoratedNC(NonCrossingPartition(shape.blocks))
-    return parse_word(body)
+    if not body.startswith("{"):
+        return parse_word(body)
+    shape_part, colon, word_part = body.partition(":")
+    shape = NonCrossingPartition(parse_partition(shape_part).blocks)
+    if not colon:
+        return DecoratedNC(shape)
+    word = parse_word(word_part)
+    if word.degree != shape.size:
+        raise ParseError(f"decoration {word.text()!r} has {word.degree} "
+                         f"letters for {shape.size} elements in {text!r}")
+    return DecoratedNC(shape, word)

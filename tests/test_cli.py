@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import nc_hopf.cli
 import nc_hopf.transforms
 import nc_hopf.verify
 from nc_hopf.cli import main
@@ -331,6 +332,16 @@ class TestVerify:
         code, _ = run("verify", "bogus")
         assert code == 1
 
+    def test_stray_error_inside_a_suite_is_internal_fault(self, monkeypatch,
+                                                          capsys):
+        def broken_suite():
+            raise KeyError("lost")
+
+        monkeypatch.setitem(nc_hopf.verify.SUITES, "broken", broken_suite)
+        code, out = run("verify", "broken")
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err.startswith("error: internal fault")
+
     def test_known_failure_surfaces_nonzero(self, monkeypatch):
         def failing_suite():
             report = SuiteReport("always-fails")
@@ -359,6 +370,40 @@ class TestEnvironment:
         assert run("enumerate", "nc", "--n", "3", "--count") == (0, "5\n")
         code, _ = run("enumerate", "nc", "--n", "4", "--count")
         assert code == 1
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc", [KeyError("k"), ValueError("v")])
+    def test_stray_exception_is_internal_fault(self, monkeypatch, capsys,
+                                               exc):
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setattr(nc_hopf.cli, "delta_nc", broken)
+        code, out = run("coproduct", "nc", "{1,2}")
+        err = capsys.readouterr().err
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: internal fault: {type(exc).__name__}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("coproduct", "nc", "{1 2}"),
+        ("coproduct", "nc", "{1,,2}"),
+        ("split", "{1,}"),
+        ("moebius", "nc", "{1}{2}", "{1,2} on {1 2}"),
+    ])
+    def test_malformed_partition_is_bad_input(self, argv, capsys):
+        code, out = run(*argv)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error: malformed")
+
+    def test_missing_and_undecodable_files_are_bad_input(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        for path in (tmp_path / "absent.json", bad):
+            code, out = run("transform", "free", "--direction", "m2k",
+                            "--in", str(path))
+            assert code == 1 and out == ""
 
 
 class TestUsage:

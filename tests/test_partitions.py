@@ -1,6 +1,6 @@
 import pytest
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +18,6 @@ from nc_hopf.partitions import (
     admissible_splits,
     bell_number,
     catalan_number,
-    connected_components,
     enumerate_nc_partitions,
     enumerate_set_partitions,
     full_partition,
@@ -185,14 +184,76 @@ class TestOrderAndStandardization:
         p = NonCrossingPartition.of([[2, 5], [3, 4]])
         assert isinstance(standardize(p), NonCrossingPartition)
 
-    def test_connected_components(self):
-        assert connected_components([3], range(1, 5)) == [(1, 2), (4,)]
-        assert connected_components([], range(1, 4)) == [(1, 2, 3)]
-        assert connected_components([1, 2, 3], range(1, 4)) == []
-        assert connected_components([1, 3, 5], range(1, 6)) == [(2,), (4,)]
+
+def oracle_components(s, u) -> list[tuple[int, ...]]:
+    """Connected components of U - S relative to U: maximal runs of elements
+    of U - S with no element of S in between, in increasing order."""
+    components, run = [], []
+    for x in sorted(u):
+        if x in s:
+            if run:
+                components.append(tuple(run))
+            run = []
+        else:
+            run.append(x)
+    if run:
+        components.append(tuple(run))
+    return components
+
+
+def oracle_splits(p):
+    """The admissible splits of p from the definition, as (Q blocks, blocks
+    of each component): every block mask in order, kept unless some Q-block
+    lies strictly inside some T-block; T's blocks grouped by the component
+    of the complement of Q's carrier that holds them."""
+    blocks, k = p.blocks, len(p.blocks)
+    out = []
+    for mask in range(1 << k):
+        q = [b for i, b in enumerate(blocks) if mask >> i & 1]
+        t = [b for i, b in enumerate(blocks) if not mask >> i & 1]
+        if any(tb[0] < qb[0] and qb[-1] < tb[-1] for qb in q for tb in t):
+            continue
+        comps = oracle_components({x for b in q for x in b}, p.carrier)
+        out.append((tuple(q), tuple(
+            tuple(b for b in t if set(b) <= set(c)) for c in comps)))
+    return out
+
+
+def upset_count(p) -> int:
+    """Number of block sets closed under passing to an enclosing block: in
+    the nesting forest (parent = innermost enclosing block), a tree counts
+    1 (nothing taken) plus the product over the root's subtrees."""
+    blocks = p.blocks
+    children = {b: [] for b in blocks}
+    roots = []
+    for b in blocks:
+        around = [o for o in blocks if o[0] < b[0] and b[-1] < o[-1]]
+        if around:
+            children[max(around, key=lambda o: o[0])].append(b)
+        else:
+            roots.append(b)
+
+    def ways(b):
+        return 1 + prod(ways(c) for c in children[b])
+
+    return prod(ways(r) for r in roots)
 
 
 class TestAdmissibleSplits:
+    def test_matches_definition_and_nesting_forest(self):
+        shapes = [p for n in range(1, 9) for p in enumerate_nc_partitions(n)]
+        # a shape on a carrier other than [n]
+        shapes.append(NonCrossingPartition.of(
+            [[2, 9, 15], [3, 4], [5, 8], [6], [11, 14], [12]]))
+        for p in shapes:
+            splits = admissible_splits(p)
+            got = [(s.q_part.blocks, tuple(c.blocks for c in s.components))
+                   for s in splits]
+            assert got == oracle_splits(p), p
+            assert len(splits) == upset_count(p), p
+            assert all(isinstance(part, NonCrossingPartition)
+                       for s in splits for part in (s.q_part, *s.components))
+
     def test_total_and_extreme_splits(self):
         p = NonCrossingPartition.of([[1, 4], [2, 3]])
         splits = admissible_splits(p)
@@ -316,6 +377,22 @@ class TestParsing:
                 parse_partition(bad)
             with pytest.raises(ParseError):
                 parse_partition(bad, noncrossing=False)
+
+    @pytest.mark.parametrize("bad", [
+        "{1 2}", "{1,,2}", "{1,}", "{,1}", "{1}{2,,3}", "{1\u00a02}",
+        "{1}{2} on {1 2}", "{1,2} on {1,,2}", "{1,2} on {1,2,}",
+        "{" + "1" * 5000 + "}"])
+    def test_parse_rejects_malformed_member_lists(self, bad):
+        # a missing comma, an empty member, a blank inside a number or a
+        # number past int()'s digit limit is malformed, never an int()
+        # failure or a silent read
+        for noncrossing in (True, False):
+            with pytest.raises(ParseError):
+                parse_partition(bad, noncrossing=noncrossing)
+
+    def test_parse_allows_blanks_around_members(self):
+        assert parse_partition("{ 1 , 4 }{2,3} on { 1,2,3,4 }") == \
+            NonCrossingPartition.of([[1, 4], [2, 3]])
 
     def test_parse_set_flavor_allows_crossing(self):
         p = parse_partition("{1,3}{2,4}", noncrossing=False)

@@ -335,6 +335,11 @@ class TestParsing:
         with pytest.raises(ParseError, match="empty letter"):
             parse_atom(text)
 
+    @pytest.mark.parametrize("text", ["{1,2}:a", "{1}:a.b", "{2,3}:a.b.c"])
+    def test_decoration_of_wrong_length_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="decoration"):
+            parse_atom(text)
+
     def test_parse_atom_variants(self):
         assert parse_atom("a.b") == w("ab")
         assert parse_atom("{1,4}{2,3}") == nc("{1,4}{2,3}")
