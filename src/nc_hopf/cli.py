@@ -17,7 +17,6 @@ import json
 import sys
 
 from .coefficients import coeff_str
-from .config import default_truncation
 from .errors import InconsistencyError, NcHopfError
 from .partitions import (
     NonCrossingPartition,
@@ -68,6 +67,9 @@ _SUITE_ALIASES = {
     "characters": "character-bijection",
 }
 
+# order of a symbolic transform without --n
+_SYMBOLIC_ORDER = 8
+
 # which keyword the size bound maps to, per suite
 _SUITE_SIZE_PARAM = {
     "counting": "max_n",
@@ -113,7 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True,
                    choices=["c2m", "m2c", "k2m", "m2k", "multi-m2k"])
     p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--n", type=int, default=None, help="truncation order")
+    p.add_argument("--n", type=int, default=None,
+                   help=f"order of a --symbolic transform (default "
+                        f"{_SYMBOLIC_ORDER})")
     p.add_argument("--in", dest="infile", default=None,
                    help="JSON sequence or moment-table file")
     p.add_argument("--json", action="store_true")
@@ -218,6 +222,9 @@ def _cmd_transform(args, out) -> int:
             f"direction {direction!r} does not apply to {args.flavor}")
 
     if direction == "multi-m2k":
+        if args.symbolic or args.n is not None:
+            raise NcHopfError("multi-m2k reads its order from the --in "
+                              "table; --symbolic and --n do not apply")
         if not args.infile:
             raise NcHopfError("multi-m2k requires --in with a moment table")
         with open(args.infile) as fh:
@@ -233,8 +240,10 @@ def _cmd_transform(args, out) -> int:
                 print(f"R[{'.'.join(letters)}] = {coeff_str(v)}", file=out)
         return 0
 
-    order = args.n if args.n is not None else default_truncation()
     if args.symbolic:
+        if args.infile:
+            raise NcHopfError("--symbolic and --in exclude each other")
+        order = args.n if args.n is not None else _SYMBOLIC_ORDER
         if direction in ("c2m", "k2m"):
             flavor = CLASSICAL if direction == "c2m" else FREE
             seq = symbolic_cumulants(order, flavor)
@@ -243,6 +252,9 @@ def _cmd_transform(args, out) -> int:
     else:
         if not args.infile:
             raise NcHopfError("numeric transforms require --in (or --symbolic)")
+        if args.n is not None:
+            raise NcHopfError("--n applies only to --symbolic; a numeric "
+                              "transform takes its order from the --in file")
         with open(args.infile) as fh:
             data = json.load(fh)
         if direction in ("c2m", "k2m"):

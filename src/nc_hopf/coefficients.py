@@ -12,6 +12,7 @@ exact and structural.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -190,7 +191,35 @@ def poly_str(p: Poly) -> str:
 
 
 def fraction_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = _digits(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_digits(x.denominator)}"
+
+
+# Below the smallest limit the interpreter may set on int <-> str
+# conversion (640 digits), so the halving below never meets that limit.
+_SHORT_BITS = 2000
+_SHORT_DIGITS = 600
+
+
+def _digits(n: int) -> str:
+    """``str(n)`` at any length: past the limit, split ``n`` at a power of
+    ten and write the halves."""
+    if n.bit_length() <= _SHORT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _digits(-n)
+    half = n.bit_length() * 3 // 20  # about half the digit count
+    high, low = divmod(n, 10 ** half)
+    return _digits(high) + _digits(low).zfill(half)
+
+
+def _from_digits(digits: str) -> int:
+    """The inverse of :func:`_digits` on a string of ASCII digits."""
+    if len(digits) <= _SHORT_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return (_from_digits(digits[:-half]) * 10 ** half
+            + _from_digits(digits[-half:]))
 
 
 def coeff_str(c: Coefficient) -> str:
@@ -200,13 +229,22 @@ def coeff_str(c: Coefficient) -> str:
     return fraction_str(Fraction(c))
 
 
+_RATIONAL = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` into an exact rational."""
+    """Parse ``p`` or ``p/q`` (an optional sign, ASCII digits, blanks around
+    the number) into an exact rational; any other form is a ParseError."""
     from .errors import ParseError
 
     if not isinstance(text, str):
         raise ParseError(f"a rational number is written as a string: {text!r}")
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational number: {text!r}") from exc
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ParseError(f"not a rational number (p or p/q): {text[:40]!r}")
+    sign, num, den = match.groups()
+    denominator = _from_digits(den) if den else 1
+    if denominator == 0:
+        raise ParseError(f"zero denominator: {text[:40]!r}")
+    value = Fraction(_from_digits(num), denominator)
+    return -value if sign == "-" else value

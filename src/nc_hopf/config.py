@@ -1,4 +1,4 @@
-"""Size caps and defaults, overridable through environment variables.
+"""Size caps, overridable through environment variables.
 
 Caps keep enumerations and the transforms that sum over a lattice at desk
 scale; exceeding one raises SizeLimitError rather than silently truncating.
@@ -11,10 +11,8 @@ from .errors import NcHopfError
 
 DEFAULT_NC_CAP = 14
 DEFAULT_SET_CAP = 12
-DEFAULT_TRUNCATION = 8
 
 _ENV_MAX_N = "NCHOPF_MAX_N"
-_ENV_TRUNCATION = "NCHOPF_TRUNCATION"
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -37,7 +35,3 @@ def set_cap() -> int:
     """Maximum n for set partition enumeration."""
     return _env_int(_ENV_MAX_N, DEFAULT_SET_CAP)
 
-
-def default_truncation() -> int:
-    """Default truncation degree for linear functionals."""
-    return _env_int(_ENV_TRUNCATION, DEFAULT_TRUNCATION)

@@ -34,7 +34,6 @@ from .tensor import (
     barword_text,
     delta_bar,
     sp,
-    tensor_product,
 )
 
 WORDS = "words"
@@ -208,26 +207,20 @@ def solve_left_fixed_point(kappa: LinearFunctional) -> Character:
 
     kappa vanishes on the unit and on bar words of two or more atoms, so of
     the left half coproduct of b = x|y|...|z only the terms whose left leg
-    is one atom pair non-trivially: a left-half term of x, with every later
-    atom contributing a term of its full coproduct whose left leg is the
-    unit.  Those right legs are read from each atom's coproduct, which
-    standardizes the carrier of a decorated partition."""
+    is one atom pair non-trivially: a left-half term l ⊗ r of x, with each
+    later atom contributing its one term 1 ⊗ y.  So Phi(b) is the sum of
+    c·kappa(l)·Phi(r|y|...|z), with the later atoms appended as they are:
+    Phi reads an atom only through the left half of its coproduct, whose
+    legs are standardized."""
     _require_infinitesimal(kappa)
-    phi_box: list[Character] = []
 
     def ev(b: BarWord) -> Coefficient:
-        terms = delta_bar(b[:1], "left+")
-        for atom in b[1:]:
-            terms = tensor_product(terms, {
-                key: c for key, c in delta_bar((atom,), "full").items()
-                if key[0] == UNIT})
-        phi = phi_box[0]
         total: Coefficient = ZERO
-        for (left, right), c in terms.items():
+        for (left, right), c in delta_bar(b[:1], "left+").items():
             kl = kappa(left)
             if not kl:
                 continue
-            pr = phi.unit_value if right == UNIT else phi(right)
+            pr = phi(right + b[1:])
             if not pr:
                 continue
             total = total + c * kl * pr
@@ -235,7 +228,6 @@ def solve_left_fixed_point(kappa: LinearFunctional) -> Character:
 
     phi = Character(kappa.algebra, kappa.truncation, ev,
                     unit_value=ONE, name=f"fix({kappa.name})")
-    phi_box.append(phi)
     return phi
 
 

@@ -11,7 +11,10 @@ between two consecutive siblings whose parent block has an element between
 them, so the siblings sit in different gaps of the parent.  A mark never
 leads, trails or doubles, and never stands directly under the root (the
 root is not a block, so it has no elements to separate its children).
-Trees without marks are the bare planar rooted trees above.
+Trees without marks are the bare planar rooted trees above.  The readers
+:func:`parse_tree` and :func:`tree_from_json` raise ``SizeLimitError`` for a
+tree with more non-root vertices than the NC cap, the most a hierarchy tree
+within the cap has, and stop reading as soon as the count passes it.
 
 The hierarchy map sends a partition to the tree of its block nesting: one
 vertex per block, parent the minimal strictly containing block, children
@@ -24,7 +27,8 @@ any root-to-leaf path).  Cut subtrees are regrafted under new roots in the
 pruned part, with one shared root per maximal run of consecutive cut sibling
 edges; a mark or an uncut sibling ends a run, and separate runs give
 separate trees of an ordered forest.  Removing the cut children collapses
-the marks left leading, trailing or doubled.  On gapped hierarchy trees this
+the marks left leading, trailing or doubled.  One walk per cut yields both
+the rooted part and the forest.  On gapped hierarchy trees this
 is exactly the partition coproduct pushed through the map; on bare trees it
 is so only for the partitions whose gapped tree has no mark.
 """
@@ -34,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParseError
+from . import config
+from .errors import ParseError, SizeLimitError
 from .partitions import NonCrossingPartition
 from .tensor import LinComb, add_into, lincomb_text
 
@@ -77,17 +82,26 @@ def _checked_node(children: list, at_root: bool, source) -> Tree:
     return tuple(children)
 
 
+def _take_vertex(at_root: bool, budget) -> None:
+    """Spend one of the reader's tokens ``iter(range(config.nc_cap()))`` on
+    a non-root vertex, before reading it."""
+    if not at_root and next(budget, None) is None:
+        raise SizeLimitError(
+            f"tree has more than {config.nc_cap()} vertices (the NC cap)")
+
+
 def parse_tree(text: str) -> Tree:
     body = text.strip()
-    tree, pos = _parse_node(body, 0, True)
+    tree, pos = _parse_node(body, 0, True, iter(range(config.nc_cap())))
     if pos != len(body):
         raise ParseError(f"trailing characters in tree encoding: {text!r}")
     return tree
 
 
-def _parse_node(s: str, pos: int, at_root: bool) -> tuple[Tree, int]:
+def _parse_node(s: str, pos: int, at_root: bool, budget) -> tuple[Tree, int]:
     if pos >= len(s) or s[pos] != "(":
         raise ParseError(f"expected '(' at position {pos} in {s!r}")
+    _take_vertex(at_root, budget)
     pos += 1
     children = []
     while pos < len(s) and s[pos] in "(|":
@@ -95,7 +109,7 @@ def _parse_node(s: str, pos: int, at_root: bool) -> tuple[Tree, int]:
             children.append(GAP)
             pos += 1
         else:
-            child, pos = _parse_node(s, pos, False)
+            child, pos = _parse_node(s, pos, False, budget)
             children.append(child)
     if pos >= len(s) or s[pos] != ")":
         raise ParseError(f"expected ')' at position {pos} in {s!r}")
@@ -107,13 +121,14 @@ def tree_to_json(t: Tree) -> list:
 
 
 def tree_from_json(data) -> Tree:
-    return _node_from_json(data, True)
+    return _node_from_json(data, True, iter(range(config.nc_cap())))
 
 
-def _node_from_json(data, at_root: bool) -> Tree:
+def _node_from_json(data, at_root: bool, budget) -> Tree:
     if not isinstance(data, (list, tuple)):
         raise ParseError(f"a tree node must be a list, got {data!r}")
-    children = [GAP if child == GAP else _node_from_json(child, False)
+    _take_vertex(at_root, budget)
+    children = [GAP if child == GAP else _node_from_json(child, False, budget)
                 for child in data]
     return _checked_node(children, at_root, data)
 
@@ -208,48 +223,31 @@ def _cut_sets(t: Tree, prefix: EdgePath):
 # tree coproduct
 
 
-def _remove_cut(t: Tree, cut_set: frozenset, prefix: EdgePath) -> Tree:
-    """The rooted part: ``t`` without its cut subtrees, each mark kept only
-    where it still separates two remaining siblings."""
+def _split_cut(node: Tree, cut: set, prefix: EdgePath, forest: list) -> Tree:
+    """The rooted part of ``node`` under ``cut``: the node without its cut
+    subtrees, each mark kept only where it still separates two remaining
+    siblings.  Each maximal run of consecutive cut siblings, ended by a mark,
+    a kept sibling or the end of the node, goes to ``forest`` as one tree
+    under a new root, in left-to-right planar order."""
     kept = []
-    for i, child in enumerate(t):
-        if child is GAP:
-            if kept and kept[-1] is not GAP:
-                kept.append(GAP)
-            continue
+    run: list[Tree] = []
+    for i, child in enumerate(node):
         path = prefix + (i,)
-        if path in cut_set:
+        if path in cut:
+            run.append(child)
             continue
-        kept.append(_remove_cut(child, cut_set, path))
+        if run:
+            forest.append(tuple(run))
+            run = []
+        if child is not GAP:
+            kept.append(_split_cut(child, cut, path, forest))
+        elif kept and kept[-1] is not GAP:
+            kept.append(GAP)
+    if run:
+        forest.append(tuple(run))
     if kept and kept[-1] is GAP:
         kept.pop()
     return tuple(kept)
-
-
-def _pruned_forest(t: Tree, cut: EdgeCut) -> Forest:
-    """Cut subtrees regrafted under new roots, one root per maximal run of
-    consecutive cut sibling edges not separated by a mark, in left-to-right
-    planar order."""
-    cut_set = set(cut.edges)
-    forest: list[Tree] = []
-
-    def walk(node: Tree, prefix: EdgePath):
-        run: list[Tree] = []
-        for i, child in enumerate(node):
-            path = prefix + (i,)
-            if path in cut_set:
-                run.append(child)
-                continue
-            if run:
-                forest.append(tuple(run))
-                run = []
-            if child is not GAP:
-                walk(child, path)
-        if run:
-            forest.append(tuple(run))
-
-    walk(t, ())
-    return tuple(forest)
 
 
 def tree_coproduct(t: Tree) -> LinComb:
@@ -257,9 +255,9 @@ def tree_coproduct(t: Tree) -> LinComb:
     (Tree, Forest) pairs; includes t ⊗ 1 (empty cut) and 1 ⊗ t (crown cut)."""
     out: LinComb = {}
     for cut in admissible_edge_cuts(t):
-        rooted = _remove_cut(t, frozenset(cut.edges), ())
-        pruned = _pruned_forest(t, cut)
-        add_into(out, (rooted, pruned), 1)
+        forest: list[Tree] = []
+        rooted = _split_cut(t, set(cut.edges), (), forest)
+        add_into(out, (rooted, tuple(forest)), 1)
     return out
 
 

@@ -1,0 +1,102 @@
+"""The summary step of tools/bench_pairs.py on canned results; nothing here
+runs the benchmark."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BENCH_7 = json.loads((ROOT / "BENCH_7.json").read_text())
+
+
+def canned_runs(side: dict) -> list[dict]:
+    """Run results, as `bench/run.py` prints them, that a side of a
+    committed record summarises."""
+    count = len(side["throughput_rps"]["runs"])
+    return [{"attempted": side["attempted"] // count,
+             "failed": side["failed"] if i == 0 else 0,
+             "metrics": {name: {"value": side[name]["runs"][i]}
+                         for name in bench_pairs.METRICS}}
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_7["workloads"]))
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_summary_reproduces_the_committed_record(workload, side):
+    # the committed figures were rounded after the quartiles were taken, so
+    # quartiles read from the rounded runs may differ by one unit in the
+    # last place
+    expected = BENCH_7["workloads"][workload][side]
+    summary = bench_pairs.summarize(canned_runs(expected))
+    assert list(summary) == list(expected)
+    for name, value in expected.items():
+        if isinstance(value, dict):
+            assert summary[name] == pytest.approx(value, abs=2e-4)
+            assert summary[name]["runs"] == value["runs"]
+        else:
+            assert summary[name] == value
+
+
+def test_summary_counts_and_quartiles():
+    runs = [{"attempted": 10, "failed": f,
+             "metrics": {name: {"value": v, "unit": "s"}
+                         for name in bench_pairs.METRICS}}
+            for f, v in ((0, 4.0), (2, 1.0), (1, 3.0), (0, 2.0))]
+    summary = bench_pairs.summarize(runs)
+    assert (summary["attempted"], summary["failed"]) == (40, 3)
+    assert summary["setup_s"] == {"median": 2.5, "q1": 1.75, "q3": 3.25,
+                                  "runs": [4.0, 1.0, 3.0, 2.0]}
+
+
+def test_sides_alternate_which_runs_first():
+    calls = []
+
+    def fake(checkout, workload, seed):
+        calls.append((checkout, seed))
+        return {"seed": seed}
+
+    sides = bench_pairs.pair_runs("P", "C", "hopf", [7, 8, 9], run=fake)
+    assert calls == [("P", 7), ("C", 7), ("C", 8), ("P", 8), ("P", 9),
+                     ("C", 9)]
+    assert [r["seed"] for r in sides["change"]] == [7, 8, 9]
+
+
+def test_record_adds_a_workload_and_prints_like_the_committed_file():
+    hopf = BENCH_7["workloads"]["hopf"]
+    sides = {side: [{**run, "commit": "b9beeb0" + "0" * 33,
+                     "python": "3.11.7", "nproc": 2}
+                    for run in canned_runs(hopf[side])]
+             for side in ("parent", "change")}
+    old = {**BENCH_7, "workloads": {"cli_cold": BENCH_7["workloads"]["cli_cold"]}}
+    rec = bench_pairs.record(old, "hopf", hopf["seeds"], sides)
+    assert {k: v for k, v in rec.items() if k != "workloads"} \
+        == {k: v for k, v in BENCH_7.items() if k != "workloads"}
+    assert list(rec["workloads"]) == ["cli_cold", "hopf"]
+    assert rec["workloads"]["hopf"]["seeds"] == hopf["seeds"]
+    assert bench_pairs.record_text(BENCH_7) \
+        == (ROOT / "BENCH_7.json").read_text()
+
+
+def test_a_run_reads_the_last_two_lines(monkeypatch):
+    meta = {"meta": {"commit": "abc", "python": "3.11.7", "nproc": 2}}
+    result = {"correct": True, "attempted": 5, "failed": 0,
+              "metrics": {"setup_s": {"value": 0.2, "unit": "s"}}}
+    stdout = "\n".join(["warming up", json.dumps(meta), json.dumps(result)])
+    monkeypatch.setattr(
+        bench_pairs.subprocess, "run",
+        lambda argv, **kw: subprocess.CompletedProcess(argv, 0, stdout, ""))
+    run = bench_pairs.run_bench(ROOT, "hopf", 3)
+    assert run == {**meta["meta"], **result}
+
+
+def test_seed_lists():
+    assert bench_pairs.parse_seeds("401-403") == [401, 402, 403]
+    assert bench_pairs.parse_seeds("5,9-10") == [5, 9, 10]

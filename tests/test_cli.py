@@ -231,6 +231,44 @@ class TestTransform:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_values_past_the_int_string_limit_print_in_full(self, tmp_path):
+        # m_2 = c_1^2 + c_2 has 6000 digits, past str(int)'s default limit
+        f = tmp_path / "cumulants.json"
+        f.write_text(json.dumps({"values": ["9" * 3000, "1"]}))
+        code, out = run("transform", "classical", "--direction", "c2m",
+                        "--in", str(f))
+        assert code == 0
+        assert out == (f"m_1 = {'9' * 3000}\n"
+                       f"m_2 = {'9' * 2999}8{'0' * 2999}2\n")
+
+    @pytest.mark.parametrize("value", ["1.5", "1_000", "1e300000"])
+    def test_numbers_other_than_p_or_p_over_q_are_parse_errors(
+            self, tmp_path, capsys, value):
+        f = tmp_path / "moments.json"
+        f.write_text(json.dumps({"values": [value]}))
+        code, out = run("transform", "free", "--direction", "k2m",
+                        "--in", str(f))
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error: not a rational")
+
+    @pytest.mark.parametrize("direction,flags", [
+        ("k2m", ("--in", "@", "--n", "2")),
+        ("m2k", ("--in", "@", "--symbolic")),
+        ("k2m", ("--in", "@", "--symbolic", "--n", "3")),
+        ("multi-m2k", ("--in", "@", "--symbolic")),
+        ("multi-m2k", ("--in", "@", "--n", "2")),
+    ])
+    def test_flags_that_do_not_apply_are_domain_errors(
+            self, tmp_path, capsys, direction, flags):
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(
+            {"alphabet": ["a"], "values": {"a": "1", "a.a": "2"}}
+            if direction == "multi-m2k" else {"values": ["1", "2", "3", "4"]}))
+        argv = [str(f) if flag == "@" else flag for flag in flags]
+        code, out = run("transform", "free", "--direction", direction, *argv)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_route_disagreement_is_internal_fault(self, monkeypatch, capsys):
         # a series route off by one in m_1 must not pass for bad input
         series = nc_hopf.transforms._free_moments_series
@@ -291,6 +329,23 @@ class TestSplitAndTree:
         got = {(t["rooted"], tuple(t["pruned"])): int(t["coefficient"])
                for t in json.loads(out)["coproduct"]}
         assert got == expected
+
+    @pytest.mark.parametrize("subject", [
+        "(" * 1200 + ")" * 1200,      # once a RecursionError traceback
+        "(" + "()" * 24 + ")",        # once 2^24 cuts
+    ])
+    def test_tree_past_the_cap_exits_one_at_once(self, subject):
+        src = str(Path(__file__).parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"}
+        done = subprocess.run(
+            [sys.executable, "-m", "nc_hopf.cli", "coproduct", "tree",
+             subject], env=env, capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: tree has more than 14 vertices")
+        assert done.stderr.count("\n") == 1
+        start = time.perf_counter()
+        assert run("coproduct", "tree", subject) == (1, "")
+        assert time.perf_counter() - start < 1.0
 
     def test_tree_coproduct_golden(self):
         code, out = run("tree", "{1,2}{3,4}{5,6}", "--coproduct")

@@ -70,9 +70,24 @@ def test_coeff_str_dispatch():
 def test_fraction_parsing():
     assert parse_fraction("7/2") == Fraction(7, 2)
     assert parse_fraction(" -3 ") == -3
-    for bad in ("x", "1/0", ""):
+    assert parse_fraction("+5") == 5
+    assert parse_fraction("\t-0/7\n") == 0
+    for bad in ("x", "1/0", "", "1.5", "1_000", "1e300000", "1 / 2", "2/-3",
+                "+-1", "\u0661", ".5"):
         with pytest.raises(ParseError):
             parse_fraction(bad)
+
+
+def test_numbers_past_the_int_string_limit_are_read_and_printed():
+    # past the interpreter's default limit on int <-> str (4300 digits)
+    big = 10 ** 9000 - 1
+    assert parse_fraction("9" * 9000) == big
+    assert parse_fraction("-1/" + "9" * 9000) == Fraction(-1, big)
+    assert fraction_str(Fraction(big, 2)) == "9" * 9000 + "/2"
+    assert fraction_str(Fraction(-1, big ** 2)) \
+        == "-1/" + "9" * 8999 + "8" + "0" * 8999 + "1"
+    for n in (10 ** 602, 2 ** 2000, 2 ** 2001, 10 ** 5000 + 1):
+        assert parse_fraction(fraction_str(Fraction(n))) == n
 
 
 def test_sorted_monomials_stable():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from nc_hopf.errors import ParseError
+from nc_hopf.errors import ParseError, SizeLimitError
 from nc_hopf.partitions import NonCrossingPartition, enumerate_nc_partitions
 from nc_hopf.tensor import DecoratedNC, add_into, delta_nc
 from nc_hopf.trees import (
@@ -57,6 +57,36 @@ class TestEncoding:
         assert tree_degree(LEAF) == 0
         assert tree_degree(T3) == 3
         assert tree_degree(CHAIN) == 2
+
+
+def chain_json(parens):
+    """The JSON form of ``"(" * parens + ")" * parens``."""
+    node = []
+    for _ in range(parens - 1):
+        node = [node]
+    return node
+
+
+# past the NC cap (14 vertices): 1199 and 15 nested vertices, 24 and 15 leaves
+TOO_BIG = [("(" * 1200 + ")" * 1200, chain_json(1200)),
+           ("(" * 16 + ")" * 16, chain_json(16)),
+           ("(" + "()" * 24 + ")", [[]] * 24),
+           ("(" + "()" * 15 + ")", [[]] * 15)]
+
+
+class TestSizeGuard:
+    def test_trees_at_the_cap_are_read(self):
+        for text in ("(" * 15 + ")" * 15, "(" + "()" * 14 + ")"):
+            t = parse_tree(text)
+            assert tree_degree(t) == 14
+            assert tree_from_json(tree_to_json(t)) == t
+
+    @pytest.mark.parametrize("text,data", TOO_BIG)
+    def test_readers_stop_past_the_cap(self, text, data):
+        with pytest.raises(SizeLimitError):
+            parse_tree(text)
+        with pytest.raises(SizeLimitError):
+            tree_from_json(data)
 
 
 class TestHierarchyMap:
@@ -141,6 +171,77 @@ class TestTreeCoproduct:
         text = tree_tensor_text(tree_coproduct(T1))
         assert "(()) ⊗ 1" in text and "() ⊗ (())" in text
         assert forest_text(()) == "1"
+
+
+# ---------------------------------------------------------------------------
+# reference: the rooted part and the pruned forest of a cut in two walks
+
+
+def _remove_cut(t, cut_set, prefix):
+    """The rooted part: ``t`` without its cut subtrees, each mark kept only
+    where it still separates two remaining siblings."""
+    kept = []
+    for i, child in enumerate(t):
+        if child is GAP:
+            if kept and kept[-1] is not GAP:
+                kept.append(GAP)
+            continue
+        path = prefix + (i,)
+        if path in cut_set:
+            continue
+        kept.append(_remove_cut(child, cut_set, path))
+    if kept and kept[-1] is GAP:
+        kept.pop()
+    return tuple(kept)
+
+
+def _pruned_forest(t, cut):
+    """Cut subtrees regrafted under new roots, one root per maximal run of
+    consecutive cut sibling edges not separated by a mark, in left-to-right
+    planar order."""
+    cut_set = set(cut.edges)
+    forest = []
+
+    def walk(node, prefix):
+        run = []
+        for i, child in enumerate(node):
+            path = prefix + (i,)
+            if path in cut_set:
+                run.append(child)
+                continue
+            if run:
+                forest.append(tuple(run))
+                run = []
+            if child is not GAP:
+                walk(child, path)
+        if run:
+            forest.append(tuple(run))
+
+    walk(t, ())
+    return tuple(forest)
+
+
+def reference_tree_coproduct(t):
+    out = {}
+    for cut in admissible_edge_cuts(t):
+        rooted = _remove_cut(t, frozenset(cut.edges), ())
+        add_into(out, (rooted, _pruned_forest(t, cut)), 1)
+    return out
+
+
+class TestOneWalkPerCut:
+    def test_matches_the_two_walk_reference_on_hierarchy_trees(self):
+        trees = {make(shape) for n in range(1, 9)
+                 for shape in enumerate_nc_partitions(n)
+                 for make in (gapped_hierarchy_tree, hierarchy_tree)}
+        assert any(GAP in tree_text(t) for t in trees)
+        for t in trees:
+            assert tree_coproduct(t) == reference_tree_coproduct(t), t
+
+    @pytest.mark.parametrize("text", ["((()|()))", "((()|()()|()))"])
+    def test_matches_the_reference_on_marked_trees(self, text):
+        t = parse_tree(text)
+        assert tree_coproduct(t) == reference_tree_coproduct(t)
 
 
 def transported(shape):

@@ -1,0 +1,134 @@
+"""Paired benchmark runs of a change against its parent, summarised into a
+``BENCH_<n>.json`` record.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \
+        --workload hopf --seeds 401-410 --out BENCH_9.json
+
+Both arguments are checkouts (the parent's and the change's).  For each seed
+the tool runs each checkout's own ``bench/run.py`` once with ``--trace 0``,
+alternating which side goes first, and refuses to start unless the two
+``bench/`` trees hold the same code.  The record gives, per workload and per
+side, the summed attempted and failed request counts and, for each
+end-to-end metric, the median, the quartiles and every run in seed order.
+Running the tool again with another ``--workload`` and the same ``--out``
+adds that workload to the record (or replaces it).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("throughput_rps", "latency_p50_ms", "latency_p90_ms", "setup_s",
+           "peak_rss_mb")
+RUN_SECONDS = 15
+WHAT = ("End-to-end benchmark figures of this change against its parent "
+        "commit {parent}. Runs alternate parent and change, one pair per "
+        "seed, with identical bench/ code; each metric gives the median, the "
+        "quartiles and every run in seed order.")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``401-405`` or ``1,4,9`` (or a mix) as a list of seeds."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        low, _, high = part.partition("-")
+        seeds.extend(range(int(low), int(high or low) + 1))
+    return seeds
+
+
+def bench_code(checkout: Path) -> dict[str, bytes]:
+    bench = checkout / "bench"
+    return {p.relative_to(bench).as_posix(): p.read_bytes()
+            for p in sorted(bench.rglob("*.py"))}
+
+
+def run_bench(checkout: Path, workload: str, seed: int) -> dict:
+    """One ``bench/run.py`` run: its meta fields and its result line."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"bench/run.py failed in {checkout}: "
+                         f"{done.stderr.strip()}")
+    meta_line, result_line = done.stdout.strip().splitlines()[-2:]
+    return {**json.loads(meta_line)["meta"], **json.loads(result_line)}
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Failed and attempted counts summed over the runs, and per metric the
+    median, the inclusive quartiles and the runs in order, to 4 places."""
+    out = {"failed": sum(r["failed"] for r in runs),
+           "attempted": sum(r["attempted"] for r in runs)}
+    for name in METRICS:
+        values = [r["metrics"][name]["value"] for r in runs]
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        out[name] = {"median": round(median, 4), "q1": round(q1, 4),
+                     "q3": round(q3, 4),
+                     "runs": [round(v, 4) for v in values]}
+    return out
+
+
+def pair_runs(parent: Path, change: Path, workload: str, seeds: list[int],
+              run=run_bench) -> dict:
+    """One run per side and seed, the parent first on even positions."""
+    sides: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i, seed in enumerate(seeds):
+        order = [("parent", parent), ("change", change)]
+        for side, checkout in order if i % 2 == 0 else order[::-1]:
+            sides[side].append(run(checkout, workload, seed))
+    return sides
+
+
+def record(old: dict, workload: str, seeds: list[int], sides: dict) -> dict:
+    """``old`` (a record or ``{}``) with this workload's figures set."""
+    first = sides["parent"][0]
+    parent_commit = first["commit"][:7]
+    out = {"what": WHAT.format(parent=parent_commit),
+           "command": (f"python3 bench/run.py --workload W --seed S "
+                       f"--seconds {RUN_SECONDS} --trace 0"),
+           "python": first["python"], "nproc": first["nproc"],
+           "parent_commit": parent_commit,
+           "workloads": dict(old.get("workloads", {}))}
+    out["workloads"][workload] = {
+        "seeds": seeds,
+        **{side: summarize(runs) for side, runs in sides.items()}}
+    return out
+
+
+def record_text(rec: dict) -> str:
+    """The record as indented JSON with each list of numbers on one line."""
+    text = json.dumps(rec, indent=1)
+    return re.sub(r"\[\s+([^][{}]*?)\s+\]",
+                  lambda m: "[" + ", ".join(
+                      v.strip() for v in m.group(1).split(",")) + "]",
+                  text) + "\n"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two seeds")
+    if bench_code(args.parent) != bench_code(args.change):
+        parser.error("the two checkouts hold different bench/ code")
+    old = json.loads(args.out.read_text()) if args.out.exists() else {}
+    sides = pair_runs(args.parent, args.change, args.workload, args.seeds)
+    new = record(old, args.workload, args.seeds, sides)
+    args.out.write_text(record_text(new))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
