@@ -17,7 +17,7 @@ import json
 import sys
 
 from .coefficients import coeff_str
-from .errors import InconsistencyError, NcHopfError
+from .errors import InconsistencyError, NcHopfError, ParseError
 from .partitions import (
     NonCrossingPartition,
     admissible_splits,
@@ -69,22 +69,6 @@ _SUITE_ALIASES = {
 
 # order of a symbolic transform without --n
 _SYMBOLIC_ORDER = 8
-
-# which keyword the size bound maps to, per suite
-_SUITE_SIZE_PARAM = {
-    "counting": "max_n",
-    "coassociativity": "max_degree",
-    "unshuffle": "max_degree",
-    "halfshuffle": "max_degree",
-    "sp-morphism": "max_word_len",
-    "character-bijection": "truncation",
-    "keyrell": "max_n",
-    "roundtrip": "order",
-    "semicircular": "order",
-    "tree-consistency": "max_n",
-    "moebius": "max_n",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -138,6 +122,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str):
+    """The JSON value in the file at ``path``.  Nesting too deep for the
+    reader is bad input, like any other malformed JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply") from None
+
+
+def _parse_shape(text: str) -> NonCrossingPartition:
+    """A partition subject, held to the non-crossing cap: its coproduct,
+    splits and tree cuts run over up to 2^k subsets of its k blocks."""
+    shape = parse_partition(text)
+    check_enumeration_size("nc", shape.size)
+    return shape
+
+
 def _cmd_enumerate(args, out) -> int:
     if args.count:
         check_enumeration_size(args.lattice, args.n)
@@ -183,8 +185,7 @@ def _cmd_coproduct(args, out) -> int:
             print(tree_tensor_text(terms), file=out)
         return 0
     if args.kind == "nc":
-        shape = parse_partition(args.subject)
-        terms = delta_nc(DecoratedNC(NonCrossingPartition(shape.blocks)))
+        terms = delta_nc(DecoratedNC(_parse_shape(args.subject)))
     else:
         terms = delta_word(parse_word(args.subject))
     if args.json:
@@ -215,6 +216,7 @@ def _sequence_lines(prefix: str, values, out, as_json: bool):
 
 def _cmd_transform(args, out) -> int:
     direction = args.direction
+    flavor = CLASSICAL if args.flavor == "classical" else FREE
     flavor_dirs = {"classical": {"c2m", "m2c"},
                    "free": {"k2m", "m2k", "multi-m2k"}}
     if direction not in flavor_dirs[args.flavor]:
@@ -227,8 +229,7 @@ def _cmd_transform(args, out) -> int:
                               "table; --symbolic and --n do not apply")
         if not args.infile:
             raise NcHopfError("multi-m2k requires --in with a moment table")
-        with open(args.infile) as fh:
-            phi = multi_moment_map_from_json(json.load(fh))
+        phi = multi_moment_map_from_json(_read_json(args.infile))
         r = generalized_free_cumulants(phi)
         items = sorted(r.table.items(), key=lambda kv: (len(kv[0]), kv[0]))
         if args.json:
@@ -245,7 +246,6 @@ def _cmd_transform(args, out) -> int:
             raise NcHopfError("--symbolic and --in exclude each other")
         order = args.n if args.n is not None else _SYMBOLIC_ORDER
         if direction in ("c2m", "k2m"):
-            flavor = CLASSICAL if direction == "c2m" else FREE
             seq = symbolic_cumulants(order, flavor)
         else:
             seq = symbolic_moments(order)
@@ -255,32 +255,24 @@ def _cmd_transform(args, out) -> int:
         if args.n is not None:
             raise NcHopfError("--n applies only to --symbolic; a numeric "
                               "transform takes its order from the --in file")
-        with open(args.infile) as fh:
-            data = json.load(fh)
+        data = _read_json(args.infile)
         if direction in ("c2m", "k2m"):
-            flavor = CLASSICAL if direction == "c2m" else FREE
             seq = cumulant_sequence_from_json(data, flavor)
         else:
             seq = moment_sequence_from_json(data)
 
-    if direction == "c2m":
-        result = classical_moments_from_cumulants(seq)
-        _sequence_lines("m", result.values[1:], out, args.json)
-    elif direction == "k2m":
-        result = free_moments_from_cumulants(seq)
-        _sequence_lines("m", result.values[1:], out, args.json)
-    elif direction == "m2c":
-        result = classical_cumulants_from_moments(seq)
-        _sequence_lines("c", result.values, out, args.json)
-    else:
-        result = free_cumulants_from_moments(seq)
-        _sequence_lines("k", result.values, out, args.json)
+    # moment results start at m_0 = 1, which is not printed
+    route, prefix, first = {
+        "c2m": (classical_moments_from_cumulants, "m", 1),
+        "k2m": (free_moments_from_cumulants, "m", 1),
+        "m2c": (classical_cumulants_from_moments, "c", 0),
+        "m2k": (free_cumulants_from_moments, "k", 0)}[direction]
+    _sequence_lines(prefix, route(seq).values[first:], out, args.json)
     return 0
 
 
 def _cmd_split(args, out) -> int:
-    shape = parse_partition(args.subject)
-    splits = admissible_splits(NonCrossingPartition(shape.blocks))
+    splits = admissible_splits(_parse_shape(args.subject))
     rows = []
     for s in splits:
         q = s.q_part.text() if s.q_part.blocks else "{}"
@@ -296,8 +288,7 @@ def _cmd_split(args, out) -> int:
 
 
 def _cmd_tree(args, out) -> int:
-    shape = parse_partition(args.subject)
-    t = gapped_hierarchy_tree(NonCrossingPartition(shape.blocks))
+    t = gapped_hierarchy_tree(_parse_shape(args.subject))
     if args.coproduct:
         terms = tree_coproduct(t)
         if args.json:
@@ -317,15 +308,16 @@ def _cmd_tree(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     name = _SUITE_ALIASES.get(args.suite, args.suite)
-    kwargs = {}
-    if args.max_degree is not None and name != "all":
-        param = _SUITE_SIZE_PARAM.get(name)
-        if param:
-            kwargs[param] = args.max_degree
     if name != "all" and name not in SUITES:
         raise NcHopfError(f"unknown suite {args.suite!r}; choose from "
                           f"{', '.join(sorted(SUITES))} or 'all'")
-    reports = run_suite(name, **kwargs)
+    bound = () if args.max_degree is None else (args.max_degree,)
+    if bound and name == "all":
+        raise NcHopfError("--max-degree applies to one suite, not 'all'")
+    if bound and args.max_degree < 1:
+        raise NcHopfError(
+            f"--max-degree must be at least 1, not {args.max_degree}")
+    reports = run_suite(name, *bound)
     if args.json:
         print(json.dumps([{
             "suite": r.name,

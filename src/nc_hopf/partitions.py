@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from math import comb, factorial, prod
 
 from . import config
 from .errors import (
@@ -368,85 +369,84 @@ def admissible_splits(p: NonCrossingPartition) -> tuple[AdmissibleSplit, ...]:
 # Möbius calculus
 
 
-def _check_interval_args(lattice, lo, hi):
+def _kreweras_sizes(blocks: list[Block]) -> list[int]:
+    """Block sizes of the Kreweras complement of the partition pi with these
+    canonical blocks: the cycle lengths of pi^-1 ∘ gamma, each block a cycle
+    of pi in increasing order and gamma the cyclic successor on the carrier."""
+    carrier = sorted(x for b in blocks for x in b)
+    gamma = dict(zip(carrier, carrier[1:] + carrier[:1]))
+    pi_inv = {y: x for b in blocks for x, y in zip(b, b[1:] + b[:1])}
+    sizes, seen = [], set()
+    for x in carrier:
+        size = 0
+        while x not in seen:
+            seen.add(x)
+            x, size = pi_inv[gamma[x]], size + 1
+        if size:
+            sizes.append(size)
+    return sizes
+
+
+def moebius(lattice: str, lo: SetPartition, hi: SetPartition) -> int:
+    """Möbius function of the interval [lo, hi] in the set-partition or
+    non-crossing lattice, read off the blocks.
+
+    [lo, hi] is the product over the blocks H of hi of [lo|_H, 1̂_H] (in the
+    non-crossing lattice too: blocks merged inside different blocks of a
+    non-crossing hi never cross).  The factor of H is (-1)^(k-1) (k-1)! in
+    the set lattice, for k lo-blocks inside H.  In the non-crossing lattice
+    [pi, 1̂_H] is [0̂_H, K(pi)] upside down, K the Kreweras complement: the
+    factor is the product of (-1)^(|V|-1) Cat(|V|-1) over V in K(lo|_H)."""
     if lattice not in ("set", "nc"):
         raise ValueError(f"unknown lattice selector: {lattice!r}")
     if lo.carrier != hi.carrier:
         raise CarrierMismatchError("interval endpoints on different carriers")
     if lattice == "nc" and not (is_noncrossing(lo) and is_noncrossing(hi)):
         raise ValueError("nc lattice selected but an endpoint is crossing")
-    if not refines(lo, hi):
-        raise OrderError(f"{lo} is not below {hi}")
-
-
-@lru_cache(maxsize=None)
-def _mu_memo(lattice: str, m: int) -> dict[tuple[Block, ...], int]:
-    """The memo of ``_mu_to_top`` on partitions of [m].  It only ever holds
-    elements of the chosen lattice of [m]; once it holds all of them it is
-    the ``moebius_to_top`` column."""
-    return {}
-
-
-def _mu_to_top(lattice: str, blocks: tuple[Block, ...], memo: dict) -> int:
-    """mu(pi, 1̂_m) for the partition pi of [m] with canonical ``blocks``, by
-    the dual form of the defining recursion: mu(1̂, 1̂) = 1 and
-    mu(pi, 1̂) = -sum of mu(M, 1̂) over the proper coarsenings M of pi in
-    the chosen lattice.  Every M is again a partition of [m], so one
-    ``memo = _mu_memo(lattice, m)`` serves the whole recursion."""
-    value = memo.get(blocks)
-    if value is not None:
-        return value
-    k = len(blocks)
-    total = 0
-    for cells in _rgs_partitions(k):
-        if len(cells) == k:
-            continue  # pi itself
-        # cells come ordered by their first index, so the merged blocks
-        # are already ordered by minimum
-        merged = tuple([tuple(sorted(x for i in cell for x in blocks[i - 1]))
-                        for cell in cells])
-        if lattice == "nc" and not _blocks_noncrossing(merged):
-            continue
-        total += _mu_to_top(lattice, merged, memo)
-    value = memo[blocks] = 1 if k == 1 else -total
-    return value
-
-
-def moebius(lattice: str, lo: SetPartition, hi: SetPartition) -> int:
-    """Möbius function of the interval [lo, hi] in the set-partition or
-    non-crossing lattice.
-
-    [lo, hi] is the product over the blocks H of hi of [lo|_H, 1̂_H], so
-    mu(lo, hi) is the product of mu(lo|_H, 1̂_H), each read on [|H|] after
-    standardizing.  In the non-crossing lattice this holds because each block
-    of a non-crossing hi lies in one gap of every other block: blocks merged
-    inside different hi-blocks never cross.
-    """
-    _check_interval_args(lattice, lo, hi)
+    owner = {x: i for i, block in enumerate(hi.blocks) for x in block}
+    below: list[list[Block]] = [[] for _ in hi.blocks]
+    for block in lo.blocks:
+        if any(owner[x] != owner[block[0]] for x in block):
+            raise OrderError(f"{lo} is not below {hi}")
+        below[owner[block[0]]].append(block)
     value = 1
-    for block in hi.blocks:
-        below = standardize(lo.restrict(block)).blocks
-        value *= _mu_to_top(lattice, below, _mu_memo(lattice, len(block)))
+    for blocks in below:
+        k = len(blocks)
+        if lattice == "set":
+            value *= (-1) ** (k - 1) * factorial(k - 1)
+        else:  # signed Catalan numbers; each division is exact
+            value *= prod((-1) ** (v - 1) * comb(2 * v - 2, v - 1) // v
+                          for v in _kreweras_sizes(blocks))
     return value
 
 
 @lru_cache(maxsize=None)
 def moebius_to_top(lattice: str, n: int) -> dict[tuple[Block, ...], int]:
-    """mu(L, 1̂_n) for every L in the chosen lattice of [n], keyed by the
-    blocks of L: the lattice oracle for the closed-form Möbius weights of
-    the transforms.  The dict is the recursion's memo, shared by every
-    caller: read it, never change it."""
+    """mu(pi, 1̂_n) for every pi in the chosen lattice of [n], keyed by its
+    blocks, from the defining recursion mu(1̂, 1̂) = 1 and mu(pi, 1̂) = -sum
+    of mu(M, 1̂) over the proper coarsenings M of pi.  It searches every
+    coarsening: the oracle for the closed forms of ``moebius`` and of the
+    transforms' weights.  Read the shared dict, never change it."""
     if lattice == "set":
         elements = _all_set_partitions(n)
     elif lattice == "nc":
         elements = _all_nc_partitions(n)
     else:
         raise ValueError(f"unknown lattice selector: {lattice!r}")
-    memo = _mu_memo(lattice, n)
-    # coarser partitions first, so that each coarsening the recursion looks
-    # up is already in the memo under the enumerated blocks it shares
+    memo: dict[tuple[Block, ...], int] = {}
+    # coarser partitions first, so that every coarsening is in the memo
     for p in sorted(elements, key=lambda p: len(p.blocks)):
-        _mu_to_top(lattice, p.blocks, memo)
+        blocks, k, total = p.blocks, len(p.blocks), 0
+        for cells in _rgs_partitions(k):
+            if len(cells) == k:
+                continue  # pi itself
+            # cells come ordered by their first index: merged is canonical
+            merged = tuple([tuple(sorted(x for i in cell
+                                         for x in blocks[i - 1]))
+                            for cell in cells])
+            if lattice == "set" or _blocks_noncrossing(merged):
+                total += memo[merged]
+        memo[blocks] = 1 if k == 1 else -total
     return memo
 
 

@@ -349,7 +349,7 @@ def parse_atom(text: str) -> Atom:
     if not body.startswith("{"):
         return parse_word(body)
     shape_part, colon, word_part = body.partition(":")
-    shape = NonCrossingPartition(parse_partition(shape_part).blocks)
+    shape = parse_partition(shape_part)
     if not colon:
         return DecoratedNC(shape)
     word = parse_word(word_part)

@@ -118,6 +118,22 @@ class TestMoebius:
         code, _ = run("moebius", "set", "{1,2}{3}", "{1,3}{2}")
         assert code == 1
 
+    @pytest.mark.parametrize("lattice,value", [("set", "-39916800"),
+                                               ("nc", "-58786")])
+    def test_twelve_elements_at_once(self, lattice, value):
+        lo = "".join(f"{{{x}}}" for x in range(1, 13))
+        hi = "{" + ",".join(map(str, range(1, 13))) + "}"
+        # a search over the coarsenings would run for hours
+        src = str(Path(__file__).parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "nc_hopf.cli", "moebius", lattice, lo, hi],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (0, value + "\n")
+        start = time.perf_counter()
+        assert run("moebius", lattice, lo, hi) == (0, value + "\n")
+        assert time.perf_counter() - start < 1.0
+
 
 class TestTransform:
     def test_free_symbolic_golden(self):
@@ -230,6 +246,17 @@ class TestTransform:
         err = capsys.readouterr().err
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("direction", ["m2k", "multi-m2k"])
+    def test_deeply_nested_json_is_parse_error(self, tmp_path, capsys,
+                                               direction):
+        f = tmp_path / "input.json"
+        f.write_text("[" * 100000)
+        code, out = run("transform", "free", "--direction", direction,
+                        "--in", str(f))
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_values_past_the_int_string_limit_print_in_full(self, tmp_path):
         # m_2 = c_1^2 + c_2 has 6000 digits, past str(int)'s default limit
@@ -347,6 +374,20 @@ class TestSplitAndTree:
         assert run("coproduct", "tree", subject) == (1, "")
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv", [
+        ["split", "P"], ["tree", "P"], ["tree", "P", "--coproduct"],
+        ["coproduct", "nc", "P"]])
+    def test_partition_subject_held_to_the_nc_cap(self, monkeypatch, capsys,
+                                                  argv):
+        monkeypatch.setenv("NCHOPF_MAX_N", "6")
+
+        def on(subject):
+            return [subject if a == "P" else a for a in argv]
+
+        assert run(*on("{1,7}{2}{3}{4}{5}{6}")) == (1, "")
+        assert "outside allowed range 1..6" in capsys.readouterr().err
+        assert run(*on("{1,6}{2}{3}{4}{5}"))[0] == 0
+
     def test_tree_coproduct_golden(self):
         code, out = run("tree", "{1,2}{3,4}{5,6}", "--coproduct")
         assert code == 0 and out == golden("tree_coproduct_crown.txt")
@@ -369,6 +410,14 @@ class TestVerify:
         code, out = run("verify", "counting", "--max-degree", "6", "--json")
         data = json.loads(out)
         assert data[0]["passed"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["all", "--max-degree", "2"],
+        ["counting", "--max-degree", "0"],
+        ["moebius", "--max-degree", "-1"]])
+    def test_bound_that_does_not_apply_is_domain_error(self, capsys, argv):
+        assert run("verify", *argv) == (1, "")
+        assert capsys.readouterr().err.startswith("error: --max-degree")
 
     def test_json_report_lists_every_failure(self, monkeypatch):
         # every generator fails: 3 + 9 words and 1 + 2 partitions

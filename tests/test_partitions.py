@@ -29,6 +29,7 @@ from nc_hopf.partitions import (
     singleton_partition,
     standardize,
 )
+from nc_hopf import partitions
 from nc_hopf.partitions import _blocks_noncrossing, _rgs_partitions
 
 
@@ -285,6 +286,25 @@ class TestAdmissibleSplits:
         assert len(admissible_splits(p)) == 8
 
 
+def moebius_by_definition(elements) -> dict:
+    """mu(x, y) on every interval of the lattice ``elements``, keyed by the
+    pair, from the definition: mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z)
+    over x <= z < y."""
+    # finer first: z < y has more blocks than y
+    order = sorted(elements, key=lambda p: -len(p.blocks))
+    below = {y: [z for z in order if z != y and refines(z, y)] for y in order}
+    out = {}
+    for x in order:
+        mu = {}
+        for y in order:
+            if y == x:
+                mu[y] = 1
+            elif refines(x, y):
+                mu[y] = -sum(mu[z] for z in below[y] if z in mu)
+        out.update(((x, y), v) for y, v in mu.items())
+    return out
+
+
 class TestMoebius:
     def test_closed_forms(self):
         for n in range(1, 8):
@@ -299,10 +319,30 @@ class TestMoebius:
         p = NonCrossingPartition.of([[1, 2], [3]])
         assert moebius("nc", p, p) == 1
 
+    @pytest.mark.parametrize("lattice,enum", [
+        ("set", enumerate_set_partitions), ("nc", enumerate_nc_partitions)])
+    def test_matches_the_definition_on_every_interval(self, lattice, enum):
+        for n in range(1, 7):
+            for (lo, hi), mu in moebius_by_definition(enum(n)).items():
+                assert moebius(lattice, lo, hi) == mu, (lo, hi)
+
+    def test_no_search_from_bottom_to_top(self, monkeypatch):
+        # the coarsening search would visit every partition of [12]
+        def no_search(*args):
+            raise AssertionError("moebius searched the lattice")
+
+        monkeypatch.setattr(partitions, "_rgs_partitions", no_search)
+        monkeypatch.setattr(partitions, "moebius_to_top", no_search)
+        lo = singleton_partition(range(1, 13))
+        hi = full_partition(range(1, 13))
+        assert moebius("nc", lo, hi) == -catalan_closed_form(11) == -58786
+        assert moebius("set", lo, hi) == -factorial(11) == -39916800
+
     def test_column_matches_per_interval_recursion(self):
+        # the recursion is the oracle of the closed form on every [pi, 1̂]
         for lattice, enum in (("set", enumerate_set_partitions),
                               ("nc", enumerate_nc_partitions)):
-            for n in range(1, 6):
+            for n in range(1, 8):
                 top = full_partition(range(1, n + 1))
                 column = moebius_to_top(lattice, n)
                 for p in enum(n):

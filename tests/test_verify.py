@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from nc_hopf.verify import SUITES, SuiteReport, run_suite
@@ -43,3 +45,12 @@ def test_small_unshuffle_run():
 def test_small_halfshuffle_run():
     reports = run_suite("halfshuffle", max_degree=3, trials=3)
     assert reports[0].passed
+
+
+def test_size_bound_is_the_first_parameter_of_every_suite():
+    # the CLI passes --max-degree positionally
+    bounds = {"max_n", "max_degree", "max_word_len", "truncation", "order"}
+    for name, fn in SUITES.items():
+        assert next(iter(inspect.signature(fn).parameters)) in bounds, name
+    report, = run_suite("roundtrip", 3)
+    assert report.passed and all("N=3" in c.label for c in report.checks)
