@@ -59,7 +59,7 @@ from .trees import (
     tree_text,
     tree_to_json,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITE_BOUNDS, SUITES, run_suite
 
 # accepted shorthand for suite names
 _SUITE_ALIASES = {
@@ -314,9 +314,10 @@ def _cmd_verify(args, out) -> int:
     bound = () if args.max_degree is None else (args.max_degree,)
     if bound and name == "all":
         raise NcHopfError("--max-degree applies to one suite, not 'all'")
-    if bound and args.max_degree < 1:
+    if bound and not 1 <= args.max_degree <= SUITE_BOUNDS[name][1]:
         raise NcHopfError(
-            f"--max-degree must be at least 1, not {args.max_degree}")
+            f"--max-degree for {name} runs from 1 to "
+            f"{SUITE_BOUNDS[name][1]}, not {args.max_degree}")
     reports = run_suite(name, *bound)
     if args.json:
         print(json.dumps([{

@@ -1,8 +1,13 @@
 """Exact coefficient arithmetic: big rationals and sparse multivariate polynomials.
 
-Coefficients are either ``fractions.Fraction`` or :class:`Poly`.  The two mix
-freely in arithmetic (a Fraction is absorbed as a constant polynomial), so the
-same code paths serve numeric and symbolic computations.
+A coefficient is an ``int``, a ``fractions.Fraction`` or a :class:`Poly`.  An
+integral value is kept as an ``int`` (Python's integers are much cheaper than
+``Fraction``), and a ``Fraction`` always has a denominator above 1: see
+:func:`exact`.  The three mix freely and exactly in arithmetic (a number is
+absorbed as a constant polynomial), and equal values compare and hash equal,
+so the same code paths serve integral, rational and symbolic computations.
+No code here or in the modules built on it uses true division (``/``), so
+integral inputs stay integral from end to end.
 
 A monomial is a tuple of ``(name, exponent)`` pairs sorted by name, with all
 exponents positive; the empty tuple is the constant monomial.  Zero terms are
@@ -17,10 +22,19 @@ from fractions import Fraction
 from typing import Union
 
 Monomial = tuple[tuple[str, int], ...]
-Coefficient = Union[Fraction, "Poly"]
+Coefficient = Union[int, Fraction, "Poly"]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
+
+
+def exact(value) -> int | Fraction:
+    """``value`` as an ``int`` when it is integral, else as a ``Fraction``
+    in lowest terms."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
@@ -36,12 +50,12 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: dict[Monomial, int | Fraction] | None = None):
+        clean: dict[Monomial, int | Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
+                c = exact(coeff)
+                if c:
                     clean[mono] = c
         self.terms = clean
 
@@ -51,7 +65,7 @@ class Poly:
 
     @classmethod
     def const(cls, value) -> "Poly":
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @staticmethod
     def _coerce(other) -> "Poly | None":
@@ -91,7 +105,7 @@ class Poly:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in p.terms.items():
                 mono = _mul_monomials(ma, mb)
@@ -117,17 +131,20 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if not self.terms:
                 return other == 0
-            return self.terms == {(): Fraction(other)}
+            return self.terms == {(): other}
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes as the number it equals
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), ZERO))
         return hash(frozenset(self.terms.items()))
 
-    def coefficient(self, mono: Monomial) -> Fraction:
+    def coefficient(self, mono: Monomial) -> int | Fraction:
         """Coefficient of the given monomial (zero if absent)."""
         return self.terms.get(tuple(sorted(mono)), ZERO)
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self) -> int | Fraction:
         """The value of a constant polynomial; error if any variable appears."""
         if not self.terms:
             return ZERO
@@ -190,7 +207,7 @@ def poly_str(p: Poly) -> str:
     return "".join(pieces)
 
 
-def fraction_str(x: Fraction) -> str:
+def fraction_str(x: int | Fraction) -> str:
     num = _digits(x.numerator)
     return num if x.denominator == 1 else f"{num}/{_digits(x.denominator)}"
 
@@ -226,15 +243,16 @@ def coeff_str(c: Coefficient) -> str:
     """Canonical text form of any coefficient."""
     if isinstance(c, Poly):
         return poly_str(c)
-    return fraction_str(Fraction(c))
+    return fraction_str(c)
 
 
 _RATIONAL = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*")
 
 
-def parse_fraction(text: str) -> Fraction:
+def parse_fraction(text: str) -> int | Fraction:
     """Parse ``p`` or ``p/q`` (an optional sign, ASCII digits, blanks around
-    the number) into an exact rational; any other form is a ParseError."""
+    the number) into an exact rational, an ``int`` when it is integral; any
+    other form is a ParseError."""
     from .errors import ParseError
 
     if not isinstance(text, str):
@@ -246,5 +264,5 @@ def parse_fraction(text: str) -> Fraction:
     denominator = _from_digits(den) if den else 1
     if denominator == 0:
         raise ParseError(f"zero denominator: {text[:40]!r}")
-    value = Fraction(_from_digits(num), denominator)
+    value = exact(Fraction(_from_digits(num), denominator))
     return -value if sign == "-" else value

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
 
 from .coefficients import ONE, ZERO, Coefficient
@@ -399,15 +398,19 @@ def check_infinitesimal(f: LinearFunctional, max_degree: int | None = None,
 
 def random_functional(algebra: Algebra, truncation: int, seed: int,
                       name: str = "") -> LinearFunctional:
-    """A dense functional with reproducible pseudo-random rational values,
-    vanishing at the unit (an element of the non-unital dual)."""
+    """A dense functional with reproducible pseudo-random integer values,
+    vanishing at the unit (an element of the non-unital dual).  Each value
+    is 60 times a rational num/den with |num| <= 20 and den <= 6, so it
+    stays an ``int``; the identities checked on these functionals are
+    multilinear in them, or hold for every one, so the scale changes no
+    check."""
 
     def ev(b: BarWord) -> Coefficient:
         digest = hashlib.sha256(
             f"{seed}:{barword_text(b)}".encode()).digest()
         num = int.from_bytes(digest[:4], "big") % 41 - 20
         den = digest[4] % 6 + 1
-        return Fraction(num, den)
+        return num * (60 // den)
 
     return LinearFunctional(algebra, truncation, ev,
                             unit_value=ZERO, name=name or f"rand{seed}")

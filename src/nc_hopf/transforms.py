@@ -5,17 +5,29 @@ results compared; a disagreement raises InconsistencyError because the
 redundancy exists to catch implementation drift, not input problems.
 
 Sequences carry Coefficient values, so the same code runs numerically over
-Fraction inputs and symbolically over polynomial indeterminates (c1, c2, ...
+rational inputs and symbolically over polynomial indeterminates (c1, c2, ...
 or k1, k2, ...).  Each call first checks its order against the size cap of
 the lattice it sums over (``check_enumeration_size``), before any work.
+
+Rational inputs are run on integers.  Every transform here is graded:
+scaling the variable by lam multiplies each moment and cumulant of degree n
+(a word of length n, for a multivariate table) by lam^n, because each term
+of every route is a product of values whose degrees add up to n (Nica &
+Speicher, *Lectures on the Combinatorics of Free Probability*, Lecture 11).
+So with D the lcm of the input denominators, each degree-n input is
+multiplied by D^n, which makes it an integer; every route, route comparison
+and round trip runs unchanged on those integers, using only +, - and *; and
+each degree-n result is divided by D^n once at the end.  No step rounds, so
+the results equal those of the routes run on the rationals themselves.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product as iter_product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .coefficients import (
     ONE,
@@ -23,6 +35,7 @@ from .coefficients import (
     Coefficient,
     Poly,
     coeff_str,
+    exact,
     parse_fraction,
 )
 from .errors import CarrierMismatchError, InconsistencyError, ParseError
@@ -99,6 +112,25 @@ def symbolic_cumulants(order: int, flavor: str) -> CumulantSequence:
 def symbolic_moments(order: int) -> MomentSequence:
     """Indeterminate moments m1..mN (with m_0 = 1)."""
     return MomentSequence.of(Poly.var(f"m{i}") for i in range(1, order + 1))
+
+
+def _degree_scaled(solve, values, degrees=None) -> list:
+    """``solve(values)`` for a graded ``solve``, run on integers (see the
+    module docstring).  ``degrees[i]`` is the degree of ``values[i]`` and
+    of the i-th result of ``solve``; by default the degrees are 1, 2, ...
+    When a value is not a rational (a Poly), or D = 1, ``solve`` runs on
+    the values as given."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return solve(values)
+    d = lcm(*(v.denominator for v in values))
+    if d == 1:
+        return solve(values)
+    degrees = range(1, len(values) + 1) if degrees is None else degrees
+    power = [d ** n for n in range(max(degrees, default=0) + 1)]
+    scaled = [v.numerator * (power[n] // v.denominator)
+              for v, n in zip(values, degrees)]
+    return [exact(Fraction(r, power[n]))
+            for r, n in zip(solve(scaled), degrees)]
 
 
 def _require_agreement(routes: dict[str, list], context: str):
@@ -207,19 +239,30 @@ def classical_moments_from_cumulants(c: CumulantSequence) -> MomentSequence:
     if c.flavor != CLASSICAL:
         raise ValueError("expected classical cumulants")
     check_enumeration_size("set", c.order)
+    return MomentSequence.of(_degree_scaled(_classical_moments, c.values))
+
+
+def _classical_moments(values) -> list:
+    c = CumulantSequence(tuple(values), CLASSICAL)
     via_bell = bell_polynomials(c)[1:]
     via_partitions = [_type_sum(c.cumulant, n, _set_count)
                       for n in range(1, c.order + 1)]
     _require_agreement(
         {"bell-recursion": via_bell, "partition-sum": via_partitions},
         "classical moments")
-    return MomentSequence.of(via_bell)
+    return via_bell
 
 
 def classical_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     """c_n by Möbius inversion over the partition lattice, cross-checked by
     running the forward Bell recursion on the result."""
     check_enumeration_size("set", m.order)
+    return CumulantSequence(
+        tuple(_degree_scaled(_classical_cumulants, m.values[1:])), CLASSICAL)
+
+
+def _classical_cumulants(values) -> list:
+    m = MomentSequence.of(values)
     c = CumulantSequence(
         tuple(_type_sum(m.moment, n, _set_moebius)
               for n in range(1, m.order + 1)), CLASSICAL)
@@ -227,7 +270,7 @@ def classical_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     if tuple(back) != m.values[1:]:
         raise InconsistencyError(
             "classical cumulants: Möbius inversion does not round-trip")
-    return c
+    return list(c.values)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +320,18 @@ def free_moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
     if k.flavor != FREE:
         raise ValueError("expected free cumulants")
     check_enumeration_size("nc", k.order)
+    return MomentSequence.of(_degree_scaled(_free_moments, k.values))
+
+
+def _free_moments(values) -> list:
+    k = CumulantSequence(tuple(values), FREE)
     routes = {
         "nc-sum": _free_moments_nc_sum(k),
         "fixed-point": _free_moments_fixed_point(k),
         "series": _free_moments_series(k),
     }
     _require_agreement(routes, "free moments")
-    return MomentSequence.of(routes["nc-sum"])
+    return routes["nc-sum"]
 
 
 def _extracted_cumulants(alphabet, order: int, moment):
@@ -299,6 +347,12 @@ def free_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     """k_n by Möbius inversion over the non-crossing lattice, cross-checked
     against extraction from the multiplicative extension of the moments."""
     check_enumeration_size("nc", m.order)
+    return CumulantSequence(
+        tuple(_degree_scaled(_free_cumulants, m.values[1:])), FREE)
+
+
+def _free_cumulants(values) -> list:
+    m = MomentSequence.of(values)
     via_moebius = [_type_sum(m.moment, n, _nc_moebius)
                    for n in range(1, m.order + 1)]
     kappa = _extracted_cumulants(("a",), m.order,
@@ -307,7 +361,7 @@ def free_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     _require_agreement(
         {"nc-moebius": via_moebius, "fixed-point-extraction": via_extraction},
         "free cumulants")
-    return CumulantSequence(tuple(via_moebius), FREE)
+    return via_moebius
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +448,26 @@ def generalized_free_cumulants(phi: MultiMomentMap) -> MultiCumulantMap:
     the double tensor algebra; the two must agree."""
     check_enumeration_size("nc", phi.order)
     words = list(_letter_tuples(phi.alphabet, range(1, phi.order + 1)))
-    via_recursion = _lattice_cumulants(
-        lambda letters: phi.value(Word(letters)), words)
-    via_extraction = _extracted_cumulants(phi.alphabet, phi.order, phi.value)
-    for letters in words:
-        kappa = via_extraction(letters)
-        if kappa != via_recursion[letters]:
-            raise InconsistencyError(
-                f"generalized cumulants disagree at {'.'.join(letters)}: "
-                f"{coeff_str(via_recursion[letters])} vs {coeff_str(kappa)}")
-    return MultiCumulantMap(phi.alphabet, phi.order, via_recursion)
+
+    def solve(moments) -> list:
+        table = dict(zip(words, moments))
+        via_recursion = _lattice_cumulants(table.__getitem__, words)
+        via_extraction = _extracted_cumulants(
+            phi.alphabet, phi.order, lambda w: table[w.letters])
+        for letters in words:
+            kappa = via_extraction(letters)
+            if kappa != via_recursion[letters]:
+                raise InconsistencyError(
+                    f"generalized cumulants disagree at {'.'.join(letters)}: "
+                    f"{coeff_str(via_recursion[letters])} vs "
+                    f"{coeff_str(kappa)}")
+        return [via_recursion[letters] for letters in words]
+
+    cumulants = _degree_scaled(
+        solve, [phi.value(Word(letters)) for letters in words],
+        [len(letters) for letters in words])
+    return MultiCumulantMap(phi.alphabet, phi.order,
+                            dict(zip(words, cumulants)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .functionals import (
     NC,
     WORDS,
     Algebra,
+    LinearFunctional,
     augmentation,
     check_character,
     convolve,
@@ -134,6 +135,15 @@ def _apply_right(terms: LinComb, variant: str) -> LinComb:
     return out
 
 
+def _rational(f: LinearFunctional) -> LinearFunctional:
+    """f / 60, of the same class as f.  On a random functional this gives
+    back the rationals num/den whose 60-fold it holds.  One trial of each
+    suite that draws random functionals runs on these, so values that mix
+    ``int`` and ``Fraction`` stay checked."""
+    return type(f)(f.algebra, f.truncation, lambda b: Fraction(f(b), 60),
+                   unit_value=f.unit_value, name=f.name)
+
+
 def _elements(kind: str, alphabet: tuple[str, ...], degree: int) -> list:
     """Single generator atoms of the given degree on the chosen bialgebra."""
     if kind == WORDS:
@@ -225,9 +235,9 @@ def _sample_barwords(algebra: Algebra, max_degree: int,
 
 def verify_halfshuffle(max_degree: int = 6, trials: int = 100,
                        seed: int = 7, per_degree: int = 4) -> SuiteReport:
-    """Dual shuffle axioms for random rational functionals on both
-    bialgebras, evaluated on a random sample of basis bar words per degree,
-    plus the unit laws with the augmentation."""
+    """Dual shuffle axioms for random functionals on both bialgebras,
+    evaluated on a random sample of basis bar words per degree, plus the
+    unit laws with the augmentation."""
     report = SuiteReport("halfshuffle")
     for kind in (WORDS, NC):
         algebra = Algebra(kind, ("a", "b"))
@@ -239,6 +249,8 @@ def verify_halfshuffle(max_degree: int = 6, trials: int = 100,
             f = random_functional(algebra, max_degree, seed * 1000 + trial * 3)
             g = random_functional(algebra, max_degree, seed * 1000 + trial * 3 + 1)
             h = random_functional(algebra, max_degree, seed * 1000 + trial * 3 + 2)
+            if trial == 0:
+                f, g, h = _rational(f), _rational(g), _rational(h)
             e = augmentation(algebra, max_degree)
             a1_l = half_convolve(half_convolve(f, g, "left"), h, "left")
             a1_r = half_convolve(f, convolve(g, h), "left")
@@ -305,6 +317,8 @@ def verify_sp_morphism(max_word_len: int = 6,
     for trial in range(trials):
         f = random_functional(nc_algebra, functional_degree, seed + 100 + trial)
         g = random_functional(nc_algebra, functional_degree, seed + 200 + trial)
+        if trial == 0:
+            f, g = _rational(f), _rational(g)
         pairs = {
             "*": (pullback_sp(convolve(f, g)),
                   convolve(pullback_sp(f), pullback_sp(g))),
@@ -348,7 +362,8 @@ def verify_character_bijection(truncation: int = 8, commute_degree: int = 6,
     report.add("generator recovered exactly", not bad, _failing(bad))
 
     nc_algebra = Algebra(NC, ("a",))
-    kappa_nc = random_infinitesimal(nc_algebra, commute_degree, seed + 1)
+    kappa_nc = _rational(
+        random_infinitesimal(nc_algebra, commute_degree, seed + 1))
     lhs = pullback_sp(exp_prec(kappa_nc))
     rhs = exp_prec(pullback_sp(kappa_nc))
     words_algebra = Algebra(WORDS, ("a",))
@@ -408,9 +423,8 @@ def verify_keyrell(max_n: int = 6, seed: int = 31,
     bad = []
     for n in range(1, max_n + 1):
         w = Word(alphabet[:n])
-        total = sum((kappa_powers(shape, w, lambda v: solved[v.letters])
-                     for shape in enumerate_nc_partitions(n)),
-                    start=Fraction(0))
+        total = sum(kappa_powers(shape, w, lambda v: solved[v.letters])
+                    for shape in enumerate_nc_partitions(n))
         if total != phi_fn(w.letters):
             bad.append(w.text())
     report.add(f"lattice sum of cumulant block products = moments, n ≤ {max_n}",
@@ -453,8 +467,8 @@ def verify_semicircular(order: int = 8) -> SuiteReport:
     Catalan numbers and vanishing odd moments; the oracle is a brute-force
     count of non-crossing partitions into pairs."""
     report = SuiteReport("semicircular")
-    k = CumulantSequence((Fraction(0), Fraction(1)) +
-                         (Fraction(0),) * (order - 2), FREE)
+    k = CumulantSequence(tuple(int(n == 2) for n in range(1, order + 1)),
+                         FREE)
     m = free_moments_from_cumulants(k)
     bad = []
     for n in range(1, order + 1):
@@ -577,6 +591,25 @@ SUITES = {
     "semicircular": verify_semicircular,
     "tree-consistency": verify_tree_consistency,
     "moebius": verify_moebius,
+}
+
+
+# Each suite's size bound (its first parameter): (default, ceiling).  The
+# ceiling is the largest bound that runs in under a minute and 600 MB on a
+# 2-vCPU machine; one step past it costs several times more, in time or
+# memory (moebius at 10 runs for minutes, counting at 11 takes 928 MB).
+SUITE_BOUNDS = {
+    "counting": (10, 10),
+    "coassociativity": (6, 7),
+    "unshuffle": (5, 8),
+    "halfshuffle": (6, 8),
+    "sp-morphism": (6, 7),
+    "character-bijection": (8, 12),
+    "keyrell": (6, 9),
+    "roundtrip": (8, 12),
+    "semicircular": (8, 12),
+    "tree-consistency": (6, 9),
+    "moebius": (7, 9),
 }
 
 

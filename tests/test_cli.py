@@ -12,7 +12,7 @@ import nc_hopf.cli
 import nc_hopf.transforms
 import nc_hopf.verify
 from nc_hopf.cli import main
-from nc_hopf.verify import SuiteReport
+from nc_hopf.verify import SUITE_BOUNDS, SuiteReport
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -418,6 +418,27 @@ class TestVerify:
     def test_bound_that_does_not_apply_is_domain_error(self, capsys, argv):
         assert run("verify", *argv) == (1, "")
         assert capsys.readouterr().err.startswith("error: --max-degree")
+
+    @pytest.mark.parametrize("name", sorted(SUITE_BOUNDS))
+    def test_bound_past_the_ceiling_is_domain_error(self, capsys, name):
+        past = str(SUITE_BOUNDS[name][1] + 1)
+        start = time.perf_counter()
+        assert run("verify", name, "--max-degree", past) == (1, "")
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith(
+            f"error: --max-degree for {name} runs from 1 to "
+            f"{SUITE_BOUNDS[name][1]}, not {past}")
+
+    def test_bound_past_the_ceiling_exits_one_at_once(self):
+        # moebius at 12 would walk every coarsening for hours
+        src = str(Path(__file__).parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "nc_hopf.cli", "verify", "moebius",
+             "--max-degree", "12"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: --max-degree")
 
     def test_json_report_lists_every_failure(self, monkeypatch):
         # every generator fails: 3 + 9 words and 1 + 2 partitions

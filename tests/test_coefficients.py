@@ -1,10 +1,14 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nc_hopf.coefficients import (
+    ONE,
+    ZERO,
     Poly,
     coeff_str,
     fraction_str,
@@ -99,6 +103,44 @@ def test_hash_consistent_with_equality():
     p = Poly.var("x") + 1
     q = 1 + Poly.var("x")
     assert p == q and hash(p) == hash(q)
+
+
+def test_integral_values_are_ints():
+    assert type(ZERO) is int and type(ONE) is int
+    p = Poly({(): Fraction(4, 2), (("x", 1),): Fraction(0), (("y", 1),): 0})
+    assert p.terms == {(): 2} and type(p.terms[()]) is int
+    assert type(Poly.const(Fraction(6, 3)).as_fraction()) is int
+    assert type((Poly.var("x") * Fraction(1, 2) * 2).coefficient(
+        (("x", 1),))) is int
+    assert Poly.const(Fraction(1, 2)).terms == {(): Fraction(1, 2)}
+
+
+def test_parse_fraction_keeps_integers_int():
+    for text, value in (("6/3", 2), ("-0", 0), ("5", 5), ("-4/2", -2)):
+        assert parse_fraction(text) == value
+        assert type(parse_fraction(text)) is int
+    assert parse_fraction("1/2") == Fraction(1, 2)
+    assert type(parse_fraction("1/2")) is Fraction
+
+
+@pytest.mark.parametrize("number", [0, 2, -7, Fraction(2), Fraction(-1, 3)])
+def test_constant_poly_equals_and_hashes_as_its_number(number):
+    p = Poly.const(number)
+    assert p == number and number == p
+    assert hash(p) == hash(number)
+    assert len({p, number}) == 1
+
+
+def test_no_true_division_in_src():
+    # an int / int is a float: exact arithmetic uses Fraction(p, q) or //
+    root = Path(__file__).resolve().parents[1] / "src"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 names = st.sampled_from(["x", "y", "z"])

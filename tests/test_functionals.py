@@ -144,6 +144,20 @@ class TestConvolution:
                 assert half_convolve(e, f, "left")(b) == 0
                 assert half_convolve(f, e, "right")(b) == 0
 
+    def test_convolution_is_associative_on_mixed_values(self):
+        # the dual of coassociativity; g takes Fraction values, f and h int
+        f = random_functional(AB, 4, seed=15)
+        base = random_functional(AB, 4, seed=16)
+        g = InfinitesimalCharacter.from_atoms(
+            AB, 4, lambda atom: Fraction(base((atom,)), 7))
+        h = random_functional(AB, 4, seed=17)
+        lhs, rhs = convolve(convolve(f, g), h), convolve(f, convolve(g, h))
+        bars = [b for d in range(1, 5) for b in AB.barwords(d)]
+        assert all(type(f(b)) is int for b in bars)
+        assert any(type(g(b)) is Fraction for b in bars)
+        for b in bars:
+            assert lhs(b) == rhs(b), b
+
     def test_convolution_unit(self):
         f = random_functional(AB, 4, seed=14)
         e = augmentation(AB, 4)

@@ -5,8 +5,12 @@ from fractions import Fraction
 import pytest
 
 from nc_hopf import transforms
-from nc_hopf.coefficients import Poly, poly_str
-from nc_hopf.errors import CarrierMismatchError, SizeLimitError
+from nc_hopf.coefficients import Poly, exact, poly_str
+from nc_hopf.errors import (
+    CarrierMismatchError,
+    InconsistencyError,
+    SizeLimitError,
+)
 from nc_hopf.partitions import (
     NonCrossingPartition,
     catalan_number,
@@ -367,3 +371,109 @@ class TestJson:
         data = {"alphabet": ["a", "b"], "values": {"a": "1", "a.a": "2"}}
         with pytest.raises(ParseError):
             multi_moment_map_from_json(data)
+
+
+# A rational as the transforms meet it: zeros, negatives, integers, small
+# denominators and large coprime ones.
+DENOMINATORS = (1, 1, 2, 3, 4, 6, 7, 9973, 10007)
+
+
+def scaling_input(rng):
+    if rng.random() < 0.15:
+        return 0
+    return exact(Fraction(rng.randint(-30, 30), rng.choice(DENOMINATORS)))
+
+
+def as_given(solve, values, degrees=None):
+    """``transforms._degree_scaled`` with no scaling: the routes run on the
+    rationals themselves."""
+    return solve(values)
+
+
+def assert_exact(values):
+    # an integral value is an int, any other a Fraction in lowest terms
+    for v in values:
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+class TestDegreeScaling:
+    @pytest.mark.parametrize("direction", ["k2m", "m2k", "c2m", "m2c"])
+    def test_equals_the_routes_on_rationals(self, monkeypatch, direction):
+        rng = random.Random(f"scaling:{direction}")
+        moments_out = direction in ("k2m", "c2m")
+        flavor = FREE if direction in ("k2m", "m2k") else CLASSICAL
+        transform = {"k2m": free_moments_from_cumulants,
+                     "m2k": free_cumulants_from_moments,
+                     "c2m": classical_moments_from_cumulants,
+                     "m2c": classical_cumulants_from_moments}[direction]
+        for _ in range(250):
+            values = tuple(scaling_input(rng)
+                           for _ in range(rng.randint(1, 8)))
+            seq = (CumulantSequence(values, flavor) if moments_out
+                   else MomentSequence.of(values))
+            out = transform(seq)
+            with monkeypatch.context() as patch:
+                patch.setattr(transforms, "_degree_scaled", as_given)
+                expect = transform(seq)
+            assert out.values == expect.values, values
+            assert_exact(out.values)
+            if moments_out:
+                assert out.values[0] == 1 and type(out.values[0]) is int
+
+    def test_multivariate_equals_the_routes_on_rationals(self, monkeypatch):
+        rng = random.Random("scaling:multi")
+        for _ in range(200):
+            alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+            order = rng.randint(1, 4 if len(alphabet) < 3 else 3)
+            phi = MultiMomentMap.from_function(
+                alphabet, order, lambda w: scaling_input(rng))
+            out = generalized_free_cumulants(phi)
+            with monkeypatch.context() as patch:
+                patch.setattr(transforms, "_degree_scaled", as_given)
+                expect = generalized_free_cumulants(phi)
+            assert out.table == expect.table
+            assert_exact(out.table.values())
+
+    @pytest.mark.parametrize("direction,route", [
+        ("k2m", "_free_moments_series"),
+        ("m2k", "_extracted_cumulants"),
+        ("c2m", "bell_polynomials"),
+        ("m2c", "bell_polynomials"),
+        ("multi", "_lattice_cumulants"),
+    ])
+    def test_a_disagreeing_route_still_raises(self, monkeypatch, direction,
+                                              route):
+        # the comparison runs on the scaled integers, not around them
+        real = getattr(transforms, route)
+        seen = []
+
+        def broken(*args):
+            out = real(*args)
+            if callable(out):  # letters -> kappa
+                def off(letters):
+                    seen.append(out(letters))
+                    return seen[-1] + (len(letters) == 4)
+                return off
+            if isinstance(out, dict):  # letters -> kappa
+                seen.extend(out.values())
+                key = max(out, key=len)
+                return {**out, key: out[key] + 1}
+            seen.extend(out)
+            return [*out[:-1], out[-1] + 1]
+
+        monkeypatch.setattr(transforms, route, broken)
+        values = (Fraction(1, 3), Fraction(-2, 7), 5, Fraction(1, 9973))
+        with pytest.raises(InconsistencyError):
+            if direction == "k2m":
+                free_moments_from_cumulants(CumulantSequence(values, FREE))
+            elif direction == "m2k":
+                free_cumulants_from_moments(MomentSequence.of(values))
+            elif direction == "c2m":
+                classical_moments_from_cumulants(
+                    CumulantSequence(values, CLASSICAL))
+            elif direction == "m2c":
+                classical_cumulants_from_moments(MomentSequence.of(values))
+            else:
+                generalized_free_cumulants(MultiMomentMap.from_function(
+                    ("a", "b"), 3, lambda w: values[w.degree]))
+        assert seen and all(type(v) is int for v in seen)

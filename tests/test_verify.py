@@ -1,8 +1,26 @@
+import importlib.util
 import inspect
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nc_hopf.verify import SUITES, SuiteReport, run_suite
+import nc_hopf.verify
+from nc_hopf.functionals import (
+    WORDS,
+    Algebra,
+    random_functional,
+    random_infinitesimal,
+)
+from nc_hopf.verify import (
+    SUITE_BOUNDS,
+    SUITES,
+    SuiteReport,
+    _rational,
+    run_suite,
+)
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def test_report_plumbing():
@@ -54,3 +72,45 @@ def test_size_bound_is_the_first_parameter_of_every_suite():
         assert next(iter(inspect.signature(fn).parameters)) in bounds, name
     report, = run_suite("roundtrip", 3)
     assert report.passed and all("N=3" in c.label for c in report.checks)
+
+
+def test_every_suite_has_a_default_and_a_ceiling():
+    assert set(SUITE_BOUNDS) == set(SUITES)
+    for name, (default, ceiling) in SUITE_BOUNDS.items():
+        first = next(iter(inspect.signature(SUITES[name]).parameters.values()))
+        assert first.default == default <= ceiling, name
+
+
+def test_benchmark_bounds_are_within_the_ceilings():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    bounds = [(argv[1], int(argv[argv.index("--max-degree") + 1]))
+              for _, argv, _ in workloads.deck(workloads.CLI_COLD, 1, 0)
+              if argv[0] == "verify" and "--max-degree" in argv]
+    assert len(bounds) >= 7
+    for name, bound in bounds:
+        assert 1 <= bound <= SUITE_BOUNDS[name][1], name
+
+
+def test_one_trial_per_suite_runs_on_fraction_values():
+    algebra = Algebra(WORDS, ("a", "b"))
+    bars = [b for d in range(1, 4) for b in algebra.barwords(d)]
+    for f in (random_functional(algebra, 3, seed=5),
+              random_infinitesimal(algebra, 3, seed=6)):
+        q = _rational(f)
+        assert type(q) is type(f) and q.unit_value == f.unit_value == 0
+        assert all(type(f(b)) is int and q(b) * 60 == f(b) for b in bars)
+        assert any(type(q(b)) is Fraction and q(b).denominator > 1
+                   for b in bars)
+
+
+def test_semicircular_runs_the_transform_at_its_own_order(monkeypatch):
+    seen = []
+    real = nc_hopf.verify.free_moments_from_cumulants
+    monkeypatch.setattr(nc_hopf.verify, "free_moments_from_cumulants",
+                        lambda k: seen.append(k.values) or real(k))
+    for order in (1, 2, 5):
+        assert run_suite("semicircular", order)[0].passed
+    assert seen == [(0,), (0, 1), (0, 1, 0, 0, 0)]
