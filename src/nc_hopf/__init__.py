@@ -1,90 +1,135 @@
 """Exact combinatorics of non-crossing partitions, the two unshuffle
 bialgebras built on them, and the moment-cumulant transforms of free
-probability."""
+probability.
 
-from .coefficients import Coefficient, Poly, coeff_str, poly_str
-from .errors import (
-    AlgebraMismatchError,
-    CarrierMismatchError,
-    InconsistencyError,
-    NcHopfError,
-    OrderError,
-    ParseError,
-    SizeLimitError,
-    TruncationError,
-)
-from .functionals import (
-    Algebra,
-    Character,
-    InfinitesimalCharacter,
-    LinearFunctional,
-    augmentation,
-    check_character,
-    check_infinitesimal,
-    convolve,
-    exp_prec,
-    extend_multiplicative,
-    extract_infinitesimal,
-    half_convolve,
-    pullback_sp,
-    random_functional,
-    random_infinitesimal,
-    solve_left_fixed_point,
-    standard_section,
-)
-from .partitions import (
-    NonCrossingPartition,
-    SetPartition,
-    admissible_splits,
-    bell_number,
-    catalan_number,
-    enumerate_nc_partitions,
-    enumerate_set_partitions,
-    full_partition,
-    is_noncrossing,
-    moebius,
-    moebius_to_top,
-    parse_partition,
-    singleton_partition,
-    standardize,
-)
-from .tensor import (
-    UNIT,
-    DecoratedNC,
-    Word,
-    barword_text,
-    delta_bar,
-    delta_nc,
-    delta_word,
-    parse_atom,
-    parse_word,
-    sp,
-    tensor_text,
-)
-from .transforms import (
-    CumulantSequence,
-    MomentSequence,
-    MultiCumulantMap,
-    MultiMomentMap,
-    bell_polynomials,
-    classical_cumulants_from_moments,
-    classical_moments_from_cumulants,
-    free_cumulants_from_moments,
-    free_moments_from_cumulants,
-    generalized_free_cumulants,
-    kappa_powers,
-    symbolic_cumulants,
-    symbolic_moments,
-)
-from .trees import (
-    EdgeCut,
-    admissible_edge_cuts,
-    hierarchy_tree,
-    parse_tree,
-    tree_coproduct,
-    tree_degree,
-    tree_text,
-)
-from .verify import SuiteReport, run_suite
+Every submodule below ``cli`` is registered lazily: it sits in
+``sys.modules`` and is an attribute of this package from the start, but its
+code runs only when one of its attributes is first read.  So a CLI command
+pays only for the layers it touches.  The names this package exports are
+read from their modules on access (PEP 562)."""
 
+import importlib.util
+import sys
+
+_EXPORTS = {
+    "coefficients": ("Coefficient", "Poly", "coeff_str", "poly_str"),
+    "errors": (
+        "AlgebraMismatchError",
+        "CarrierMismatchError",
+        "InconsistencyError",
+        "NcHopfError",
+        "OrderError",
+        "ParseError",
+        "SizeLimitError",
+        "TruncationError",
+    ),
+    "functionals": (
+        "Algebra",
+        "Character",
+        "InfinitesimalCharacter",
+        "LinearFunctional",
+        "augmentation",
+        "check_character",
+        "check_infinitesimal",
+        "convolve",
+        "exp_prec",
+        "extend_multiplicative",
+        "extract_infinitesimal",
+        "half_convolve",
+        "pullback_sp",
+        "random_functional",
+        "random_infinitesimal",
+        "solve_left_fixed_point",
+        "standard_section",
+    ),
+    "partitions": (
+        "NonCrossingPartition",
+        "SetPartition",
+        "admissible_splits",
+        "bell_number",
+        "catalan_number",
+        "enumerate_nc_partitions",
+        "enumerate_set_partitions",
+        "full_partition",
+        "is_noncrossing",
+        "moebius",
+        "moebius_to_top",
+        "parse_partition",
+        "singleton_partition",
+        "standardize",
+    ),
+    "tensor": (
+        "UNIT",
+        "DecoratedNC",
+        "Word",
+        "barword_text",
+        "delta_bar",
+        "delta_nc",
+        "delta_word",
+        "parse_atom",
+        "parse_word",
+        "sp",
+        "tensor_text",
+    ),
+    "transforms": (
+        "CumulantSequence",
+        "MomentSequence",
+        "MultiCumulantMap",
+        "MultiMomentMap",
+        "bell_polynomials",
+        "classical_cumulants_from_moments",
+        "classical_moments_from_cumulants",
+        "free_cumulants_from_moments",
+        "free_moments_from_cumulants",
+        "generalized_free_cumulants",
+        "kappa_powers",
+        "symbolic_cumulants",
+        "symbolic_moments",
+    ),
+    "trees": (
+        "EdgeCut",
+        "admissible_edge_cuts",
+        "hierarchy_tree",
+        "parse_tree",
+        "tree_coproduct",
+        "tree_degree",
+        "tree_text",
+    ),
+    "verify": ("SuiteReport", "run_suite"),
+}
+
+# exported name -> the submodule that defines it
+_ORIGIN = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+
+__all__ = sorted(_ORIGIN)
 __version__ = "0.1.0"
+
+
+def _register_lazily(name: str):
+    """Put submodule ``name`` in ``sys.modules`` and on this package without
+    running it; its first attribute read runs it."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    loader.exec_module(module)
+    globals()[name] = module
+
+
+# ``cli`` is left out: ``python -m nc_hopf.cli`` must find it unimported
+for _name in ("errors", "config", "coefficients", "partitions", "tensor",
+              "functionals", "transforms", "trees", "verify"):
+    _register_lazily(_name)
+del _name
+
+
+def __getattr__(name: str):
+    if name in _ORIGIN:
+        return getattr(globals()[_ORIGIN[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ORIGIN})

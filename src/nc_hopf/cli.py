@@ -16,50 +16,12 @@ import argparse
 import json
 import sys
 
-from .coefficients import coeff_str
+# The layer modules are registered lazily by the package and run on first
+# use, so each command runs only the layers it calls; ``errors`` is read by
+# the handlers in ``main`` whatever the command.
+from . import (coefficients, partitions, tensor, transforms, trees,
+               verify)
 from .errors import InconsistencyError, NcHopfError, ParseError
-from .partitions import (
-    NonCrossingPartition,
-    admissible_splits,
-    bell_number,
-    catalan_number,
-    check_enumeration_size,
-    enumerate_nc_partitions,
-    enumerate_set_partitions,
-    moebius,
-    parse_partition,
-)
-from .tensor import (
-    DecoratedNC,
-    barword_text,
-    delta_nc,
-    delta_word,
-    parse_word,
-    tensor_text,
-)
-from .transforms import (
-    CLASSICAL,
-    FREE,
-    classical_cumulants_from_moments,
-    classical_moments_from_cumulants,
-    cumulant_sequence_from_json,
-    free_cumulants_from_moments,
-    free_moments_from_cumulants,
-    generalized_free_cumulants,
-    moment_sequence_from_json,
-    multi_moment_map_from_json,
-    symbolic_cumulants,
-    symbolic_moments,
-)
-from .trees import (
-    gapped_hierarchy_tree,
-    parse_tree,
-    tree_coproduct,
-    tree_tensor_text,
-    tree_text,
-    tree_to_json,
-)
-from .verify import SUITE_BOUNDS, SUITES, run_suite
 
 # accepted shorthand for suite names
 _SUITE_ALIASES = {
@@ -132,23 +94,23 @@ def _read_json(path: str):
             raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
-def _parse_shape(text: str) -> NonCrossingPartition:
+def _parse_shape(text: str) -> partitions.NonCrossingPartition:
     """A partition subject, held to the non-crossing cap: its coproduct,
     splits and tree cuts run over up to 2^k subsets of its k blocks."""
-    shape = parse_partition(text)
-    check_enumeration_size("nc", shape.size)
+    shape = partitions.parse_partition(text)
+    partitions.check_enumeration_size("nc", shape.size)
     return shape
 
 
 def _cmd_enumerate(args, out) -> int:
     if args.count:
-        check_enumeration_size(args.lattice, args.n)
-        count = (catalan_number(args.n) if args.lattice == "nc"
-                 else bell_number(args.n))
+        partitions.check_enumeration_size(args.lattice, args.n)
+        count = (partitions.catalan_number(args.n) if args.lattice == "nc"
+                 else partitions.bell_number(args.n))
         print(json.dumps({"count": count}) if args.json else count, file=out)
         return 0
-    enum = (enumerate_nc_partitions if args.lattice == "nc"
-            else enumerate_set_partitions)
+    enum = (partitions.enumerate_nc_partitions if args.lattice == "nc"
+            else partitions.enumerate_set_partitions)
     parts = enum(args.n)
     if args.json:
         print(json.dumps([p.to_json() for p in parts]), file=out)
@@ -161,62 +123,64 @@ def _cmd_enumerate(args, out) -> int:
 def _coproduct_rows(terms, legs) -> list[dict]:
     """JSON rows of a coproduct value: the coefficient, then the fields that
     ``legs`` makes of each key."""
-    return [{"coefficient": coeff_str(c), **legs(key)}
+    return [{"coefficient": coefficients.coeff_str(c), **legs(key)}
             for key, c in sorted(terms.items(), key=lambda kv: str(kv[0]))]
 
 
 def _tree_legs(key) -> dict:
     rooted, pruned = key
-    return {"rooted": tree_text(rooted),
-            "pruned": [tree_text(t) for t in pruned]}
+    return {"rooted": trees.tree_text(rooted),
+            "pruned": [trees.tree_text(t) for t in pruned]}
 
 
 def _barword_legs(key) -> dict:
     left, right = key
-    return {"left": barword_text(left), "right": barword_text(right)}
+    return {"left": tensor.barword_text(left),
+            "right": tensor.barword_text(right)}
 
 
 def _cmd_coproduct(args, out) -> int:
     if args.kind == "tree":
-        terms = tree_coproduct(parse_tree(args.subject))
+        terms = trees.tree_coproduct(trees.parse_tree(args.subject))
         if args.json:
             print(json.dumps(_coproduct_rows(terms, _tree_legs)), file=out)
         else:
-            print(tree_tensor_text(terms), file=out)
+            print(trees.tree_tensor_text(terms), file=out)
         return 0
     if args.kind == "nc":
-        terms = delta_nc(DecoratedNC(_parse_shape(args.subject)))
+        terms = tensor.delta_nc(
+            tensor.DecoratedNC(_parse_shape(args.subject)))
     else:
-        terms = delta_word(parse_word(args.subject))
+        terms = tensor.delta_word(tensor.parse_word(args.subject))
     if args.json:
         print(json.dumps(_coproduct_rows(terms, _barword_legs)), file=out)
     else:
-        print(tensor_text(terms), file=out)
+        print(tensor.tensor_text(terms), file=out)
     return 0
 
 
 def _cmd_moebius(args, out) -> int:
     noncrossing = args.lattice == "nc"
-    lo = parse_partition(args.lo, noncrossing=noncrossing)
-    hi = parse_partition(args.hi, noncrossing=noncrossing)
-    value = moebius(args.lattice, lo, hi)
+    lo = partitions.parse_partition(args.lo, noncrossing=noncrossing)
+    hi = partitions.parse_partition(args.hi, noncrossing=noncrossing)
+    value = partitions.moebius(args.lattice, lo, hi)
     print(json.dumps({"moebius": value}) if args.json else value, file=out)
     return 0
 
 
 def _sequence_lines(prefix: str, values, out, as_json: bool):
     if as_json:
-        print(json.dumps({"kind": prefix,
-                          "values": [coeff_str(v) for v in values]}),
-              file=out)
+        print(json.dumps({"kind": prefix, "values": [
+            coefficients.coeff_str(v) for v in values]}), file=out)
         return
     for i, v in enumerate(values, start=1):
-        print(f"{prefix}_{i} = {coeff_str(v)}", file=out)
+        print(f"{prefix}_{i} = {coefficients.coeff_str(v)}", file=out)
 
 
 def _cmd_transform(args, out) -> int:
     direction = args.direction
-    flavor = CLASSICAL if args.flavor == "classical" else FREE
+    flavor = (transforms.CLASSICAL if args.flavor == "classical"
+              else transforms.FREE)
     flavor_dirs = {"classical": {"c2m", "m2c"},
                    "free": {"k2m", "m2k", "multi-m2k"}}
     if direction not in flavor_dirs[args.flavor]:
@@ -229,16 +193,17 @@ def _cmd_transform(args, out) -> int:
                               "table; --symbolic and --n do not apply")
         if not args.infile:
             raise NcHopfError("multi-m2k requires --in with a moment table")
-        phi = multi_moment_map_from_json(_read_json(args.infile))
-        r = generalized_free_cumulants(phi)
+        phi = transforms.multi_moment_map_from_json(_read_json(args.infile))
+        r = transforms.generalized_free_cumulants(phi)
         items = sorted(r.table.items(), key=lambda kv: (len(kv[0]), kv[0]))
         if args.json:
-            print(json.dumps({"alphabet": list(r.alphabet),
-                              "values": {".".join(k): coeff_str(v)
-                                         for k, v in items}}), file=out)
+            print(json.dumps({"alphabet": list(r.alphabet), "values": {
+                ".".join(k): coefficients.coeff_str(v) for k, v in items}}),
+                  file=out)
         else:
             for letters, v in items:
-                print(f"R[{'.'.join(letters)}] = {coeff_str(v)}", file=out)
+                print(f"R[{'.'.join(letters)}] = "
+                      f"{coefficients.coeff_str(v)}", file=out)
         return 0
 
     if args.symbolic:
@@ -246,9 +211,9 @@ def _cmd_transform(args, out) -> int:
             raise NcHopfError("--symbolic and --in exclude each other")
         order = args.n if args.n is not None else _SYMBOLIC_ORDER
         if direction in ("c2m", "k2m"):
-            seq = symbolic_cumulants(order, flavor)
+            seq = transforms.symbolic_cumulants(order, flavor)
         else:
-            seq = symbolic_moments(order)
+            seq = transforms.symbolic_moments(order)
     else:
         if not args.infile:
             raise NcHopfError("numeric transforms require --in (or --symbolic)")
@@ -257,22 +222,22 @@ def _cmd_transform(args, out) -> int:
                               "transform takes its order from the --in file")
         data = _read_json(args.infile)
         if direction in ("c2m", "k2m"):
-            seq = cumulant_sequence_from_json(data, flavor)
+            seq = transforms.cumulant_sequence_from_json(data, flavor)
         else:
-            seq = moment_sequence_from_json(data)
+            seq = transforms.moment_sequence_from_json(data)
 
     # moment results start at m_0 = 1, which is not printed
     route, prefix, first = {
-        "c2m": (classical_moments_from_cumulants, "m", 1),
-        "k2m": (free_moments_from_cumulants, "m", 1),
-        "m2c": (classical_cumulants_from_moments, "c", 0),
-        "m2k": (free_cumulants_from_moments, "k", 0)}[direction]
+        "c2m": (transforms.classical_moments_from_cumulants, "m", 1),
+        "k2m": (transforms.free_moments_from_cumulants, "m", 1),
+        "m2c": (transforms.classical_cumulants_from_moments, "c", 0),
+        "m2k": (transforms.free_cumulants_from_moments, "k", 0)}[direction]
     _sequence_lines(prefix, route(seq).values[first:], out, args.json)
     return 0
 
 
 def _cmd_split(args, out) -> int:
-    splits = admissible_splits(_parse_shape(args.subject))
+    splits = partitions.admissible_splits(_parse_shape(args.subject))
     rows = []
     for s in splits:
         q = s.q_part.text() if s.q_part.blocks else "{}"
@@ -288,37 +253,37 @@ def _cmd_split(args, out) -> int:
 
 
 def _cmd_tree(args, out) -> int:
-    t = gapped_hierarchy_tree(_parse_shape(args.subject))
+    t = trees.gapped_hierarchy_tree(_parse_shape(args.subject))
     if args.coproduct:
-        terms = tree_coproduct(t)
+        terms = trees.tree_coproduct(t)
         if args.json:
-            data = {"tree": tree_to_json(t),
+            data = {"tree": trees.tree_to_json(t),
                     "coproduct": _coproduct_rows(terms, _tree_legs)}
             print(json.dumps(data), file=out)
         else:
-            print(tree_tensor_text(terms), file=out)
+            print(trees.tree_tensor_text(terms), file=out)
         return 0
     if args.json:
-        print(json.dumps({"tree": tree_to_json(t), "text": tree_text(t)}),
-              file=out)
+        print(json.dumps({"tree": trees.tree_to_json(t),
+                          "text": trees.tree_text(t)}), file=out)
     else:
-        print(tree_text(t), file=out)
+        print(trees.tree_text(t), file=out)
     return 0
 
 
 def _cmd_verify(args, out) -> int:
     name = _SUITE_ALIASES.get(args.suite, args.suite)
-    if name != "all" and name not in SUITES:
+    if name != "all" and name not in verify.SUITES:
         raise NcHopfError(f"unknown suite {args.suite!r}; choose from "
-                          f"{', '.join(sorted(SUITES))} or 'all'")
+                          f"{', '.join(sorted(verify.SUITES))} or 'all'")
     bound = () if args.max_degree is None else (args.max_degree,)
     if bound and name == "all":
         raise NcHopfError("--max-degree applies to one suite, not 'all'")
-    if bound and not 1 <= args.max_degree <= SUITE_BOUNDS[name][1]:
+    if bound and not 1 <= args.max_degree <= verify.SUITE_BOUNDS[name][1]:
         raise NcHopfError(
             f"--max-degree for {name} runs from 1 to "
-            f"{SUITE_BOUNDS[name][1]}, not {args.max_degree}")
-    reports = run_suite(name, *bound)
+            f"{verify.SUITE_BOUNDS[name][1]}, not {args.max_degree}")
+    reports = verify.run_suite(name, *bound)
     if args.json:
         print(json.dumps([{
             "suite": r.name,

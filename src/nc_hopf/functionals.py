@@ -16,7 +16,7 @@ exponential as an independent route.
 
 from __future__ import annotations
 
-import hashlib
+import weakref
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -210,10 +210,12 @@ def solve_left_fixed_point(kappa: LinearFunctional) -> Character:
     later atom contributing its one term 1 ⊗ y.  So Phi(b) is the sum of
     c·kappa(l)·Phi(r|y|...|z), with the later atoms appended as they are:
     Phi reads an atom only through the left half of its coproduct, whose
-    legs are standardized."""
+    legs are standardized.  Phi holds ``ev``, so ``ev`` reaches Phi through
+    a weak reference: no cycle keeps Phi and its value cache alive."""
     _require_infinitesimal(kappa)
 
     def ev(b: BarWord) -> Coefficient:
+        phi = phi_ref()
         total: Coefficient = ZERO
         for (left, right), c in delta_bar(b[:1], "left+").items():
             kl = kappa(left)
@@ -227,6 +229,7 @@ def solve_left_fixed_point(kappa: LinearFunctional) -> Character:
 
     phi = Character(kappa.algebra, kappa.truncation, ev,
                     unit_value=ONE, name=f"fix({kappa.name})")
+    phi_ref = weakref.ref(phi)
     return phi
 
 
@@ -255,13 +258,14 @@ def exp_prec(kappa: LinearFunctional) -> Character:
 
 def extract_infinitesimal(phi: LinearFunctional) -> InfinitesimalCharacter:
     """Invert Phi = e + kappa ≺ Phi for kappa: on a single atom,
-    kappa(w) = Phi(w) - sum of the strictly-lower-degree pairings."""
-    kappa_box: list[InfinitesimalCharacter] = []
+    kappa(w) = Phi(w) - sum of the strictly-lower-degree pairings.  kappa
+    holds ``atom_value``, which reaches kappa through a weak reference, so
+    no cycle keeps kappa alive."""
 
     def atom_value(atom) -> Coefficient:
         b: BarWord = (atom,)
         total = phi(b)
-        kappa = kappa_box[0]
+        kappa = kappa_ref()
         for (left, right), c in delta_bar(b, "left+").items():
             if left == b:
                 continue  # the kappa(w) * Phi(1) term being solved for
@@ -274,7 +278,7 @@ def extract_infinitesimal(phi: LinearFunctional) -> InfinitesimalCharacter:
 
     kappa = InfinitesimalCharacter.from_atoms(
         phi.algebra, phi.truncation, atom_value, name=f"log≺({phi.name})")
-    kappa_box.append(kappa)
+    kappa_ref = weakref.ref(kappa)
     return kappa
 
 
@@ -404,6 +408,7 @@ def random_functional(algebra: Algebra, truncation: int, seed: int,
     stays an ``int``; the identities checked on these functionals are
     multilinear in them, or hold for every one, so the scale changes no
     check."""
+    import hashlib  # loads OpenSSL: only the callers of this function pay
 
     def ev(b: BarWord) -> Coefficient:
         digest = hashlib.sha256(

@@ -421,25 +421,29 @@ def _lattice_cumulants(moment, words) -> dict:
     returns letter tuple -> kappa, memoised over the subwords it meets.  The
     blocks of a shape are 1-based positions into the letters."""
     r: dict = {}
-
-    def value(letters: tuple) -> Coefficient:
-        if letters in r:
-            return r[letters]
-        total = moment(letters)
-        for shape in enumerate_nc_partitions(len(letters)):
-            blocks = shape.blocks
-            if len(blocks) == 1:
-                continue
-            term = value(tuple([letters[i - 1] for i in blocks[0]]))
-            for block in blocks[1:]:
-                term = term * value(tuple([letters[i - 1] for i in block]))
-            total = total - term
-        r[letters] = total
-        return total
-
     for letters in words:
-        value(letters)
+        if letters not in r:
+            _lattice_cumulant(letters, moment, r)
     return r
+
+
+def _lattice_cumulant(letters: tuple, moment, r: dict) -> Coefficient:
+    """kappa(letters), with every subword it needs solved into the memo
+    ``r`` first.  The recursion is a module function, not a closure, so the
+    memo is freed with its last reference rather than by the collector."""
+    total = moment(letters)
+    for shape in enumerate_nc_partitions(len(letters)):
+        blocks = shape.blocks
+        if len(blocks) == 1:
+            continue
+        term = None
+        for block in blocks:
+            sub = tuple([letters[i - 1] for i in block])
+            kappa = r[sub] if sub in r else _lattice_cumulant(sub, moment, r)
+            term = kappa if term is None else term * kappa
+        total = total - term
+    r[letters] = total
+    return total
 
 
 def generalized_free_cumulants(phi: MultiMomentMap) -> MultiCumulantMap:
@@ -489,10 +493,8 @@ def _json_values(data) -> list:
 
 
 def moment_sequence_from_json(data: dict) -> MomentSequence:
-    vals = _json_values(data)
-    if vals and vals[0] == 1:
-        vals = vals[1:]  # accept either m_0-led or m_1-led lists
-    return MomentSequence.of(vals)
+    """The moments m_1, m_2, ... that the file lists; m_0 = 1 is implied."""
+    return MomentSequence.of(_json_values(data))
 
 
 def cumulant_sequence_from_json(data: dict, flavor: str) -> CumulantSequence:

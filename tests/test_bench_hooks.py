@@ -4,6 +4,9 @@ the library would break ``bench/run.py --trace 1`` only.  These checks load
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,26 @@ def test_layers_read_from_caches_have_cache_info(spans):
     for layer, module, attr in cached + list(spans.CACHE_ONLY_LAYERS):
         assert callable(getattr(resolve(module, attr), "cache_info", None)), \
             layer
+
+
+def test_tracer_installs_right_after_the_cli_import():
+    # bench/cli_boot.py installs the tracer on a fresh process whose library
+    # modules are registered but have not run yet
+    boot = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import nc_hopf.cli
+import spans
+tracer = spans.Tracer()
+tracer.install()
+code = nc_hopf.cli.main(["enumerate", "nc", "--n", "4"])
+tracer.uninstall()
+print(code, tracer.calls["partitions.enumerate_nc"])
+"""
+    src = SPANS.parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", boot, str(SPANS.parent)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 1"

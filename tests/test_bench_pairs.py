@@ -100,3 +100,42 @@ def test_a_run_reads_the_last_two_lines(monkeypatch):
 def test_seed_lists():
     assert bench_pairs.parse_seeds("401-403") == [401, 402, 403]
     assert bench_pairs.parse_seeds("5,9-10") == [5, 9, 10]
+
+
+def test_both_sides_run_without_bytecode(tmp_path, monkeypatch):
+    # a __pycache__ under one side's src/ once made that side's cold CLI
+    # processes read 32 % faster; the tool removes it and writes none
+    sides = {}
+    for side in ("parent", "change"):
+        checkout = tmp_path / side
+        (checkout / "bench").mkdir(parents=True)
+        (checkout / "bench" / "run.py").write_text("# same code\n")
+        cache = checkout / "src" / "pkg" / "__pycache__"
+        cache.mkdir(parents=True)
+        (cache / "mod.cpython-311.pyc").write_bytes(b"stale")
+        (checkout / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+        sides[side] = checkout
+    (sides["change"] / "src" / "__pycache__").mkdir()
+    meta = {"meta": {"commit": "abc" * 14, "python": "3.11.7", "nproc": 2}}
+    result = {"attempted": 5, "failed": 0,
+              "metrics": {name: {"value": 1.0}
+                          for name in bench_pairs.METRICS}}
+    envs = []
+
+    def fake_run(argv, cwd, env, **kw):
+        assert not list(Path(cwd, "src").rglob("__pycache__"))
+        envs.append(env)
+        return subprocess.CompletedProcess(
+            argv, 0, json.dumps(meta) + "\n" + json.dumps(result), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(sides["parent"]),
+                             "--change", str(sides["change"]),
+                             "--workload", "hopf", "--seeds", "1-2",
+                             "--out", str(out)]) == 0
+    assert len(envs) == 4
+    assert all(env["PYTHONDONTWRITEBYTECODE"] == "1" for env in envs)
+    for checkout in sides.values():
+        assert (checkout / "src" / "pkg" / "mod.py").exists()
+    assert json.loads(out.read_text())["workloads"]["hopf"]["seeds"] == [1, 2]

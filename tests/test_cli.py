@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import nc_hopf.cli
+import nc_hopf.tensor
 import nc_hopf.transforms
 import nc_hopf.verify
 from nc_hopf.cli import main
@@ -148,8 +149,18 @@ class TestTransform:
                         "--symbolic", "--n", "5")
         assert code == 0 and out == golden("bell_polynomials_symbolic.txt")
 
+    def test_moment_file_keeps_a_leading_one(self, tmp_path):
+        # free-Poisson moments m_1..m_4 = 1, 2, 5, 14 (Catalan numbers): the
+        # leading 1 is m_1, not an m_0 to drop, so every cumulant is 1
+        f = tmp_path / "moments.json"
+        f.write_text(json.dumps({"values": ["1", "2", "5", "14"]}))
+        code, out = run("transform", "free", "--direction", "m2k",
+                        "--in", str(f))
+        assert code == 0
+        assert out == "k_1 = 1\nk_2 = 1\nk_3 = 1\nk_4 = 1\n"
+
     def test_numeric_round_trip_via_files(self, tmp_path):
-        seq = {"values": ["1", "1/2", "-3", "2"]}
+        seq = {"values": ["1/2", "-3", "2"]}
         f = tmp_path / "moments.json"
         f.write_text(json.dumps(seq))
         code, out = run("transform", "free", "--direction", "m2k",
@@ -504,7 +515,8 @@ class TestExitCodes:
         def broken(*args):
             raise exc
 
-        monkeypatch.setattr(nc_hopf.cli, "delta_nc", broken)
+        # the CLI calls the coproduct through its module
+        monkeypatch.setattr(nc_hopf.tensor, "delta_nc", broken)
         code, out = run("coproduct", "nc", "{1,2}")
         err = capsys.readouterr().err
         assert code == 3 and out == ""

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -284,3 +286,31 @@ class TestMultiplicativeExtension:
         m = {1: Fraction(1, 2), 2: Fraction(3)}
         phi = extend_multiplicative(A1, 3, lambda w: m[w.degree])
         assert phi((Word(("a",) * 2), Word(("a",)))) == Fraction(3, 2)
+
+
+class TestFreedByRefcount:
+    """With the cyclic collector off, a functional from the fixed point or
+    the extraction dies with its last reference: no closure cycle holds it
+    or its value cache."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_fixed_point(self):
+        phi = solve_left_fixed_point(random_infinitesimal(AB, 4, seed=4))
+        assert phi((Word(("a", "b", "a", "b")),)) is not None
+        ref = weakref.ref(phi)
+        del phi
+        assert ref() is None
+
+    def test_extraction(self):
+        phi = extend_multiplicative(AB, 4, lambda w: len(w.letters) + 1)
+        kappa = extract_infinitesimal(phi)
+        assert kappa((Word(("a", "b", "b")),)) is not None
+        ref, phi_ref = weakref.ref(kappa), weakref.ref(phi)
+        del kappa, phi
+        assert ref() is None and phi_ref() is None

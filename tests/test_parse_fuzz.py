@@ -147,8 +147,8 @@ sequence_json = json_values | st.builds(
 def test_moment_sequence_from_json(data):
     seq = read_or_reject(moment_sequence_from_json, data)
     if seq is not None:
-        # written with m_0 first, which the reader accepts unambiguously
-        text = {"values": [coeff_str(v) for v in seq.values]}
+        # written as the file lists them, from m_1 on
+        text = {"values": [coeff_str(v) for v in seq.values[1:]]}
         assert moment_sequence_from_json(text) == seq
 
 

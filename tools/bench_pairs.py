@@ -7,7 +7,10 @@
 Both arguments are checkouts (the parent's and the change's).  For each seed
 the tool runs each checkout's own ``bench/run.py`` once with ``--trace 0``,
 alternating which side goes first, and refuses to start unless the two
-``bench/`` trees hold the same code.  The record gives, per workload and per
+``bench/`` trees hold the same code.  Both sides run in the same bytecode
+state: the tool deletes every ``__pycache__`` under each checkout's ``src/``
+and runs every child with ``PYTHONDONTWRITEBYTECODE=1``, so each process
+compiles the library from source.  The record gives, per workload and per
 side, the summed attempted and failed request counts and, for each
 end-to-end metric, the median, the quartiles and every run in seed order.
 Running the tool again with another ``--workload`` and the same ``--out``
@@ -18,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,12 +53,21 @@ def bench_code(checkout: Path) -> dict[str, bytes]:
             for p in sorted(bench.rglob("*.py"))}
 
 
+def clean_bytecode(checkout: Path):
+    """Delete the compiled modules under ``src/``: a side that kept them
+    would skip compiling the library in every fresh process."""
+    for cache in sorted((checkout / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
+
+
 def run_bench(checkout: Path, workload: str, seed: int) -> dict:
-    """One ``bench/run.py`` run: its meta fields and its result line."""
+    """One ``bench/run.py`` run: its meta fields and its result line.  No
+    process of the run writes bytecode, so it leaves the state it found."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if done.returncode != 0:
         raise SystemExit(f"bench/run.py failed in {checkout}: "
                          f"{done.stderr.strip()}")
@@ -123,6 +137,8 @@ def main(argv=None) -> int:
         parser.error("quartiles need at least two seeds")
     if bench_code(args.parent) != bench_code(args.change):
         parser.error("the two checkouts hold different bench/ code")
+    for checkout in (args.parent, args.change):
+        clean_bytecode(checkout)
     old = json.loads(args.out.read_text()) if args.out.exists() else {}
     sides = pair_runs(args.parent, args.change, args.workload, args.seeds)
     new = record(old, args.workload, args.seeds, sides)
