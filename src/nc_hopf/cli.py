@@ -109,11 +109,13 @@ def _cmd_enumerate(args, out) -> int:
                  else partitions.bell_number(args.n))
         print(json.dumps({"count": count}) if args.json else count, file=out)
         return 0
-    enum = (partitions.enumerate_nc_partitions if args.lattice == "nc"
-            else partitions.enumerate_set_partitions)
-    parts = enum(args.n)
-    if args.json:
-        print(json.dumps([p.to_json() for p in parts]), file=out)
+    # each partition is written as it is made; the cap is checked first
+    parts = partitions.iter_partitions(args.lattice, args.n)
+    if args.json:  # the bytes of json.dumps on the whole list
+        out.write("[")
+        for i, p in enumerate(parts):
+            out.write((", " if i else "") + json.dumps(p.to_json()))
+        print("]", file=out)
     else:
         for p in parts:
             print(p.text(), file=out)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial, prod
 
 from . import config
@@ -166,26 +165,57 @@ def _nested_inside(inner: Block, outer: Block) -> bool:
 # enumeration
 
 
-def _rgs_partitions(n: int):
-    """All set partitions of [n] via restricted growth strings."""
-    if n == 0:
-        yield []
+def _text_order(carrier: tuple[int, ...], noncrossing: bool):
+    """Every partition of the sorted ``carrier``, or every non-crossing one,
+    as canonical block tuples in the order of their text, with no sort.
+
+    The text is chosen left to right.  A block opens at the smallest unused
+    element x; then ``{x,`` continues it and ``{x}`` closes it, and ``,``
+    sorts before ``}``.  Each later member c is written ``c,`` (continue) or
+    ``c}`` (close).  These strings end in a separator, so none is a prefix
+    of another, and trying them sorted as strings (``2,`` < ``20,`` <
+    ``20}`` < ``2}``) tries the texts in order at any size.  In the
+    non-crossing lattice a block's candidates stop at the first element
+    above its last member that an earlier block holds: a member past it
+    would cross that block."""
+    n = len(carrier)
+    # after[i]: each later position j twice, as (j, closes), in the order
+    # of the strings str(carrier[j]) + "," and str(carrier[j]) + "}"
+    after = [[(j, s == "}") for _, j, s in sorted(
+        (str(carrier[j]) + s, j, s) for j in range(i + 1, n) for s in ",}")]
+        for i in range(n)]
+    # the walk's state is passed down, not closed over, so a finished walk
+    # leaves no reference cycle for the collector
+    return _grow((carrier, noncrossing, after, [False] * n, []), [], 0)
+
+
+def _grow(walk, block: list[int], last: int):
+    """Every way on from the open ``block``, whose last member is at
+    position ``last``; an empty block opens at the first free position."""
+    carrier, noncrossing, after, held, done = walk
+    if block:
+        stop = last + 1
+        while stop < len(held) and not (noncrossing and held[stop]):
+            stop += 1
+        options = [(j, closes) for j, closes in after[last]
+                   if j < stop and not held[j]]
+    elif False in held:
+        first = held.index(False)
+        options = [(first, False), (first, True)]
+    else:
+        yield tuple(done)
         return
-    rgs = [0] * n
-
-    def rec(i: int, maxval: int):
-        if i == n:
-            nblocks = maxval + 1
-            blocks = [[] for _ in range(nblocks)]
-            for pos, label in enumerate(rgs):
-                blocks[label].append(pos + 1)
-            yield blocks
-            return
-        for label in range(maxval + 2):
-            rgs[i] = label
-            yield from rec(i + 1, max(maxval, label))
-
-    yield from rec(1, 0)
+    for j, closes in options:
+        held[j] = True
+        block.append(carrier[j])
+        if closes:
+            done.append(tuple(block))
+            yield from _grow(walk, [], 0)
+            done.pop()
+        else:
+            yield from _grow(walk, block, j)
+        block.pop()
+        held[j] = False
 
 
 def check_enumeration_size(lattice: str, n: int) -> None:
@@ -196,53 +226,23 @@ def check_enumeration_size(lattice: str, n: int) -> None:
         raise SizeLimitError(f"n={n} outside allowed range 1..{cap}")
 
 
-@lru_cache(maxsize=None)
-def _all_set_partitions(n: int) -> tuple[SetPartition, ...]:
-    parts = [SetPartition.of(blocks) for blocks in _rgs_partitions(n)]
-    parts.sort(key=lambda p: p.text())
-    return tuple(parts)
+def iter_partitions(lattice: str, n: int):
+    """The partitions of [n] in the set ("set") or non-crossing ("nc")
+    lattice, canonical and validated, one at a time in text order.  The
+    size cap is checked at the call, before the first one is made."""
+    check_enumeration_size(lattice, n)
+    cls = NonCrossingPartition if lattice == "nc" else SetPartition
+    return map(cls, _text_order(tuple(range(1, n + 1)), lattice == "nc"))
 
 
 def enumerate_set_partitions(n: int) -> list[SetPartition]:
     """All partitions of [n], canonical form, sorted by text encoding."""
-    check_enumeration_size("set", n)
-    return list(_all_set_partitions(n))
-
-
-def _nc_blocklists(elements: tuple[int, ...]):
-    """All non-crossing partitions of the sorted tuple ``elements``, each as
-    a tuple of blocks already in canonical form.
-
-    The block containing the first element is chosen as a subset of the
-    remaining elements; everything else must live in the gaps between its
-    consecutive members (joining across a gap boundary would cross it).
-    Gaps come in increasing order, so concatenating their canonical
-    sub-partitions after the first block keeps blocks ordered by minimum.
-    """
-    if not elements:
-        yield ()
-        return
-    first, rest = elements[0], elements[1:]
-    m = len(rest)
-    for mask in range(1 << m):
-        chosen = tuple(rest[i] for i in range(m) if mask >> i & 1)
-        gaps: list[list[int]] = [[] for _ in range(len(chosen) + 1)]
-        gi = 0
-        for x in rest:
-            if gi < len(chosen) and x == chosen[gi]:
-                gi += 1
-                continue
-            gaps[gi].append(x)
-        for combo in product(*(tuple(_nc_blocklists(tuple(g))) for g in gaps)):
-            yield ((first, *chosen), *(b for sub in combo for b in sub))
+    return list(iter_partitions("set", n))
 
 
 @lru_cache(maxsize=None)
 def _all_nc_partitions(n: int) -> tuple[NonCrossingPartition, ...]:
-    elems = tuple(range(1, n + 1))
-    parts = [NonCrossingPartition(blocks) for blocks in _nc_blocklists(elems)]
-    parts.sort(key=lambda p: p.text())
-    return tuple(parts)
+    return tuple(iter_partitions("nc", n))
 
 
 def enumerate_nc_partitions(n: int) -> list[NonCrossingPartition]:
@@ -420,24 +420,20 @@ def moebius(lattice: str, lo: SetPartition, hi: SetPartition) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
 def moebius_to_top(lattice: str, n: int) -> dict[tuple[Block, ...], int]:
     """mu(pi, 1̂_n) for every pi in the chosen lattice of [n], keyed by its
     blocks, from the defining recursion mu(1̂, 1̂) = 1 and mu(pi, 1̂) = -sum
     of mu(M, 1̂) over the proper coarsenings M of pi.  It searches every
     coarsening: the oracle for the closed forms of ``moebius`` and of the
-    transforms' weights.  Read the shared dict, never change it."""
-    if lattice == "set":
-        elements = _all_set_partitions(n)
-    elif lattice == "nc":
-        elements = _all_nc_partitions(n)
-    else:
+    transforms' weights."""
+    if lattice not in ("set", "nc"):
         raise ValueError(f"unknown lattice selector: {lattice!r}")
     memo: dict[tuple[Block, ...], int] = {}
     # coarser partitions first, so that every coarsening is in the memo
-    for p in sorted(elements, key=lambda p: len(p.blocks)):
-        blocks, k, total = p.blocks, len(p.blocks), 0
-        for cells in _rgs_partitions(k):
+    for blocks in sorted(_text_order(tuple(range(1, n + 1)), lattice == "nc"),
+                         key=len):
+        k, total = len(blocks), 0
+        for cells in _text_order(tuple(range(1, k + 1)), False):
             if len(cells) == k:
                 continue  # pi itself
             # cells come ordered by their first index: merged is canonical

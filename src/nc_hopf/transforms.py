@@ -418,32 +418,28 @@ def kappa_powers(shape: NonCrossingPartition, w: Word, kappa) -> Coefficient:
 def _lattice_cumulants(moment, words) -> dict:
     """Solve moment(w) = sum over pi in NC(|w|) of prod_{B in pi} kappa(w|_B)
     for the one-block term kappa(w), for each letter tuple w in ``words``;
-    returns letter tuple -> kappa, memoised over the subwords it meets.  The
-    blocks of a shape are 1-based positions into the letters."""
+    returns letter tuple -> kappa.  The words are solved shortest first, so
+    every proper subword a term needs is solved before it.
+
+    Precondition, met by both callers: ``words`` holds every block
+    restriction of its words.  A missing subword raises KeyError, which is
+    an internal fault, not bad input."""
+    # each degree's multi-block shapes, once, as 0-based position lists
+    shapes = {n: [[[i - 1 for i in block] for block in shape.blocks]
+                  for shape in enumerate_nc_partitions(n)
+                  if len(shape.blocks) > 1]
+              for n in set(map(len, words))}
     r: dict = {}
-    for letters in words:
-        if letters not in r:
-            _lattice_cumulant(letters, moment, r)
+    for letters in sorted(words, key=len):
+        total = moment(letters)
+        for blocks in shapes[len(letters)]:
+            term = None
+            for block in blocks:
+                kappa = r[tuple([letters[i] for i in block])]
+                term = kappa if term is None else term * kappa
+            total = total - term
+        r[letters] = total
     return r
-
-
-def _lattice_cumulant(letters: tuple, moment, r: dict) -> Coefficient:
-    """kappa(letters), with every subword it needs solved into the memo
-    ``r`` first.  The recursion is a module function, not a closure, so the
-    memo is freed with its last reference rather than by the collector."""
-    total = moment(letters)
-    for shape in enumerate_nc_partitions(len(letters)):
-        blocks = shape.blocks
-        if len(blocks) == 1:
-            continue
-        term = None
-        for block in blocks:
-            sub = tuple([letters[i - 1] for i in block])
-            kappa = r[sub] if sub in r else _lattice_cumulant(sub, moment, r)
-            term = kappa if term is None else term * kappa
-        total = total - term
-    r[letters] = total
-    return total
 
 
 def generalized_free_cumulants(phi: MultiMomentMap) -> MultiCumulantMap:

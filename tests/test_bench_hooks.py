@@ -55,9 +55,9 @@ import nc_hopf.cli
 import spans
 tracer = spans.Tracer()
 tracer.install()
-code = nc_hopf.cli.main(["enumerate", "nc", "--n", "4"])
+code = nc_hopf.cli.main(["moebius", "nc", "{1}{2}", "{1,2}"])
 tracer.uninstall()
-print(code, tracer.calls["partitions.enumerate_nc"])
+print(code, tracer.calls["partitions.moebius"])
 """
     src = SPANS.parent.parent / "src"
     done = subprocess.run(

@@ -62,6 +62,44 @@ class TestEnumerate:
         code, _ = run("enumerate", "nc", "--n", "99", "--count")
         assert code == 1
 
+    @pytest.mark.parametrize("lattice", ["nc", "set"])
+    def test_streamed_json_is_the_dumped_list(self, lattice):
+        enum = {"nc": nc_hopf.partitions.enumerate_nc_partitions,
+                "set": nc_hopf.partitions.enumerate_set_partitions}[lattice]
+        for n in (1, 2, 5):
+            code, out = run("enumerate", lattice, "--n", str(n), "--json")
+            assert code == 0
+            assert out == json.dumps([p.to_json() for p in enum(n)]) + "\n"
+
+    def test_cap_checked_before_any_output(self):
+        code, out = run("enumerate", "set", "--n", "13", "--json")
+        assert (code, out) == (1, "")
+
+    def test_listing_streams(self):
+        # each partition is written as it is made, so the peak stays near
+        # the interpreter's own; holding the 115,975 partitions of [10] and
+        # their JSON text takes about 80 MB.  VmHWM is the peak of the
+        # child's own memory map, where ru_maxrss would also count the
+        # pytest process it was forked from.
+        probe = """
+import os
+from nc_hopf.cli import main
+with open(os.devnull, "w") as sink:
+    code = main(["enumerate", "set", "--n", "10", "--json"], out=sink)
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status
+                if line.startswith("VmHWM:"))
+print(code, peak)
+"""
+        src = str(Path(__file__).parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        code, peak_kb = map(int, done.stdout.split())
+        assert code == 0 and peak_kb < 40 * 1024
+
 
 class TestCoproduct:
     @pytest.mark.parametrize("subject,filename", [

@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, prod
 
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from nc_hopf.partitions import (
     standardize,
 )
 from nc_hopf import partitions
-from nc_hopf.partitions import _blocks_noncrossing, _rgs_partitions
+from nc_hopf.partitions import _blocks_noncrossing, _text_order
 
 
 def brute_force_crossing(blocks) -> bool:
@@ -60,6 +61,52 @@ def pair_crosses(a, b) -> bool:
             runs += 1
             last = label
     return runs >= 4
+
+
+def rgs_blocklists(carrier):
+    """Oracle: every set partition of the sorted carrier, by restricted
+    growth strings: each element joins one of the blocks opened before it
+    or opens the next."""
+    def grow(blocks, i):
+        if i == len(carrier):
+            yield [list(b) for b in blocks]
+            return
+        for block in [*blocks, []]:
+            block.append(carrier[i])
+            yield from grow(blocks if len(block) > 1 else [*blocks, block],
+                            i + 1)
+            block.pop()
+
+    yield from grow([], 0)
+
+
+def gap_blocklists(carrier):
+    """Oracle: every non-crossing partition of the sorted carrier, by the
+    gap recursion.  The block of the first element is chosen as a subset of
+    the rest; everything else lives in the gaps between its consecutive
+    members, each partitioned on its own."""
+    if not carrier:
+        yield ()
+        return
+    first, rest = carrier[0], carrier[1:]
+    for mask in range(1 << len(rest)):
+        chosen = tuple(x for i, x in enumerate(rest) if mask >> i & 1)
+        gaps = [[] for _ in range(len(chosen) + 1)]
+        gi = 0
+        for x in rest:
+            if gi < len(chosen) and x == chosen[gi]:
+                gi += 1
+            else:
+                gaps[gi].append(x)
+        for combo in product(*(tuple(gap_blocklists(tuple(g)))
+                               for g in gaps)):
+            yield ((first, *chosen), *(b for sub in combo for b in sub))
+
+
+def text_sorted(blocklists, cls=SetPartition) -> list:
+    """Oracle of the enumeration order: canonical partitions sorted by
+    their text."""
+    return sorted((cls.of(b) for b in blocklists), key=lambda p: p.text())
 
 
 def catalan_closed_form(n: int) -> int:
@@ -116,8 +163,7 @@ class TestCrossingDetection:
     def test_stack_walk_matches_pairwise_definition(self):
         checked = crossing = 0
         for n in range(1, 10):
-            for raw in _rgs_partitions(n):
-                blocks = tuple(tuple(b) for b in raw)
+            for blocks in _text_order(tuple(range(1, n + 1)), False):
                 pairwise = any(pair_crosses(a, b)
                                for i, a in enumerate(blocks)
                                for b in blocks[i + 1:])
@@ -154,6 +200,24 @@ class TestEnumeration:
             alls = {p.blocks for p in enumerate_set_partitions(n)}
             assert ncs == {b for b in alls
                            if is_noncrossing(SetPartition(b))}
+
+    def test_text_order_matches_the_sort_oracle(self):
+        for n in range(1, 10):
+            carrier = tuple(range(1, n + 1))
+            assert enumerate_set_partitions(n) == \
+                text_sorted(rgs_blocklists(carrier))
+            assert enumerate_nc_partitions(n) == \
+                text_sorted(gap_blocklists(carrier), NonCrossingPartition)
+
+    @pytest.mark.parametrize("carrier", [(1, 2, 3, 20, 21, 30, 200, 201, 2000),
+                                         (1, 2, 3, 10, 20, 21, 100, 101)])
+    def test_text_order_when_decimal_strings_are_prefixes(self, carrier):
+        # a member's decimal string is a prefix of another's, and the
+        # text puts "2," < "20," < "20}" < "2}"
+        got = list(_text_order(carrier, False))
+        assert got == [p.blocks for p in text_sorted(rgs_blocklists(carrier))]
+        got = list(_text_order(carrier, True))
+        assert got == [p.blocks for p in text_sorted(gap_blocklists(carrier))]
 
     def test_enumeration_deterministic(self):
         assert enumerate_nc_partitions(5) == enumerate_nc_partitions(5)
@@ -331,7 +395,7 @@ class TestMoebius:
         def no_search(*args):
             raise AssertionError("moebius searched the lattice")
 
-        monkeypatch.setattr(partitions, "_rgs_partitions", no_search)
+        monkeypatch.setattr(partitions, "_text_order", no_search)
         monkeypatch.setattr(partitions, "moebius_to_top", no_search)
         lo = singleton_partition(range(1, 13))
         hi = full_partition(range(1, 13))

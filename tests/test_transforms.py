@@ -3,6 +3,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -306,6 +307,17 @@ class TestGeneralizedCumulants:
                     start=Fraction(0))
                 assert total == phi.value(w)
 
+    def test_lattice_solve_reads_subwords_from_its_words(self):
+        # the solve reads each block restriction from the words it was
+        # given; one left out is an internal KeyError, not a silent gap
+        words = [w for n in range(1, 4) for w in product("ab", repeat=n)]
+        solved = transforms._lattice_cumulants(len, words)
+        # m = length: kappa_1 = kappa_2 = 1, so kappa_3 = 3 - 4 terms of 1
+        assert solved[("a", "b", "a")] == -1
+        with pytest.raises(KeyError):
+            transforms._lattice_cumulants(len, [w for w in words
+                                                if w != ("b", "a")])
+
     def test_single_letter_matches_univariate(self):
         vals = random_values(6, seed=55)
         m = MomentSequence.of(vals)
@@ -501,7 +513,10 @@ class TestFreedByRefcount:
 
         moment = Moments()
         ref = weakref.ref(moment)
-        solved = transforms._lattice_cumulants(moment, [("a", "b", "a", "b")])
+        # every block restriction of a.b.a.b is a word over {a, b} of
+        # length at most 4
+        words = [w for n in range(1, 5) for w in product("ab", repeat=n)]
+        solved = transforms._lattice_cumulants(moment, words)
         assert solved[("a", "b")] == 2 - 1
         del moment, solved
         assert ref() is None
