@@ -102,7 +102,7 @@ _EXPORTS = {
 _ORIGIN = {name: module for module, names in _EXPORTS.items()
            for name in names}
 
-__all__ = sorted(_ORIGIN)
+__all__ = sorted([*_ORIGIN, "clear_caches"])
 __version__ = "0.1.0"
 
 
@@ -119,10 +119,21 @@ def _register_lazily(name: str):
 
 
 # ``cli`` is left out: ``python -m nc_hopf.cli`` must find it unimported
-for _name in ("errors", "config", "coefficients", "partitions", "tensor",
-              "functionals", "transforms", "trees", "verify"):
+_LAYERS = ("errors", "config", "coefficients", "partitions", "tensor",
+           "functionals", "transforms", "trees", "verify")
+for _name in _LAYERS:
     _register_lazily(_name)
 del _name
+
+
+def clear_caches() -> None:
+    """Empty every ``lru_cache`` of the layer modules.  The caches have no
+    bound, so a long-lived process calls this once a batch of work is done;
+    ``verify all`` calls it after each suite.  It runs every layer module."""
+    for name in _LAYERS:
+        for value in vars(globals()[name]).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def __getattr__(name: str):

@@ -102,6 +102,14 @@ def _parse_shape(text: str) -> partitions.NonCrossingPartition:
     return shape
 
 
+def _parse_word(text: str) -> tensor.Word:
+    """A word subject, held to the non-crossing cap: its coproduct runs over
+    the 2^n subsets of its n letters."""
+    word = tensor.parse_word(text)
+    partitions.check_enumeration_size("nc", word.degree)
+    return word
+
+
 def _cmd_enumerate(args, out) -> int:
     if args.count:
         partitions.check_enumeration_size(args.lattice, args.n)
@@ -153,7 +161,7 @@ def _cmd_coproduct(args, out) -> int:
         terms = tensor.delta_nc(
             tensor.DecoratedNC(_parse_shape(args.subject)))
     else:
-        terms = tensor.delta_word(tensor.parse_word(args.subject))
+        terms = tensor.delta_word(_parse_word(args.subject))
     if args.json:
         print(json.dumps(_coproduct_rows(terms, _barword_legs)), file=out)
     else:

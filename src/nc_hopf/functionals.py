@@ -354,12 +354,15 @@ class CheckReport:
         return self.ok
 
 
-def check_character(f: LinearFunctional, max_degree: int | None = None,
-                    limit: int = 20000) -> CheckReport:
-    """Verify f(1) = 1 and f(a|b) = f(a) f(b) on basis pairs within the
-    truncation.  ``limit`` caps the number of pairs examined (deterministic
-    prefix) to keep large alphabets tractable."""
-    n = max_degree if max_degree is not None else f.truncation
+# the most basis elements (or pairs) a check examines: a deterministic
+# prefix, which keeps large alphabets tractable
+CHECK_LIMIT = 20000
+
+
+def check_character(f: LinearFunctional) -> CheckReport:
+    """Verify f(1) = 1 and f(a|b) = f(a) f(b) on the first ``CHECK_LIMIT``
+    basis pairs within the truncation."""
+    n = f.truncation
     violations = []
     checked = 0
     if f.unit_value != 1:
@@ -368,7 +371,7 @@ def check_character(f: LinearFunctional, max_degree: int | None = None,
         for db in range(1, n - da + 1):
             for a in f.algebra.barwords(da):
                 for b in f.algebra.barwords(db):
-                    if checked >= limit:
+                    if checked >= CHECK_LIMIT:
                         return CheckReport(not violations, checked, violations)
                     checked += 1
                     if f(a + b) != f(a) * f(b):
@@ -376,19 +379,18 @@ def check_character(f: LinearFunctional, max_degree: int | None = None,
     return CheckReport(not violations, checked, violations)
 
 
-def check_infinitesimal(f: LinearFunctional, max_degree: int | None = None,
-                        limit: int = 20000) -> CheckReport:
-    """Verify f(1) = 0 and f vanishes on every bar word with >= 2 parts."""
-    n = max_degree if max_degree is not None else f.truncation
+def check_infinitesimal(f: LinearFunctional) -> CheckReport:
+    """Verify f(1) = 0 and f vanishes on the first ``CHECK_LIMIT`` bar words
+    with >= 2 parts within the truncation."""
     violations = []
     checked = 0
     if f.unit_value != 0:
         violations.append(("unit", f.unit_value))
-    for d in range(2, n + 1):
+    for d in range(2, f.truncation + 1):
         for b in f.algebra.barwords(d):
             if len(b) < 2:
                 continue
-            if checked >= limit:
+            if checked >= CHECK_LIMIT:
                 return CheckReport(not violations, checked, violations)
             checked += 1
             if f(b) != 0:

@@ -290,10 +290,41 @@ def standardize(p: SetPartition) -> SetPartition:
 # admissible splits
 
 
+def _split_walk(blocks: tuple[Block, ...], labels):
+    """Every admissible split Q ⊔ T of the canonical ``blocks`` (no Q-block
+    nested inside a T-block), as (Q mask, Q labels, T labels on each
+    component of the complement of Q's carrier, left to right), block i
+    labelled ``labels[i]``.  One pass over the carrier, on states (Q mask,
+    Q labels, closed components, open component): at its first element a
+    block joins Q when every block around it has, else it extends the open
+    component; each element of a Q-block closes the open component.  No Q
+    element lies inside a T-block, so only admissible splits are visited."""
+    # around[i]: bitmask of the blocks that block i is nested inside
+    around = [sum(1 << j for j, outer in enumerate(blocks)
+                  if _nested_inside(b, outer)) for b in blocks]
+    states = [(0, (), (), ())]
+    for x, i in sorted((x, i) for i, b in enumerate(blocks) for x in b):
+        bit = 1 << i
+        if x != blocks[i][0]:
+            states = [(mask, q, closed + (run,), ()) if mask & bit and run
+                      else (mask, q, closed, run)
+                      for mask, q, closed, run in states]
+            continue
+        label, outer, previous, states = labels[i], around[i], states, []
+        add = states.append
+        for mask, q, closed, run in previous:
+            add((mask, q, closed, run + (label,)))
+            if not outer & ~mask:
+                add((mask | bit, q + (label,),
+                     closed + (run,) if run else closed, ()))
+    return ((mask, q, closed + (run,) if run else closed)
+            for mask, q, closed, run in states)
+
+
 @lru_cache(maxsize=None)
 def split_table(p: NonCrossingPartition) -> tuple[tuple, tuple]:
-    """The admissible splits Q ⊔ T of p (either part may be empty), read in
-    one loop over the block masks, as (parts, splits).
+    """The admissible splits Q ⊔ T of p (either part may be empty), read
+    off ``_split_walk`` with block indices as labels, as (parts, splits).
 
     ``parts`` holds each distinct part once, as (the indices of its blocks
     in p, its standardized shape, the 0-based ranks of its carrier in p's
@@ -302,20 +333,10 @@ def split_table(p: NonCrossingPartition) -> tuple[tuple, tuple]:
     canonical order, whether p's first carrier element lies in Q, the index
     of the Q part (``None`` when Q is empty) and the indices of T's parts on
     the connected components of the complement of Q's carrier, left to
-    right.
-
-    A split is admissible when no Q-block is nested inside a T-block, that
-    is when Q holds every block around each of its blocks.  Then no Q
-    element lies inside a T-block, so a T-block's component is told by the
-    number of Q elements before its first element."""
+    right."""
     blocks = p.blocks
-    k = len(blocks)
-    # around[i]: bitmask of the blocks that block i is nested inside
-    around = [sum(1 << j for j, outer in enumerate(blocks)
-                  if _nested_inside(b, outer)) for b in blocks]
-    walk = sorted((x, i) for i, b in enumerate(blocks) for x in b)
-    owner = [i for _, i in walk]
-    opens = [x == blocks[i][0] for x, i in walk]
+    owner = [i for _, i in sorted((x, i) for i, b in enumerate(blocks)
+                                  for x in b)]
     parts: list[tuple] = []
     index: dict[tuple[int, ...], int] = {}
 
@@ -331,21 +352,12 @@ def split_table(p: NonCrossingPartition) -> tuple[tuple, tuple]:
             parts.append((ids, NonCrossingPartition(shape), ranks))
         return found
 
-    splits = []
-    for mask in range(1 << k):
-        q = tuple([i for i in range(k) if mask >> i & 1])
-        if any(around[i] & ~mask for i in q):
-            continue
-        comps: dict[int, list[int]] = {}
-        seen = 0
-        for i, first in zip(owner, opens):
-            if mask >> i & 1:
-                seen += 1
-            elif first:
-                comps.setdefault(seen, []).append(i)
-        splits.append((bool(mask & 1), part(q) if q else None,
-                       tuple([part(tuple(c)) for c in comps.values()])))
-    return tuple(parts), tuple(splits)
+    # the masks are distinct, so the sort never compares further
+    splits = tuple([(bool(mask & 1), part(q) if q else None,
+                     tuple([part(c) for c in comps]))
+                    for mask, q, comps in sorted(
+                        _split_walk(blocks, range(len(blocks))))])
+    return tuple(parts), splits
 
 
 @lru_cache(maxsize=None)

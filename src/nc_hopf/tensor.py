@@ -15,6 +15,7 @@ words; on generators the left leg always has at most one atom.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
@@ -23,6 +24,7 @@ from .coefficients import Coefficient, coeff_str
 from .errors import AlgebraMismatchError, ParseError, SizeLimitError
 from .partitions import (
     NonCrossingPartition,
+    _split_walk,
     enumerate_nc_partitions,
     parse_partition,
     split_table,
@@ -156,16 +158,16 @@ def delta_word_halves(w: Word) -> tuple[LinComb, LinComb]:
     """(left, right) splitting of delta_word by whether position 1 lies in
     the kept subset S.  left + right == delta_word(w).
 
-    Each half is one left-to-right pass over prefix states (kept letters,
-    closed runs, open run), starting from the first letter kept (left) or
-    not (right).  Each further letter is kept, which closes the open run,
-    or extends the open run, so a state costs one step, not a walk over
-    all positions.  The final states are counted on letter tuples, and
-    only then keyed by Words, one shared Word per letter tuple.  (Prefix
-    states are not merged during the pass: over several letters few of
-    them coincide, and the lookups cost more than they save.)"""
-    letters = w.letters
-    first, rest = letters[:1], letters[1:]
+    A word of length n splits as the singleton partition of [n]: every
+    subset is admissible and the components are the runs between kept
+    positions.  So the splits are those of ``_split_walk`` over the
+    singletons, with the letters as labels.  They are counted on letter
+    tuples, and only then keyed by Words, one shared Word per tuple."""
+    counts: tuple[dict, dict] = ({}, {})  # right, left
+    for mask, kept, runs in _split_walk(
+            tuple([(x,) for x in range(1, w.degree + 1)]), w.letters):
+        half, key = counts[mask & 1], (kept, runs)
+        half[key] = half.get(key, 0) + 1
     words: dict[tuple[str, ...], Word] = {}
 
     def word(part: tuple[str, ...]) -> Word:
@@ -174,24 +176,11 @@ def delta_word_halves(w: Word) -> tuple[LinComb, LinComb]:
             found = words[part] = Word(part)
         return found
 
-    halves = []
-    for start in ((first, (), ()), ((), (), first)):
-        states = [start]
-        for letter in rest:
-            step = []
-            for kept, runs, run in states:
-                step.append((kept + (letter,),
-                             runs + (run,) if run else runs, ()))
-                step.append((kept, runs, run + (letter,)))
-            states = step
-        counts: dict = {}
-        for kept, runs, run in states:
-            key = (kept, runs + (run,) if run else runs)
-            counts[key] = counts.get(key, 0) + 1
-        halves.append({((word(kept),) if kept else UNIT,
-                        tuple([word(r) for r in runs])): count
-                       for (kept, runs), count in counts.items()})
-    return halves[0], halves[1]
+    left, right = [{((word(kept),) if kept else UNIT,
+                     tuple([word(r) for r in runs])): count
+                    for (kept, runs), count in half.items()}
+                   for half in counts[::-1]]
+    return left, right
 
 
 def delta_word(w: Word) -> LinComb:
@@ -331,15 +320,30 @@ def tensor_text(t: LinComb) -> str:
     return lincomb_text(t, _tensor_key_text)
 
 
+# the separators of the text grammar, blanks included: a letter holding
+# one would print as a different term (``a|b`` as a bar word of two atoms)
+_SEPARATOR = re.compile(r"[\s.|:{}()⊗·]")
+
+
+def is_letter(name: str) -> bool:
+    """Whether ``name`` reads as one letter: non-empty, with no blank and
+    none of ``. | : { } ( ) ⊗ ·``."""
+    return bool(name) and not _SEPARATOR.search(name)
+
+
 def parse_word(text: str) -> Word:
-    """Parse the ``a.b.c`` text encoding: letters joined by dots, none of
-    them empty."""
+    """Parse the ``a.b.c`` text encoding: letters joined by dots, each of
+    them a letter by ``is_letter``."""
     body = text.strip()
     if not body:
         raise ParseError(f"empty word: {text!r}")
     letters = tuple(body.split("."))
     if not all(letters):
         raise ParseError(f"empty letter in word {text!r}")
+    for letter in letters:
+        if not is_letter(letter):
+            raise ParseError(f"letter {letter!r} in word {text!r} holds a "
+                             f"separator")
     return Word(letters)
 
 

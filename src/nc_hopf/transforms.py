@@ -52,7 +52,7 @@ from .partitions import (
     check_enumeration_size,
     enumerate_nc_partitions,
 )
-from .tensor import Word
+from .tensor import Word, is_letter
 
 CLASSICAL = "classical"
 FREE = "free"
@@ -499,10 +499,11 @@ def cumulant_sequence_from_json(data: dict, flavor: str) -> CumulantSequence:
 
 def multi_moment_map_from_json(data: dict) -> MultiMomentMap:
     alphabet = tuple(_json_field(data, "alphabet", list))
-    known = {a for a in alphabet if isinstance(a, str) and a and "." not in a}
+    known = {a for a in alphabet if isinstance(a, str) and is_letter(a)}
     if len(known) != len(alphabet):
-        raise ParseError("the alphabet must list distinct, non-empty letter "
-                         "names without '.'")
+        raise ParseError("the alphabet must list distinct letter names, "
+                         "non-empty, with no blank and none of "
+                         "'. | : { } ( ) ⊗ ·'")
     table = {}
     for key, text in _json_field(data, "values", dict).items():
         letters = tuple(key.split("."))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 
+from . import clear_caches
 from .functionals import (
     NC,
     WORDS,
@@ -615,10 +616,16 @@ SUITE_BOUNDS = {
 
 
 def run_suite(name: str, *args, **kwargs) -> list[SuiteReport]:
-    """Run one named suite, or all of them.  The first parameter of every
-    suite is its size bound, so ``run_suite(name, bound)`` sets it."""
+    """Run one named suite, or all of them, emptying the library's caches
+    after each, so no suite holds the memory of the ones before it.  The
+    first parameter of every suite is its size bound, so
+    ``run_suite(name, bound)`` sets it."""
     if name == "all":
-        return [fn() for fn in SUITES.values()]
+        reports = []
+        for fn in SUITES.values():
+            reports.append(fn())
+            clear_caches()
+        return reports
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{', '.join(sorted(SUITES))} or 'all'")

@@ -143,6 +143,31 @@ class TestCoproduct:
         code, out = run("coproduct", "nc", "{1,1}{2}")
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("subject", ["{1}", "a|b.c", "a b"])
+    def test_letter_holding_a_separator_is_parse_error(self, subject, capsys):
+        # {1} once printed the bytes of `coproduct nc {1}`, and a|b.c the
+        # term a|b ⊗ c, read back as a bar word of two atoms
+        code, out = run("coproduct", "word", subject)
+        assert code == 1 and out == ""
+        assert "separator" in capsys.readouterr().err
+
+    def test_word_subject_held_to_the_nc_cap(self, monkeypatch, capsys):
+        # its splits run over 2^n subsets: 20 letters once ran for 20 s
+        src = str(Path(__file__).parent.parent / "src")
+        word = ".".join("a" * 15)
+        done = subprocess.run(
+            [sys.executable, "-m", "nc_hopf.cli", "coproduct", "word", word],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert "outside allowed range 1..14" in done.stderr
+        start = time.perf_counter()
+        assert run("coproduct", "word", word) == (1, "")
+        assert time.perf_counter() - start < 1.0
+        monkeypatch.setenv("NCHOPF_MAX_N", "3")
+        assert run("coproduct", "word", "a.b.c.d") == (1, "")
+        assert run("coproduct", "word", "a.b.c")[0] == 0
+
 
 class TestMoebius:
     def test_nc_full_interval(self):

@@ -28,6 +28,7 @@ from nc_hopf.partitions import (
     parse_partition,
     refines,
     singleton_partition,
+    split_table,
     standardize,
 )
 from nc_hopf import partitions
@@ -304,7 +305,56 @@ def upset_count(p) -> int:
     return prod(ways(r) for r in roots)
 
 
+def mask_split_table(p):
+    """Oracle for ``split_table``: every block mask in order, rejected
+    unless it holds every block around each of its blocks; a T-block joins
+    the component after as many Q elements as precede its first element.
+    Parts are deduplicated in the order they are met."""
+    blocks = p.blocks
+    k = len(blocks)
+    around = [sum(1 << j for j, outer in enumerate(blocks)
+                  if outer[0] < b[0] and b[-1] < outer[-1]) for b in blocks]
+    walk = sorted((x, i) for i, b in enumerate(blocks) for x in b)
+    owner = [i for _, i in walk]
+    opens = [x == blocks[i][0] for x, i in walk]
+    parts, index = [], {}
+
+    def part(ids):
+        if ids not in index:
+            index[ids] = len(parts)
+            ranks = tuple(r for r, i in enumerate(owner) if i in ids)
+            members = {i: [] for i in ids}
+            for j, r in enumerate(ranks, start=1):
+                members[owner[r]].append(j)
+            shape = tuple(tuple(members[i]) for i in ids)
+            parts.append((ids, NonCrossingPartition(shape), ranks))
+        return index[ids]
+
+    splits = []
+    for mask in range(1 << k):
+        q = tuple(i for i in range(k) if mask >> i & 1)
+        if any(around[i] & ~mask for i in q):
+            continue
+        comps, seen = {}, 0
+        for i, first in zip(owner, opens):
+            if mask >> i & 1:
+                seen += 1
+            elif first:
+                comps.setdefault(seen, []).append(i)
+        splits.append((bool(mask & 1), part(q) if q else None,
+                       tuple(part(tuple(c)) for c in comps.values())))
+    return tuple(parts), tuple(splits)
+
+
 class TestAdmissibleSplits:
+    def test_split_walk_matches_the_mask_loop(self):
+        shapes = [p for n in range(1, 9) for p in enumerate_nc_partitions(n)]
+        # a shape on a carrier other than [n]
+        shapes.append(NonCrossingPartition.of(
+            [[2, 9, 15], [3, 4], [5, 8], [6], [11, 14], [12]]))
+        for p in shapes:
+            assert split_table(p) == mask_split_table(p), p
+
     def test_matches_definition_and_nesting_forest(self):
         shapes = [p for n in range(1, 9) for p in enumerate_nc_partitions(n)]
         # a shape on a carrier other than [n]

@@ -335,6 +335,16 @@ class TestParsing:
         with pytest.raises(ParseError, match="empty letter"):
             parse_atom(text)
 
+    @pytest.mark.parametrize("read,text", [
+        *[(parse_word, t) for t in ("a b", "a\tb.c", "a|b.c", "a:b", "{1}",
+                                    "a}", "(a)", "a⊗b", "2·a")],
+        *[(parse_atom, t) for t in ("a|b.c", "{1,2}:a|b.c", "{1}:a:b",
+                                    "{1,2}:a.b c")]])
+    def test_letter_holding_a_separator_rejected(self, read, text):
+        # each would print as a different term, such as a two-atom bar word
+        with pytest.raises(ParseError, match="separator"):
+            read(text)
+
     @pytest.mark.parametrize("text", ["{1,2}:a", "{1}:a.b", "{2,3}:a.b.c"])
     def test_decoration_of_wrong_length_is_parse_error(self, text):
         with pytest.raises(ParseError, match="decoration"):

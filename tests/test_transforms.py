@@ -381,6 +381,14 @@ class TestJson:
         with pytest.raises(ParseError):
             load(data)
 
+    @pytest.mark.parametrize("letter", [
+        "", "a.b", "a b", "a|b", "a:b", "{a}", "(a)", "a⊗b", "a·b"])
+    def test_multi_map_alphabet_holds_letters_only(self, letter):
+        from nc_hopf.errors import ParseError
+        data = {"alphabet": ["c", letter], "values": {"c": "1", letter: "2"}}
+        with pytest.raises(ParseError, match="alphabet"):
+            multi_moment_map_from_json(data)
+
     def test_multi_map_requires_total_table(self):
         from nc_hopf.errors import ParseError
         data = {"alphabet": ["a", "b"], "values": {"a": "1", "a.a": "2"}}

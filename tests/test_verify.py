@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import nc_hopf
 import nc_hopf.verify
 from nc_hopf.functionals import (
     WORDS,
@@ -114,3 +115,49 @@ def test_semicircular_runs_the_transform_at_its_own_order(monkeypatch):
     for order in (1, 2, 5):
         assert run_suite("semicircular", order)[0].passed
     assert seen == [(0,), (0, 1), (0, 1, 0, 0, 0)]
+
+
+def layer_caches() -> dict:
+    """Every callable with ``cache_info`` in the layer modules, by name."""
+    return {f"{value.__module__}.{value.__qualname__}": value
+            for name in nc_hopf._LAYERS
+            for value in vars(getattr(nc_hopf, name)).values()
+            if callable(getattr(value, "cache_info", None))}
+
+
+def fill_caches() -> None:
+    from nc_hopf.partitions import (admissible_splits,
+                                    enumerate_nc_partitions, parse_partition)
+    from nc_hopf.tensor import DecoratedNC, Word, delta_bar, delta_word
+    from nc_hopf.trees import gapped_hierarchy_tree, tree_coproduct
+    shape = parse_partition("{1,4}{2,3}{5}")
+    admissible_splits(shape)
+    delta_bar((DecoratedNC(shape),), "left")
+    delta_word(Word(("a", "b")))
+    tree_coproduct(gapped_hierarchy_tree(shape))
+    enumerate_nc_partitions(3)
+
+
+def test_clear_caches_empties_every_layer_cache():
+    fill_caches()
+    caches = layer_caches()
+    assert len(caches) >= 7
+    assert all(fn.cache_info().currsize for fn in caches.values())
+    nc_hopf.clear_caches()
+    assert {name: fn.cache_info().currsize for name, fn in caches.items()
+            } == dict.fromkeys(caches, 0)
+
+
+def test_all_empties_the_caches_after_each_suite(monkeypatch):
+    seen = []
+
+    def suite():
+        seen.append(sum(fn.cache_info().currsize
+                        for fn in layer_caches().values()))
+        fill_caches()
+        return SuiteReport("filled")
+
+    monkeypatch.setattr(nc_hopf.verify, "SUITES", {"a": suite, "b": suite})
+    assert [r.name for r in run_suite("all")] == ["filled", "filled"]
+    assert seen[1] == 0
+    assert sum(fn.cache_info().currsize for fn in layer_caches().values()) == 0
