@@ -32,11 +32,13 @@ Block = tuple[int, ...]
 class SetPartition:
     """A partition of a finite set of positive integers, in canonical form.
 
-    The hash is computed once, at construction; equality and hashing are
-    determined by the blocks (and the class, for equality)."""
+    The hash and ``size``, the number of carrier elements, are computed
+    once, at construction; equality and hashing are determined by the
+    blocks (and the class, for equality)."""
 
     blocks: tuple[Block, ...]
     _hash: int = field(init=False, compare=False, repr=False)
+    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -57,6 +59,7 @@ class SetPartition:
             seen |= members
             prev_min = block[0]
         object.__setattr__(self, "_hash", hash(self.blocks))
+        object.__setattr__(self, "size", len(seen))
 
     def __hash__(self):
         return self._hash
@@ -77,11 +80,6 @@ class SetPartition:
     @property
     def carrier(self) -> tuple[int, ...]:
         return tuple(sorted(x for block in self.blocks for x in block))
-
-    @property
-    def size(self) -> int:
-        """Number of carrier elements."""
-        return sum(len(b) for b in self.blocks)
 
     def restrict(self, subset) -> "SetPartition":
         """Intersect every block with ``subset``, dropping empties."""

@@ -32,36 +32,42 @@ from .partitions import (
 from . import config
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
-    """A non-empty word over a declared alphabet of letter names.  The hash
-    is computed once, at construction, from the letters."""
+class Word(tuple):
+    """A non-empty word over a declared alphabet of letter names: the tuple
+    of its letters, equal to that tuple and hashed like it.  Construction,
+    hashing and equality are the tuple's own."""
 
-    letters: tuple[str, ...]
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.letters:
+    def __new__(cls, letters):
+        self = tuple.__new__(cls, letters)
+        if not self:
             raise ValueError("the empty word is represented by the unit only")
-        object.__setattr__(self, "_hash", hash(self.letters))
-
-    def __hash__(self):
-        return self._hash
+        return self
 
     def __reduce__(self):
-        # rebuilt through the constructor: letter hashes are per process
-        return Word, (self.letters,)
+        # rebuilt through the constructor, which checks the letters again
+        return Word, (tuple(self),)
+
+    def __repr__(self):
+        # kept as the dataclass printed it: the --json rows of a coproduct
+        # are sorted by the text of each key, reprs included
+        return f"Word(letters={tuple(self)!r})"
+
+    @property
+    def letters(self) -> tuple[str, ...]:
+        return tuple(self)
 
     @property
     def degree(self) -> int:
-        return len(self.letters)
+        return len(self)
 
     def subword(self, positions) -> "Word":
         """Letters at the given 1-based positions, in order."""
-        return Word(tuple(self.letters[i - 1] for i in sorted(positions)))
+        return Word(tuple([self[i - 1] for i in sorted(positions)]))
 
     def text(self) -> str:
-        return ".".join(self.letters)
+        return ".".join(self)
 
     def __str__(self):
         return self.text()
@@ -153,41 +159,62 @@ def counit(t: LinComb) -> Coefficient:
 # generator coproducts
 
 
+def _merged(left: LinComb, right: LinComb) -> LinComb:
+    """left + right for two halves of positive counts, which never cancel."""
+    out = dict(left)
+    for key, c in right.items():
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _word_splits(n: int) -> tuple:
+    """The splits of every word of length n, as (mask, kept positions, runs
+    of positions), positions 0-based: a word splits as the singleton
+    partition of [n], so these are the splits of ``_split_walk`` over the
+    singletons, each labelled by its position.  They depend on n alone."""
+    return tuple(_split_walk(tuple([(x,) for x in range(1, n + 1)]),
+                             range(n)))
+
+
 @lru_cache(maxsize=None)
 def delta_word_halves(w: Word) -> tuple[LinComb, LinComb]:
     """(left, right) splitting of delta_word by whether position 1 lies in
     the kept subset S.  left + right == delta_word(w).
 
-    A word of length n splits as the singleton partition of [n]: every
-    subset is admissible and the components are the runs between kept
-    positions.  So the splits are those of ``_split_walk`` over the
-    singletons, with the letters as labels.  They are counted on letter
-    tuples, and only then keyed by Words, one shared Word per tuple."""
-    counts: tuple[dict, dict] = ({}, {})  # right, left
-    for mask, kept, runs in _split_walk(
-            tuple([(x,) for x in range(1, w.degree + 1)]), w.letters):
-        half, key = counts[mask & 1], (kept, runs)
-        half[key] = half.get(key, 0) + 1
+    Every subset is admissible and the components are the runs between kept
+    positions: the splits of ``_word_splits`` for w's length, with w's
+    letters put at the positions.  Equal letter tuples share one Word, and
+    equal kept tuples one left leg."""
+    n = len(w)
     words: dict[tuple[str, ...], Word] = {}
 
-    def word(part: tuple[str, ...]) -> Word:
-        found = words.get(part)
+    def word(letters: tuple[str, ...]) -> Word:
+        found = words.get(letters)
         if found is None:
-            found = words[part] = Word(part)
+            found = words[letters] = Word(letters)
         return found
 
-    left, right = [{((word(kept),) if kept else UNIT,
-                     tuple([word(r) for r in runs])): count
-                    for (kept, runs), count in half.items()}
-                   for half in counts[::-1]]
-    return left, right
+    # a run is an interval of positions, so its Word is read off w once
+    pieces = {tuple(range(a, b)): word(w[a:b])
+              for a in range(n) for b in range(a + 1, n + 1)}
+    legs: dict[tuple[str, ...], BarWord] = {(): UNIT}
+    halves: tuple[dict, dict] = ({}, {})  # right, left
+    for mask, kept, runs in _word_splits(n):
+        letters = tuple([w[i] for i in kept])
+        left = legs.get(letters)
+        if left is None:
+            left = legs[letters] = (word(letters),)
+        half, key = halves[mask & 1], (left, tuple([pieces[r] for r in runs]))
+        half[key] = half.get(key, 0) + 1
+    return halves[1], halves[0]
 
 
 def delta_word(w: Word) -> LinComb:
     """Full coproduct of a word: sum over subsets S of letter positions of
     a_S tensor the bar word of connected components of the complement,
     taken as the sum of the two halves."""
-    return lincomb_sum(*delta_word_halves(w))
+    return _merged(*delta_word_halves(w))
 
 
 @lru_cache(maxsize=None)
@@ -203,15 +230,16 @@ def delta_nc_halves(x: DecoratedNC) -> tuple[LinComb, LinComb]:
     if x.word is None:
         atoms = [DecoratedNC(shape) for _, shape, _ in parts]
     else:
-        letters = x.word.letters
-        atoms = [DecoratedNC(shape, Word(tuple([letters[r] for r in ranks])))
+        word = x.word
+        atoms = [DecoratedNC(shape, Word(tuple([word[r] for r in ranks])))
                  for _, shape, ranks in parts]
     left: LinComb = {}
     right: LinComb = {}
     for in_q, q, comps in splits:
+        half = left if in_q else right
         key = ((atoms[q],) if q is not None else UNIT,
                tuple([atoms[i] for i in comps]))
-        add_into(left if in_q else right, key, 1)
+        half[key] = half.get(key, 0) + 1
     return left, right
 
 
@@ -219,7 +247,7 @@ def delta_nc(x: DecoratedNC) -> LinComb:
     """Full coproduct of a (decorated) non-crossing partition: sum over
     admissible splits, all parts standardized, decorations restricted,
     taken as the sum of the two halves."""
-    return lincomb_sum(*delta_nc_halves(x))
+    return _merged(*delta_nc_halves(x))
 
 
 def tensor_product(a: LinComb, b: LinComb) -> LinComb:
@@ -261,13 +289,13 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
     halves = [delta_word_halves(a) if isinstance(a, Word)
               else delta_nc_halves(a) for a in b]
     if variant == "full":
-        result = lincomb_sum(*halves[0])
+        result = _merged(*halves[0])
     elif variant in ("left+", "right+"):
         result = halves[0][0 if variant == "left+" else 1]
     else:
         raise ValueError(f"unknown variant: {variant!r}")
     for pair in halves[1:]:
-        result = tensor_product(result, lincomb_sum(*pair))
+        result = tensor_product(result, _merged(*pair))
     return result
 
 
@@ -309,7 +337,9 @@ def lincomb_text(t: LinComb, key_text) -> str:
 
 
 def _tensor_key_text(key) -> str:
-    if isinstance(key, tuple) and key and isinstance(key[0], tuple):
+    # a pair's first leg is a plain tuple; a bar word's first atom is a
+    # Word (a tuple subclass) or a DecoratedNC
+    if isinstance(key, tuple) and key and type(key[0]) is tuple:
         return " ⊗ ".join(barword_text(leg) for leg in key)
     return barword_text(key)
 

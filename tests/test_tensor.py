@@ -1,9 +1,12 @@
+import io
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
+from nc_hopf.cli import main
 from nc_hopf.errors import AlgebraMismatchError, ParseError, SizeLimitError
 from nc_hopf.partitions import (
     NonCrossingPartition,
@@ -15,6 +18,7 @@ from nc_hopf.tensor import (
     UNIT,
     DecoratedNC,
     Word,
+    _word_splits,
     add_into,
     barword_degree,
     barword_text,
@@ -125,6 +129,46 @@ class TestCoproductLayer:
                     word = Word(letters)
                     assert delta_word_halves(word) == subset_halves(word)
 
+    def test_length_table_holds_every_subset_once(self):
+        # from the definition: the splits of [n] are its 2^n subsets S, each
+        # with the maximal runs of positions outside S, positions 0-based
+        for n in range(1, 11):
+            expected = {}
+            for mask in range(1 << n):
+                kept = tuple(i for i in range(n) if mask >> i & 1)
+                runs, run = [], []
+                for i in range(n):
+                    if i in kept:
+                        if run:
+                            runs.append(tuple(run))
+                        run = []
+                    else:
+                        run.append(i)
+                if run:
+                    runs.append(tuple(run))
+                expected[mask] = (kept, tuple(runs))
+            table = _word_splits(n)
+            assert len(table) == 2 ** n
+            assert {mask: (kept, runs) for mask, kept, runs in table
+                    } == expected
+
+    def test_clear_caches_empties_the_length_table(self):
+        import nc_hopf
+        delta_word(w("abc"))
+        assert _word_splits.cache_info().currsize
+        nc_hopf.clear_caches()
+        assert _word_splits.cache_info().currsize == 0
+
+    def test_equal_left_legs_are_one_object(self):
+        # and so are equal atoms, across both halves of one result
+        for word in (w("abab"), w("aaaa"), w("abcab")):
+            legs, atoms = {}, {}
+            for half in delta_word_halves(word):
+                for left, right in half:
+                    assert legs.setdefault(left, left) is left
+                    for atom in left + right:
+                        assert atoms.setdefault(atom, atom) is atom
+
     def test_structural_coefficients_are_int(self):
         values = []
         for word in (w("a"), w("aab"), w("abab")):
@@ -161,6 +205,21 @@ def split_halves(x):
         right = tuple(restricted(c) for c in split.components)
         halves[carrier[0] in q.carrier][(left, right)] += 1
     return dict(halves[1]), dict(halves[0])
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("extra,filename", [
+    ((), "coproduct_word_abacb.txt"),
+    (("--json",), "coproduct_word_abacb.json"),
+])
+def test_word_coproduct_golden(extra, filename):
+    # the --json rows are sorted by the text of each key, Word reprs and
+    # all, so this file also pins the repr of Word
+    out = io.StringIO()
+    assert main(["coproduct", "word", "a.b.a.c.b", *extra], out=out) == 0
+    assert out.getvalue() == (GOLDEN / filename).read_text()
 
 
 class TestNcCoproduct:

@@ -1,6 +1,7 @@
 """Value-type contract of the four hashable types: equality is decided by
 the fields, the hash agrees with equality, and copies and pickles are
-rebuilt as equal values whose hash belongs to the process they live in."""
+rebuilt as equal values whose hash belongs to the process they live in.
+A Word is the tuple of its letters."""
 
 import copy
 import os
@@ -11,13 +12,15 @@ import sys
 from itertools import product
 from pathlib import Path
 
+import pytest
+
 from nc_hopf.partitions import (
     NonCrossingPartition,
     SetPartition,
     enumerate_nc_partitions,
     enumerate_set_partitions,
 )
-from nc_hopf.tensor import DecoratedNC, Word
+from nc_hopf.tensor import DecoratedNC, Word, tensor_text
 
 MAX_N = 6
 
@@ -109,3 +112,50 @@ def test_pickled_values_are_found_under_another_hash_seed():
     assert python(_LOAD, "2", data).strip() == b"True"
     # and in this process, under its own seed
     assert pickle.loads(data) == sample_values()
+
+
+def test_partition_size_is_stored_out_of_equality():
+    for value in sample_values():
+        if isinstance(value, SetPartition):
+            assert value.size == len(value.carrier)
+            assert "size" not in repr(value)
+    p = SetPartition(((1, 3), (2,)))
+    assert p.size == 3 and pickle.loads(pickle.dumps(p)).size == 3
+
+
+def test_word_is_its_letter_tuple():
+    word = Word(("a", "b"))
+    assert isinstance(word, tuple) and word == ("a", "b")
+    assert hash(word) == hash(("a", "b"))
+    assert word.letters == ("a", "b") and type(word.letters) is tuple
+    assert word.text() == str(word) == "a.b"
+
+
+def test_word_is_immutable():
+    word = Word(("a", "b"))
+    for name in ("letters", "degree", "other"):
+        with pytest.raises(AttributeError):
+            setattr(word, name, ("c",))
+    assert word == ("a", "b")
+
+
+def test_word_never_equals_an_atom_of_another_kind_or_a_bar_word():
+    for letters in (("a",), ("a", "b")):
+        word = Word(letters)
+        shape = enumerate_nc_partitions(len(letters))[0]
+        for other in (DecoratedNC(shape, word), DecoratedNC(shape), (word,)):
+            assert word != other and other != word
+            assert len({word, other}) == 2
+
+
+def test_word_repr():
+    # the --json rows of a coproduct are sorted by the text of each key,
+    # which holds this repr
+    assert repr(Word(("a", "b"))) == "Word(letters=('a', 'b'))"
+    assert str((Word(("a",)),)) == "(Word(letters=('a',)),)"
+
+
+def test_tensor_text_tells_a_bar_word_from_a_pair():
+    word = Word(("a", "b"))
+    assert tensor_text({(word,): 1}) == "a.b"
+    assert tensor_text({((word,), ()): 1}) == "a.b ⊗ 1"
