@@ -143,10 +143,19 @@ def add_into(acc: LinComb, key, coeff: Coefficient) -> None:
 
 
 def lincomb_sum(*combs: LinComb) -> LinComb:
-    out: LinComb = {}
-    for lc in combs:
+    """The sum of linear combinations, dropping every entry that cancels.
+    A LinComb stores no zero, so the first one is copied as it is."""
+    if not combs:
+        return {}
+    out = dict(combs[0])
+    get = out.get
+    for lc in combs[1:]:
         for k, v in lc.items():
-            add_into(out, k, v)
+            new = get(k, 0) + v
+            if new:
+                out[k] = new
+            elif k in out:
+                del out[k]
     return out
 
 
@@ -159,33 +168,30 @@ def counit(t: LinComb) -> Coefficient:
 # generator coproducts
 
 
-def _merged(left: LinComb, right: LinComb) -> LinComb:
-    """left + right for two halves of positive counts, which never cancel."""
-    out = dict(left)
-    for key, c in right.items():
-        out[key] = out.get(key, 0) + c
-    return out
+@lru_cache(maxsize=None)
+def _word_splits(n: int) -> tuple[tuple, tuple]:
+    """The splits of every word of length n, as (kept positions, runs of
+    positions), positions 0-based: a word splits as the singleton partition
+    of [n], so these are the splits of ``_split_walk`` over the singletons,
+    each labelled by its position.  They depend on n alone, and are held
+    as (those with position 0 in a run, those with it kept)."""
+    halves: tuple[list, list] = ([], [])
+    for mask, kept, runs in _split_walk(tuple([(x,) for x in range(1, n + 1)]),
+                                        range(n)):
+        halves[mask & 1].append((kept, runs))
+    return tuple(halves[0]), tuple(halves[1])
 
 
 @lru_cache(maxsize=None)
-def _word_splits(n: int) -> tuple:
-    """The splits of every word of length n, as (mask, kept positions, runs
-    of positions), positions 0-based: a word splits as the singleton
-    partition of [n], so these are the splits of ``_split_walk`` over the
-    singletons, each labelled by its position.  They depend on n alone."""
-    return tuple(_split_walk(tuple([(x,) for x in range(1, n + 1)]),
-                             range(n)))
-
-
-@lru_cache(maxsize=None)
-def delta_word_halves(w: Word) -> tuple[LinComb, LinComb]:
-    """(left, right) splitting of delta_word by whether position 1 lies in
-    the kept subset S.  left + right == delta_word(w).
+def delta_word_half(w: Word, left: bool) -> LinComb:
+    """The left (position 1 in the kept subset S) or the right half of
+    delta_word(w), built alone: the fixed point reads only left halves.
 
     Every subset is admissible and the components are the runs between kept
     positions: the splits of ``_word_splits`` for w's length, with w's
     letters put at the positions.  Equal letter tuples share one Word, and
-    equal kept tuples one left leg."""
+    equal kept tuples one left leg.  The cached dict is shared by every
+    caller: read it, never change it."""
     n = len(w)
     words: dict[tuple[str, ...], Word] = {}
 
@@ -199,22 +205,28 @@ def delta_word_halves(w: Word) -> tuple[LinComb, LinComb]:
     pieces = {tuple(range(a, b)): word(w[a:b])
               for a in range(n) for b in range(a + 1, n + 1)}
     legs: dict[tuple[str, ...], BarWord] = {(): UNIT}
-    halves: tuple[dict, dict] = ({}, {})  # right, left
-    for mask, kept, runs in _word_splits(n):
+    half: LinComb = {}
+    for kept, runs in _word_splits(n)[left]:
         letters = tuple([w[i] for i in kept])
-        left = legs.get(letters)
-        if left is None:
-            left = legs[letters] = (word(letters),)
-        half, key = halves[mask & 1], (left, tuple([pieces[r] for r in runs]))
+        leg = legs.get(letters)
+        if leg is None:
+            leg = legs[letters] = (word(letters),)
+        key = (leg, tuple([pieces[r] for r in runs]))
         half[key] = half.get(key, 0) + 1
-    return halves[1], halves[0]
+    return half
+
+
+def delta_word_halves(w: Word) -> tuple[LinComb, LinComb]:
+    """(left, right) splitting of delta_word by whether position 1 lies in
+    the kept subset S.  left + right == delta_word(w)."""
+    return delta_word_half(w, True), delta_word_half(w, False)
 
 
 def delta_word(w: Word) -> LinComb:
     """Full coproduct of a word: sum over subsets S of letter positions of
     a_S tensor the bar word of connected components of the complement,
     taken as the sum of the two halves."""
-    return _merged(*delta_word_halves(w))
+    return lincomb_sum(*delta_word_halves(w))
 
 
 @lru_cache(maxsize=None)
@@ -247,7 +259,7 @@ def delta_nc(x: DecoratedNC) -> LinComb:
     """Full coproduct of a (decorated) non-crossing partition: sum over
     admissible splits, all parts standardized, decorations restricted,
     taken as the sum of the two halves."""
-    return _merged(*delta_nc_halves(x))
+    return lincomb_sum(*delta_nc_halves(x))
 
 
 def tensor_product(a: LinComb, b: LinComb) -> LinComb:
@@ -286,17 +298,22 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
         return out
     if not b:
         return {(UNIT, UNIT): 1}
-    halves = [delta_word_halves(a) if isinstance(a, Word)
-              else delta_nc_halves(a) for a in b]
+    first, left = b[0], variant == "left+"
     if variant == "full":
-        result = _merged(*halves[0])
-    elif variant in ("left+", "right+"):
-        result = halves[0][0 if variant == "left+" else 1]
-    else:
+        result = _delta_atom(first)
+    elif variant not in ("left+", "right+"):
         raise ValueError(f"unknown variant: {variant!r}")
-    for pair in halves[1:]:
-        result = tensor_product(result, _merged(*pair))
+    elif isinstance(first, Word):
+        result = delta_word_half(first, left)
+    else:
+        result = delta_nc_halves(first)[0 if left else 1]
+    for atom in b[1:]:
+        result = tensor_product(result, _delta_atom(atom))
     return result
+
+
+def _delta_atom(atom: Atom) -> LinComb:
+    return delta_word(atom) if isinstance(atom, Word) else delta_nc(atom)
 
 
 # ---------------------------------------------------------------------------

@@ -384,9 +384,10 @@ class MultiMomentMap:
     table: dict = field(hash=False)
 
     def value(self, w: Word) -> Coefficient:
-        if w.letters not in self.table:
+        # a Word equals and hashes like its letter tuple, the table's key
+        if w not in self.table:
             raise KeyError(f"no moment recorded for word {w.text()}")
-        return self.table[w.letters]
+        return self.table[w]
 
     def words(self, degree: int) -> list[Word]:
         return [Word(ls) for ls in _letter_tuples(self.alphabet, (degree,))]
@@ -453,7 +454,7 @@ def generalized_free_cumulants(phi: MultiMomentMap) -> MultiCumulantMap:
         table = dict(zip(words, moments))
         via_recursion = _lattice_cumulants(table.__getitem__, words)
         via_extraction = _extracted_cumulants(
-            phi.alphabet, phi.order, lambda w: table[w.letters])
+            phi.alphabet, phi.order, table.__getitem__)
         for letters in words:
             kappa = via_extraction(letters)
             if kappa != via_recursion[letters]:

@@ -389,11 +389,10 @@ def verify_keyrell(max_n: int = 6, seed: int = 31,
         rng_values: dict = {}
 
         def kappa_fn(w: Word) -> Fraction:
-            if w.letters not in rng_values:
+            if w not in rng_values:
                 r = random.Random(f"{seed}:{w.text()}")
-                rng_values[w.letters] = Fraction(r.randint(-12, 12),
-                                                 r.randint(1, 5))
-            return rng_values[w.letters]
+                rng_values[w] = Fraction(r.randint(-12, 12), r.randint(1, 5))
+            return rng_values[w]
 
     sd = standard_section(kappa_fn, nc_algebra, max_n)
     psi = solve_left_fixed_point(sd)
@@ -424,9 +423,9 @@ def verify_keyrell(max_n: int = 6, seed: int = 31,
     bad = []
     for n in range(1, max_n + 1):
         w = Word(alphabet[:n])
-        total = sum(kappa_powers(shape, w, lambda v: solved[v.letters])
+        total = sum(kappa_powers(shape, w, solved.__getitem__)
                     for shape in enumerate_nc_partitions(n))
-        if total != phi_fn(w.letters):
+        if total != phi_fn(w):
             bad.append(w.text())
     report.add(f"lattice sum of cumulant block products = moments, n ≤ {max_n}",
                not bad, _failing(bad))

@@ -27,6 +27,7 @@ from nc_hopf.tensor import (
     delta_nc,
     delta_nc_halves,
     delta_word,
+    delta_word_half,
     delta_word_halves,
     lincomb_sum,
     parse_atom,
@@ -131,7 +132,8 @@ class TestCoproductLayer:
 
     def test_length_table_holds_every_subset_once(self):
         # from the definition: the splits of [n] are its 2^n subsets S, each
-        # with the maximal runs of positions outside S, positions 0-based
+        # with the maximal runs of positions outside S, positions 0-based,
+        # held by whether S keeps position 0
         for n in range(1, 11):
             expected = {}
             for mask in range(1 << n):
@@ -147,10 +149,12 @@ class TestCoproductLayer:
                 if run:
                     runs.append(tuple(run))
                 expected[mask] = (kept, tuple(runs))
-            table = _word_splits(n)
-            assert len(table) == 2 ** n
-            assert {mask: (kept, runs) for mask, kept, runs in table
-                    } == expected
+            right, left = _word_splits(n)
+            assert len(right) == len(left) == 2 ** (n - 1)
+            assert set(right) == {split for mask, split in expected.items()
+                                  if not mask & 1}
+            assert set(left) == {split for mask, split in expected.items()
+                                 if mask & 1}
 
     def test_clear_caches_empties_the_length_table(self):
         import nc_hopf
@@ -159,11 +163,22 @@ class TestCoproductLayer:
         nc_hopf.clear_caches()
         assert _word_splits.cache_info().currsize == 0
 
+    def test_left_half_is_built_alone(self):
+        # the fixed point reads only the left half of a word's coproduct
+        import nc_hopf
+        nc_hopf.clear_caches()
+        word = w("abca")
+        assert delta_bar((word,), "left+") == delta_word_halves(word)[0]
+        assert delta_word_half.cache_info().currsize == 2
+        nc_hopf.clear_caches()
+        delta_bar((word,), "left+")
+        assert delta_word_half.cache_info().currsize == 1
+
     def test_equal_left_legs_are_one_object(self):
-        # and so are equal atoms, across both halves of one result
+        # and so are equal atoms, within each half
         for word in (w("abab"), w("aaaa"), w("abcab")):
-            legs, atoms = {}, {}
             for half in delta_word_halves(word):
+                legs, atoms = {}, {}
                 for left, right in half:
                     assert legs.setdefault(left, left) is left
                     for atom in left + right:
