@@ -102,11 +102,11 @@ def _parse_shape(text: str) -> partitions.NonCrossingPartition:
     return shape
 
 
-def _parse_word(text: str) -> tensor.Word:
+def _parse_word(text: str) -> tuple[str, ...]:
     """A word subject, held to the non-crossing cap: its coproduct runs over
     the 2^n subsets of its n letters."""
     word = tensor.parse_word(text)
-    partitions.check_enumeration_size("nc", word.degree)
+    partitions.check_enumeration_size("nc", len(word))
     return word
 
 
@@ -130,11 +130,23 @@ def _cmd_enumerate(args, out) -> int:
     return 0
 
 
-def _coproduct_rows(terms, legs) -> list[dict]:
+def _coproduct_rows(terms, legs, order=str) -> list[dict]:
     """JSON rows of a coproduct value: the coefficient, then the fields that
-    ``legs`` makes of each key."""
+    ``legs`` makes of each key, sorted by the text ``order`` gives a key."""
     return [{"coefficient": coefficients.coeff_str(c), **legs(key)}
-            for key, c in sorted(terms.items(), key=lambda kv: str(kv[0]))]
+            for key, c in sorted(terms.items(), key=lambda kv: order(kv[0]))]
+
+
+def _barword_order(key) -> str:
+    """``str(key)`` with each word atom (a tuple of letters) written
+    ``Word(letters=(...))``, the text the rows of ``coproduct word|nc
+    --json`` have always been sorted by."""
+    if type(key) is not tuple:
+        return repr(key)
+    if key and type(key[0]) is str:
+        return f"Word(letters={key!r})"
+    inner = ", ".join(map(_barword_order, key))
+    return f"({inner},)" if len(key) == 1 else f"({inner})"
 
 
 def _tree_legs(key) -> dict:
@@ -163,7 +175,8 @@ def _cmd_coproduct(args, out) -> int:
     else:
         terms = tensor.delta_word(_parse_word(args.subject))
     if args.json:
-        print(json.dumps(_coproduct_rows(terms, _barword_legs)), file=out)
+        print(json.dumps(_coproduct_rows(terms, _barword_legs, _barword_order)),
+              file=out)
     else:
         print(tensor.tensor_text(terms), file=out)
     return 0

@@ -28,7 +28,6 @@ from .tensor import (
     BarWord,
     DecoratedNC,
     LinComb,
-    Word,
     barword_degree,
     barword_text,
     delta_bar,
@@ -54,7 +53,7 @@ class Algebra:
 
     def atoms(self, degree: int) -> list:
         """All basis atoms of the given degree."""
-        words = [Word(ls) for ls in iter_product(self.alphabet, repeat=degree)]
+        words = list(iter_product(self.alphabet, repeat=degree))
         if self.kind == WORDS:
             return words
         return [DecoratedNC(shape, w)
@@ -311,7 +310,7 @@ def standard_section(kappa_on_words, algebra: Algebra,
 
     def atom_value(atom: DecoratedNC) -> Coefficient:
         if len(atom.shape.blocks) == 1:
-            word = atom.word if atom.word is not None else Word(
+            word = atom.word if atom.word is not None else (
                 (algebra.alphabet[0],) * atom.degree)
             return kappa_on_words(word)
         return ZERO

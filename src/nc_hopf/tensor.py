@@ -1,10 +1,10 @@
 """The two unshuffle bialgebras and the splitting map between them.
 
 Basis elements are bar words: tuples of atoms, where an atom is either a
-:class:`Word` (double tensor algebra) or a :class:`DecoratedNC` (tensor
-algebra over decorated non-crossing partitions).  The empty tuple is the
-unit.  A bar word never contains a unit part, so normalization of
-``w|1|w'`` to ``w|w'`` is structural.
+word, the plain tuple of its letters (double tensor algebra), or a
+:class:`DecoratedNC` (tensor algebra over decorated non-crossing
+partitions).  The empty tuple is the unit.  A bar word never contains a
+unit part, so normalization of ``w|1|w'`` to ``w|w'`` is structural.
 
 Formal linear combinations are plain dicts from a hashable key to a non-zero
 exact coefficient.  Structural coefficients (coproducts, ``sp``) are plain
@@ -32,45 +32,14 @@ from .partitions import (
 from . import config
 
 
-class Word(tuple):
-    """A non-empty word over a declared alphabet of letter names: the tuple
-    of its letters, equal to that tuple and hashed like it.  Construction,
-    hashing and equality are the tuple's own."""
-
-    __slots__ = ()
-
-    def __new__(cls, letters):
-        self = tuple.__new__(cls, letters)
-        if not self:
-            raise ValueError("the empty word is represented by the unit only")
-        return self
-
-    def __reduce__(self):
-        # rebuilt through the constructor, which checks the letters again
-        return Word, (tuple(self),)
-
-    def __repr__(self):
-        # kept as the dataclass printed it: the --json rows of a coproduct
-        # are sorted by the text of each key, reprs included
-        return f"Word(letters={tuple(self)!r})"
-
-    @property
-    def letters(self) -> tuple[str, ...]:
-        return tuple(self)
-
-    @property
-    def degree(self) -> int:
-        return len(self)
-
-    def subword(self, positions) -> "Word":
-        """Letters at the given 1-based positions, in order."""
-        return Word(tuple([self[i - 1] for i in sorted(positions)]))
-
-    def text(self) -> str:
-        return ".".join(self)
-
-    def __str__(self):
-        return self.text()
+def Word(letters) -> tuple[str, ...]:
+    """A non-empty word over a declared alphabet of letter names: the plain
+    tuple of its letters.  The cyclic collector untracks a tuple of strings,
+    and with it every coproduct key, leg and run tuple built of words."""
+    word = tuple(letters)
+    if not word:
+        raise ValueError("the empty word is represented by the unit only")
+    return word
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,11 +52,11 @@ class DecoratedNC:
     """
 
     shape: NonCrossingPartition
-    word: Word | None = None
+    word: tuple[str, ...] | None = None
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.word is not None and self.word.degree != self.shape.size:
+        if self.word is not None and len(self.word) != self.shape.size:
             raise ValueError("decoration length differs from carrier size")
         object.__setattr__(self, "_hash", hash((self.shape, self.word)))
 
@@ -104,32 +73,42 @@ class DecoratedNC:
     def text(self) -> str:
         if self.word is None:
             return self.shape.text()
-        return f"{self.shape.text()}:{self.word.text()}"
+        return f"{self.shape.text()}:{'.'.join(self.word)}"
 
     def __str__(self):
         return self.text()
 
 
-Atom = Union[Word, DecoratedNC]
+Atom = Union[tuple, DecoratedNC]  # a word is tuple[str, ...]
 BarWord = tuple  # tuple[Atom, ...]; the empty tuple is the unit
 LinComb = dict   # key -> Coefficient, no zero values stored
 
 UNIT: BarWord = ()
 
 
+def _atom_degree(a: Atom) -> int:
+    return len(a) if type(a) is tuple else a.degree
+
+
+def _atom_text(a: Atom) -> str:
+    return ".".join(a) if type(a) is tuple else a.text()
+
+
 def barword_degree(b: BarWord) -> int:
-    return sum(a.degree for a in b)
+    return sum(map(_atom_degree, b))
 
 
 def barword_text(b: BarWord) -> str:
-    return "|".join(a.text() for a in b) if b else "1"
+    return "|".join(map(_atom_text, b)) if b else "1"
 
 
 def _check_homogeneous(b: BarWord):
     kinds = {type(a) for a in b}
     if len(kinds) > 1:
         raise AlgebraMismatchError(f"mixed atom kinds in bar word: {b}")
-    if not kinds <= {Word, DecoratedNC}:
+    if not kinds <= {tuple, DecoratedNC} or not all(
+            a and all(type(x) is str for x in a)
+            for a in b if type(a) is tuple):
         raise AlgebraMismatchError(f"not a bar word of atoms: {b!r}")
 
 
@@ -183,26 +162,17 @@ def _word_splits(n: int) -> tuple[tuple, tuple]:
 
 
 @lru_cache(maxsize=None)
-def delta_word_half(w: Word, left: bool) -> LinComb:
+def delta_word_half(w: tuple[str, ...], left: bool) -> LinComb:
     """The left (position 1 in the kept subset S) or the right half of
     delta_word(w), built alone: the fixed point reads only left halves.
 
     Every subset is admissible and the components are the runs between kept
     positions: the splits of ``_word_splits`` for w's length, with w's
-    letters put at the positions.  Equal letter tuples share one Word, and
-    equal kept tuples one left leg.  The cached dict is shared by every
-    caller: read it, never change it."""
+    letters put at the positions.  Equal kept tuples share one left leg.
+    The cached dict is shared by every caller: read it, never change it."""
     n = len(w)
-    words: dict[tuple[str, ...], Word] = {}
-
-    def word(letters: tuple[str, ...]) -> Word:
-        found = words.get(letters)
-        if found is None:
-            found = words[letters] = Word(letters)
-        return found
-
-    # a run is an interval of positions, so its Word is read off w once
-    pieces = {tuple(range(a, b)): word(w[a:b])
+    # a run is an interval of positions, so its atom is a slice of w
+    pieces = {tuple(range(a, b)): w[a:b]
               for a in range(n) for b in range(a + 1, n + 1)}
     legs: dict[tuple[str, ...], BarWord] = {(): UNIT}
     half: LinComb = {}
@@ -210,19 +180,19 @@ def delta_word_half(w: Word, left: bool) -> LinComb:
         letters = tuple([w[i] for i in kept])
         leg = legs.get(letters)
         if leg is None:
-            leg = legs[letters] = (word(letters),)
+            leg = legs[letters] = (letters,)
         key = (leg, tuple([pieces[r] for r in runs]))
         half[key] = half.get(key, 0) + 1
     return half
 
 
-def delta_word_halves(w: Word) -> tuple[LinComb, LinComb]:
+def delta_word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
     """(left, right) splitting of delta_word by whether position 1 lies in
     the kept subset S.  left + right == delta_word(w)."""
     return delta_word_half(w, True), delta_word_half(w, False)
 
 
-def delta_word(w: Word) -> LinComb:
+def delta_word(w: tuple[str, ...]) -> LinComb:
     """Full coproduct of a word: sum over subsets S of letter positions of
     a_S tensor the bar word of connected components of the complement,
     taken as the sum of the two halves."""
@@ -243,7 +213,7 @@ def delta_nc_halves(x: DecoratedNC) -> tuple[LinComb, LinComb]:
         atoms = [DecoratedNC(shape) for _, shape, _ in parts]
     else:
         word = x.word
-        atoms = [DecoratedNC(shape, Word(tuple([word[r] for r in ranks])))
+        atoms = [DecoratedNC(shape, tuple([word[r] for r in ranks]))
                  for _, shape, ranks in parts]
     left: LinComb = {}
     right: LinComb = {}
@@ -303,7 +273,7 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
         result = _delta_atom(first)
     elif variant not in ("left+", "right+"):
         raise ValueError(f"unknown variant: {variant!r}")
-    elif isinstance(first, Word):
+    elif type(first) is tuple:
         result = delta_word_half(first, left)
     else:
         result = delta_nc_halves(first)[0 if left else 1]
@@ -313,7 +283,7 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
 
 
 def _delta_atom(atom: Atom) -> LinComb:
-    return delta_word(atom) if isinstance(atom, Word) else delta_nc(atom)
+    return delta_word(atom) if type(atom) is tuple else delta_nc(atom)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +294,15 @@ def sp(b: BarWord) -> LinComb:
     """The splitting map: each word atom of length n is replaced by the sum
     over NC_n of that partition decorating the word; bar structure kept."""
     result: LinComb = {UNIT: 1}
+    cap = config.nc_cap()
     for atom in b:
-        if not isinstance(atom, Word):
-            raise AlgebraMismatchError("sp expects a bar word over Words")
-        if atom.degree > config.nc_cap():
-            raise SizeLimitError(
-                f"word length {atom.degree} exceeds NC cap {config.nc_cap()}")
+        if type(atom) is not tuple or not atom:
+            raise AlgebraMismatchError("sp expects a bar word over words")
+        n = len(atom)
+        if n > cap:
+            raise SizeLimitError(f"word length {n} exceeds NC cap {cap}")
         summand: LinComb = {}
-        for shape in enumerate_nc_partitions(atom.degree):
+        for shape in enumerate_nc_partitions(n):
             add_into(summand, (DecoratedNC(shape, atom),), 1)
         result = {k1 + k2: c1 * c2
                   for k1, c1 in result.items() for k2, c2 in summand.items()}
@@ -354,9 +325,10 @@ def lincomb_text(t: LinComb, key_text) -> str:
 
 
 def _tensor_key_text(key) -> str:
-    # a pair's first leg is a plain tuple; a bar word's first atom is a
-    # Word (a tuple subclass) or a DecoratedNC
-    if isinstance(key, tuple) and key and type(key[0]) is tuple:
+    # a pair's first element is the unit () or a tuple of atoms; a bar
+    # word's first element is an atom: a tuple of letters or a DecoratedNC
+    first = key[0] if key else None
+    if type(first) is tuple and (not first or type(first[0]) is not str):
         return " ⊗ ".join(barword_text(leg) for leg in key)
     return barword_text(key)
 
@@ -378,7 +350,7 @@ def is_letter(name: str) -> bool:
     return bool(name) and not _SEPARATOR.search(name)
 
 
-def parse_word(text: str) -> Word:
+def parse_word(text: str) -> tuple[str, ...]:
     """Parse the ``a.b.c`` text encoding: letters joined by dots, each of
     them a letter by ``is_letter``."""
     body = text.strip()
@@ -404,7 +376,7 @@ def parse_atom(text: str) -> Atom:
     if not colon:
         return DecoratedNC(shape)
     word = parse_word(word_part)
-    if word.degree != shape.size:
-        raise ParseError(f"decoration {word.text()!r} has {word.degree} "
+    if len(word) != shape.size:
+        raise ParseError(f"decoration {'.'.join(word)!r} has {len(word)} "
                          f"letters for {shape.size} elements in {text!r}")
     return DecoratedNC(shape, word)

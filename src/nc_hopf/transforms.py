@@ -52,7 +52,7 @@ from .partitions import (
     check_enumeration_size,
     enumerate_nc_partitions,
 )
-from .tensor import Word, is_letter
+from .tensor import is_letter
 
 CLASSICAL = "classical"
 FREE = "free"
@@ -286,9 +286,9 @@ def _free_moments_fixed_point(k: CumulantSequence) -> list:
     """One-letter specialization of Phi = e + kappa ≺ Phi: the moments are
     the character values on single powers of the letter."""
     kappa = InfinitesimalCharacter.from_atoms(
-        Algebra(WORDS, ("a",)), k.order, lambda w: k.cumulant(w.degree), name="κ")
+        Algebra(WORDS, ("a",)), k.order, lambda w: k.cumulant(len(w)), name="κ")
     phi = solve_left_fixed_point(kappa)
-    return [phi((Word(("a",) * n),)) for n in range(1, k.order + 1)]
+    return [phi((("a",) * n,)) for n in range(1, k.order + 1)]
 
 
 def _free_moments_series(k: CumulantSequence) -> list:
@@ -336,11 +336,11 @@ def _free_moments(values) -> list:
 
 def _extracted_cumulants(alphabet, order: int, moment):
     """Letter tuple -> kappa of that word, extracted from the multiplicative
-    extension of ``moment`` (a Word -> value map) on the word algebra."""
+    extension of ``moment`` (a word -> value map) on the word algebra."""
     character = extend_multiplicative(
         Algebra(WORDS, alphabet), order, moment, name="Φ")
     kappa = extract_infinitesimal(character)
-    return lambda letters: kappa((Word(letters),))
+    return lambda letters: kappa((letters,))
 
 
 def free_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
@@ -356,7 +356,7 @@ def _free_cumulants(values) -> list:
     via_moebius = [_type_sum(m.moment, n, _nc_moebius)
                    for n in range(1, m.order + 1)]
     kappa = _extracted_cumulants(("a",), m.order,
-                                 lambda w: m.moment(w.degree))
+                                 lambda w: m.moment(len(w)))
     via_extraction = [kappa(("a",) * n) for n in range(1, m.order + 1)]
     _require_agreement(
         {"nc-moebius": via_moebius, "fixed-point-extraction": via_extraction},
@@ -383,19 +383,18 @@ class MultiMomentMap:
     order: int
     table: dict = field(hash=False)
 
-    def value(self, w: Word) -> Coefficient:
-        # a Word equals and hashes like its letter tuple, the table's key
+    def value(self, w: tuple[str, ...]) -> Coefficient:
         if w not in self.table:
-            raise KeyError(f"no moment recorded for word {w.text()}")
+            raise KeyError(f"no moment recorded for word {'.'.join(w)}")
         return self.table[w]
 
-    def words(self, degree: int) -> list[Word]:
-        return [Word(ls) for ls in _letter_tuples(self.alphabet, (degree,))]
+    def words(self, degree: int) -> list[tuple[str, ...]]:
+        return list(_letter_tuples(self.alphabet, (degree,)))
 
     @classmethod
     def from_function(cls, alphabet, order: int, fn) -> "MultiMomentMap":
         alphabet = tuple(alphabet)
-        table = {ls: fn(Word(ls))
+        table = {ls: fn(ls)
                  for ls in _letter_tuples(alphabet, range(1, order + 1))}
         return cls(alphabet, order, table)
 
@@ -404,15 +403,17 @@ class MultiCumulantMap(MultiMomentMap):
     """Same shape as MultiMomentMap, holding generalized cumulants."""
 
 
-def kappa_powers(shape: NonCrossingPartition, w: Word, kappa) -> Coefficient:
+def kappa_powers(shape: NonCrossingPartition, w: tuple[str, ...],
+                 kappa) -> Coefficient:
     """Product of kappa over the blocks' restricted subwords."""
-    if shape.size != w.degree:
+    if shape.size != len(w):
         raise CarrierMismatchError(
             f"partition of size {shape.size} cannot decorate a word of "
-            f"length {w.degree}")
+            f"length {len(w)}")
     total: Coefficient = ONE
     for block in shape.blocks:
-        total = total * kappa(w.subword(block))
+        # a block's positions are 1-based and increasing
+        total = total * kappa(tuple([w[i - 1] for i in block]))
     return total
 
 
@@ -465,7 +466,7 @@ def generalized_free_cumulants(phi: MultiMomentMap) -> MultiCumulantMap:
         return [via_recursion[letters] for letters in words]
 
     cumulants = _degree_scaled(
-        solve, [phi.value(Word(letters)) for letters in words],
+        solve, [phi.value(letters) for letters in words],
         [len(letters) for letters in words])
     return MultiCumulantMap(phi.alphabet, phi.order,
                             dict(zip(words, cumulants)))

@@ -49,8 +49,8 @@ from .tensor import (
     BarWord,
     DecoratedNC,
     LinComb,
-    Word,
     add_into,
+    barword_degree,
     barword_text,
     delta_bar,
     delta_nc,
@@ -148,7 +148,7 @@ def _rational(f: LinearFunctional) -> LinearFunctional:
 def _elements(kind: str, alphabet: tuple[str, ...], degree: int) -> list:
     """Single generator atoms of the given degree on the chosen bialgebra."""
     if kind == WORDS:
-        return [Word(ls) for ls in iter_product(alphabet, repeat=degree)]
+        return list(iter_product(alphabet, repeat=degree))
     return [DecoratedNC(shape) for shape in enumerate_nc_partitions(degree)]
 
 
@@ -204,7 +204,7 @@ def verify_unshuffle(max_degree: int = 5,
                 failures["halves"].append(name)
         for a in atoms:
             for b in atoms:
-                if a.degree + b.degree > max_degree:
+                if barword_degree((a, b)) > max_degree:
                     continue
                 bar = (a, b)
                 name = barword_text(bar)
@@ -293,7 +293,7 @@ def verify_sp_morphism(max_word_len: int = 6,
         count = 0
         for degree in range(1, max_word_len + 1):
             for ls in iter_product(alphabet, repeat=degree):
-                b: BarWord = (Word(ls),)
+                b: BarWord = (ls,)
                 lhs: LinComb = {}
                 for key, c in sp(b).items():
                     for pair, d in delta_bar(key, variant).items():
@@ -359,7 +359,7 @@ def verify_character_bijection(truncation: int = 8, commute_degree: int = 6,
 
     recovered = extract_infinitesimal(phi_fix)
     bad = [f"a^{n}" for n in range(1, truncation + 1)
-           if recovered((Word(("a",) * n),)) != kappa((Word(("a",) * n),))]
+           if recovered((("a",) * n,)) != kappa((("a",) * n,))]
     report.add("generator recovered exactly", not bad, _failing(bad))
 
     nc_algebra = Algebra(NC, ("a",))
@@ -388,9 +388,9 @@ def verify_keyrell(max_n: int = 6, seed: int = 31,
     if kappa_fn is None:
         rng_values: dict = {}
 
-        def kappa_fn(w: Word) -> Fraction:
+        def kappa_fn(w: tuple[str, ...]) -> Fraction:
             if w not in rng_values:
-                r = random.Random(f"{seed}:{w.text()}")
+                r = random.Random(f"{seed}:{'.'.join(w)}")
                 rng_values[w] = Fraction(r.randint(-12, 12), r.randint(1, 5))
             return rng_values[w]
 
@@ -399,12 +399,12 @@ def verify_keyrell(max_n: int = 6, seed: int = 31,
     bad = []
     count = 0
     for n in range(1, max_n + 1):
-        w = Word(alphabet[:n])
+        w = alphabet[:n]
         for shape in enumerate_nc_partitions(n):
             count += 1
             expect = kappa_powers(shape, w, kappa_fn)
             if psi((DecoratedNC(shape, w),)) != expect:
-                bad.append(f"{shape.text()} on {w.text()}")
+                bad.append(f"{shape.text()} on {'.'.join(w)}")
     report.add(f"Psi(L⊗w) = block product of kappa ({count} partitions)",
                not bad, _failing(bad))
 
@@ -422,11 +422,11 @@ def verify_keyrell(max_n: int = 6, seed: int = 31,
          for mask in range(1, 1 << max_n)])
     bad = []
     for n in range(1, max_n + 1):
-        w = Word(alphabet[:n])
+        w = alphabet[:n]
         total = sum(kappa_powers(shape, w, solved.__getitem__)
                     for shape in enumerate_nc_partitions(n))
         if total != phi_fn(w):
-            bad.append(w.text())
+            bad.append(".".join(w))
     report.add(f"lattice sum of cumulant block products = moments, n ≤ {max_n}",
                not bad, _failing(bad))
     return report

@@ -99,7 +99,7 @@ class TestEvaluation:
 
 class TestCharacters:
     def test_from_atoms_multiplicative(self):
-        phi = Character.from_atoms(A1, 6, lambda w: Fraction(w.degree))
+        phi = Character.from_atoms(A1, 6, lambda w: Fraction(len(w)))
         assert phi((Word(("a",) * 2), Word(("a",) * 3))) == 6
         report = check_character(phi)
         assert report.ok
@@ -230,7 +230,7 @@ class TestFixedPoint:
         # satisfy the free moment-cumulant recursion; check n=1..3 by hand
         k = {1: Fraction(2), 2: Fraction(-1), 3: Fraction(5), 4: Fraction(0)}
         kappa = InfinitesimalCharacter.from_atoms(
-            A1, 4, lambda w: k[w.degree])
+            A1, 4, lambda w: k[len(w)])
         phi = solve_left_fixed_point(kappa)
         m1 = k[1]
         m2 = k[1] ** 2 + k[2]
@@ -265,7 +265,7 @@ class TestSplittingPullback:
 class TestStandardSection:
     def test_supported_on_one_block_shapes(self):
         nc_alg = Algebra(NC, ("a", "b"))
-        sd = standard_section(lambda w: Fraction(w.degree), nc_alg, 5)
+        sd = standard_section(lambda w: Fraction(len(w)), nc_alg, 5)
         from nc_hopf.tensor import DecoratedNC
         from nc_hopf.partitions import NonCrossingPartition
         one_block = DecoratedNC(NonCrossingPartition.of([[1, 2]]),
@@ -284,7 +284,7 @@ class TestStandardSection:
 class TestMultiplicativeExtension:
     def test_moment_table_on_bars(self):
         m = {1: Fraction(1, 2), 2: Fraction(3)}
-        phi = extend_multiplicative(A1, 3, lambda w: m[w.degree])
+        phi = extend_multiplicative(A1, 3, lambda w: m[len(w)])
         assert phi((Word(("a",) * 2), Word(("a",)))) == Fraction(3, 2)
 
 
@@ -308,7 +308,7 @@ class TestFreedByRefcount:
         assert ref() is None
 
     def test_extraction(self):
-        phi = extend_multiplicative(AB, 4, lambda w: len(w.letters) + 1)
+        phi = extend_multiplicative(AB, 4, lambda w: len(w) + 1)
         kappa = extract_infinitesimal(phi)
         assert kappa((Word(("a", "b", "b")),)) is not None
         ref, phi_ref = weakref.ref(kappa), weakref.ref(phi)

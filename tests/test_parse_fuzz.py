@@ -16,7 +16,7 @@ from nc_hopf.partitions import (
     enumerate_set_partitions,
     parse_partition,
 )
-from nc_hopf.tensor import parse_atom, parse_word
+from nc_hopf.tensor import barword_text, parse_atom, parse_word
 from nc_hopf.transforms import (
     FREE,
     cumulant_sequence_from_json,
@@ -95,7 +95,7 @@ def test_parse_partition(noncrossing, text):
 def test_parse_word(text):
     w = read_or_reject(parse_word, text)
     if w is not None:
-        assert parse_word(w.text()) == w
+        assert parse_word(".".join(w)) == w
 
 
 @given(text=fuzz_text(atom_texts, "{}0123456789,:.ab "))
@@ -103,7 +103,7 @@ def test_parse_word(text):
 def test_parse_atom(text):
     atom = read_or_reject(parse_atom, text)
     if atom is not None:
-        assert parse_atom(atom.text()) == atom
+        assert parse_atom(barword_text((atom,))) == atom
 
 
 @given(text=fuzz_text(tree_texts, "()| ", max_size=40))

@@ -249,7 +249,7 @@ class TestSizeCaps:
 
 class TestKappaPowers:
     def kappa(self, w):
-        return Fraction(sum(ord(x) for x in w.letters), w.degree)
+        return Fraction(sum(ord(x) for x in w), len(w))
 
     def test_one_block(self):
         w = Word(("a", "b", "c"))
@@ -260,7 +260,7 @@ class TestKappaPowers:
         w = Word(("a", "b", "c"))
         bottom = NonCrossingPartition.of([[1], [2], [3]])
         expect = Fraction(1)
-        for x in w.letters:
+        for x in w:
             expect *= self.kappa(Word((x,)))
         assert kappa_powers(bottom, w, self.kappa) == expect
 
@@ -279,7 +279,7 @@ class TestKappaPowers:
 class TestGeneralizedCumulants:
     def phi_map(self, alphabet, order, seed=0):
         def phi(w):
-            r = random.Random(f"{seed}:{w.text()}")
+            r = random.Random(f"{seed}:{'.'.join(w)}")
             return Fraction(r.randint(-9, 9), r.randint(1, 4))
         return MultiMomentMap.from_function(alphabet, order, phi)
 
@@ -322,7 +322,7 @@ class TestGeneralizedCumulants:
         vals = random_values(6, seed=55)
         m = MomentSequence.of(vals)
         table = MultiMomentMap.from_function(
-            ("a",), 6, lambda w: m.moment(w.degree))
+            ("a",), 6, lambda w: m.moment(len(w)))
         r = generalized_free_cumulants(table)
         k = free_cumulants_from_moments(m)
         for n in range(1, 7):
@@ -335,9 +335,9 @@ class TestGeneralizedCumulants:
 
         def combined(w):
             # treat letter 'b' in slot one as a + lam * a  (formally): scale
-            first_is_b = w.letters[0] == "b"
+            first_is_b = w[0] == "b"
             if first_is_b:
-                sub = Word(("a",) + w.letters[1:])
+                sub = Word(("a",) + w[1:])
                 return lam * base.value(sub)
             return base.value(w)
 
@@ -346,8 +346,8 @@ class TestGeneralizedCumulants:
         r2 = generalized_free_cumulants(phi2)
         for d in range(1, 4):
             for w in phi2.words(d):
-                if w.letters[0] == "b" and "b" not in w.letters[1:]:
-                    sub = Word(("a",) + w.letters[1:])
+                if w[0] == "b" and "b" not in w[1:]:
+                    sub = Word(("a",) + w[1:])
                     assert r2.value(w) == lam * r_base.value(sub)
 
 
@@ -498,7 +498,7 @@ class TestDegreeScaling:
                 classical_cumulants_from_moments(MomentSequence.of(values))
             else:
                 generalized_free_cumulants(MultiMomentMap.from_function(
-                    ("a", "b"), 3, lambda w: values[w.degree]))
+                    ("a", "b"), 3, lambda w: values[len(w)]))
         assert seen and all(type(v) is int for v in seen)
 
 
@@ -537,7 +537,7 @@ class TestFreedByRefcount:
             MomentSequence.of((1, 2, 5, 14))),
         lambda: free_moments_from_cumulants(symbolic_cumulants(5, FREE)),
         lambda: generalized_free_cumulants(MultiMomentMap.from_function(
-            ("a", "b"), 3, lambda w: w.degree + 1)),
+            ("a", "b"), 3, lambda w: len(w) + 1)),
     ], ids=["k2m", "m2k", "m2c", "k2m-symbolic", "multi-m2k"])
     def test_routes_leave_no_cyclic_garbage(self, route):
         route()

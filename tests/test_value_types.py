@@ -1,8 +1,9 @@
 """Value-type contract of the four hashable types: equality is decided by
 the fields, the hash agrees with equality, and copies and pickles are
 rebuilt as equal values whose hash belongs to the process they live in.
-A Word is the tuple of its letters."""
+A word is the plain tuple of its letters."""
 
+import ast
 import copy
 import os
 import pickle
@@ -20,7 +21,8 @@ from nc_hopf.partitions import (
     enumerate_nc_partitions,
     enumerate_set_partitions,
 )
-from nc_hopf.tensor import DecoratedNC, Word, tensor_text
+from nc_hopf.cli import _barword_order
+from nc_hopf.tensor import DecoratedNC, Word, barword_text, tensor_text
 
 MAX_N = 6
 
@@ -48,8 +50,8 @@ def sample_values() -> list:
 def rebuilt(value):
     """An equal value built again through the constructors, from new
     tuples of the same letters or elements."""
-    if isinstance(value, Word):
-        return Word(tuple(list(value.letters)))
+    if type(value) is tuple:
+        return Word(list(value))
     if isinstance(value, DecoratedNC):
         word = rebuilt(value.word) if value.word is not None else None
         return DecoratedNC(rebuilt(value.shape), word)
@@ -125,10 +127,12 @@ def test_partition_size_is_stored_out_of_equality():
 
 def test_word_is_its_letter_tuple():
     word = Word(("a", "b"))
-    assert isinstance(word, tuple) and word == ("a", "b")
+    assert type(word) is tuple and word == ("a", "b")
     assert hash(word) == hash(("a", "b"))
-    assert word.letters == ("a", "b") and type(word.letters) is tuple
-    assert word.text() == str(word) == "a.b"
+    assert Word(iter("ab")) == word and Word(["a", "b"]) == word
+    assert barword_text((word,)) == "a.b"
+    with pytest.raises(ValueError):
+        Word(())
 
 
 def test_word_is_immutable():
@@ -149,13 +153,58 @@ def test_word_never_equals_an_atom_of_another_kind_or_a_bar_word():
 
 
 def test_word_repr():
-    # the --json rows of a coproduct are sorted by the text of each key,
-    # which holds this repr
-    assert repr(Word(("a", "b"))) == "Word(letters=('a', 'b'))"
-    assert str((Word(("a",)),)) == "(Word(letters=('a',)),)"
+    # a word prints as its tuple; the --json rows of a coproduct are sorted
+    # by the text of each key with every word written Word(letters=...)
+    assert repr(Word(("a", "b"))) == "('a', 'b')"
+    assert _barword_order(Word(("a", "b"))) == "Word(letters=('a', 'b'))"
+    assert _barword_order((Word(("a",)),)) == "(Word(letters=('a',)),)"
+    a, ab = Word(("a",)), Word(("a", "b"))
+    assert _barword_order(((), (a, ab))) == (
+        "((), (Word(letters=('a',)), Word(letters=('a', 'b'))))")
+    shape = enumerate_nc_partitions(2)[0]
+    assert _barword_order(((DecoratedNC(shape),), ())) == str(
+        ((DecoratedNC(shape),), ()))
 
 
 def test_tensor_text_tells_a_bar_word_from_a_pair():
     word = Word(("a", "b"))
     assert tensor_text({(word,): 1}) == "a.b"
     assert tensor_text({((word,), ()): 1}) == "a.b ⊗ 1"
+
+
+def test_tensor_text_on_keys_of_one_letter_atoms():
+    # a pair's first element is () or holds atoms; a bar word's first
+    # element is a tuple of letters or a DecoratedNC
+    a, b = Word(("a",)), Word(("b",))
+    assert tensor_text({(a,): 1}) == "a"
+    assert tensor_text({(a, b): 1}) == "a|b"
+    assert tensor_text({((), (a,)): 1}) == "1 ⊗ a"
+    assert tensor_text({((a,), ()): 1}) == "a ⊗ 1"
+    assert tensor_text({((a,), (a, b)): 2}) == "2·a ⊗ a|b"
+    assert tensor_text({((), ()): 1}) == "1 ⊗ 1"
+    assert tensor_text({(): 1}) == "1"
+    shape = enumerate_nc_partitions(1)[0]
+    x = DecoratedNC(shape, a)
+    assert tensor_text({(x,): 1}) == "{1}:a"
+    assert tensor_text({(x, DecoratedNC(shape, b)): 1}) == "{1}:a|{1}:b"
+    assert tensor_text({((x,), ()): 1}) == "{1}:a ⊗ 1"
+
+
+def test_no_isinstance_against_word_in_src():
+    # Word is a function that returns a plain tuple: isinstance(x, Word)
+    # would raise TypeError, and only on the path that reaches it
+    root = Path(__file__).resolve().parents[1] / "src"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("isinstance", "issubclass")
+                    and len(node.args) == 2):
+                continue
+            for name in ast.walk(node.args[1]):
+                if (isinstance(name, ast.Name) and name.id == "Word"
+                        or isinstance(name, ast.Attribute)
+                        and name.attr == "Word"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
