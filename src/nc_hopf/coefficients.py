@@ -13,6 +13,16 @@ A monomial is a tuple of ``(name, exponent)`` pairs sorted by name, with all
 exponents positive; the empty tuple is the constant monomial.  Zero terms are
 never stored, so the zero polynomial is the empty dict and equality testing is
 exact and structural.
+
+So every ``Poly`` is in normal form: no zero coefficient, and no ``Fraction``
+with denominator 1.  ``Poly.__init__`` brings any terms to that form and
+checks each coefficient; it is the constructor for outside callers.  The
+arithmetic (``+``, ``-``, unary ``-``, ``*``) starts from terms already in
+normal form and keeps it by itself: it rewrites only a sum or product that
+is not an ``int`` (a ``Fraction`` sum or product can be integral) and drops
+only a sum that cancels to zero (a product of nonzero coefficients never
+is).  So it builds its results with the private ``_normal``, which skips
+``__init__``.
 """
 
 from __future__ import annotations
@@ -33,15 +43,59 @@ def exact(value) -> int | Fraction:
     in lowest terms."""
     if type(value) is int:
         return value
-    value = Fraction(value)
+    if type(value) is not Fraction:  # a Fraction is in lowest terms
+        value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
 
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # one factor is a single power: insert it into the other by name
+        (name, e), = a
+        for i, (other, f) in enumerate(b):
+            if other == name:
+                return b[:i] + ((name, e + f),) + b[i + 1:]
+            if other > name:
+                return b[:i] + a + b[i:]
+        return b + a
     exps: dict[str, int] = dict(a)
     for name, e in b:
         exps[name] = exps.get(name, 0) + e
     return tuple(sorted(exps.items()))
+
+
+def _normal(terms: dict[Monomial, int | Fraction]) -> "Poly":
+    """A ``Poly`` on ``terms``, which are already in normal form, built
+    without ``Poly.__init__`` and its checks."""
+    p = object.__new__(Poly)
+    p.terms = terms
+    return p
+
+
+def _plus(terms: dict[Monomial, int | Fraction], pairs) -> "Poly":
+    """``terms`` plus the normal (monomial, coefficient) ``pairs``."""
+    out = terms.copy()
+    for mono, c in pairs:
+        if mono in out:
+            c = exact(out[mono] + c)
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+        elif c:
+            out[mono] = c
+    return _normal(out)
+
+
+def _times_term(terms: dict[Monomial, int | Fraction], mono: Monomial,
+                c: int | Fraction) -> "Poly":
+    """``terms`` times the one term c·mono, c nonzero.  The products are
+    distinct monomials with nonzero coefficients, so only an integral
+    ``Fraction`` needs rewriting."""
+    return _normal({(_mul_monomials(m, mono) if m and mono else m or mono):
+                    exact(d * c) for m, d in terms.items()})
 
 
 class Poly:
@@ -67,50 +121,52 @@ class Poly:
     def const(cls, value) -> "Poly":
         return cls({(): value})
 
-    @staticmethod
-    def _coerce(other) -> "Poly | None":
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
-        return None
-
     def __add__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for mono, c in p.terms.items():
-            out[mono] = out.get(mono, ZERO) + c
-        return Poly(out)
+        if isinstance(other, Poly):
+            return _plus(self.terms, other.terms.items())
+        if isinstance(other, (int, Fraction)):
+            return _plus(self.terms, (((), exact(other)),))
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return self + (-p)
+        if isinstance(other, (Poly, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return p + (-self)
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __neg__(self):
-        return Poly({mono: -c for mono, c in self.terms.items()})
+        return _normal({mono: -c for mono, c in self.terms.items()})
 
     def __mul__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        out: dict[Monomial, int | Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in p.terms.items():
-                mono = _mul_monomials(ma, mb)
-                out[mono] = out.get(mono, ZERO) + ca * cb
-        return Poly(out)
+        if isinstance(other, Poly):
+            a, b = self.terms, other.terms
+            if len(a) == 1:
+                (mono, c), = a.items()
+                return _times_term(b, mono, c)
+            if len(b) == 1:
+                (mono, c), = b.items()
+                return _times_term(a, mono, c)
+            out: dict[Monomial, int | Fraction] = {}
+            for ma, ca in a.items():
+                for mb, cb in b.items():
+                    mono = (_mul_monomials(ma, mb) if ma and mb
+                            else ma or mb)
+                    if mono in out:
+                        out[mono] += ca * cb
+                    else:
+                        out[mono] = ca * cb
+            return _normal({mono: c for mono, c in
+                            zip(out, map(exact, out.values())) if c})
+        if isinstance(other, (int, Fraction)):
+            scalar = exact(other)
+            return _times_term(self.terms, (), scalar) if scalar else Poly()
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 from math import comb, factorial, lcm, prod
 
@@ -204,14 +205,29 @@ def _nc_moebius(n: int, lam: tuple[int, ...]) -> int:
         factorial(n - 1) * _multiplicity_factorials(lam)))
 
 
+_WEIGHTS = (_set_count, _nc_count, _set_moebius, _nc_moebius)
+
+
+@lru_cache(maxsize=None)
+def _type_table(n: int) -> tuple:
+    """One row per type lam |- n, in ``_integer_partitions`` order: lam
+    followed by its four weights, in the order of ``_WEIGHTS``.  One table
+    per degree, so the types and weights are computed once."""
+    return tuple((lam, *(weight(n, lam) for weight in _WEIGHTS))
+                 for lam in _integer_partitions(n, n))
+
+
 def _type_sum(values_by_size, n: int, weight) -> Coefficient:
-    """sum over lam |- n of weight(n, lam) * prod_i values_by_size(lam_i)."""
+    """sum over lam |- n of weight(n, lam) * prod_i values_by_size(lam_i),
+    with the weights read from the degree's type table."""
+    column = 1 + _WEIGHTS.index(weight)
     total: Coefficient = ZERO
-    for lam in _integer_partitions(n, n):
-        term: Coefficient = ONE
-        for part in lam:
+    for row in _type_table(n):
+        first, *rest = row[0]
+        term = values_by_size(first)
+        for part in rest:
             term = term * values_by_size(part)
-        total = total + weight(n, lam) * term
+        total = total + row[column] * term
     return total
 
 

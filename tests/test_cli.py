@@ -16,6 +16,9 @@ from nc_hopf.cli import main
 from nc_hopf.verify import SUITE_BOUNDS, SuiteReport
 
 GOLDEN = Path(__file__).parent / "golden"
+# every transform direction, each with a symbolic golden file at order 12
+DIRECTIONS = [("free", "k2m"), ("free", "m2k"),
+              ("classical", "c2m"), ("classical", "m2c")]
 
 
 def run(*argv):
@@ -211,6 +214,20 @@ class TestTransform:
         code, out = run("transform", "classical", "--direction", "c2m",
                         "--symbolic", "--n", "5")
         assert code == 0 and out == golden("bell_polynomials_symbolic.txt")
+
+    @pytest.mark.parametrize("flavor,direction", DIRECTIONS)
+    def test_symbolic_golden_at_order_12(self, flavor, direction):
+        code, out = run("transform", flavor, "--direction", direction,
+                        "--symbolic", "--n", "12")
+        assert code == 0 and out == golden(
+            f"transform_{flavor}_{direction}_symbolic_12.txt")
+
+    def test_symbolic_json_golden_at_order_12(self):
+        code, out = run("transform", "free", "--direction", "m2k",
+                        "--symbolic", "--n", "12", "--json")
+        assert code == 0 and out == golden(
+            "transform_free_m2k_symbolic_12.json")
+        assert json.loads(out)["values"][1] == "-m1^2 + m2"
 
     def test_moment_file_keeps_a_leading_one(self, tmp_path):
         # free-Poisson moments m_1..m_4 = 1, 2, 5, 14 (Catalan numbers): the
@@ -632,6 +649,11 @@ GOLDEN_COMMANDS = [
      "free_moments_symbolic.txt"),
     (("transform", "classical", "--direction", "c2m", "--symbolic",
       "--n", "5"), "bell_polynomials_symbolic.txt"),
+    *((("transform", flavor, "--direction", direction, "--symbolic",
+        "--n", "12"), f"transform_{flavor}_{direction}_symbolic_12.txt")
+      for flavor, direction in DIRECTIONS),
+    (("transform", "free", "--direction", "m2k", "--symbolic", "--n", "12",
+      "--json"), "transform_free_m2k_symbolic_12.json"),
     (("tree", "{1,2}{3,4}{5,6}", "--coproduct"), "tree_coproduct_crown.txt"),
     (("tree", "{1,3}{2}{4,5}", "--coproduct"), "tree_coproduct_nested.txt"),
 ]

@@ -205,6 +205,63 @@ def test_string_form_evaluates_back(p, point):
     assert rebuilt == evaluate(p)
 
 
+# coefficients whose sums cancel (1/2 - 1/2) or are integral (1/2 + 3/2),
+# and whose products are integral (2 * 1/2, 3/2 * 2/3)
+normal_coefficients = st.sampled_from(
+    [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+     Fraction(-3, 2), Fraction(2, 3), Fraction(-2, 3)])
+monomials = st.lists(st.tuples(names, st.integers(1, 2)), max_size=2,
+                     unique_by=lambda pair: pair[0]).map(
+    lambda pairs: tuple(sorted(pairs)))
+term_polys = st.dictionaries(monomials, normal_coefficients,
+                             max_size=4).map(Poly)
+scalars = st.one_of(st.integers(-3, 3), normal_coefficients)
+
+
+def reference(pairs) -> Poly:
+    """The Poly that ``__init__`` builds from the summed pairs."""
+    raw = {}
+    for mono, c in pairs:
+        raw[mono] = raw.get(mono, 0) + c
+    return Poly(raw)
+
+
+def product_pairs(p: Poly, q: Poly) -> list:
+    def times(a, b):
+        exps = dict(a)
+        for name, e in b:
+            exps[name] = exps.get(name, 0) + e
+        return tuple(sorted(exps.items()))
+    return [(times(ma, mb), ca * cb) for ma, ca in p.terms.items()
+            for mb, cb in q.terms.items()]
+
+
+def assert_normal(result: Poly, expected: Poly):
+    assert type(result) is Poly
+    for c in result.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    assert result.terms == expected.terms
+
+
+@given(term_polys, st.one_of(term_polys, scalars))
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_results_are_normal(p, other):
+    q = other if isinstance(other, Poly) else Poly.const(other)
+    negated = [(mono, -c) for mono, c in q.terms.items()]
+    plus = reference([*p.terms.items(), *q.terms.items()])
+    times = reference(product_pairs(p, q))
+    assert_normal(p + other, plus)
+    assert_normal(other + p, plus)
+    assert_normal(p - other, reference([*p.terms.items(), *negated]))
+    assert_normal(other - p, reference(
+        [*q.terms.items(), *((mono, -c) for mono, c in p.terms.items())]))
+    assert_normal(-p, reference((mono, -c) for mono, c in p.terms.items()))
+    assert_normal(p * other, times)
+    assert_normal(other * p, times)
+    assert_normal(p - p, Poly())
+
+
 def test_fraction_str():
     assert fraction_str(Fraction(4)) == "4"
     assert fraction_str(Fraction(-1, 2)) == "-1/2"

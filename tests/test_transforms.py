@@ -16,6 +16,7 @@ from nc_hopf.errors import (
 )
 from nc_hopf.partitions import (
     NonCrossingPartition,
+    bell_number,
     catalan_number,
     enumerate_nc_partitions,
     enumerate_set_partitions,
@@ -176,9 +177,9 @@ def block_type(blocks) -> tuple:
     return tuple(sorted(map(len, blocks), reverse=True))
 
 
-def block_product(values_by_size, p):
+def block_product(values_by_size, blocks):
     total = Fraction(1)
-    for block in p.blocks:
+    for block in blocks:
         total = total * values_by_size(len(block))
     return total
 
@@ -218,13 +219,39 @@ class TestTypeWeights:
                 totals[block_type(blocks)] += mu
             assert totals == weights_by_type(n, weight), (lattice, n)
 
+    def test_type_table_rows(self):
+        for n in range(1, 13):
+            table = transforms._type_table(n)
+            assert [row[0] for row in table] == list(
+                transforms._integer_partitions(n, n))
+            for lam, *weights in table:
+                assert weights == [
+                    transforms._set_count(n, lam), transforms._nc_count(n, lam),
+                    transforms._set_moebius(n, lam),
+                    transforms._nc_moebius(n, lam)]
+            _, *columns = zip(*table)
+            sets, ncs, set_mu, nc_mu = map(sum, columns)
+            assert (sets, ncs) == (bell_number(n), catalan_number(n)), n
+            assert set_mu == nc_mu == (1 if n == 1 else 0), n
+
     def test_type_sum_is_the_lattice_sum(self):
-        k = symbolic_cumulants(6, FREE)
-        for n in range(1, 7):
-            total = sum((block_product(k.cumulant, p)
-                         for p in enumerate_nc_partitions(n)), start=Poly())
-            assert transforms._type_sum(
-                k.cumulant, n, transforms._nc_count) == total
+        # each count against its enumeration, each Möbius total against
+        # its Möbius column
+        k = symbolic_cumulants(7, FREE)
+        for n in range(1, 8):
+            lattices = {
+                transforms._set_count: {
+                    p.blocks: 1 for p in enumerate_set_partitions(n)},
+                transforms._nc_count: {
+                    p.blocks: 1 for p in enumerate_nc_partitions(n)},
+                transforms._set_moebius: moebius_to_top("set", n),
+                transforms._nc_moebius: moebius_to_top("nc", n)}
+            for weight, by_blocks in lattices.items():
+                total = sum((w * block_product(k.cumulant, blocks)
+                             for blocks, w in by_blocks.items()),
+                            start=Poly())
+                assert transforms._type_sum(k.cumulant, n, weight) == total, (
+                    weight.__name__, n)
 
 
 class TestSizeCaps:

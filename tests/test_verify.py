@@ -129,6 +129,9 @@ def fill_caches() -> None:
     from nc_hopf.partitions import (admissible_splits,
                                     enumerate_nc_partitions, parse_partition)
     from nc_hopf.tensor import DecoratedNC, Word, delta_bar, delta_word
+    from nc_hopf.transforms import (CLASSICAL,
+                                    classical_moments_from_cumulants,
+                                    symbolic_cumulants)
     from nc_hopf.trees import gapped_hierarchy_tree, tree_coproduct
     shape = parse_partition("{1,4}{2,3}{5}")
     admissible_splits(shape)
@@ -136,6 +139,7 @@ def fill_caches() -> None:
     delta_word(Word(("a", "b")))
     tree_coproduct(gapped_hierarchy_tree(shape))
     enumerate_nc_partitions(3)
+    classical_moments_from_cumulants(symbolic_cumulants(3, CLASSICAL))
 
 
 def test_clear_caches_empties_every_layer_cache():
