@@ -13,7 +13,6 @@ computation routes disagreed).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 # The layer modules are registered lazily by the package and run on first
@@ -85,13 +84,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: str):
-    """The JSON value in the file at ``path``.  Nesting too deep for the
-    reader is bad input, like any other malformed JSON."""
+    """The JSON value in the file at ``path``.  Malformed JSON, nesting too
+    deep for the reader included, is bad input.  ``json`` is imported here
+    and in ``_dumps`` only, so a command that neither reads nor writes JSON
+    never loads it."""
+    import json
     with open(path) as fh:
         try:
             return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(str(exc)) from None
         except RecursionError:
             raise ParseError(f"{path}: JSON nested too deeply") from None
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value)``."""
+    import json
+    return json.dumps(value)
 
 
 def _parse_shape(text: str) -> partitions.NonCrossingPartition:
@@ -115,14 +125,14 @@ def _cmd_enumerate(args, out) -> int:
         partitions.check_enumeration_size(args.lattice, args.n)
         count = (partitions.catalan_number(args.n) if args.lattice == "nc"
                  else partitions.bell_number(args.n))
-        print(json.dumps({"count": count}) if args.json else count, file=out)
+        print(_dumps({"count": count}) if args.json else count, file=out)
         return 0
     # each partition is written as it is made; the cap is checked first
     parts = partitions.iter_partitions(args.lattice, args.n)
     if args.json:  # the bytes of json.dumps on the whole list
         out.write("[")
         for i, p in enumerate(parts):
-            out.write((", " if i else "") + json.dumps(p.to_json()))
+            out.write((", " if i else "") + _dumps(p.to_json()))
         print("]", file=out)
     else:
         for p in parts:
@@ -165,7 +175,7 @@ def _cmd_coproduct(args, out) -> int:
     if args.kind == "tree":
         terms = trees.tree_coproduct(trees.parse_tree(args.subject))
         if args.json:
-            print(json.dumps(_coproduct_rows(terms, _tree_legs)), file=out)
+            print(_dumps(_coproduct_rows(terms, _tree_legs)), file=out)
         else:
             print(trees.tree_tensor_text(terms), file=out)
         return 0
@@ -175,7 +185,7 @@ def _cmd_coproduct(args, out) -> int:
     else:
         terms = tensor.delta_word(_parse_word(args.subject))
     if args.json:
-        print(json.dumps(_coproduct_rows(terms, _barword_legs, _barword_order)),
+        print(_dumps(_coproduct_rows(terms, _barword_legs, _barword_order)),
               file=out)
     else:
         print(tensor.tensor_text(terms), file=out)
@@ -187,13 +197,13 @@ def _cmd_moebius(args, out) -> int:
     lo = partitions.parse_partition(args.lo, noncrossing=noncrossing)
     hi = partitions.parse_partition(args.hi, noncrossing=noncrossing)
     value = partitions.moebius(args.lattice, lo, hi)
-    print(json.dumps({"moebius": value}) if args.json else value, file=out)
+    print(_dumps({"moebius": value}) if args.json else value, file=out)
     return 0
 
 
 def _sequence_lines(prefix: str, values, out, as_json: bool):
     if as_json:
-        print(json.dumps({"kind": prefix, "values": [
+        print(_dumps({"kind": prefix, "values": [
             coefficients.coeff_str(v) for v in values]}), file=out)
         return
     for i, v in enumerate(values, start=1):
@@ -220,9 +230,9 @@ def _cmd_transform(args, out) -> int:
         r = transforms.generalized_free_cumulants(phi)
         items = sorted(r.table.items(), key=lambda kv: (len(kv[0]), kv[0]))
         if args.json:
-            print(json.dumps({"alphabet": list(r.alphabet), "values": {
+            print(_dumps({"alphabet": list(r.alphabet), "values": {
                 ".".join(k): coefficients.coeff_str(v) for k, v in items}}),
-                  file=out)
+                file=out)
         else:
             for letters, v in items:
                 print(f"R[{'.'.join(letters)}] = "
@@ -267,8 +277,8 @@ def _cmd_split(args, out) -> int:
         comps = [c.text() for c in s.components if c.blocks]
         rows.append((q, comps))
     if args.json:
-        print(json.dumps([{"selected": q, "components": comps}
-                          for q, comps in rows]), file=out)
+        print(_dumps([{"selected": q, "components": comps}
+                      for q, comps in rows]), file=out)
     else:
         for q, comps in rows:
             print(f"{q} | {' '.join(comps) if comps else '{}'}", file=out)
@@ -282,13 +292,13 @@ def _cmd_tree(args, out) -> int:
         if args.json:
             data = {"tree": trees.tree_to_json(t),
                     "coproduct": _coproduct_rows(terms, _tree_legs)}
-            print(json.dumps(data), file=out)
+            print(_dumps(data), file=out)
         else:
             print(trees.tree_tensor_text(terms), file=out)
         return 0
     if args.json:
-        print(json.dumps({"tree": trees.tree_to_json(t),
-                          "text": trees.tree_text(t)}), file=out)
+        print(_dumps({"tree": trees.tree_to_json(t),
+                      "text": trees.tree_text(t)}), file=out)
     else:
         print(trees.tree_text(t), file=out)
     return 0
@@ -308,7 +318,7 @@ def _cmd_verify(args, out) -> int:
             f"{verify.SUITE_BOUNDS[name][1]}, not {args.max_degree}")
     reports = verify.run_suite(name, *bound)
     if args.json:
-        print(json.dumps([{
+        print(_dumps([{
             "suite": r.name,
             "passed": r.passed,
             "checks": [{"label": c.label, "ok": c.ok, "detail": c.detail}
@@ -339,7 +349,7 @@ def main(argv=None, out=None) -> int:
     except InconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NcHopfError, OSError, json.JSONDecodeError) as exc:
+    except (NcHopfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (KeyError, ValueError) as exc:

@@ -17,7 +17,6 @@ exponential as an independent route.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .coefficients import ONE, ZERO, Coefficient
@@ -37,19 +36,43 @@ from .tensor import (
 WORDS = "words"
 NC = "nc"
 
+# sets a field of a value whose own __setattr__ refuses every assignment
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class Algebra:
-    """Which bialgebra a functional lives on, with its declared alphabet."""
+    """Which bialgebra a functional lives on, with its declared alphabet.
+    A value is immutable: assigning to it raises AttributeError."""
 
-    kind: str                      # WORDS or NC
-    alphabet: tuple[str, ...]
+    __slots__ = ("kind", "alphabet")
 
-    def __post_init__(self):
-        if self.kind not in (WORDS, NC):
-            raise ValueError(f"unknown algebra kind: {self.kind!r}")
-        if not self.alphabet:
+    def __init__(self, kind: str, alphabet: tuple[str, ...]):
+        if kind not in (WORDS, NC):
+            raise ValueError(f"unknown algebra kind: {kind!r}")
+        if not alphabet:
             raise ValueError("alphabet must be declared and non-empty")
+        _set(self, "kind", kind)
+        _set(self, "alphabet", alphabet)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.kind, self.alphabet) == (other.kind, other.alphabet)
+
+    def __hash__(self):
+        return hash((self.kind, self.alphabet))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.alphabet)
+
+    def __repr__(self):
+        return f"Algebra(kind={self.kind!r}, alphabet={self.alphabet!r})"
 
     def atoms(self, degree: int) -> list:
         """All basis atoms of the given degree."""
@@ -343,11 +366,26 @@ def pullback_sp(psi: LinearFunctional) -> LinearFunctional:
 # diagnostics
 
 
-@dataclass
 class CheckReport:
-    ok: bool
-    checked: int
-    violations: list
+    """The outcome of a check: whether it held, how many cases it examined
+    and the violations it found."""
+
+    def __init__(self, ok: bool, checked: int, violations: list):
+        self.ok = ok
+        self.checked = checked
+        self.violations = violations
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.ok, self.checked, self.violations)
+                == (other.ok, other.checked, other.violations))
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return (f"CheckReport(ok={self.ok!r}, checked={self.checked!r}, "
+                f"violations={self.violations!r})")
 
     def __bool__(self):
         return self.ok

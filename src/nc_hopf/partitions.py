@@ -13,7 +13,6 @@ with ascending members, e.g. ``{1,4}{2,3}``.  JSON: ``{"blocks": [[1,4],[2,3]]}`
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial, prod
 
@@ -27,23 +26,25 @@ from .errors import (
 
 Block = tuple[int, ...]
 
+_new = object.__new__
+# sets a field of a value whose own __setattr__ refuses every assignment
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
+
 class SetPartition:
     """A partition of a finite set of positive integers, in canonical form.
 
     The hash and ``size``, the number of carrier elements, are computed
     once, at construction; equality and hashing are determined by the
-    blocks (and the class, for equality)."""
+    blocks (and the class, for equality).  A value is immutable: assigning
+    to it raises AttributeError."""
 
-    blocks: tuple[Block, ...]
-    _hash: int = field(init=False, compare=False, repr=False)
-    size: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("blocks", "size", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, blocks: tuple[Block, ...]):
         seen: set[int] = set()
         prev_min = 0
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("empty block")
             members = set(block)
@@ -58,16 +59,43 @@ class SetPartition:
                 raise ValueError("blocks not disjoint")
             seen |= members
             prev_min = block[0]
-        object.__setattr__(self, "_hash", hash(self.blocks))
-        object.__setattr__(self, "size", len(seen))
+        _set(self, "blocks", blocks)
+        _set(self, "size", len(seen))
+        _set(self, "_hash", hash(blocks))
+
+    @classmethod
+    def _unchecked(cls, blocks: tuple[Block, ...], size: int):
+        """The partition with these blocks, which the library built in
+        canonical form (and non-crossing, for that class) on ``size``
+        elements, so none of the constructor's checks runs.  The tests hold
+        every caller's output to the constructor."""
+        self = _new(cls)
+        _set(self, "blocks", blocks)
+        _set(self, "size", size)
+        _set(self, "_hash", hash(blocks))
+        return self
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.blocks == other.blocks
 
     def __hash__(self):
         return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         # rebuilt through the constructor, so a value loaded in another
         # process is validated again and never carries a foreign hash
         return type(self), (self.blocks,)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(blocks={self.blocks!r})"
 
     @classmethod
     def of(cls, blocks) -> "SetPartition":
@@ -88,7 +116,10 @@ class SetPartition:
         return type(self).of([b for b in kept if b])
 
     def text(self) -> str:
-        return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
+        if not self.blocks:
+            return ""
+        return "{" + "}{".join([",".join(map(str, b))
+                                for b in self.blocks]) + "}"
 
     def to_json(self) -> dict:
         return {"blocks": [list(b) for b in self.blocks]}
@@ -97,30 +128,48 @@ class SetPartition:
         return self.text()
 
 
-@dataclass(frozen=True, slots=True)
 class NonCrossingPartition(SetPartition):
     """A set partition with no crossing quadruple p1 < q1 < p2 < q2,
     p1 ~ p2, q1 ~ q2, p1 !~ q1."""
 
-    def __post_init__(self):
-        # zero-argument super() fails in a slotted dataclass subclass
-        SetPartition.__post_init__(self)
-        if not _blocks_noncrossing(self.blocks):
-            raise ValueError(f"partition is crossing: {self.blocks}")
+    __slots__ = ()
 
-    # keeps the cached hash: without a __hash__ of its own, the dataclass
-    # decorator would generate one that hashes the blocks on every call
-    __hash__ = SetPartition.__hash__
+    def __init__(self, blocks: tuple[Block, ...]):
+        super().__init__(blocks)
+        if not _blocks_noncrossing(blocks):
+            raise ValueError(f"partition is crossing: {blocks}")
 
 
-@dataclass(frozen=True)
 class AdmissibleSplit:
     """A two-part block partition L = Q ⊔ T with no Q-block nested inside a
     T-block, packaged with T's restriction to each connected component of the
     complement of Q's carrier."""
 
-    q_part: NonCrossingPartition
-    components: tuple[NonCrossingPartition, ...]
+    __slots__ = ("q_part", "components")
+
+    def __init__(self, q_part: NonCrossingPartition,
+                 components: tuple[NonCrossingPartition, ...]):
+        _set(self, "q_part", q_part)
+        _set(self, "components", components)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.q_part, self.components)
+                == (other.q_part, other.components))
+
+    def __hash__(self):
+        return hash((self.q_part, self.components))
+
+    __setattr__ = SetPartition.__setattr__
+    __delattr__ = SetPartition.__delattr__
+
+    def __reduce__(self):
+        return type(self), (self.q_part, self.components)
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(q_part={self.q_part!r}, "
+                f"components={self.components!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +275,13 @@ def check_enumeration_size(lattice: str, n: int) -> None:
 
 def iter_partitions(lattice: str, n: int):
     """The partitions of [n] in the set ("set") or non-crossing ("nc")
-    lattice, canonical and validated, one at a time in text order.  The
-    size cap is checked at the call, before the first one is made."""
+    lattice, canonical, one at a time in text order.  The size cap is
+    checked at the call, before the first one is made."""
     check_enumeration_size(lattice, n)
     cls = NonCrossingPartition if lattice == "nc" else SetPartition
-    return map(cls, _text_order(tuple(range(1, n + 1)), lattice == "nc"))
+    make = cls._unchecked
+    return (make(blocks, n)
+            for blocks in _text_order(tuple(range(1, n + 1)), lattice == "nc"))
 
 
 def enumerate_set_partitions(n: int) -> list[SetPartition]:
@@ -346,8 +397,11 @@ def split_table(p: NonCrossingPartition) -> tuple[tuple, tuple]:
             members: dict[int, list[int]] = {i: [] for i in ids}
             for j, r in enumerate(ranks, start=1):
                 members[owner[r]].append(j)
-            shape = tuple([tuple(members[i]) for i in ids])
-            parts.append((ids, NonCrossingPartition(shape), ranks))
+            # blocks of p, relabelled by an increasing map: canonical
+            # and non-crossing
+            shape = NonCrossingPartition._unchecked(
+                tuple([tuple(members[i]) for i in ids]), len(ranks))
+            parts.append((ids, shape, ranks))
         return found
 
     # the masks are distinct, so the sort never compares further

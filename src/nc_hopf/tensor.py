@@ -16,7 +16,6 @@ words; on generators the left leg always has at most one atom.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
@@ -31,6 +30,9 @@ from .partitions import (
 )
 from . import config
 
+# sets a field of a value whose own __setattr__ refuses every assignment
+_set = object.__setattr__
+
 
 def Word(letters) -> tuple[str, ...]:
     """A non-empty word over a declared alphabet of letter names: the plain
@@ -42,29 +44,44 @@ def Word(letters) -> tuple[str, ...]:
     return word
 
 
-@dataclass(frozen=True, slots=True)
 class DecoratedNC:
     """A non-crossing partition of [n] decorated by a word of length n.
 
     ``word=None`` is the undecorated algebra (equivalently, a one-letter
     alphabet with the decoration suppressed).  The hash is computed once,
-    at construction, from the shape and the word.
+    at construction, from the shape and the word.  A value is immutable:
+    assigning to it raises AttributeError.
     """
 
-    shape: NonCrossingPartition
-    word: tuple[str, ...] | None = None
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("shape", "word", "_hash")
 
-    def __post_init__(self):
-        if self.word is not None and len(self.word) != self.shape.size:
+    def __init__(self, shape: NonCrossingPartition,
+                 word: tuple[str, ...] | None = None):
+        if word is not None and len(word) != shape.size:
             raise ValueError("decoration length differs from carrier size")
-        object.__setattr__(self, "_hash", hash((self.shape, self.word)))
+        _set(self, "shape", shape)
+        _set(self, "word", word)
+        _set(self, "_hash", hash((shape, word)))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape == other.shape and self.word == other.word
 
     def __hash__(self):
         return self._hash
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
     def __reduce__(self):
         return DecoratedNC, (self.shape, self.word)
+
+    def __repr__(self):
+        return f"DecoratedNC(shape={self.shape!r}, word={self.word!r})"
 
     @property
     def degree(self) -> int:

@@ -24,7 +24,6 @@ the results equal those of the routes run on the rationals themselves.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
@@ -58,16 +57,40 @@ from .tensor import is_letter
 CLASSICAL = "classical"
 FREE = "free"
 
+# sets a field of a value whose own __setattr__ refuses every assignment
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class MomentSequence:
-    """Moments m_0 = 1, m_1, ..., m_N."""
+    """Moments m_0 = 1, m_1, ..., m_N.  A value is immutable: assigning to
+    it raises AttributeError."""
 
-    values: tuple
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if not self.values or self.values[0] != 1:
+    def __init__(self, values: tuple):
+        if not values or values[0] != 1:
             raise ValueError("a moment sequence starts with m_0 = 1")
+        _set(self, "values", values)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash((self.values,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.values,)
+
+    def __repr__(self):
+        return f"MomentSequence(values={self.values!r})"
 
     @property
     def order(self) -> int:
@@ -84,16 +107,35 @@ class MomentSequence:
         return cls(vals)
 
 
-@dataclass(frozen=True)
 class CumulantSequence:
-    """Cumulants c_1, ..., c_N (classical) or k_1, ..., k_N (free)."""
+    """Cumulants c_1, ..., c_N (classical) or k_1, ..., k_N (free).  A value
+    is immutable: assigning to it raises AttributeError."""
 
-    values: tuple
-    flavor: str
+    __slots__ = ("values", "flavor")
 
-    def __post_init__(self):
-        if self.flavor not in (CLASSICAL, FREE):
-            raise ValueError(f"unknown cumulant flavor: {self.flavor!r}")
+    def __init__(self, values: tuple, flavor: str):
+        if flavor not in (CLASSICAL, FREE):
+            raise ValueError(f"unknown cumulant flavor: {flavor!r}")
+        _set(self, "values", values)
+        _set(self, "flavor", flavor)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.values, self.flavor) == (other.values, other.flavor)
+
+    def __hash__(self):
+        return hash((self.values, self.flavor))
+
+    __setattr__ = MomentSequence.__setattr__
+    __delattr__ = MomentSequence.__delattr__
+
+    def __reduce__(self):
+        return type(self), (self.values, self.flavor)
+
+    def __repr__(self):
+        return (f"CumulantSequence(values={self.values!r}, "
+                f"flavor={self.flavor!r})")
 
     @property
     def order(self) -> int:
@@ -390,14 +432,36 @@ def _letter_tuples(alphabet, degrees):
         yield from iter_product(alphabet, repeat=d)
 
 
-@dataclass(frozen=True)
 class MultiMomentMap:
     """A total moment table word -> Coefficient for words of length <= order
-    over the alphabet; the empty word has value 1 implicitly."""
+    over the alphabet; the empty word has value 1 implicitly.  The fields
+    cannot be assigned (AttributeError); the hash leaves out the table."""
 
-    alphabet: tuple[str, ...]
-    order: int
-    table: dict = field(hash=False)
+    __slots__ = ("alphabet", "order", "table")
+
+    def __init__(self, alphabet: tuple[str, ...], order: int, table: dict):
+        _set(self, "alphabet", alphabet)
+        _set(self, "order", order)
+        _set(self, "table", table)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.alphabet, self.order, self.table)
+                == (other.alphabet, other.order, other.table))
+
+    def __hash__(self):
+        return hash((self.alphabet, self.order))
+
+    __setattr__ = MomentSequence.__setattr__
+    __delattr__ = MomentSequence.__delattr__
+
+    def __reduce__(self):
+        return type(self), (self.alphabet, self.order, self.table)
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(alphabet={self.alphabet!r}, "
+                f"order={self.order!r}, table={self.table!r})")
 
     def value(self, w: tuple[str, ...]) -> Coefficient:
         if w not in self.table:
@@ -417,6 +481,8 @@ class MultiMomentMap:
 
 class MultiCumulantMap(MultiMomentMap):
     """Same shape as MultiMomentMap, holding generalized cumulants."""
+
+    __slots__ = ()
 
 
 def kappa_powers(shape: NonCrossingPartition, w: tuple[str, ...],

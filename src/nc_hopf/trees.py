@@ -35,7 +35,6 @@ is so only for the partitions whose gapped tree has no mark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import config
@@ -183,12 +182,35 @@ def hierarchy_tree(p: NonCrossingPartition) -> Tree:
 # admissible cuts
 
 
-@dataclass(frozen=True)
 class EdgeCut:
     """A set of edges meeting each root-to-leaf path at most once; an edge
-    is named by the child-index path of its arrival vertex."""
+    is named by the child-index path of its arrival vertex.  A value is
+    immutable: assigning to it raises AttributeError."""
 
-    edges: tuple  # tuple[EdgePath, ...], sorted
+    __slots__ = ("edges",)
+
+    def __init__(self, edges: tuple):  # tuple[EdgePath, ...], sorted
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.edges,))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return EdgeCut, (self.edges,)
+
+    def __repr__(self):
+        return f"EdgeCut(edges={self.edges!r})"
 
     @classmethod
     def of(cls, edges) -> "EdgeCut":

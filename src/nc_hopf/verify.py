@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -79,17 +78,44 @@ from .trees import (
 )
 
 
-@dataclass
 class Check:
-    label: str
-    ok: bool
-    detail: str = ""
+    """One check of a suite: its label, whether it held and, on failure,
+    what failed."""
+
+    def __init__(self, label: str, ok: bool, detail: str = ""):
+        self.label = label
+        self.ok = ok
+        self.detail = detail
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.label, self.ok, self.detail)
+                == (other.label, other.ok, other.detail))
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return (f"Check(label={self.label!r}, ok={self.ok!r}, "
+                f"detail={self.detail!r})")
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    checks: list = field(default_factory=list)
+    """The checks of one suite, in the order they ran."""
+
+    def __init__(self, name: str, checks: list | None = None):
+        self.name = name
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.checks) == (other.name, other.checks)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return f"SuiteReport(name={self.name!r}, checks={self.checks!r})"
 
     @property
     def passed(self) -> bool:
@@ -120,19 +146,34 @@ def _failing(names: list) -> str:
 
 
 def _apply_left(terms: LinComb, variant: str) -> LinComb:
-    """Apply the chosen coproduct variant to the left leg of each pair."""
+    """Apply the chosen coproduct variant to the left leg of each pair,
+    dropping every entry that cancels."""
     out: LinComb = {}
+    get = out.get
     for (left, right), c in terms.items():
         for (a, b), d in delta_bar(left, variant).items():
-            add_into(out, (a, b, right), c * d)
+            key = (a, b, right)
+            new = get(key, 0) + c * d
+            if new:
+                out[key] = new
+            elif key in out:
+                del out[key]
     return out
 
 
 def _apply_right(terms: LinComb, variant: str) -> LinComb:
+    """Apply the chosen coproduct variant to the right leg of each pair,
+    dropping every entry that cancels."""
     out: LinComb = {}
+    get = out.get
     for (left, right), c in terms.items():
         for (a, b), d in delta_bar(right, variant).items():
-            add_into(out, (left, a, b), c * d)
+            key = (left, a, b)
+            new = get(key, 0) + c * d
+            if new:
+                out[key] = new
+            elif key in out:
+                del out[key]
     return out
 
 

@@ -114,6 +114,7 @@ def test_both_sides_run_without_bytecode(tmp_path, monkeypatch):
         cache.mkdir(parents=True)
         (cache / "mod.cpython-311.pyc").write_bytes(b"stale")
         (checkout / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+        subprocess.run(["git", "init", "-q", str(checkout)], check=True)
         sides[side] = checkout
     (sides["change"] / "src" / "__pycache__").mkdir()
     meta = {"meta": {"commit": "abc" * 14, "python": "3.11.7", "nproc": 2}}
@@ -139,3 +140,30 @@ def test_both_sides_run_without_bytecode(tmp_path, monkeypatch):
     for checkout in sides.values():
         assert (checkout / "src" / "pkg" / "mod.py").exists()
     assert json.loads(out.read_text())["workloads"]["hopf"]["seeds"] == [1, 2]
+
+
+def test_a_checkout_outside_git_is_refused_before_any_run(tmp_path, capsys,
+                                                         monkeypatch):
+    # a `git archive` copy has no .git, so bench/run.py would report its
+    # commit as 'unknown' and the record would name no parent
+    sides = {}
+    for side in ("parent", "change"):
+        checkout = tmp_path / side
+        (checkout / "bench").mkdir(parents=True)
+        (checkout / "bench" / "run.py").write_text("# same code\n")
+        sides[side] = checkout
+    subprocess.run(["git", "init", "-q", str(sides["change"])], check=True)
+
+    def no_run(*args, **kw):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_run)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(sides["parent"]),
+                          "--change", str(sides["change"]),
+                          "--workload", "hopf", "--seeds", "1-2",
+                          "--out", str(out)])
+    assert exc.value.code == 2
+    assert "is not a git work tree" in capsys.readouterr().err
+    assert not out.exists()

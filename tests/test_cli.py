@@ -349,6 +349,23 @@ class TestTransform:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("direction", ["m2k", "multi-m2k"])
+    @pytest.mark.parametrize("text,message", [
+        ("{not json", "Expecting property name enclosed in double quotes: "
+                      "line 1 column 2 (char 1)"),
+        ("", "Expecting value: line 1 column 1 (char 0)"),
+        ("[" * 100000, "{path}: JSON nested too deeply"),
+    ], ids=["malformed", "empty", "too-deep"])
+    def test_unreadable_json_message(self, tmp_path, capsys, direction,
+                                     text, message):
+        # the reader's own message, on one line, with exit status 1
+        f = tmp_path / "input.json"
+        f.write_text(text)
+        code, out = run("transform", "free", "--direction", direction,
+                        "--in", str(f))
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {message.format(path=f)}\n"
+
     def test_values_past_the_int_string_limit_print_in_full(self, tmp_path):
         # m_2 = c_1^2 + c_2 has 6000 digits, past str(int)'s default limit
         f = tmp_path / "cumulants.json"

@@ -5,6 +5,7 @@ the start, as an instance of the lazy loader's module type, and becomes a
 plain module when its code runs.  These checks start fresh interpreters, so
 nothing another test imported counts."""
 
+import ast
 import json
 import os
 import subprocess
@@ -129,3 +130,44 @@ def test_star_import_and_unknown_names():
     with pytest.raises(ImportError):
         exec("from nc_hopf import no_such_name", {})
 
+
+
+def test_no_file_in_src_imports_dataclasses():
+    # dataclasses loads inspect, dis, ast and tokenize: about 15 ms of
+    # every cold command
+    root = Path(__file__).resolve().parents[1] / "src"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+# run one command through the CLI entry point, then list which of these
+# standard modules are loaded; -S keeps site's own imports out of the count
+LOADED = """
+import io, sys
+from nc_hopf.cli import main
+code = main(sys.argv[1:], out=io.StringIO())
+print(code, *sorted({"dataclasses", "inspect", "json"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "nc", "--n", "4", "--count"),
+    ("coproduct", "nc", "{1,4}{2,3}"),
+    ("transform", "free", "--direction", "k2m", "--symbolic", "--n", "5"),
+])
+def test_cold_commands_load_no_dataclasses_inspect_or_json(argv):
+    done = subprocess.run([sys.executable, "-S", "-c", LOADED, *argv],
+                          env=ENV, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]

@@ -230,6 +230,42 @@ class TestEnumeration:
             enumerate_set_partitions(50)
 
 
+def assert_passes_the_constructor(p, cls, size):
+    """``p`` is what the public constructor of ``cls`` makes of new tuples
+    of the same blocks: same class, blocks, size and hash."""
+    assert type(p) is cls and type(p.blocks) is tuple
+    assert all(type(b) is tuple for b in p.blocks)
+    twin = cls(tuple(tuple(list(b)) for b in p.blocks))
+    assert twin == p and twin.blocks == p.blocks
+    assert p.size == twin.size == size
+    assert hash(p) == hash(twin)
+
+
+class TestUncheckedConstruction:
+    """The generators build their partitions without the constructor's
+    checks; these oracles hold every one of them to the checks."""
+
+    @pytest.mark.parametrize("lattice,cls", [
+        ("set", SetPartition), ("nc", NonCrossingPartition)])
+    def test_generated_partitions_pass_the_constructor(self, lattice, cls):
+        for n in range(1, 10):
+            listed = (enumerate_nc_partitions(n) if lattice == "nc"
+                      else enumerate_set_partitions(n))
+            streamed = list(partitions.iter_partitions(lattice, n))
+            assert listed == streamed
+            for p in streamed:
+                assert_passes_the_constructor(p, cls, n)
+
+    def test_split_table_parts_pass_the_constructor(self):
+        for n in range(1, 9):
+            for p in enumerate_nc_partitions(n):
+                parts, _ = split_table(p)
+                for ids, shape, ranks in parts:
+                    assert_passes_the_constructor(shape, NonCrossingPartition,
+                                                  len(ranks))
+                    assert len(ranks) == sum(len(p.blocks[i]) for i in ids)
+
+
 class TestOrderAndStandardization:
     def test_refinement(self):
         fine = SetPartition.of([[1], [2], [3, 4]])

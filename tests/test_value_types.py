@@ -1,5 +1,6 @@
-"""Value-type contract of the four hashable types: equality is decided by
-the fields, the hash agrees with equality, and copies and pickles are
+"""Value-type contract of the library's value classes: equality is decided
+by the class and the fields, the hash agrees with equality, the frozen ones
+refuse assignment, each prints as it always has, and copies and pickles are
 rebuilt as equal values whose hash belongs to the process they live in.
 A word is the plain tuple of its letters."""
 
@@ -10,6 +11,8 @@ import pickle
 import random
 import subprocess
 import sys
+import types
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -22,7 +25,17 @@ from nc_hopf.partitions import (
     enumerate_set_partitions,
 )
 from nc_hopf.cli import _barword_order
+from nc_hopf.functionals import Algebra, CheckReport
+from nc_hopf.partitions import AdmissibleSplit
 from nc_hopf.tensor import DecoratedNC, Word, barword_text, tensor_text
+from nc_hopf.transforms import (
+    CumulantSequence,
+    MomentSequence,
+    MultiCumulantMap,
+    MultiMomentMap,
+)
+from nc_hopf.trees import EdgeCut
+from nc_hopf.verify import Check, SuiteReport
 
 MAX_N = 6
 
@@ -208,3 +221,105 @@ def test_no_isinstance_against_word_in_src():
                         and name.attr == "Word"):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# every value class, once: a function that builds a new instance, its
+# fields, whether it is frozen (hashable, assignment refused) and its repr,
+# which must not change (``coproduct nc --json`` sorts its rows by reprs)
+NC = NonCrossingPartition
+VALUE_CLASSES = [
+    (lambda: SetPartition(((1, 3), (2,))), ("blocks",), True,
+     "SetPartition(blocks=((1, 3), (2,)))"),
+    (lambda: NC(((1, 4), (2, 3))), ("blocks",), True,
+     "NonCrossingPartition(blocks=((1, 4), (2, 3)))"),
+    (lambda: AdmissibleSplit(NC(((1, 4),)), (NC(((2, 3),)),)),
+     ("q_part", "components"), True,
+     "AdmissibleSplit(q_part=NonCrossingPartition(blocks=((1, 4),)), "
+     "components=(NonCrossingPartition(blocks=((2, 3),)),))"),
+    (lambda: DecoratedNC(NC(((1, 2),)), ("a", "b")), ("shape", "word"), True,
+     "DecoratedNC(shape=NonCrossingPartition(blocks=((1, 2),)), "
+     "word=('a', 'b'))"),
+    (lambda: DecoratedNC(NC(((1,), (2,)))), ("shape", "word"), True,
+     "DecoratedNC(shape=NonCrossingPartition(blocks=((1,), (2,))), "
+     "word=None)"),
+    (lambda: Algebra("words", ("a", "b")), ("kind", "alphabet"), True,
+     "Algebra(kind='words', alphabet=('a', 'b'))"),
+    (lambda: CheckReport(False, 3, [("unit", 2)]),
+     ("ok", "checked", "violations"), False,
+     "CheckReport(ok=False, checked=3, violations=[('unit', 2)])"),
+    (lambda: MomentSequence((1, Fraction(1, 2), 3)), ("values",), True,
+     "MomentSequence(values=(1, Fraction(1, 2), 3))"),
+    (lambda: CumulantSequence((1, Fraction(-2, 3)), "free"),
+     ("values", "flavor"), True,
+     "CumulantSequence(values=(1, Fraction(-2, 3)), flavor='free')"),
+    (lambda: MultiMomentMap(("a",), 1, {("a",): 2}),
+     ("alphabet", "order", "table"), True,
+     "MultiMomentMap(alphabet=('a',), order=1, table={('a',): 2})"),
+    (lambda: MultiCumulantMap(("a", "b"), 1,
+                              {("a",): Fraction(1, 2), ("b",): 0}),
+     ("alphabet", "order", "table"), True,
+     "MultiCumulantMap(alphabet=('a', 'b'), order=1, "
+     "table={('a',): Fraction(1, 2), ('b',): 0})"),
+    (lambda: EdgeCut(((0,), (1, 0))), ("edges",), True,
+     "EdgeCut(edges=((0,), (1, 0)))"),
+    (lambda: Check("unit law", False, "2 failing: a, b"),
+     ("label", "ok", "detail"), False,
+     "Check(label='unit law', ok=False, detail='2 failing: a, b')"),
+    (lambda: SuiteReport("halfshuffle", [Check("A1", True)]),
+     ("name", "checks"), False,
+     "SuiteReport(name='halfshuffle', "
+     "checks=[Check(label='A1', ok=True, detail='')])"),
+]
+CLASS_IDS = [expected.split("(", 1)[0] + ("" if i != 4 else "-undecorated")
+             for i, (_, _, _, expected) in enumerate(VALUE_CLASSES)]
+
+
+@pytest.mark.parametrize("make,fields,frozen,expected", VALUE_CLASSES,
+                         ids=CLASS_IDS)
+def test_value_class_repr_equality_and_hash(make, fields, frozen, expected):
+    value, twin = make(), make()
+    assert repr(value) == expected
+    assert value == twin and not value != twin
+    # the same fields on an object of another class never compare equal
+    stand_in = types.SimpleNamespace(**{f: getattr(value, f) for f in fields})
+    assert value != stand_in and stand_in != value
+    if frozen:
+        assert hash(value) == hash(twin)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+@pytest.mark.parametrize("make,fields,frozen,expected", VALUE_CLASSES,
+                         ids=CLASS_IDS)
+def test_value_class_pickles_and_copies(make, fields, frozen, expected):
+    value = make()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(value, protocol))
+        assert type(loaded) is type(value) and loaded == value
+        assert repr(loaded) == expected
+    for twin in (copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value
+
+
+@pytest.mark.parametrize("make,fields,frozen,expected", VALUE_CLASSES,
+                         ids=CLASS_IDS)
+def test_frozen_value_classes_refuse_assignment(make, fields, frozen,
+                                                expected):
+    value = make()
+    if not frozen:  # a report is filled in as its checks run
+        setattr(value, fields[0], getattr(make(), fields[0]))
+        assert value == make()
+        return
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == make() and repr(value) == expected
+
+
+def test_moment_and_cumulant_maps_with_equal_fields_stay_unequal():
+    moments = MultiMomentMap(("a",), 1, {("a",): 2})
+    cumulants = MultiCumulantMap(("a",), 1, {("a",): 2})
+    assert moments != cumulants and cumulants != moments

@@ -7,7 +7,8 @@
 Both arguments are checkouts (the parent's and the change's).  For each seed
 the tool runs each checkout's own ``bench/run.py`` once with ``--trace 0``,
 alternating which side goes first, and refuses to start unless the two
-``bench/`` trees hold the same code.  Both sides run in the same bytecode
+``bench/`` trees hold the same code and each checkout is a git work tree
+(``git clone``, not ``git archive``), whose commit the record names.  Both sides run in the same bytecode
 state: the tool deletes every ``__pycache__`` under each checkout's ``src/``
 and runs every child with ``PYTHONDONTWRITEBYTECODE=1``, so each process
 compiles the library from source.  The record gives, per workload and per
@@ -51,6 +52,13 @@ def bench_code(checkout: Path) -> dict[str, bytes]:
     bench = checkout / "bench"
     return {p.relative_to(bench).as_posix(): p.read_bytes()
             for p in sorted(bench.rglob("*.py"))}
+
+
+def is_git_checkout(checkout: Path) -> bool:
+    """Whether ``bench/run.py`` can read the commit of ``checkout``: it
+    reads ``.git/HEAD`` at the checkout's root, and reports ``unknown``
+    where there is none."""
+    return (checkout / ".git" / "HEAD").is_file()
 
 
 def clean_bytecode(checkout: Path):
@@ -135,6 +143,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
+    for checkout in (args.parent, args.change):
+        if not is_git_checkout(checkout):
+            parser.error(f"{checkout} is not a git work tree, so its runs "
+                         f"would record the commit 'unknown'")
     if bench_code(args.parent) != bench_code(args.change):
         parser.error("the two checkouts hold different bench/ code")
     for checkout in (args.parent, args.change):
