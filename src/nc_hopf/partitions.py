@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from math import comb, factorial, prod
+from operator import itemgetter
 
 from . import config
 from .errors import (
@@ -333,6 +334,18 @@ def standardize(p: SetPartition) -> SetPartition:
     relabel = {x: i + 1 for i, x in enumerate(p.carrier)}
     # an increasing relabelling keeps the canonical block order
     return type(p)(tuple([tuple([relabel[x] for x in b]) for b in p.blocks]))
+
+
+def _gathers(positions) -> list:
+    """For each tuple of 0-based positions in ``positions``, the
+    ``operator.itemgetter`` that restricts a sequence to them, always as a
+    tuple: ``itemgetter(*p)`` for two positions or more, and the slice of
+    the one position, or the empty slice, for fewer.  A caller builds the
+    gathers of a table at once, before it reads any word, so each
+    restriction then runs in C."""
+    return [itemgetter(*p) if len(p) > 1
+            else itemgetter(slice(p[0], p[0] + 1) if p else slice(0))
+            for p in positions]
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import itemgetter
 from typing import Union
 
 from .coefficients import Coefficient, coeff_str
 from .errors import AlgebraMismatchError, ParseError, SizeLimitError
 from .partitions import (
     NonCrossingPartition,
+    _gathers,
     _split_walk,
     enumerate_nc_partitions,
     parse_partition,
@@ -165,17 +167,45 @@ def counit(t: LinComb) -> Coefficient:
 
 
 @lru_cache(maxsize=None)
-def _word_splits(n: int) -> tuple[tuple, tuple]:
-    """The splits of every word of length n, as (kept positions, runs of
-    positions), positions 0-based: a word splits as the singleton partition
-    of [n], so these are the splits of ``_split_walk`` over the singletons,
-    each labelled by its position.  They depend on n alone, and are held
-    as (those with position 0 in a run, those with it kept)."""
-    halves: tuple[list, list] = ([], [])
-    for mask, kept, runs in _split_walk(tuple([(x,) for x in range(1, n + 1)]),
-                                        range(n)):
-        halves[mask & 1].append((kept, runs))
-    return tuple(halves[0]), tuple(halves[1])
+def _word_splits(n: int, left: bool) -> tuple:
+    """The splits of every word of length n with position 0 kept (``left``)
+    or in a run, positions 0-based: a word splits as the singleton
+    partition of [n], so these are the splits of ``_split_walk`` over the
+    singletons, each labelled by its position.  They depend on n alone.
+
+    Each split is a pair of gathers.  The kept gather restricts a word to
+    the kept positions (``partitions._gathers``).  The runs gather reads
+    the tuple of the runs' atoms off ``_runs_source(w)``: it is
+    ``itemgetter(*runs)`` for two runs or more, and ``itemgetter(runs)``
+    for one run or none, a key that the source maps to the one-atom tuple
+    or to ``()``."""
+    kept: list[tuple] = []
+    runs: list[tuple] = []
+    for mask, q, comps in _split_walk(tuple([(x,) for x in range(1, n + 1)]),
+                                      range(n)):
+        if (mask & 1) == left:
+            kept.append(q)
+            runs.append(comps)
+    return tuple(zip(_gathers(kept),
+                     [itemgetter(*r) if len(r) > 1 else itemgetter(r)
+                      for r in runs]))
+
+
+def _runs_source(w: tuple[str, ...]) -> dict:
+    """The atoms that a runs gather of ``_word_splits`` reads off w: a run
+    is an interval of positions, so its atom is a slice of w, keyed by the
+    interval's position tuple; the tuple of that one atom is keyed by the
+    one-interval tuple, and the empty tuple by itself."""
+    n = len(w)
+    source: dict = {(): ()}
+    for a in range(n):
+        run = ()
+        for b in range(a, n):
+            run += (b,)
+            piece = w[a:b + 1]
+            source[run] = piece
+            source[(run,)] = (piece,)
+    return source
 
 
 @lru_cache(maxsize=None)
@@ -184,22 +214,21 @@ def delta_word_half(w: tuple[str, ...], left: bool) -> LinComb:
     delta_word(w), built alone: the fixed point reads only left halves.
 
     Every subset is admissible and the components are the runs between kept
-    positions: the splits of ``_word_splits`` for w's length, with w's
-    letters put at the positions.  Equal kept tuples share one left leg.
-    The cached dict is shared by every caller: read it, never change it."""
-    n = len(w)
-    # a run is an interval of positions, so its atom is a slice of w
-    pieces = {tuple(range(a, b)): w[a:b]
-              for a in range(n) for b in range(a + 1, n + 1)}
+    positions: the splits of ``_word_splits`` for w's length, each gather
+    applied to w.  Equal kept tuples share one left leg, and equal runs one
+    atom.  The cached dict is shared by every caller: read it, never change
+    it."""
+    source = _runs_source(w)
     legs: dict[tuple[str, ...], BarWord] = {(): UNIT}
     half: LinComb = {}
-    for kept, runs in _word_splits(n)[left]:
-        letters = tuple([w[i] for i in kept])
-        leg = legs.get(letters)
+    leg_of, count = legs.get, half.get
+    for keep, runs in _word_splits(len(w), left):
+        letters = keep(w)
+        leg = leg_of(letters)
         if leg is None:
             leg = legs[letters] = (letters,)
-        key = (leg, tuple([pieces[r] for r in runs]))
-        half[key] = half.get(key, 0) + 1
+        key = (leg, runs(source))
+        half[key] = count(key, 0) + 1
     return half
 
 
@@ -223,20 +252,25 @@ def delta_nc_halves(x: DecoratedNC) -> tuple[LinComb, LinComb]:
 
     One term per admissible split of the shape's ``split_table``, all parts
     standardized; each distinct part becomes one atom, its decoration the
-    letters of ``x`` at the ranks of the part's carrier.  The cached dicts
-    are shared by every caller: read them, never change them."""
+    letters of ``x`` gathered at the ranks of the part's carrier.  Equal
+    atoms (equal shapes under equal letters) are one object, with one left
+    leg.  The cached dicts are shared by every caller: read them, never
+    change them."""
     parts, splits = split_table(x.shape)
-    if x.word is None:
+    word = x.word
+    if word is None:
         atoms = [DecoratedNC(shape) for _, shape, _ in parts]
     else:
-        word = x.word
-        atoms = [DecoratedNC(shape, tuple([word[r] for r in ranks]))
-                 for _, shape, ranks in parts]
+        atoms = [DecoratedNC(shape, gather(word)) for (_, shape, _), gather
+                 in zip(parts, _gathers([ranks for _, _, ranks in parts]))]
+    shared: dict[DecoratedNC, BarWord] = {}
+    legs = [shared.setdefault(atom, (atom,)) for atom in atoms]
+    atoms = [leg[0] for leg in legs]
     left: LinComb = {}
     right: LinComb = {}
     for in_q, q, comps in splits:
         half = left if in_q else right
-        key = ((atoms[q],) if q is not None else UNIT,
+        key = (legs[q] if q is not None else UNIT,
                tuple([atoms[i] for i in comps]))
         half[key] = half.get(key, 0) + 1
     return left, right

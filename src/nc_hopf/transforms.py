@@ -49,6 +49,7 @@ from .functionals import (
 )
 from .partitions import (
     NonCrossingPartition,
+    _gathers,
     check_enumeration_size,
     enumerate_nc_partitions,
 )
@@ -493,9 +494,10 @@ def kappa_powers(shape: NonCrossingPartition, w: tuple[str, ...],
             f"partition of size {shape.size} cannot decorate a word of "
             f"length {len(w)}")
     total: Coefficient = ONE
-    for block in shape.blocks:
-        # a block's positions are 1-based and increasing
-        total = total * kappa(tuple([w[i - 1] for i in block]))
+    # a block's positions are 1-based and increasing
+    for gather in _gathers([tuple([i - 1 for i in block])
+                            for block in shape.blocks]):
+        total = total * kappa(gather(w))
     return total
 
 
@@ -508,18 +510,20 @@ def _lattice_cumulants(moment, words) -> dict:
     Precondition, met by both callers: ``words`` holds every block
     restriction of its words.  A missing subword raises KeyError, which is
     an internal fault, not bad input."""
-    # each degree's multi-block shapes, once, as 0-based position lists
-    shapes = {n: [[[i - 1 for i in block] for block in shape.blocks]
+    # each degree's multi-block shapes, once, as the gathers of their
+    # blocks' 0-based positions
+    shapes = {n: [_gathers([tuple([i - 1 for i in block])
+                            for block in shape.blocks])
                   for shape in enumerate_nc_partitions(n)
                   if len(shape.blocks) > 1]
               for n in set(map(len, words))}
     r: dict = {}
     for letters in sorted(words, key=len):
         total = moment(letters)
-        for blocks in shapes[len(letters)]:
+        for gathers in shapes[len(letters)]:
             term = None
-            for block in blocks:
-                kappa = r[tuple([letters[i] for i in block])]
+            for gather in gathers:
+                kappa = r[gather(letters)]
                 term = kappa if term is None else term * kappa
             total = total - term
         r[letters] = total

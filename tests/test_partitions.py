@@ -616,3 +616,31 @@ def test_restriction_preserves_noncrossing(p, mask):
     if is_noncrossing(p):
         assert is_noncrossing(q)
     assert q.carrier == tuple(subset)
+
+
+@st.composite
+def word_and_positions(draw):
+    """A random tuple and sorted position tuples into it: the empty tuple,
+    one position, an interval and a scattered subset."""
+    word = tuple(draw(st.lists(st.one_of(st.integers(), st.text(max_size=2),
+                                         st.tuples(st.integers())),
+                               min_size=1, max_size=12)))
+    index = st.integers(min_value=0, max_value=len(word) - 1)
+    start = draw(index)
+    stop = draw(st.integers(min_value=start + 1, max_value=len(word)))
+    scattered = tuple(sorted(draw(st.sets(index))))
+    return word, [(), (draw(index),), tuple(range(start, stop)), scattered]
+
+
+@given(word_and_positions())
+@settings(max_examples=200, deadline=None)
+def test_gathers_restrict_to_the_positions_as_a_tuple(case):
+    # a one-position gather returns the one-item tuple, not the bare item
+    word, positions = case
+    gathers = partitions._gathers(positions)
+    assert len(gathers) == len(positions)
+    for p, gather in zip(positions, gathers):
+        restricted = gather(word)
+        assert type(restricted) is tuple
+        assert restricted == tuple(word[i] for i in p)
+    assert partitions._gathers([]) == []

@@ -12,12 +12,14 @@ from nc_hopf.partitions import (
     NonCrossingPartition,
     admissible_splits,
     enumerate_nc_partitions,
+    split_table,
     standardize,
 )
 from nc_hopf.tensor import (
     UNIT,
     DecoratedNC,
     Word,
+    _runs_source,
     _word_splits,
     add_into,
     barword_degree,
@@ -139,7 +141,9 @@ class TestCoproductLayer:
     def test_length_table_holds_every_subset_once(self):
         # from the definition: the splits of [n] are its 2^n subsets S, each
         # with the maximal runs of positions outside S, positions 0-based,
-        # held by whether S keeps position 0
+        # held by whether S keeps position 0.  Each split's gathers are
+        # applied to a word of distinct letters and read back as positions
+        alphabet = "abcdefghij"
         for n in range(1, 11):
             expected = {}
             for mask in range(1 << n):
@@ -155,12 +159,21 @@ class TestCoproductLayer:
                 if run:
                     runs.append(tuple(run))
                 expected[mask] = (kept, tuple(runs))
-            right, left = _word_splits(n)
-            assert len(right) == len(left) == 2 ** (n - 1)
-            assert set(right) == {split for mask, split in expected.items()
-                                  if not mask & 1}
-            assert set(left) == {split for mask, split in expected.items()
-                                 if mask & 1}
+            word = Word(alphabet[:n])
+            source = _runs_source(word)
+            for bit in (0, 1):
+                half = _word_splits(n, bool(bit))
+                assert len(half) == 2 ** (n - 1)
+                splits = []
+                for keep, gather_runs in half:
+                    letters, runs = keep(word), gather_runs(source)
+                    assert type(letters) is tuple and type(runs) is tuple
+                    splits.append((tuple(map(alphabet.index, letters)),
+                                   tuple(tuple(map(alphabet.index, run))
+                                         for run in runs)))
+                assert len(set(splits)) == len(splits)
+                assert set(splits) == {split for mask, split
+                                       in expected.items() if mask & 1 == bit}
 
     def test_clear_caches_empties_the_length_table(self):
         import nc_hopf
@@ -299,6 +312,28 @@ class TestNcCoproduct:
                 left, right = split_halves(x)
                 assert delta_nc_halves(x) == (left, right)
                 assert delta_nc(x) == lincomb_sum(left, right)
+
+    def test_decorations_are_gathered_at_the_ranks(self):
+        # every shape with n <= 7 under a distinct-letter word: each atom's
+        # decoration is the word read at its part's ranks.  Equal legs are
+        # one object within each half; under a one-letter word, distinct
+        # splits have equal legs
+        for n, shape in ((n, shape) for n in range(1, 8)
+                         for shape in enumerate_nc_partitions(n)):
+            for word in (Word("abcdefg"[:n]), Word("a" * n)):
+                parts, splits = split_table(shape)
+                atoms = [DecoratedNC(part, tuple([word[r] for r in ranks]))
+                         for _, part, ranks in parts]
+                halves = (Counter(), Counter())  # right, left
+                for in_q, q, comps in splits:
+                    leg = (atoms[q],) if q is not None else UNIT
+                    halves[in_q][leg, tuple(atoms[i] for i in comps)] += 1
+                left, right = delta_nc_halves(DecoratedNC(shape, word))
+                assert (left, right) == (dict(halves[1]), dict(halves[0]))
+                for half in (left, right):
+                    legs = {}
+                    for leg, _ in half:
+                        assert legs.setdefault(leg, leg) is leg
 
     def test_nested_pair_golden(self):
         text = tensor_text(delta_nc(nc("{1,4}{2,3}")))
