@@ -21,7 +21,7 @@ from itertools import product as iter_product
 
 from .coefficients import ONE, ZERO, Coefficient
 from .errors import AlgebraMismatchError, TruncationError
-from .partitions import enumerate_nc_partitions
+from .partitions import Record, Value, _set, enumerate_nc_partitions
 from .tensor import (
     UNIT,
     BarWord,
@@ -36,15 +36,11 @@ from .tensor import (
 WORDS = "words"
 NC = "nc"
 
-# sets a field of a value whose own __setattr__ refuses every assignment
-_set = object.__setattr__
 
+class Algebra(Value):
+    """Which bialgebra a functional lives on, with its declared alphabet."""
 
-class Algebra:
-    """Which bialgebra a functional lives on, with its declared alphabet.
-    A value is immutable: assigning to it raises AttributeError."""
-
-    __slots__ = ("kind", "alphabet")
+    __slots__ = _fields = ("kind", "alphabet")
 
     def __init__(self, kind: str, alphabet: tuple[str, ...]):
         if kind not in (WORDS, NC):
@@ -53,26 +49,6 @@ class Algebra:
             raise ValueError("alphabet must be declared and non-empty")
         _set(self, "kind", kind)
         _set(self, "alphabet", alphabet)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.kind, self.alphabet) == (other.kind, other.alphabet)
-
-    def __hash__(self):
-        return hash((self.kind, self.alphabet))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.kind, self.alphabet)
-
-    def __repr__(self):
-        return f"Algebra(kind={self.kind!r}, alphabet={self.alphabet!r})"
 
     def atoms(self, degree: int) -> list:
         """All basis atoms of the given degree."""
@@ -309,8 +285,9 @@ def _require_infinitesimal(kappa: LinearFunctional):
         return
     report = check_infinitesimal(kappa)
     if not report.ok:
-        raise ValueError(
-            f"not an infinitesimal character: {report.violations[:3]}")
+        found = report.violations
+        raise ValueError(f"not an infinitesimal character: {len(found)} "
+                         f"failing: {', '.join(map(str, found))}")
 
 
 # ---------------------------------------------------------------------------
@@ -366,26 +343,16 @@ def pullback_sp(psi: LinearFunctional) -> LinearFunctional:
 # diagnostics
 
 
-class CheckReport:
+class CheckReport(Record):
     """The outcome of a check: whether it held, how many cases it examined
     and the violations it found."""
+
+    _fields = ("ok", "checked", "violations")
 
     def __init__(self, ok: bool, checked: int, violations: list):
         self.ok = ok
         self.checked = checked
         self.violations = violations
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.ok, self.checked, self.violations)
-                == (other.ok, other.checked, other.violations))
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return (f"CheckReport(ok={self.ok!r}, checked={self.checked!r}, "
-                f"violations={self.violations!r})")
 
     def __bool__(self):
         return self.ok

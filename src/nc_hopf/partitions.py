@@ -28,19 +28,64 @@ from .errors import (
 Block = tuple[int, ...]
 
 _new = object.__new__
-# sets a field of a value whose own __setattr__ refuses every assignment
+# sets a field of a Value, whose own __setattr__ refuses every assignment
 _set = object.__setattr__
 
 
-class SetPartition:
+class Record:
+    """A record of named fields, listed in ``_fields``.  Two records are
+    equal when they are of the same class and their fields are equal.  A
+    record prints as ``Qualname(field=..., ...)`` and pickles and copies
+    through its constructor, so a record loaded in another process is
+    validated again, and a hash cached at construction is never carried
+    from one process to another.  A record is mutable and unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}"
+                            for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Value(Record):
+    """An immutable record, hashed by its fields: assigning to a field, or
+    deleting one, raises AttributeError.  A constructor sets its fields
+    through ``_set``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SetPartition(Value):
     """A partition of a finite set of positive integers, in canonical form.
 
     The hash and ``size``, the number of carrier elements, are computed
     once, at construction; equality and hashing are determined by the
-    blocks (and the class, for equality).  A value is immutable: assigning
-    to it raises AttributeError."""
+    blocks (and the class, for equality)."""
 
     __slots__ = ("blocks", "size", "_hash")
+    _fields = ("blocks",)
 
     def __init__(self, blocks: tuple[Block, ...]):
         seen: set[int] = set()
@@ -83,20 +128,6 @@ class SetPartition:
 
     def __hash__(self):
         return self._hash
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # rebuilt through the constructor, so a value loaded in another
-        # process is validated again and never carries a foreign hash
-        return type(self), (self.blocks,)
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(blocks={self.blocks!r})"
 
     @classmethod
     def of(cls, blocks) -> "SetPartition":
@@ -141,36 +172,17 @@ class NonCrossingPartition(SetPartition):
             raise ValueError(f"partition is crossing: {blocks}")
 
 
-class AdmissibleSplit:
+class AdmissibleSplit(Value):
     """A two-part block partition L = Q ⊔ T with no Q-block nested inside a
     T-block, packaged with T's restriction to each connected component of the
     complement of Q's carrier."""
 
-    __slots__ = ("q_part", "components")
+    __slots__ = _fields = ("q_part", "components")
 
     def __init__(self, q_part: NonCrossingPartition,
                  components: tuple[NonCrossingPartition, ...]):
         _set(self, "q_part", q_part)
         _set(self, "components", components)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.q_part, self.components)
-                == (other.q_part, other.components))
-
-    def __hash__(self):
-        return hash((self.q_part, self.components))
-
-    __setattr__ = SetPartition.__setattr__
-    __delattr__ = SetPartition.__delattr__
-
-    def __reduce__(self):
-        return type(self), (self.q_part, self.components)
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(q_part={self.q_part!r}, "
-                f"components={self.components!r})")
 
 
 # ---------------------------------------------------------------------------

@@ -24,16 +24,15 @@ from .coefficients import Coefficient, coeff_str
 from .errors import AlgebraMismatchError, ParseError, SizeLimitError
 from .partitions import (
     NonCrossingPartition,
+    Value,
     _gathers,
+    _set,
     _split_walk,
     enumerate_nc_partitions,
     parse_partition,
     split_table,
 )
 from . import config
-
-# sets a field of a value whose own __setattr__ refuses every assignment
-_set = object.__setattr__
 
 
 def Word(letters) -> tuple[str, ...]:
@@ -46,16 +45,16 @@ def Word(letters) -> tuple[str, ...]:
     return word
 
 
-class DecoratedNC:
+class DecoratedNC(Value):
     """A non-crossing partition of [n] decorated by a word of length n.
 
     ``word=None`` is the undecorated algebra (equivalently, a one-letter
     alphabet with the decoration suppressed).  The hash is computed once,
-    at construction, from the shape and the word.  A value is immutable:
-    assigning to it raises AttributeError.
+    at construction, from the shape and the word.
     """
 
     __slots__ = ("shape", "word", "_hash")
+    _fields = ("shape", "word")
 
     def __init__(self, shape: NonCrossingPartition,
                  word: tuple[str, ...] | None = None):
@@ -72,18 +71,6 @@ class DecoratedNC:
 
     def __hash__(self):
         return self._hash
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return DecoratedNC, (self.shape, self.word)
-
-    def __repr__(self):
-        return f"DecoratedNC(shape={self.shape!r}, word={self.word!r})"
 
     @property
     def degree(self) -> int:

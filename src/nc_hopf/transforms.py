@@ -38,7 +38,12 @@ from .coefficients import (
     exact,
     parse_fraction,
 )
-from .errors import CarrierMismatchError, InconsistencyError, ParseError
+from .errors import (
+    CarrierMismatchError,
+    InconsistencyError,
+    NcHopfError,
+    ParseError,
+)
 from .functionals import (
     WORDS,
     Algebra,
@@ -49,7 +54,9 @@ from .functionals import (
 )
 from .partitions import (
     NonCrossingPartition,
+    Value,
     _gathers,
+    _set,
     check_enumeration_size,
     enumerate_nc_partitions,
 )
@@ -58,40 +65,16 @@ from .tensor import is_letter
 CLASSICAL = "classical"
 FREE = "free"
 
-# sets a field of a value whose own __setattr__ refuses every assignment
-_set = object.__setattr__
 
+class MomentSequence(Value):
+    """Moments m_0 = 1, m_1, ..., m_N."""
 
-class MomentSequence:
-    """Moments m_0 = 1, m_1, ..., m_N.  A value is immutable: assigning to
-    it raises AttributeError."""
-
-    __slots__ = ("values",)
+    __slots__ = _fields = ("values",)
 
     def __init__(self, values: tuple):
         if not values or values[0] != 1:
             raise ValueError("a moment sequence starts with m_0 = 1")
         _set(self, "values", values)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self):
-        return hash((self.values,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.values,)
-
-    def __repr__(self):
-        return f"MomentSequence(values={self.values!r})"
 
     @property
     def order(self) -> int:
@@ -108,35 +91,16 @@ class MomentSequence:
         return cls(vals)
 
 
-class CumulantSequence:
-    """Cumulants c_1, ..., c_N (classical) or k_1, ..., k_N (free).  A value
-    is immutable: assigning to it raises AttributeError."""
+class CumulantSequence(Value):
+    """Cumulants c_1, ..., c_N (classical) or k_1, ..., k_N (free)."""
 
-    __slots__ = ("values", "flavor")
+    __slots__ = _fields = ("values", "flavor")
 
     def __init__(self, values: tuple, flavor: str):
         if flavor not in (CLASSICAL, FREE):
             raise ValueError(f"unknown cumulant flavor: {flavor!r}")
         _set(self, "values", values)
         _set(self, "flavor", flavor)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.values, self.flavor) == (other.values, other.flavor)
-
-    def __hash__(self):
-        return hash((self.values, self.flavor))
-
-    __setattr__ = MomentSequence.__setattr__
-    __delattr__ = MomentSequence.__delattr__
-
-    def __reduce__(self):
-        return type(self), (self.values, self.flavor)
-
-    def __repr__(self):
-        return (f"CumulantSequence(values={self.values!r}, "
-                f"flavor={self.flavor!r})")
 
     @property
     def order(self) -> int:
@@ -433,40 +397,24 @@ def _letter_tuples(alphabet, degrees):
         yield from iter_product(alphabet, repeat=d)
 
 
-class MultiMomentMap:
+class MultiMomentMap(Value):
     """A total moment table word -> Coefficient for words of length <= order
-    over the alphabet; the empty word has value 1 implicitly.  The fields
-    cannot be assigned (AttributeError); the hash leaves out the table."""
+    over the alphabet; the empty word has value 1 implicitly.  The hash
+    leaves out the table."""
 
-    __slots__ = ("alphabet", "order", "table")
+    __slots__ = _fields = ("alphabet", "order", "table")
 
     def __init__(self, alphabet: tuple[str, ...], order: int, table: dict):
         _set(self, "alphabet", alphabet)
         _set(self, "order", order)
         _set(self, "table", table)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.alphabet, self.order, self.table)
-                == (other.alphabet, other.order, other.table))
-
     def __hash__(self):
         return hash((self.alphabet, self.order))
 
-    __setattr__ = MomentSequence.__setattr__
-    __delattr__ = MomentSequence.__delattr__
-
-    def __reduce__(self):
-        return type(self), (self.alphabet, self.order, self.table)
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(alphabet={self.alphabet!r}, "
-                f"order={self.order!r}, table={self.table!r})")
-
     def value(self, w: tuple[str, ...]) -> Coefficient:
         if w not in self.table:
-            raise KeyError(f"no moment recorded for word {'.'.join(w)}")
+            raise NcHopfError(f"no moment recorded for word {'.'.join(w)}")
         return self.table[w]
 
     def words(self, degree: int) -> list[tuple[str, ...]]:

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 from . import config
 from .errors import ParseError, SizeLimitError
-from .partitions import NonCrossingPartition
+from .partitions import NonCrossingPartition, Value, _set
 from .tensor import LinComb, add_into, lincomb_text
 
 Tree = tuple            # nested tuples of children and GAP marks; () is the bare root
@@ -182,35 +182,14 @@ def hierarchy_tree(p: NonCrossingPartition) -> Tree:
 # admissible cuts
 
 
-class EdgeCut:
+class EdgeCut(Value):
     """A set of edges meeting each root-to-leaf path at most once; an edge
-    is named by the child-index path of its arrival vertex.  A value is
-    immutable: assigning to it raises AttributeError."""
+    is named by the child-index path of its arrival vertex."""
 
-    __slots__ = ("edges",)
+    __slots__ = _fields = ("edges",)
 
     def __init__(self, edges: tuple):  # tuple[EdgePath, ...], sorted
-        object.__setattr__(self, "edges", edges)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.edges,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return EdgeCut, (self.edges,)
-
-    def __repr__(self):
-        return f"EdgeCut(edges={self.edges!r})"
+        _set(self, "edges", edges)
 
     @classmethod
     def of(cls, edges) -> "EdgeCut":

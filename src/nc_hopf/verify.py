@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from . import clear_caches
+from .errors import NcHopfError
 from .functionals import (
     NC,
     WORDS,
@@ -35,6 +36,7 @@ from .functionals import (
 )
 from .partitions import (
     NonCrossingPartition,
+    Record,
     bell_number,
     catalan_number,
     enumerate_nc_partitions,
@@ -78,44 +80,26 @@ from .trees import (
 )
 
 
-class Check:
+class Check(Record):
     """One check of a suite: its label, whether it held and, on failure,
     what failed."""
+
+    _fields = ("label", "ok", "detail")
 
     def __init__(self, label: str, ok: bool, detail: str = ""):
         self.label = label
         self.ok = ok
         self.detail = detail
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.label, self.ok, self.detail)
-                == (other.label, other.ok, other.detail))
 
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return (f"Check(label={self.label!r}, ok={self.ok!r}, "
-                f"detail={self.detail!r})")
-
-
-class SuiteReport:
+class SuiteReport(Record):
     """The checks of one suite, in the order they ran."""
+
+    _fields = ("name", "checks")
 
     def __init__(self, name: str, checks: list | None = None):
         self.name = name
         self.checks = [] if checks is None else checks
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.name, self.checks) == (other.name, other.checks)
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return f"SuiteReport(name={self.name!r}, checks={self.checks!r})"
 
     @property
     def passed(self) -> bool:
@@ -667,6 +651,6 @@ def run_suite(name: str, *args, **kwargs) -> list[SuiteReport]:
             clear_caches()
         return reports
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from "
-                       f"{', '.join(sorted(SUITES))} or 'all'")
+        raise NcHopfError(f"unknown suite {name!r}; choose from "
+                          f"{', '.join(sorted(SUITES))} or 'all'")
     return [SUITES[name](*args, **kwargs)]

@@ -85,6 +85,67 @@ def test_record_adds_a_workload_and_prints_like_the_committed_file():
         == (ROOT / "BENCH_7.json").read_text()
 
 
+def committed_checkouts(tmp_path) -> dict[str, Path]:
+    """A parent and a change checkout, each a git work tree with one
+    commit of the same bench/ code."""
+    sides = {}
+    for side in ("parent", "change"):
+        checkout = tmp_path / side
+        (checkout / "bench").mkdir(parents=True)
+        (checkout / "bench" / "run.py").write_text("# same code\n")
+        (checkout / side).write_text(side)
+        git = ["git", "-C", str(checkout), "-c", "user.name=t",
+               "-c", "user.email=t@t"]
+        subprocess.run(["git", "init", "-q", str(checkout)], check=True)
+        subprocess.run([*git, "add", "."], check=True)
+        subprocess.run([*git, "commit", "-q", "-m", side], check=True)
+        sides[side] = checkout
+    return sides
+
+
+def test_a_record_against_another_parent_is_refused_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    # adding a workload to a record of another parent would name one
+    # parent commit for runs taken against two
+    sides = committed_checkouts(tmp_path)
+    parent = bench_pairs.head_commit(sides["parent"])
+    assert parent == subprocess.run(
+        ["git", "-C", str(sides["parent"]), "rev-parse", "HEAD"],
+        capture_output=True, text=True, check=True).stdout.strip()
+    out = tmp_path / "BENCH.json"
+    out.write_text((ROOT / "BENCH_7.json").read_text())
+    argv = ["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+            "--workload", "hopf", "--seeds", "1-2", "--out", str(out)]
+
+    def no_run(*args, **kw):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_run)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert (f"holds runs against parent commit {BENCH_7['parent_commit']}, "
+            f"not {parent[:7]}") in capsys.readouterr().err
+    assert out.read_text() == (ROOT / "BENCH_7.json").read_text()
+
+    # the same record, measured against this parent, takes the workload
+    out.write_text(bench_pairs.record_text(
+        {**BENCH_7, "parent_commit": parent[:7]}))
+    meta = {"meta": {"commit": parent, "python": "3.11.7", "nproc": 2}}
+    result = {"attempted": 5, "failed": 0,
+              "metrics": {name: {"value": 1.0}
+                          for name in bench_pairs.METRICS}}
+    monkeypatch.setattr(
+        bench_pairs.subprocess, "run",
+        lambda argv, **kw: subprocess.CompletedProcess(
+            argv, 0, json.dumps(meta) + "\n" + json.dumps(result), ""))
+    assert bench_pairs.main(argv) == 0
+    rec = json.loads(out.read_text())
+    assert rec["parent_commit"] == parent[:7]
+    assert rec["workloads"]["hopf"]["seeds"] == [1, 2]
+    assert rec["workloads"]["cli_cold"] == BENCH_7["workloads"]["cli_cold"]
+
+
 def test_a_run_reads_the_last_two_lines(monkeypatch):
     meta = {"meta": {"commit": "abc", "python": "3.11.7", "nproc": 2}}
     result = {"correct": True, "attempted": 5, "failed": 0,

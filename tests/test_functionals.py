@@ -11,6 +11,7 @@ from nc_hopf.functionals import (
     Algebra,
     Character,
     InfinitesimalCharacter,
+    LinearFunctional,
     augmentation,
     check_character,
     check_infinitesimal,
@@ -224,6 +225,17 @@ class TestFixedPoint:
         f = random_functional(A1, 4, seed=25)
         with pytest.raises(ValueError):
             solve_left_fixed_point(f)
+
+    def test_rejection_lists_every_violation(self):
+        # value 1 on every bar word up to degree 4 over one letter: all 11
+        # bar words of two or more atoms are violations, and each is named
+        f = LinearFunctional(A1, 4, lambda b: 1)
+        with pytest.raises(ValueError) as exc:
+            solve_left_fixed_point(f)
+        assert str(exc.value) == (
+            "not an infinitesimal character: 11 failing: a|a, a|a|a, a|a.a, "
+            "a.a|a, a|a|a|a, a|a|a.a, a|a.a|a, a|a.a.a, a.a|a|a, a.a|a.a, "
+            "a.a.a|a")
 
     def test_moment_values_one_letter(self):
         # with kappa supported on single atoms the character values on a^n

@@ -12,6 +12,7 @@ from nc_hopf.coefficients import Poly, exact, poly_str
 from nc_hopf.errors import (
     CarrierMismatchError,
     InconsistencyError,
+    NcHopfError,
     SizeLimitError,
 )
 from nc_hopf.partitions import (
@@ -344,6 +345,13 @@ class TestGeneralizedCumulants:
         with pytest.raises(KeyError):
             transforms._lattice_cumulants(len, [w for w in words
                                                 if w != ("b", "a")])
+
+    def test_incomplete_table_is_a_domain_error(self):
+        # a word of the declared order left out of the table is bad input,
+        # not an internal fault
+        with pytest.raises(NcHopfError) as exc:
+            generalized_free_cumulants(MultiMomentMap(("a",), 2, {("a",): 1}))
+        assert str(exc.value) == "no moment recorded for word a.a"
 
     def test_single_letter_matches_univariate(self):
         vals = random_values(6, seed=55)

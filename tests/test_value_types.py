@@ -6,8 +6,10 @@ A word is the plain tuple of its letters."""
 
 import ast
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import random
 import subprocess
 import sys
@@ -18,9 +20,12 @@ from pathlib import Path
 
 import pytest
 
+import nc_hopf
 from nc_hopf.partitions import (
     NonCrossingPartition,
+    Record,
     SetPartition,
+    Value,
     enumerate_nc_partitions,
     enumerate_set_partitions,
 )
@@ -317,6 +322,46 @@ def test_frozen_value_classes_refuse_assignment(make, fields, frozen,
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert value == make() and repr(value) == expected
+
+
+def test_every_record_class_is_listed():
+    # a value class of any module is checked above, itself or through the
+    # listed class it derives from
+    for info in pkgutil.iter_modules(nc_hopf.__path__):
+        importlib.import_module(f"nc_hopf.{info.name}")
+    listed = {type(make()) for make, _, _, _ in VALUE_CLASSES}
+    found, unlisted = [Record], []
+    while found:
+        cls = found.pop()
+        subclasses = cls.__subclasses__()
+        found += subclasses
+        unlisted += [sub.__qualname__ for sub in subclasses
+                     if sub is not Value and not listed & set(sub.__mro__)]
+    assert unlisted == []
+
+
+def test_only_the_base_classes_define_the_value_contract():
+    # immutability and pickling are written once, in Record and Value
+    root = Path(__file__).resolve().parents[1] / "src"
+    contract = {"__setattr__", "__delattr__", "__reduce__"}
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (not isinstance(node, ast.ClassDef)
+                    or node.name in ("Record", "Value")):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = {item.name}
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = (item.targets if isinstance(item, ast.Assign)
+                               else [item.target])
+                    names = {t.id for t in targets if isinstance(t, ast.Name)}
+                else:
+                    continue
+                found += [f"{path.name}:{item.lineno} {node.name}.{name}"
+                          for name in sorted(names & contract)]
+    assert found == []
 
 
 def test_moment_and_cumulant_maps_with_equal_fields_stay_unequal():

@@ -7,6 +7,7 @@ import pytest
 
 import nc_hopf
 import nc_hopf.verify
+from nc_hopf.errors import NcHopfError
 from nc_hopf.functionals import (
     WORDS,
     Algebra,
@@ -41,7 +42,8 @@ def test_passing_report_summary():
 
 
 def test_run_suite_unknown_name():
-    with pytest.raises(KeyError):
+    # bad input, so a domain error, which the CLI reports as such
+    with pytest.raises(NcHopfError, match="unknown suite 'bogus'"):
         run_suite("bogus")
 
 

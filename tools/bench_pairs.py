@@ -15,7 +15,8 @@ compiles the library from source.  The record gives, per workload and per
 side, the summed attempted and failed request counts and, for each
 end-to-end metric, the median, the quartiles and every run in seed order.
 Running the tool again with another ``--workload`` and the same ``--out``
-adds that workload to the record (or replaces it).
+adds that workload to the record (or replaces it); it refuses, before any
+run, a record that names another parent commit.
 """
 
 from __future__ import annotations
@@ -59,6 +60,23 @@ def is_git_checkout(checkout: Path) -> bool:
     reads ``.git/HEAD`` at the checkout's root, and reports ``unknown``
     where there is none."""
     return (checkout / ".git" / "HEAD").is_file()
+
+
+def head_commit(checkout: Path) -> str:
+    """The commit at HEAD of a git work tree, read from ``.git`` as
+    ``bench/run.py`` reads it; ``unknown`` when HEAD names no commit."""
+    git = checkout / ".git"
+    head = (git / "HEAD").read_text().strip()
+    if not head.startswith("ref: "):
+        return head
+    ref = head[5:]
+    if (git / ref).is_file():
+        return (git / ref).read_text().strip()
+    packed = git / "packed-refs"
+    for line in packed.read_text().splitlines() if packed.is_file() else []:
+        if line.endswith(" " + ref):
+            return line.split()[0]
+    return "unknown"
 
 
 def clean_bytecode(checkout: Path):
@@ -149,9 +167,13 @@ def main(argv=None) -> int:
                          f"would record the commit 'unknown'")
     if bench_code(args.parent) != bench_code(args.change):
         parser.error("the two checkouts hold different bench/ code")
+    old = json.loads(args.out.read_text()) if args.out.exists() else {}
+    parent_commit = head_commit(args.parent)[:7]
+    if old and old["parent_commit"] != parent_commit:
+        parser.error(f"{args.out} holds runs against parent commit "
+                     f"{old['parent_commit']}, not {parent_commit}")
     for checkout in (args.parent, args.change):
         clean_bytecode(checkout)
-    old = json.loads(args.out.read_text()) if args.out.exists() else {}
     sides = pair_runs(args.parent, args.change, args.workload, args.seeds)
     new = record(old, args.workload, args.seeds, sides)
     args.out.write_text(record_text(new))
