@@ -351,12 +351,11 @@ def test_only_the_base_classes_define_the_value_contract():
                     or node.name in ("Record", "Value")):
                 continue
             for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(item, ast.FunctionDef):
                     names = {item.name}
-                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
-                    targets = (item.targets if isinstance(item, ast.Assign)
-                               else [item.target])
-                    names = {t.id for t in targets if isinstance(t, ast.Name)}
+                elif isinstance(item, ast.Assign):
+                    names = {t.id for t in item.targets
+                             if isinstance(t, ast.Name)}
                 else:
                     continue
                 found += [f"{path.name}:{item.lineno} {node.name}.{name}"
