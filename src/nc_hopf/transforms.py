@@ -307,7 +307,8 @@ def _free_moments_nc_sum(k: CumulantSequence) -> list:
 
 def _free_moments_fixed_point(k: CumulantSequence) -> list:
     """One-letter specialization of Phi = e + kappa ≺ Phi: the moments are
-    the character values on single powers of the letter."""
+    the character values on single powers of the letter.  The transforms do
+    not run it; the character-bijection suite holds it to them."""
     kappa = InfinitesimalCharacter.from_atoms(
         Algebra(WORDS, ("a",)), k.order, lambda w: k.cumulant(len(w)), name="κ")
     phi = solve_left_fixed_point(kappa)
@@ -338,8 +339,8 @@ def _free_moments_series(k: CumulantSequence) -> list:
 
 
 def free_moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
-    """m_n by three independent routes (non-crossing partition sum,
-    half-shuffle fixed point, truncated series F = K(tF)), all compared."""
+    """m_n by the non-crossing partition sum, cross-checked against the
+    truncated series F = K(tF)."""
     if k.flavor != FREE:
         raise ValueError("expected free cumulants")
     check_enumeration_size("nc", k.order)
@@ -348,13 +349,11 @@ def free_moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
 
 def _free_moments(values) -> list:
     k = CumulantSequence(tuple(values), FREE)
-    routes = {
-        "nc-sum": _free_moments_nc_sum(k),
-        "fixed-point": _free_moments_fixed_point(k),
-        "series": _free_moments_series(k),
-    }
-    _require_agreement(routes, "free moments")
-    return routes["nc-sum"]
+    via_sum = _free_moments_nc_sum(k)
+    _require_agreement(
+        {"nc-sum": via_sum, "series": _free_moments_series(k)},
+        "free moments")
+    return via_sum
 
 
 def _extracted_cumulants(alphabet, order: int, moment):
@@ -368,7 +367,7 @@ def _extracted_cumulants(alphabet, order: int, moment):
 
 def free_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     """k_n by Möbius inversion over the non-crossing lattice, cross-checked
-    against extraction from the multiplicative extension of the moments."""
+    by running the series F = K(tF) forward on the result."""
     check_enumeration_size("nc", m.order)
     return CumulantSequence(
         tuple(_degree_scaled(_free_cumulants, m.values[1:])), FREE)
@@ -376,15 +375,13 @@ def free_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
 
 def _free_cumulants(values) -> list:
     m = MomentSequence.of(values)
-    via_moebius = [_type_sum(m.moment, n, _nc_moebius)
-                   for n in range(1, m.order + 1)]
-    kappa = _extracted_cumulants(("a",), m.order,
-                                 lambda w: m.moment(len(w)))
-    via_extraction = [kappa(("a",) * n) for n in range(1, m.order + 1)]
-    _require_agreement(
-        {"nc-moebius": via_moebius, "fixed-point-extraction": via_extraction},
-        "free cumulants")
-    return via_moebius
+    k = CumulantSequence(
+        tuple(_type_sum(m.moment, n, _nc_moebius)
+              for n in range(1, m.order + 1)), FREE)
+    if tuple(_free_moments_series(k)) != m.values[1:]:
+        raise InconsistencyError(
+            "free cumulants: Möbius inversion does not round-trip")
+    return list(k.values)
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,14 @@ from .transforms import (
     FREE,
     CumulantSequence,
     MomentSequence,
+    _free_moments_fixed_point,
+    _lattice_cumulants,
     classical_cumulants_from_moments,
     classical_moments_from_cumulants,
     free_cumulants_from_moments,
     free_moments_from_cumulants,
     kappa_powers,
-    _lattice_cumulants,
+    symbolic_cumulants,
 )
 from .trees import (
     erase_gaps,
@@ -366,8 +368,8 @@ def verify_sp_morphism(max_word_len: int = 6,
 def verify_character_bijection(truncation: int = 8, commute_degree: int = 6,
                                seed: int = 23) -> SuiteReport:
     """Fixed point vs half-shuffle exponential, multiplicativity of the
-    result, exact recovery of the generator, and commutation with the
-    pullback of the splitting map."""
+    result, exact recovery of the generator, agreement with the free
+    transforms, and commutation with the pullback of the splitting map."""
     report = SuiteReport("character-bijection")
     algebra = Algebra(WORDS, ("a",))
     kappa = random_infinitesimal(algebra, truncation, seed)
@@ -386,6 +388,23 @@ def verify_character_bijection(truncation: int = 8, commute_degree: int = 6,
     bad = [f"a^{n}" for n in range(1, truncation + 1)
            if recovered((("a",) * n,)) != kappa((("a",) * n,))]
     report.add("generator recovered exactly", not bad, _failing(bad))
+
+    # the paper's construction against the closed forms of the transforms
+    powers = [(("a",) * n,) for n in range(1, truncation + 1)]
+    k = CumulantSequence(tuple(map(kappa, powers)), FREE)
+    m = MomentSequence.of(map(phi_fix, powers))
+    k_sym = symbolic_cumulants(min(truncation, 8), FREE)
+    routes = {
+        "k2m": (m.values[1:], free_moments_from_cumulants(k).values[1:]),
+        "m2k": (tuple(map(recovered, powers)),
+                free_cumulants_from_moments(m).values),
+        "symbolic k2m": (_free_moments_fixed_point(k_sym),
+                         free_moments_from_cumulants(k_sym).values[1:]),
+    }
+    bad = [f"{name} at a^{n}" for name, (got, expect) in routes.items()
+           for n, (x, y) in enumerate(zip(got, expect), 1) if x != y]
+    report.add(f"fixed point = k2m and extraction = m2k on a^n, N={truncation}"
+               f", symbolic to N={k_sym.order}", not bad, _failing(bad))
 
     nc_algebra = Algebra(NC, ("a",))
     kappa_nc = _rational(

@@ -416,6 +416,18 @@ class TestTransform:
         assert err.startswith("error: free moments: route 'nc-sum' and "
                               "route 'series' disagree")
 
+    def test_failed_round_trip_is_internal_fault(self, monkeypatch, capsys):
+        # m2k runs the series forward on its Möbius sum; a series off by
+        # one in m_1 breaks that round trip
+        series = nc_hopf.transforms._free_moments_series
+        monkeypatch.setattr(nc_hopf.transforms, "_free_moments_series",
+                            lambda k: [series(k)[0] + 1, *series(k)[1:]])
+        code, out = run("transform", "free", "--direction", "m2k",
+                        "--symbolic", "--n", "3")
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            "error: free cumulants: Möbius inversion does not round-trip\n")
+
 
 class TestSplitAndTree:
     def test_split_listing(self):
@@ -561,9 +573,13 @@ class TestVerify:
             [*"abc", *(f"{x}.{y}" for x in "abc" for y in "abc")])
         assert partitions["detail"] == "3 failing: {1}, {1,2}, {1}{2}"
 
-    def test_unknown_suite(self):
-        code, _ = run("verify", "bogus")
-        assert code == 1
+    def test_unknown_suite(self, capsys):
+        # run_suite names the suite, whatever the bound
+        for bound in ([], ["--max-degree", "3"], ["--max-degree", "0"]):
+            assert run("verify", "bogus", *bound) == (1, "")
+            assert capsys.readouterr().err == (
+                f"error: unknown suite 'bogus'; choose from "
+                f"{', '.join(sorted(nc_hopf.verify.SUITES))} or 'all'\n")
 
     def test_stray_error_inside_a_suite_is_internal_fault(self, monkeypatch,
                                                           capsys):

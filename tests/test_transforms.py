@@ -173,6 +173,33 @@ class TestFree:
                 free_moments_from_cumulants(k))
             assert back.values == k.values
 
+    def test_runs_neither_the_fixed_point_nor_extraction(self, monkeypatch):
+        # both read every split of a^n; the transforms give their values
+        # by the closed forms alone
+        cumulants = [CumulantSequence(random_values(9, 7), FREE),
+                     symbolic_cumulants(9, FREE)]
+        moments = [MomentSequence.of(random_values(9, 8)),
+                   symbolic_moments(9)]
+        via_fixed_point = [tuple(transforms._free_moments_fixed_point(k))
+                           for k in cumulants]
+        via_extraction = []
+        for m in moments:
+            kappa = transforms._extracted_cumulants(
+                ("a",), m.order, lambda w: m.moment(len(w)))
+            via_extraction.append(
+                tuple(kappa(("a",) * n) for n in range(1, m.order + 1)))
+
+        def unreachable(*args):
+            raise AssertionError("a transform ran a paper route")
+
+        monkeypatch.setattr(transforms, "_free_moments_fixed_point",
+                            unreachable)
+        monkeypatch.setattr(transforms, "_extracted_cumulants", unreachable)
+        assert [free_moments_from_cumulants(k).values[1:]
+                for k in cumulants] == via_fixed_point
+        assert [free_cumulants_from_moments(m).values
+                for m in moments] == via_extraction
+
 
 def block_type(blocks) -> tuple:
     return tuple(sorted(map(len, blocks), reverse=True))
@@ -494,7 +521,7 @@ class TestDegreeScaling:
 
     @pytest.mark.parametrize("direction,route", [
         ("k2m", "_free_moments_series"),
-        ("m2k", "_extracted_cumulants"),
+        ("m2k", "_free_moments_series"),
         ("c2m", "bell_polynomials"),
         ("m2c", "bell_polynomials"),
         ("multi", "_lattice_cumulants"),
