@@ -324,6 +324,9 @@ def _cmd_verify(args, out) -> int:
     else:
         for r in reports:
             print(r.summary(), file=out)
+    # under "all", a suite that raised is reported, not propagated
+    if any(r.raised for r in reports):
+        return 3
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -364,15 +364,15 @@ def _gathers(positions) -> list:
 # admissible splits
 
 
-def _split_walk(blocks: tuple[Block, ...], labels):
+def _split_walk(blocks: tuple[Block, ...]):
     """Every admissible split Q ⊔ T of the canonical ``blocks`` (no Q-block
-    nested inside a T-block), as (Q mask, Q labels, T labels on each
-    component of the complement of Q's carrier, left to right), block i
-    labelled ``labels[i]``.  One pass over the carrier, on states (Q mask,
-    Q labels, closed components, open component): at its first element a
-    block joins Q when every block around it has, else it extends the open
-    component; each element of a Q-block closes the open component.  No Q
-    element lies inside a T-block, so only admissible splits are visited."""
+    nested inside a T-block), as (Q mask, Q block indices, T block indices
+    on each component of the complement of Q's carrier, left to right).
+    One pass over the carrier, on states (Q mask, Q indices, closed
+    components, open component): at its first element a block joins Q when
+    every block around it has, else it extends the open component; each
+    element of a Q-block closes the open component.  No Q element lies
+    inside a T-block, so only admissible splits are visited."""
     # around[i]: bitmask of the blocks that block i is nested inside
     around = [sum(1 << j for j, outer in enumerate(blocks)
                   if _nested_inside(b, outer)) for b in blocks]
@@ -384,12 +384,12 @@ def _split_walk(blocks: tuple[Block, ...], labels):
                       else (mask, q, closed, run)
                       for mask, q, closed, run in states]
             continue
-        label, outer, previous, states = labels[i], around[i], states, []
+        outer, previous, states = around[i], states, []
         add = states.append
         for mask, q, closed, run in previous:
-            add((mask, q, closed, run + (label,)))
+            add((mask, q, closed, run + (i,)))
             if not outer & ~mask:
-                add((mask | bit, q + (label,),
+                add((mask | bit, q + (i,),
                      closed + (run,) if run else closed, ()))
     return ((mask, q, closed + (run,) if run else closed)
             for mask, q, closed, run in states)
@@ -398,7 +398,7 @@ def _split_walk(blocks: tuple[Block, ...], labels):
 @lru_cache(maxsize=None)
 def split_table(p: NonCrossingPartition) -> tuple[tuple, tuple]:
     """The admissible splits Q ⊔ T of p (either part may be empty), read
-    off ``_split_walk`` with block indices as labels, as (parts, splits).
+    off ``_split_walk``, as (parts, splits).
 
     ``parts`` holds each distinct part once, as (the indices of its blocks
     in p, its standardized shape, the 0-based ranks of its carrier in p's
@@ -407,7 +407,9 @@ def split_table(p: NonCrossingPartition) -> tuple[tuple, tuple]:
     canonical order, whether p's first carrier element lies in Q, the index
     of the Q part (``None`` when Q is empty) and the indices of T's parts on
     the connected components of the complement of Q's carrier, left to
-    right."""
+    right.  It is the one split table of both coproducts: a word of length
+    n splits as the singleton partition 0̂ₙ, whose parts' ranks are the
+    kept positions and the runs between them."""
     blocks = p.blocks
     owner = [i for _, i in sorted((x, i) for i, b in enumerate(blocks)
                                   for x in b)]
@@ -432,8 +434,7 @@ def split_table(p: NonCrossingPartition) -> tuple[tuple, tuple]:
     # the masks are distinct, so the sort never compares further
     splits = tuple([(bool(mask & 1), part(q) if q else None,
                      tuple([part(c) for c in comps]))
-                    for mask, q, comps in sorted(
-                        _split_walk(blocks, range(len(blocks))))])
+                    for mask, q, comps in sorted(_split_walk(blocks))])
     return tuple(parts), splits
 
 

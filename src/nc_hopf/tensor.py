@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from operator import itemgetter
 from typing import Union
 
 from .coefficients import Coefficient, coeff_str
@@ -27,7 +26,6 @@ from .partitions import (
     Value,
     _gathers,
     _set,
-    _split_walk,
     enumerate_nc_partitions,
     parse_partition,
     split_table,
@@ -153,76 +151,39 @@ def counit(t: LinComb) -> Coefficient:
 # generator coproducts
 
 
-@lru_cache(maxsize=None)
-def _word_splits(n: int, left: bool) -> tuple:
-    """The splits of every word of length n with position 0 kept (``left``)
-    or in a run, positions 0-based: a word splits as the singleton
-    partition of [n], so these are the splits of ``_split_walk`` over the
-    singletons, each labelled by its position.  They depend on n alone.
-
-    Each split is a pair of gathers.  The kept gather restricts a word to
-    the kept positions (``partitions._gathers``).  The runs gather reads
-    the tuple of the runs' atoms off ``_runs_source(w)``: it is
-    ``itemgetter(*runs)`` for two runs or more, and ``itemgetter(runs)``
-    for one run or none, a key that the source maps to the one-atom tuple
-    or to ``()``."""
-    kept: list[tuple] = []
-    runs: list[tuple] = []
-    for mask, q, comps in _split_walk(tuple([(x,) for x in range(1, n + 1)]),
-                                      range(n)):
-        if (mask & 1) == left:
-            kept.append(q)
-            runs.append(comps)
-    return tuple(zip(_gathers(kept),
-                     [itemgetter(*r) if len(r) > 1 else itemgetter(r)
-                      for r in runs]))
-
-
-def _runs_source(w: tuple[str, ...]) -> dict:
-    """The atoms that a runs gather of ``_word_splits`` reads off w: a run
-    is an interval of positions, so its atom is a slice of w, keyed by the
-    interval's position tuple; the tuple of that one atom is keyed by the
-    one-interval tuple, and the empty tuple by itself."""
-    n = len(w)
-    source: dict = {(): ()}
-    for a in range(n):
-        run = ()
-        for b in range(a, n):
-            run += (b,)
-            piece = w[a:b + 1]
-            source[run] = piece
-            source[(run,)] = (piece,)
-    return source
+def _halves(splits, atoms: list) -> tuple[LinComb, LinComb]:
+    """The (left, right) halves of a generator's coproduct: one term per
+    split of ``splits``, as ``partitions.split_table`` lists them, with
+    ``atoms[i]`` the atom of part i.  Equal atoms are one object, with one
+    left leg."""
+    shared: dict[Atom, BarWord] = {}
+    legs = [shared.setdefault(atom, (atom,)) for atom in atoms]
+    atoms = [leg[0] for leg in legs]
+    left: LinComb = {}
+    right: LinComb = {}
+    for in_q, q, comps in splits:
+        half = left if in_q else right
+        key = (legs[q] if q is not None else UNIT,
+               tuple([atoms[i] for i in comps]))
+        half[key] = half.get(key, 0) + 1
+    return left, right
 
 
 @lru_cache(maxsize=None)
-def delta_word_half(w: tuple[str, ...], left: bool) -> LinComb:
-    """The left (position 1 in the kept subset S) or the right half of
-    delta_word(w), built alone: the fixed point reads only left halves.
-
-    Every subset is admissible and the components are the runs between kept
-    positions: the splits of ``_word_splits`` for w's length, each gather
-    applied to w.  Equal kept tuples share one left leg, and equal runs one
-    atom.  The cached dict is shared by every caller: read it, never change
-    it."""
-    source = _runs_source(w)
-    legs: dict[tuple[str, ...], BarWord] = {(): UNIT}
-    half: LinComb = {}
-    leg_of, count = legs.get, half.get
-    for keep, runs in _word_splits(len(w), left):
-        letters = keep(w)
-        leg = leg_of(letters)
-        if leg is None:
-            leg = legs[letters] = (letters,)
-        key = (leg, runs(source))
-        half[key] = count(key, 0) + 1
-    return half
-
-
 def delta_word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
     """(left, right) splitting of delta_word by whether position 1 lies in
-    the kept subset S.  left + right == delta_word(w)."""
-    return delta_word_half(w, True), delta_word_half(w, False)
+    the kept subset S.  left + right == delta_word(w).
+
+    A word of length n splits as the singleton partition 0̂ₙ: every subset
+    is admissible and the components are the runs between kept positions.
+    So the terms are those of 0̂ₙ's ``split_table``, each part's atom the
+    letters of w gathered at the part's ranks.  The cached dicts are shared
+    by every caller: read them, never change them."""
+    n = len(w)
+    parts, splits = split_table(NonCrossingPartition._unchecked(
+        tuple([(x,) for x in range(1, n + 1)]), n))
+    return _halves(splits, [gather(w) for gather in _gathers(
+        [ranks for _, _, ranks in parts])])
 
 
 def delta_word(w: tuple[str, ...]) -> LinComb:
@@ -238,11 +199,9 @@ def delta_nc_halves(x: DecoratedNC) -> tuple[LinComb, LinComb]:
     element lies in a Q-block (left) or a complement block (right).
 
     One term per admissible split of the shape's ``split_table``, all parts
-    standardized; each distinct part becomes one atom, its decoration the
-    letters of ``x`` gathered at the ranks of the part's carrier.  Equal
-    atoms (equal shapes under equal letters) are one object, with one left
-    leg.  The cached dicts are shared by every caller: read them, never
-    change them."""
+    standardized; each part's atom is its shape, decorated by the letters
+    of ``x`` gathered at the ranks of the part's carrier.  The cached dicts
+    are shared by every caller: read them, never change them."""
     parts, splits = split_table(x.shape)
     word = x.word
     if word is None:
@@ -250,17 +209,7 @@ def delta_nc_halves(x: DecoratedNC) -> tuple[LinComb, LinComb]:
     else:
         atoms = [DecoratedNC(shape, gather(word)) for (_, shape, _), gather
                  in zip(parts, _gathers([ranks for _, _, ranks in parts]))]
-    shared: dict[DecoratedNC, BarWord] = {}
-    legs = [shared.setdefault(atom, (atom,)) for atom in atoms]
-    atoms = [leg[0] for leg in legs]
-    left: LinComb = {}
-    right: LinComb = {}
-    for in_q, q, comps in splits:
-        half = left if in_q else right
-        key = (legs[q] if q is not None else UNIT,
-               tuple([atoms[i] for i in comps]))
-        half[key] = half.get(key, 0) + 1
-    return left, right
+    return _halves(splits, atoms)
 
 
 def delta_nc(x: DecoratedNC) -> LinComb:
@@ -306,15 +255,15 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
         return out
     if not b:
         return {(UNIT, UNIT): 1}
-    first, left = b[0], variant == "left+"
+    first = b[0]
     if variant == "full":
         result = _delta_atom(first)
     elif variant not in ("left+", "right+"):
         raise ValueError(f"unknown variant: {variant!r}")
-    elif type(first) is tuple:
-        result = delta_word_half(first, left)
     else:
-        result = delta_nc_halves(first)[0 if left else 1]
+        halves = (delta_word_halves(first) if type(first) is tuple
+                  else delta_nc_halves(first))
+        result = halves[0 if variant == "left+" else 1]
     for atom in b[1:]:
         result = tensor_product(result, _delta_atom(atom))
     return result

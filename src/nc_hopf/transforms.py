@@ -29,6 +29,9 @@ from functools import lru_cache
 from itertools import product as iter_product
 from math import comb, factorial, lcm, prod
 
+# registered lazily by the package: only the fixed point, the extraction
+# and the multivariate reader run these layers, at their first attribute read
+from . import functionals, tensor
 from .coefficients import (
     ONE,
     ZERO,
@@ -44,14 +47,6 @@ from .errors import (
     NcHopfError,
     ParseError,
 )
-from .functionals import (
-    WORDS,
-    Algebra,
-    InfinitesimalCharacter,
-    extend_multiplicative,
-    extract_infinitesimal,
-    solve_left_fixed_point,
-)
 from .partitions import (
     NonCrossingPartition,
     Value,
@@ -60,7 +55,6 @@ from .partitions import (
     check_enumeration_size,
     enumerate_nc_partitions,
 )
-from .tensor import is_letter
 
 CLASSICAL = "classical"
 FREE = "free"
@@ -309,9 +303,10 @@ def _free_moments_fixed_point(k: CumulantSequence) -> list:
     """One-letter specialization of Phi = e + kappa ≺ Phi: the moments are
     the character values on single powers of the letter.  The transforms do
     not run it; the character-bijection suite holds it to them."""
-    kappa = InfinitesimalCharacter.from_atoms(
-        Algebra(WORDS, ("a",)), k.order, lambda w: k.cumulant(len(w)), name="κ")
-    phi = solve_left_fixed_point(kappa)
+    kappa = functionals.InfinitesimalCharacter.from_atoms(
+        functionals.Algebra(functionals.WORDS, ("a",)), k.order,
+        lambda w: k.cumulant(len(w)), name="κ")
+    phi = functionals.solve_left_fixed_point(kappa)
     return [phi((("a",) * n,)) for n in range(1, k.order + 1)]
 
 
@@ -359,9 +354,10 @@ def _free_moments(values) -> list:
 def _extracted_cumulants(alphabet, order: int, moment):
     """Letter tuple -> kappa of that word, extracted from the multiplicative
     extension of ``moment`` (a word -> value map) on the word algebra."""
-    character = extend_multiplicative(
-        Algebra(WORDS, alphabet), order, moment, name="Φ")
-    kappa = extract_infinitesimal(character)
+    character = functionals.extend_multiplicative(
+        functionals.Algebra(functionals.WORDS, alphabet), order, moment,
+        name="Φ")
+    kappa = functionals.extract_infinitesimal(character)
     return lambda letters: kappa((letters,))
 
 
@@ -532,7 +528,8 @@ def cumulant_sequence_from_json(data: dict, flavor: str) -> CumulantSequence:
 
 def multi_moment_map_from_json(data: dict) -> MultiMomentMap:
     alphabet = tuple(_json_field(data, "alphabet", list))
-    known = {a for a in alphabet if isinstance(a, str) and is_letter(a)}
+    known = {a for a in alphabet
+             if isinstance(a, str) and tensor.is_letter(a)}
     if len(known) != len(alphabet):
         raise ParseError("the alphabet must list distinct letter names, "
                          "non-empty, with no blank and none of "

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from . import clear_caches
-from .errors import NcHopfError
+from .errors import InconsistencyError, NcHopfError
 from .functionals import (
     NC,
     WORDS,
@@ -94,6 +94,10 @@ class Check(Record):
         self.detail = detail
 
 
+# the one check of a suite that raised under run_suite("all")
+RAISED = "raised InconsistencyError"
+
+
 class SuiteReport(Record):
     """The checks of one suite, in the order they ran."""
 
@@ -109,6 +113,11 @@ class SuiteReport(Record):
 
     def add(self, label: str, ok: bool, detail: str = ""):
         self.checks.append(Check(label, ok, detail))
+
+    @property
+    def raised(self) -> bool:
+        """Whether the suite stopped on an InconsistencyError."""
+        return any(c.label == RAISED for c in self.checks)
 
     def failures(self) -> list:
         return [c for c in self.checks if not c.ok]
@@ -660,13 +669,20 @@ SUITE_BOUNDS = {
 
 def run_suite(name: str, *args, **kwargs) -> list[SuiteReport]:
     """Run one named suite, or all of them, emptying the library's caches
-    after each, so no suite holds the memory of the ones before it.  The
-    first parameter of every suite is its size bound, so
-    ``run_suite(name, bound)`` sets it."""
+    after each, so no suite holds the memory of the ones before it.  Under
+    ``all``, a suite that raises InconsistencyError is reported as failed,
+    with the one check ``RAISED``, and the next suite runs.  The first
+    parameter of every suite is its size bound, so ``run_suite(name,
+    bound)`` sets it."""
     if name == "all":
         reports = []
-        for fn in SUITES.values():
-            reports.append(fn())
+        for suite, fn in SUITES.items():
+            try:
+                reports.append(fn())
+            except InconsistencyError as exc:
+                report = SuiteReport(suite)
+                report.add(RAISED, False, str(exc))
+                reports.append(report)
             clear_caches()
         return reports
     if name not in SUITES:

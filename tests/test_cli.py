@@ -591,6 +591,34 @@ class TestVerify:
         assert code == 3 and out == ""
         assert capsys.readouterr().err.startswith("error: internal fault")
 
+    def test_suite_that_raises_under_all_keeps_every_report(self,
+                                                            monkeypatch):
+        names = list(nc_hopf.verify.SUITES)
+        broken = names[len(names) // 2]
+
+        def suite(name):
+            def run_it():
+                if name == broken:
+                    raise nc_hopf.errors.InconsistencyError("routes differ")
+                report = SuiteReport(name)
+                report.add("holds", True)
+                return report
+            return run_it
+
+        for name in names:
+            monkeypatch.setitem(nc_hopf.verify.SUITES, name, suite(name))
+        code, out = run("verify", "all")
+        assert code == 3
+        assert [line.split(":")[0] for line in out.splitlines()
+                if not line.startswith(" ")] == names
+        assert (f"{broken}: FAIL (1 checks, 1 failed)\n"
+                f"  FAIL raised InconsistencyError: routes differ\n") in out
+        code, out = run("verify", "all", "--json")
+        assert code == 3
+        data = json.loads(out)
+        assert [r["suite"] for r in data] == names
+        assert [r["suite"] for r in data if not r["passed"]] == [broken]
+
     def test_known_failure_surfaces_nonzero(self, monkeypatch):
         def failing_suite():
             report = SuiteReport("always-fails")

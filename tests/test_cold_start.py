@@ -64,6 +64,23 @@ def test_word_coproduct_runs_no_functional_layer():
     assert not ran & {"functionals", "transforms", "verify"}
 
 
+@pytest.mark.parametrize("flavor,direction", [
+    ("classical", "c2m"), ("classical", "m2c"),
+    ("free", "k2m"), ("free", "m2k"),
+])
+def test_one_variable_transforms_run_no_hopf_layer(tmp_path, flavor,
+                                                   direction):
+    # only the fixed point, the extraction and the multi-m2k reader read
+    # functionals or tensor, and no command runs them
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps({"values": ["1", "1/2", "3"]}))
+    for argv in (("--symbolic", "--n", "6"), ("--in", str(path))):
+        ran = modules_run("transform", flavor, "--direction", direction,
+                          *argv)
+        assert "transforms" in ran
+        assert not ran & {"tensor", "functionals", "verify"}, argv
+
+
 def test_every_layer_is_registered_before_it_runs():
     # bench/spans.py reads each layer module out of sys.modules right after
     # importing the CLI, before any command runs

@@ -19,8 +19,6 @@ from nc_hopf.tensor import (
     UNIT,
     DecoratedNC,
     Word,
-    _runs_source,
-    _word_splits,
     add_into,
     barword_degree,
     barword_text,
@@ -29,7 +27,6 @@ from nc_hopf.tensor import (
     delta_nc,
     delta_nc_halves,
     delta_word,
-    delta_word_half,
     delta_word_halves,
     lincomb_sum,
     parse_atom,
@@ -138,74 +135,27 @@ class TestCoproductLayer:
                     word = Word(letters)
                     assert delta_word_halves(word) == subset_halves(word)
 
-    def test_length_table_holds_every_subset_once(self):
-        # from the definition: the splits of [n] are its 2^n subsets S, each
-        # with the maximal runs of positions outside S, positions 0-based,
-        # held by whether S keeps position 0.  Each split's gathers are
-        # applied to a word of distinct letters and read back as positions
-        alphabet = "abcdefghij"
-        for n in range(1, 11):
-            expected = {}
-            for mask in range(1 << n):
-                kept = tuple(i for i in range(n) if mask >> i & 1)
-                runs, run = [], []
-                for i in range(n):
-                    if i in kept:
-                        if run:
-                            runs.append(tuple(run))
-                        run = []
-                    else:
-                        run.append(i)
-                if run:
-                    runs.append(tuple(run))
-                expected[mask] = (kept, tuple(runs))
-            word = Word(alphabet[:n])
-            source = _runs_source(word)
-            for bit in (0, 1):
-                half = _word_splits(n, bool(bit))
-                assert len(half) == 2 ** (n - 1)
-                splits = []
-                for keep, gather_runs in half:
-                    letters, runs = keep(word), gather_runs(source)
-                    assert type(letters) is tuple and type(runs) is tuple
-                    splits.append((tuple(map(alphabet.index, letters)),
-                                   tuple(tuple(map(alphabet.index, run))
-                                         for run in runs)))
-                assert len(set(splits)) == len(splits)
-                assert set(splits) == {split for mask, split
-                                       in expected.items() if mask & 1 == bit}
-
     def test_clear_caches_empties_the_length_table(self):
+        # a word's halves are read off the split table of the singleton
+        # partition of its length
         import nc_hopf
         delta_word(w("abc"))
-        assert _word_splits.cache_info().currsize
+        assert delta_word_halves.cache_info().currsize
+        assert split_table.cache_info().currsize
         nc_hopf.clear_caches()
-        assert _word_splits.cache_info().currsize == 0
-
-    def test_left_half_is_built_alone(self):
-        # the fixed point reads only the left half of a word's coproduct
-        import nc_hopf
-        nc_hopf.clear_caches()
-        word = w("abca")
-        assert delta_bar((word,), "left+") == delta_word_halves(word)[0]
-        assert delta_word_half.cache_info().currsize == 2
-        nc_hopf.clear_caches()
-        delta_bar((word,), "left+")
-        assert delta_word_half.cache_info().currsize == 1
+        assert delta_word_halves.cache_info().currsize == 0
+        assert split_table.cache_info().currsize == 0
 
     def test_equal_left_legs_are_one_object(self):
-        # within each half; and each interval's run is one object, so in a
-        # word of distinct letters equal runs are one object
-        for word in (w("abab"), w("aaaa"), w("abcab")):
+        # in both halves, equal left legs are one object, and so are equal
+        # runs, whatever positions they come from
+        for word in (w("abab"), w("aaaa"), w("abcab"), w("abcde")):
+            legs, runs = {}, {}
             for half in delta_word_halves(word):
-                legs = {}
                 for left, right in half:
                     assert legs.setdefault(left, left) is left
-        for half in delta_word_halves(w("abcde")):
-            runs = {}
-            for left, right in half:
-                for atom in right:
-                    assert runs.setdefault(atom, atom) is atom
+                    for atom in right:
+                        assert runs.setdefault(atom, atom) is atom
 
     def test_word_coproduct_keys_are_untracked_by_the_collector(self):
         # a word is a plain tuple of strings, so every key, leg, run tuple
@@ -214,8 +164,8 @@ class TestCoproductLayer:
         import nc_hopf
         nc_hopf.clear_caches()
         word = Word(("a", "b", "a", "c", "b"))
-        results = [delta_word_half(word, True), delta_word_half(word, False),
-                   delta_word(word), delta_bar((word,), "left+")]
+        results = [*delta_word_halves(word), delta_word(word),
+                   delta_bar((word,), "left+")]
         # a collection untracks a tuple only if its items already are, and
         # it meets a container before its items: one collection per level
         # of nesting (atoms, then legs and run tuples, then keys)
