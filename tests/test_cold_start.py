@@ -71,7 +71,7 @@ def test_word_coproduct_runs_no_functional_layer():
 def test_one_variable_transforms_run_no_hopf_layer(tmp_path, flavor,
                                                    direction):
     # only the fixed point, the extraction and the multi-m2k reader read
-    # functionals or tensor, and no command runs them
+    # functionals or tensor, and none of these directions runs them
     path = tmp_path / "values.json"
     path.write_text(json.dumps({"values": ["1", "1/2", "3"]}))
     for argv in (("--symbolic", "--n", "6"), ("--in", str(path))):
