@@ -33,7 +33,6 @@ _EXPORTS = {
         "check_infinitesimal",
         "convolve",
         "exp_prec",
-        "extend_multiplicative",
         "extract_infinitesimal",
         "half_convolve",
         "pullback_sp",
@@ -55,7 +54,6 @@ _EXPORTS = {
         "moebius",
         "moebius_to_top",
         "parse_partition",
-        "singleton_partition",
         "standardize",
     ),
     "tensor": (

@@ -309,11 +309,11 @@ def _cmd_verify(args, out) -> int:
     bound = () if args.max_degree is None else (args.max_degree,)
     if bound and name == "all":
         raise NcHopfError("--max-degree applies to one suite, not 'all'")
-    # an unknown name has no bounds: run_suite reports it
-    limits = verify.SUITE_BOUNDS.get(name)
-    if bound and limits and not 1 <= args.max_degree <= limits[1]:
+    # an unknown name has no ceiling: run_suite reports it
+    _, ceiling = verify.SUITES.get(name, (None, None))
+    if bound and ceiling and not 1 <= args.max_degree <= ceiling:
         raise NcHopfError(f"--max-degree for {name} runs from 1 to "
-                          f"{limits[1]}, not {args.max_degree}")
+                          f"{ceiling}, not {args.max_degree}")
     reports = verify.run_suite(name, *bound)
     if args.json:
         print(_dumps([{

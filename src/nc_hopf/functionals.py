@@ -291,14 +291,7 @@ def _require_infinitesimal(kappa: LinearFunctional):
 
 
 # ---------------------------------------------------------------------------
-# multiplicative extension, standard section, pullback
-
-
-def extend_multiplicative(algebra: Algebra, truncation: int,
-                          atom_value, name: str = "Φ") -> Character:
-    """The unique character whose restriction to single atoms is the given
-    evaluation (a moment table on words, or a table on decorated shapes)."""
-    return Character.from_atoms(algebra, truncation, atom_value, name=name)
+# standard section, pullback
 
 
 def standard_section(kappa_on_words, algebra: Algebra,

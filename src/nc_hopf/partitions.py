@@ -141,12 +141,6 @@ class SetPartition(Value):
     def carrier(self) -> tuple[int, ...]:
         return tuple(sorted(x for block in self.blocks for x in block))
 
-    def restrict(self, subset) -> "SetPartition":
-        """Intersect every block with ``subset``, dropping empties."""
-        s = set(subset)
-        kept = [tuple(x for x in b if x in s) for b in self.blocks]
-        return type(self).of([b for b in kept if b])
-
     def text(self) -> str:
         if not self.blocks:
             return ""
@@ -319,26 +313,8 @@ def full_partition(elements) -> NonCrossingPartition:
     return NonCrossingPartition.of([tuple(sorted(elements))])
 
 
-def singleton_partition(elements) -> NonCrossingPartition:
-    """The all-singletons partition 0̂ of the given carrier."""
-    return NonCrossingPartition.of([(x,) for x in elements])
-
-
 # ---------------------------------------------------------------------------
-# order and standardization
-
-
-def refines(fine: SetPartition, coarse: SetPartition) -> bool:
-    """Whether every block of ``fine`` is contained in a block of ``coarse``."""
-    if fine.carrier != coarse.carrier:
-        raise CarrierMismatchError(
-            f"carriers differ: {fine.carrier} vs {coarse.carrier}")
-    owner = {x: i for i, block in enumerate(coarse.blocks) for x in block}
-    for block in fine.blocks:
-        target = owner[block[0]]
-        if any(owner[x] != target for x in block[1:]):
-            return False
-    return True
+# standardization
 
 
 def standardize(p: SetPartition) -> SetPartition:

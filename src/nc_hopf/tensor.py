@@ -142,11 +142,6 @@ def lincomb_sum(*combs: LinComb) -> LinComb:
     return out
 
 
-def counit(t: LinComb) -> Coefficient:
-    """Coefficient of the unit basis element."""
-    return t.get(UNIT, 0)
-
-
 # ---------------------------------------------------------------------------
 # generator coproducts
 

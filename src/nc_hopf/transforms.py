@@ -354,7 +354,7 @@ def _free_moments(values) -> list:
 def _extracted_cumulants(alphabet, order: int, moment):
     """Letter tuple -> kappa of that word, extracted from the multiplicative
     extension of ``moment`` (a word -> value map) on the word algebra."""
-    character = functionals.extend_multiplicative(
+    character = functionals.Character.from_atoms(
         functionals.Algebra(functionals.WORDS, alphabet), order, moment,
         name="Φ")
     kappa = functionals.extract_infinitesimal(character)

@@ -11,10 +11,10 @@ between two consecutive siblings whose parent block has an element between
 them, so the siblings sit in different gaps of the parent.  A mark never
 leads, trails or doubles, and never stands directly under the root (the
 root is not a block, so it has no elements to separate its children).
-Trees without marks are the bare planar rooted trees above.  The readers
-:func:`parse_tree` and :func:`tree_from_json` raise ``SizeLimitError`` for a
-tree with more non-root vertices than the NC cap, the most a hierarchy tree
-within the cap has, and stop reading as soon as the count passes it.
+Trees without marks are the bare planar rooted trees above.  The reader
+:func:`parse_tree` raises ``SizeLimitError`` for a tree with more non-root
+vertices than the NC cap, the most a hierarchy tree within the cap has, and
+stops reading as soon as the count passes it.
 
 The hierarchy map sends a partition to the tree of its block nesting: one
 vertex per block, parent the minimal strictly containing block, children
@@ -117,19 +117,6 @@ def _parse_node(s: str, pos: int, at_root: bool, budget) -> tuple[Tree, int]:
 
 def tree_to_json(t: Tree) -> list:
     return [GAP if child is GAP else tree_to_json(child) for child in t]
-
-
-def tree_from_json(data) -> Tree:
-    return _node_from_json(data, True, iter(range(config.nc_cap())))
-
-
-def _node_from_json(data, at_root: bool, budget) -> Tree:
-    if not isinstance(data, (list, tuple)):
-        raise ParseError(f"a tree node must be a list, got {data!r}")
-    _take_vertex(at_root, budget)
-    children = [GAP if child == GAP else _node_from_json(child, False, budget)
-                for child in data]
-    return _checked_node(children, at_root, data)
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,9 @@ class Check(Record):
         self.detail = detail
 
 
-# the one check of a suite that raised under run_suite("all")
-RAISED = "raised InconsistencyError"
+# the label prefix of the one check of a suite that raised under
+# run_suite("all"); the exception type follows it
+RAISED = "raised "
 
 
 class SuiteReport(Record):
@@ -116,8 +117,8 @@ class SuiteReport(Record):
 
     @property
     def raised(self) -> bool:
-        """Whether the suite stopped on an InconsistencyError."""
-        return any(c.label == RAISED for c in self.checks)
+        """Whether the suite stopped on an internal fault."""
+        return any(c.label.startswith(RAISED) for c in self.checks)
 
     def failures(self) -> list:
         return [c for c in self.checks if not c.ok]
@@ -140,30 +141,15 @@ def _failing(names: list) -> str:
 # coproduct operator plumbing
 
 
-def _apply_left(terms: LinComb, variant: str) -> LinComb:
-    """Apply the chosen coproduct variant to the left leg of each pair,
-    dropping every entry that cancels."""
+def _apply(terms: LinComb, leg: int, variant: str) -> LinComb:
+    """Apply the chosen coproduct variant to leg ``leg`` of each pair (0 the
+    left, 1 the right), dropping every entry that cancels."""
     out: LinComb = {}
     get = out.get
-    for (left, right), c in terms.items():
-        for (a, b), d in delta_bar(left, variant).items():
-            key = (a, b, right)
-            new = get(key, 0) + c * d
-            if new:
-                out[key] = new
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _apply_right(terms: LinComb, variant: str) -> LinComb:
-    """Apply the chosen coproduct variant to the right leg of each pair,
-    dropping every entry that cancels."""
-    out: LinComb = {}
-    get = out.get
-    for (left, right), c in terms.items():
-        for (a, b), d in delta_bar(right, variant).items():
-            key = (left, a, b)
+    for pair, c in terms.items():
+        other = pair[1 - leg]
+        for (a, b), d in delta_bar(pair[leg], variant).items():
+            key = (other, a, b) if leg else (a, b, other)
             new = get(key, 0) + c * d
             if new:
                 out[key] = new
@@ -205,7 +191,7 @@ def verify_coassociativity(max_degree: int = 6,
             for atom in _elements(kind, alphabet, degree):
                 b: BarWord = (atom,)
                 terms = delta_bar(b, "full")
-                if _apply_left(terms, "full") != _apply_right(terms, "full"):
+                if _apply(terms, 0, "full") != _apply(terms, 1, "full"):
                     bad.append(barword_text(b))
                 count += 1
         report.add(f"{kind}: generators up to degree {max_degree} ({count})",
@@ -228,11 +214,11 @@ def verify_unshuffle(max_degree: int = 5,
             left = delta_bar(b, "left")
             right = delta_bar(b, "right")
             name = barword_text(b)
-            if _apply_left(left, "left") != _apply_right(left, "reduced"):
+            if _apply(left, 0, "left") != _apply(left, 1, "reduced"):
                 failures["C1"].append(name)
-            if _apply_left(left, "right") != _apply_right(right, "left"):
+            if _apply(left, 0, "right") != _apply(right, 1, "left"):
                 failures["C2"].append(name)
-            if _apply_left(right, "reduced") != _apply_right(right, "right"):
+            if _apply(right, 0, "reduced") != _apply(right, 1, "right"):
                 failures["C3"].append(name)
             rebuilt = lincomb_sum(left, right,
                                   {(b, UNIT): 1, (UNIT, b): 1})
@@ -632,60 +618,47 @@ def verify_counting(max_n: int = 10) -> SuiteReport:
     return report
 
 
+# Each suite by name, with the ceiling of its size bound (its first
+# parameter, whose default is in its signature).  The ceiling is the largest
+# bound that runs in under a minute and 600 MB on a 2-vCPU machine; one step
+# past it costs several times more, in time or memory (moebius at 10 runs
+# for minutes; counting at 11 takes 8 s and 240 MB, against 1.4 s and 57 MB
+# at 10).
 SUITES = {
-    "counting": verify_counting,
-    "coassociativity": verify_coassociativity,
-    "unshuffle": verify_unshuffle,
-    "halfshuffle": verify_halfshuffle,
-    "sp-morphism": verify_sp_morphism,
-    "character-bijection": verify_character_bijection,
-    "keyrell": verify_keyrell,
-    "roundtrip": verify_roundtrip,
-    "semicircular": verify_semicircular,
-    "tree-consistency": verify_tree_consistency,
-    "moebius": verify_moebius,
-}
-
-
-# Each suite's size bound (its first parameter): (default, ceiling).  The
-# ceiling is the largest bound that runs in under a minute and 600 MB on a
-# 2-vCPU machine; one step past it costs several times more, in time or
-# memory (moebius at 10 runs for minutes; counting at 11 takes 8 s and
-# 240 MB, against 1.4 s and 57 MB at 10).
-SUITE_BOUNDS = {
-    "counting": (10, 10),
-    "coassociativity": (6, 7),
-    "unshuffle": (5, 8),
-    "halfshuffle": (6, 8),
-    "sp-morphism": (6, 7),
-    "character-bijection": (8, 12),
-    "keyrell": (6, 9),
-    "roundtrip": (8, 12),
-    "semicircular": (8, 12),
-    "tree-consistency": (6, 9),
-    "moebius": (7, 9),
+    "counting": (verify_counting, 10),
+    "coassociativity": (verify_coassociativity, 7),
+    "unshuffle": (verify_unshuffle, 8),
+    "halfshuffle": (verify_halfshuffle, 8),
+    "sp-morphism": (verify_sp_morphism, 7),
+    "character-bijection": (verify_character_bijection, 12),
+    "keyrell": (verify_keyrell, 9),
+    "roundtrip": (verify_roundtrip, 12),
+    "semicircular": (verify_semicircular, 12),
+    "tree-consistency": (verify_tree_consistency, 9),
+    "moebius": (verify_moebius, 9),
 }
 
 
 def run_suite(name: str, *args, **kwargs) -> list[SuiteReport]:
     """Run one named suite, or all of them, emptying the library's caches
     after each, so no suite holds the memory of the ones before it.  Under
-    ``all``, a suite that raises InconsistencyError is reported as failed,
-    with the one check ``RAISED``, and the next suite runs.  The first
-    parameter of every suite is its size bound, so ``run_suite(name,
-    bound)`` sets it."""
+    ``all``, a suite that raises an internal fault is reported as failed,
+    with the one check ``raised <exception type>`` holding the exception
+    text, and the next suite runs.  The first parameter of every suite is
+    its size bound, so ``run_suite(name, bound)`` sets it."""
     if name == "all":
         reports = []
-        for suite, fn in SUITES.items():
+        for suite, (fn, _) in SUITES.items():
             try:
                 reports.append(fn())
-            except InconsistencyError as exc:
+            # the exceptions cli.main reports as internal faults
+            except (InconsistencyError, KeyError, ValueError) as exc:
                 report = SuiteReport(suite)
-                report.add(RAISED, False, str(exc))
+                report.add(RAISED + type(exc).__name__, False, str(exc))
                 reports.append(report)
             clear_caches()
         return reports
     if name not in SUITES:
         raise NcHopfError(f"unknown suite {name!r}; choose from "
                           f"{', '.join(sorted(SUITES))} or 'all'")
-    return [SUITES[name](*args, **kwargs)]
+    return [SUITES[name][0](*args, **kwargs)]

@@ -13,7 +13,7 @@ import nc_hopf.tensor
 import nc_hopf.transforms
 import nc_hopf.verify
 from nc_hopf.cli import main
-from nc_hopf.verify import SUITE_BOUNDS, SuiteReport
+from nc_hopf.verify import SUITES, SuiteReport
 
 GOLDEN = Path(__file__).parent / "golden"
 # every transform direction, each with a symbolic golden file at order 12
@@ -539,15 +539,16 @@ class TestVerify:
         assert run("verify", *argv) == (1, "")
         assert capsys.readouterr().err.startswith("error: --max-degree")
 
-    @pytest.mark.parametrize("name", sorted(SUITE_BOUNDS))
+    @pytest.mark.parametrize("name", sorted(SUITES))
     def test_bound_past_the_ceiling_is_domain_error(self, capsys, name):
-        past = str(SUITE_BOUNDS[name][1] + 1)
+        ceiling = SUITES[name][1]
+        past = str(ceiling + 1)
         start = time.perf_counter()
         assert run("verify", name, "--max-degree", past) == (1, "")
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith(
             f"error: --max-degree for {name} runs from 1 to "
-            f"{SUITE_BOUNDS[name][1]}, not {past}")
+            f"{ceiling}, not {past}")
 
     def test_bound_past_the_ceiling_exits_one_at_once(self):
         # moebius at 12 would walk every coarsening for hours
@@ -562,8 +563,10 @@ class TestVerify:
 
     def test_json_report_lists_every_failure(self, monkeypatch):
         # every generator fails: 3 + 9 words and 1 + 2 partitions
-        monkeypatch.setattr(nc_hopf.verify, "_apply_left",
-                            lambda terms, variant: {})
+        apply = nc_hopf.verify._apply
+        monkeypatch.setattr(
+            nc_hopf.verify, "_apply", lambda terms, leg, variant:
+            apply(terms, leg, variant) if leg else {})
         code, out = run("verify", "coassociativity", "--max-degree", "2",
                         "--json")
         assert code == 1
@@ -586,7 +589,7 @@ class TestVerify:
         def broken_suite():
             raise KeyError("lost")
 
-        monkeypatch.setitem(nc_hopf.verify.SUITES, "broken", broken_suite)
+        monkeypatch.setitem(nc_hopf.verify.SUITES, "broken", (broken_suite, 1))
         code, out = run("verify", "broken")
         assert code == 3 and out == ""
         assert capsys.readouterr().err.startswith("error: internal fault")
@@ -596,28 +599,37 @@ class TestVerify:
         names = list(nc_hopf.verify.SUITES)
         broken = names[len(names) // 2]
 
-        def suite(name):
+        def suite(name, error):
             def run_it():
                 if name == broken:
-                    raise nc_hopf.errors.InconsistencyError("routes differ")
+                    raise error
                 report = SuiteReport(name)
                 report.add("holds", True)
                 return report
             return run_it
 
-        for name in names:
-            monkeypatch.setitem(nc_hopf.verify.SUITES, name, suite(name))
-        code, out = run("verify", "all")
-        assert code == 3
-        assert [line.split(":")[0] for line in out.splitlines()
-                if not line.startswith(" ")] == names
-        assert (f"{broken}: FAIL (1 checks, 1 failed)\n"
-                f"  FAIL raised InconsistencyError: routes differ\n") in out
-        code, out = run("verify", "all", "--json")
-        assert code == 3
-        data = json.loads(out)
-        assert [r["suite"] for r in data] == names
-        assert [r["suite"] for r in data if not r["passed"]] == [broken]
+        # the internal faults of cli.main, each raised by one suite
+        for error, failure in (
+                (nc_hopf.errors.InconsistencyError("routes differ"),
+                 "raised InconsistencyError: routes differ"),
+                (KeyError("lost"), "raised KeyError: 'lost'"),
+                (ValueError("bad"), "raised ValueError: bad")):
+            for name in names:
+                monkeypatch.setitem(nc_hopf.verify.SUITES, name,
+                                    (suite(name, error), 1))
+            code, out = run("verify", "all")
+            assert code == 3
+            assert [line.split(":")[0] for line in out.splitlines()
+                    if not line.startswith(" ")] == names
+            assert (f"{broken}: FAIL (1 checks, 1 failed)\n"
+                    f"  FAIL {failure}\n") in out
+            code, out = run("verify", "all", "--json")
+            assert code == 3
+            data = json.loads(out)
+            assert [r["suite"] for r in data] == names
+            assert [r["suite"] for r in data if not r["passed"]] == [broken]
+            check, = data[names.index(broken)]["checks"]
+            assert f"{check['label']}: {check['detail']}" == failure
 
     def test_known_failure_surfaces_nonzero(self, monkeypatch):
         def failing_suite():
@@ -626,7 +638,7 @@ class TestVerify:
             return report
 
         monkeypatch.setitem(nc_hopf.verify.SUITES, "always-fails",
-                            failing_suite)
+                            (failing_suite, 1))
         code, out = run("verify", "always-fails")
         assert code == 1 and "FAIL" in out and "by construction" in out
         # the gapped tree transport holds where the bare one first fails

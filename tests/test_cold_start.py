@@ -95,20 +95,21 @@ def test_every_layer_is_registered_before_it_runs():
     assert set(done.stdout.split()) == LAYERS - {"errors"}
 
 
-# every name the package exported when its submodules were imported eagerly
+# every name the package exported when its submodules were imported eagerly,
+# less the two since deleted (singleton_partition, extend_multiplicative)
 EXPORTED = """
     AlgebraMismatchError CarrierMismatchError InconsistencyError NcHopfError
     OrderError ParseError SizeLimitError TruncationError
     Coefficient Poly coeff_str poly_str
     Algebra Character InfinitesimalCharacter LinearFunctional augmentation
     check_character check_infinitesimal convolve exp_prec
-    extend_multiplicative extract_infinitesimal half_convolve pullback_sp
+    extract_infinitesimal half_convolve pullback_sp
     random_functional random_infinitesimal solve_left_fixed_point
     standard_section
     NonCrossingPartition SetPartition admissible_splits bell_number
     catalan_number enumerate_nc_partitions enumerate_set_partitions
     full_partition is_noncrossing moebius moebius_to_top parse_partition
-    singleton_partition standardize
+    standardize
     UNIT DecoratedNC Word barword_text delta_bar delta_nc delta_word
     parse_atom parse_word sp tensor_text
     CumulantSequence MomentSequence MultiCumulantMap MultiMomentMap

@@ -17,7 +17,6 @@ from nc_hopf.functionals import (
     check_infinitesimal,
     convolve,
     exp_prec,
-    extend_multiplicative,
     extract_infinitesimal,
     half_convolve,
     pullback_sp,
@@ -296,7 +295,7 @@ class TestStandardSection:
 class TestMultiplicativeExtension:
     def test_moment_table_on_bars(self):
         m = {1: Fraction(1, 2), 2: Fraction(3)}
-        phi = extend_multiplicative(A1, 3, lambda w: m[len(w)])
+        phi = Character.from_atoms(A1, 3, lambda w: m[len(w)])
         assert phi((Word(("a",) * 2), Word(("a",)))) == Fraction(3, 2)
 
 
@@ -320,7 +319,7 @@ class TestFreedByRefcount:
         assert ref() is None
 
     def test_extraction(self):
-        phi = extend_multiplicative(AB, 4, lambda w: len(w) + 1)
+        phi = Character.from_atoms(AB, 4, lambda w: len(w) + 1)
         kappa = extract_infinitesimal(phi)
         assert kappa((Word(("a", "b", "b")),)) is not None
         ref, phi_ref = weakref.ref(kappa), weakref.ref(phi)

@@ -26,9 +26,7 @@ from nc_hopf.transforms import (
 from nc_hopf.trees import (
     gapped_hierarchy_tree,
     parse_tree,
-    tree_from_json,
     tree_text,
-    tree_to_json,
 )
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -120,20 +118,6 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=12)
-
-# tree-like JSON: nested lists of lists and gap marks, with stray leaves
-tree_json = st.recursive(
-    st.sampled_from(["|", "(", 0]) | st.builds(list),
-    lambda inner: st.lists(inner, max_size=4), max_leaves=12)
-
-
-@given(data=tree_json | json_values)
-@FUZZ
-def test_tree_from_json(data):
-    t = read_or_reject(tree_from_json, data)
-    if t is not None:
-        assert tree_from_json(tree_to_json(t)) == t
-
 
 fraction_texts = st.text(max_size=4) | st.sampled_from(
     ["1", "0", "-2", "3/4", " 5 ", "1/0", "x", "", "1.5", "2/-3"])

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nc_hopf.errors import (
-    CarrierMismatchError,
     OrderError,
     ParseError,
     SizeLimitError,
@@ -26,8 +25,6 @@ from nc_hopf.partitions import (
     moebius,
     moebius_to_top,
     parse_partition,
-    refines,
-    singleton_partition,
     split_table,
     standardize,
 )
@@ -267,16 +264,6 @@ class TestUncheckedConstruction:
 
 
 class TestOrderAndStandardization:
-    def test_refinement(self):
-        fine = SetPartition.of([[1], [2], [3, 4]])
-        coarse = SetPartition.of([[1, 2], [3, 4]])
-        assert refines(fine, coarse)
-        assert not refines(coarse, fine)
-
-    def test_refinement_requires_same_carrier(self):
-        with pytest.raises(CarrierMismatchError):
-            refines(SetPartition.of([[1]]), SetPartition.of([[2]]))
-
     def test_standardization_worked_example(self):
         p = NonCrossingPartition.of([[3, 6, 10], [4, 5], [8]])
         assert standardize(p) == \
@@ -436,6 +423,17 @@ class TestAdmissibleSplits:
         assert len(admissible_splits(p)) == 8
 
 
+def refines(fine, coarse) -> bool:
+    """Oracle: every block of ``fine`` lies inside a block of ``coarse``."""
+    return all(any(set(b) <= set(c) for c in coarse.blocks)
+               for b in fine.blocks)
+
+
+def singletons(n: int) -> NonCrossingPartition:
+    """The all-singletons partition 0̂ of [n]."""
+    return NonCrossingPartition.of([x] for x in range(1, n + 1))
+
+
 def moebius_by_definition(elements) -> dict:
     """mu(x, y) on every interval of the lattice ``elements``, keyed by the
     pair, from the definition: mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z)
@@ -458,7 +456,7 @@ def moebius_by_definition(elements) -> dict:
 class TestMoebius:
     def test_closed_forms(self):
         for n in range(1, 8):
-            lo = singleton_partition(range(1, n + 1))
+            lo = singletons(n)
             hi = full_partition(range(1, n + 1))
             assert moebius("set", lo, hi) == \
                 (-1) ** (n - 1) * factorial(n - 1)
@@ -483,7 +481,7 @@ class TestMoebius:
 
         monkeypatch.setattr(partitions, "_text_order", no_search)
         monkeypatch.setattr(partitions, "moebius_to_top", no_search)
-        lo = singleton_partition(range(1, 13))
+        lo = singletons(12)
         hi = full_partition(range(1, 13))
         assert moebius("nc", lo, hi) == -catalan_closed_form(11) == -58786
         assert moebius("set", lo, hi) == -factorial(11) == -39916800
@@ -523,7 +521,7 @@ class TestMoebius:
         # mu(0̂, hi) = prod over hi-blocks H of the signed Catalan number
         # (-1)^(|H|-1) C(|H|-1)
         for n in range(1, 7):
-            bottom = singleton_partition(range(1, n + 1))
+            bottom = singletons(n)
             for hi in enumerate_nc_partitions(n):
                 expect = 1
                 for block in hi.blocks:
@@ -606,16 +604,6 @@ def random_partition(draw):
 @settings(max_examples=80, deadline=None)
 def test_parse_text_round_trip_property(p):
     assert parse_partition(p.text(), noncrossing=False) == p
-
-
-@given(random_partition(), st.integers(min_value=0, max_value=127))
-@settings(max_examples=80, deadline=None)
-def test_restriction_preserves_noncrossing(p, mask):
-    subset = [x for i, x in enumerate(p.carrier) if mask >> i & 1]
-    q = p.restrict(subset)
-    if is_noncrossing(p):
-        assert is_noncrossing(q)
-    assert q.carrier == tuple(subset)
 
 
 @st.composite

@@ -22,7 +22,6 @@ from nc_hopf.tensor import (
     add_into,
     barword_degree,
     barword_text,
-    counit,
     delta_bar,
     delta_nc,
     delta_nc_halves,
@@ -369,10 +368,6 @@ class TestBarWords:
     def test_mixed_atom_kinds_rejected(self):
         with pytest.raises(AlgebraMismatchError):
             delta_bar((w("a"), nc("{1}")), "full")
-
-    def test_counit(self):
-        assert counit({UNIT: Fraction(3)}) == 3
-        assert counit({}) == 0
 
 
 class TestCoassociativity:

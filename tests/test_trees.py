@@ -16,7 +16,6 @@ from nc_hopf.trees import (
     parse_tree,
     tree_coproduct,
     tree_degree,
-    tree_from_json,
     tree_tensor_text,
     tree_text,
     tree_to_json,
@@ -32,6 +31,11 @@ SPLIT = ((LEAF, GAP, LEAF),)  # one vertex, its two leaves in different gaps
 
 def nc(blocks):
     return NonCrossingPartition.of(blocks)
+
+
+def from_json(data):
+    """Oracle: the tree whose JSON form ``tree_to_json`` writes as ``data``."""
+    return tuple(GAP if child == GAP else from_json(child) for child in data)
 
 
 class TestEncoding:
@@ -51,7 +55,8 @@ class TestEncoding:
 
     def test_json_round_trip(self):
         t = ((CHAIN), T2, LEAF)
-        assert tree_from_json(tree_to_json(t)) == t
+        assert tree_to_json(t) == [[[[]]], [[], []], []]
+        assert from_json(tree_to_json(t)) == t
 
     def test_degree_counts_non_root_vertices(self):
         assert tree_degree(LEAF) == 0
@@ -59,19 +64,9 @@ class TestEncoding:
         assert tree_degree(CHAIN) == 2
 
 
-def chain_json(parens):
-    """The JSON form of ``"(" * parens + ")" * parens``."""
-    node = []
-    for _ in range(parens - 1):
-        node = [node]
-    return node
-
-
 # past the NC cap (14 vertices): 1199 and 15 nested vertices, 24 and 15 leaves
-TOO_BIG = [("(" * 1200 + ")" * 1200, chain_json(1200)),
-           ("(" * 16 + ")" * 16, chain_json(16)),
-           ("(" + "()" * 24 + ")", [[]] * 24),
-           ("(" + "()" * 15 + ")", [[]] * 15)]
+TOO_BIG = ["(" * 1200 + ")" * 1200, "(" * 16 + ")" * 16,
+           "(" + "()" * 24 + ")", "(" + "()" * 15 + ")"]
 
 
 class TestSizeGuard:
@@ -79,14 +74,12 @@ class TestSizeGuard:
         for text in ("(" * 15 + ")" * 15, "(" + "()" * 14 + ")"):
             t = parse_tree(text)
             assert tree_degree(t) == 14
-            assert tree_from_json(tree_to_json(t)) == t
+            assert from_json(tree_to_json(t)) == t
 
-    @pytest.mark.parametrize("text,data", TOO_BIG)
-    def test_readers_stop_past_the_cap(self, text, data):
+    @pytest.mark.parametrize("text", TOO_BIG)
+    def test_readers_stop_past_the_cap(self, text):
         with pytest.raises(SizeLimitError):
             parse_tree(text)
-        with pytest.raises(SizeLimitError):
-            tree_from_json(data)
 
 
 class TestHierarchyMap:
@@ -265,7 +258,7 @@ class TestGapMarks:
         assert tree_text(t) == "(((())|()())((()|())))"
         assert parse_tree(tree_text(t)) == t
         assert tree_to_json(SPLIT) == [[[], "|", []]]
-        assert tree_from_json(tree_to_json(t)) == t
+        assert from_json(tree_to_json(t)) == t
 
     @pytest.mark.parametrize("bad", [
         "((|()))",        # leading
@@ -277,13 +270,6 @@ class TestGapMarks:
     def test_parse_rejects_misplaced_marks(self, bad):
         with pytest.raises(ParseError):
             parse_tree(bad)
-
-    @pytest.mark.parametrize("bad", [
-        [[["|", []]]], [[[], "|"]], [[[], "|", "|", []]], [[], "|", []], "()",
-    ])
-    def test_json_rejects_misplaced_marks(self, bad):
-        with pytest.raises(ParseError):
-            tree_from_json(bad)
 
     def test_cuts_never_cut_a_mark(self):
         cuts = admissible_edge_cuts(SPLIT)

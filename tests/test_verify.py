@@ -15,7 +15,6 @@ from nc_hopf.functionals import (
     random_infinitesimal,
 )
 from nc_hopf.verify import (
-    SUITE_BOUNDS,
     SUITES,
     SuiteReport,
     _rational,
@@ -71,17 +70,16 @@ def test_small_halfshuffle_run():
 def test_size_bound_is_the_first_parameter_of_every_suite():
     # the CLI passes --max-degree positionally
     bounds = {"max_n", "max_degree", "max_word_len", "truncation", "order"}
-    for name, fn in SUITES.items():
+    for name, (fn, _) in SUITES.items():
         assert next(iter(inspect.signature(fn).parameters)) in bounds, name
     report, = run_suite("roundtrip", 3)
     assert report.passed and all("N=3" in c.label for c in report.checks)
 
 
 def test_every_suite_has_a_default_and_a_ceiling():
-    assert set(SUITE_BOUNDS) == set(SUITES)
-    for name, (default, ceiling) in SUITE_BOUNDS.items():
-        first = next(iter(inspect.signature(SUITES[name]).parameters.values()))
-        assert first.default == default <= ceiling, name
+    for name, (fn, ceiling) in SUITES.items():
+        first = next(iter(inspect.signature(fn).parameters.values()))
+        assert 1 <= first.default <= ceiling, name
 
 
 def test_benchmark_bounds_are_within_the_ceilings():
@@ -94,7 +92,7 @@ def test_benchmark_bounds_are_within_the_ceilings():
               if argv[0] == "verify" and "--max-degree" in argv]
     assert len(bounds) >= 7
     for name, bound in bounds:
-        assert 1 <= bound <= SUITE_BOUNDS[name][1], name
+        assert 1 <= bound <= SUITES[name][1], name
 
 
 def test_one_trial_per_suite_runs_on_fraction_values():
@@ -163,7 +161,8 @@ def test_all_empties_the_caches_after_each_suite(monkeypatch):
         fill_caches()
         return SuiteReport("filled")
 
-    monkeypatch.setattr(nc_hopf.verify, "SUITES", {"a": suite, "b": suite})
+    monkeypatch.setattr(nc_hopf.verify, "SUITES",
+                        {"a": (suite, 1), "b": (suite, 1)})
     assert [r.name for r in run_suite("all")] == ["filled", "filled"]
     assert seen[1] == 0
     assert sum(fn.cache_info().currsize for fn in layer_caches().values()) == 0
