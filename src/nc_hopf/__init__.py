@@ -85,7 +85,6 @@ _EXPORTS = {
         "symbolic_moments",
     ),
     "trees": (
-        "EdgeCut",
         "admissible_edge_cuts",
         "hierarchy_tree",
         "parse_tree",

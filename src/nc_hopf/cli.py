@@ -84,16 +84,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: str):
-    """The JSON value in the file at ``path``.  Malformed JSON, nesting too
-    deep for the reader included, is bad input.  ``json`` is imported here
-    and in ``_dumps`` only, so a command that neither reads nor writes JSON
-    never loads it."""
+    """The JSON value in the UTF-8 file at ``path``.  Malformed JSON,
+    nesting too deep for the reader included, and bytes that are not UTF-8
+    are bad input.  ``json`` is imported here and in ``_dumps`` only, so a
+    command that neither reads nor writes JSON never loads it."""
     import json
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(str(exc)) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                             f"{exc.start}") from None
         except RecursionError:
             raise ParseError(f"{path}: JSON nested too deeply") from None
 
@@ -305,16 +308,8 @@ def _cmd_tree(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    name = _SUITE_ALIASES.get(args.suite, args.suite)
-    bound = () if args.max_degree is None else (args.max_degree,)
-    if bound and name == "all":
-        raise NcHopfError("--max-degree applies to one suite, not 'all'")
-    # an unknown name has no ceiling: run_suite reports it
-    _, ceiling = verify.SUITES.get(name, (None, None))
-    if bound and ceiling and not 1 <= args.max_degree <= ceiling:
-        raise NcHopfError(f"--max-degree for {name} runs from 1 to "
-                          f"{ceiling}, not {args.max_degree}")
-    reports = verify.run_suite(name, *bound)
+    reports = verify.run_suite(_SUITE_ALIASES.get(args.suite, args.suite),
+                               args.max_degree)
     if args.json:
         print(_dumps([{
             "suite": r.name,

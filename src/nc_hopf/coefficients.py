@@ -117,10 +117,6 @@ class Poly:
     def var(cls, name: str) -> "Poly":
         return cls({((name, 1),): ONE})
 
-    @classmethod
-    def const(cls, value) -> "Poly":
-        return cls({(): value})
-
     def __add__(self, other):
         if isinstance(other, Poly):
             return _plus(self.terms, other.terms.items())
@@ -170,14 +166,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -195,18 +183,6 @@ class Poly:
         if self.terms.keys() <= {()}:
             return hash(self.terms.get((), ZERO))
         return hash(frozenset(self.terms.items()))
-
-    def coefficient(self, mono: Monomial) -> int | Fraction:
-        """Coefficient of the given monomial (zero if absent)."""
-        return self.terms.get(tuple(sorted(mono)), ZERO)
-
-    def as_fraction(self) -> int | Fraction:
-        """The value of a constant polynomial; error if any variable appears."""
-        if not self.terms:
-            return ZERO
-        if set(self.terms) == {()}:
-            return self.terms[()]
-        raise ValueError(f"polynomial is not constant: {self}")
 
     def variables(self) -> tuple[str, ...]:
         names = {name for mono in self.terms for name, _ in mono}

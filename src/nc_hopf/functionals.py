@@ -399,8 +399,8 @@ def check_infinitesimal(f: LinearFunctional) -> CheckReport:
 # deterministic pseudo-random functionals (test and verify plumbing)
 
 
-def random_functional(algebra: Algebra, truncation: int, seed: int,
-                      name: str = "") -> LinearFunctional:
+def random_functional(algebra: Algebra, truncation: int,
+                      seed: int) -> LinearFunctional:
     """A dense functional with reproducible pseudo-random integer values,
     vanishing at the unit (an element of the non-unital dual).  Each value
     is 60 times a rational num/den with |num| <= 20 and den <= 6, so it
@@ -417,12 +417,12 @@ def random_functional(algebra: Algebra, truncation: int, seed: int,
         return num * (60 // den)
 
     return LinearFunctional(algebra, truncation, ev,
-                            unit_value=ZERO, name=name or f"rand{seed}")
+                            unit_value=ZERO, name=f"rand{seed}")
 
 
-def random_infinitesimal(algebra: Algebra, truncation: int, seed: int,
-                         name: str = "") -> InfinitesimalCharacter:
+def random_infinitesimal(algebra: Algebra, truncation: int,
+                         seed: int) -> InfinitesimalCharacter:
     base = random_functional(algebra, truncation, seed)
     return InfinitesimalCharacter.from_atoms(
         algebra, truncation, lambda atom: base((atom,)),
-        name=name or f"randκ{seed}")
+        name=f"randκ{seed}")

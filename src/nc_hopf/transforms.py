@@ -78,11 +78,8 @@ class MomentSequence(Value):
         return self.values[n]
 
     @classmethod
-    def of(cls, positive_part, order: int | None = None) -> "MomentSequence":
-        vals = (ONE,) + tuple(positive_part)
-        if order is not None and len(vals) != order + 1:
-            raise ValueError(f"expected {order} moments, got {len(vals) - 1}")
-        return cls(vals)
+    def of(cls, positive_part) -> "MomentSequence":
+        return cls((ONE,) + tuple(positive_part))
 
 
 class CumulantSequence(Value):
@@ -409,16 +406,6 @@ class MultiMomentMap(Value):
         if w not in self.table:
             raise NcHopfError(f"no moment recorded for word {'.'.join(w)}")
         return self.table[w]
-
-    def words(self, degree: int) -> list[tuple[str, ...]]:
-        return list(_letter_tuples(self.alphabet, (degree,)))
-
-    @classmethod
-    def from_function(cls, alphabet, order: int, fn) -> "MultiMomentMap":
-        alphabet = tuple(alphabet)
-        table = {ls: fn(ls)
-                 for ls in _letter_tuples(alphabet, range(1, order + 1))}
-        return cls(alphabet, order, table)
 
 
 class MultiCumulantMap(MultiMomentMap):

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 from . import config
 from .errors import ParseError, SizeLimitError
-from .partitions import NonCrossingPartition, Value, _set
+from .partitions import NonCrossingPartition
 from .tensor import LinComb, add_into, lincomb_text
 
 Tree = tuple            # nested tuples of children and GAP marks; () is the bare root
@@ -169,27 +169,14 @@ def hierarchy_tree(p: NonCrossingPartition) -> Tree:
 # admissible cuts
 
 
-class EdgeCut(Value):
-    """A set of edges meeting each root-to-leaf path at most once; an edge
-    is named by the child-index path of its arrival vertex."""
-
-    __slots__ = _fields = ("edges",)
-
-    def __init__(self, edges: tuple):  # tuple[EdgePath, ...], sorted
-        _set(self, "edges", edges)
-
-    @classmethod
-    def of(cls, edges) -> "EdgeCut":
-        return cls(tuple(sorted(edges)))
-
-
 @lru_cache(maxsize=None)
-def admissible_edge_cuts(t: Tree) -> tuple[EdgeCut, ...]:
-    """Every admissible cut of the tree, the empty cut first, then in
-    lexicographic order of the sorted edge lists.  Marks are never cut."""
-    cuts = [EdgeCut.of(edges) for edges in _cut_sets(t, ())]
-    cuts.sort(key=lambda c: c.edges)
-    return tuple(cuts)
+def admissible_edge_cuts(t: Tree) -> tuple[tuple[EdgePath, ...], ...]:
+    """Every admissible cut of the tree, a set of edges meeting each
+    root-to-leaf path at most once, as the sorted tuple of its edges; an
+    edge is named by the child-index path of its arrival vertex.  The empty
+    cut comes first, then the others in lexicographic order.  Marks are
+    never cut."""
+    return tuple(sorted(tuple(sorted(edges)) for edges in _cut_sets(t, ())))
 
 
 def _cut_sets(t: Tree, prefix: EdgePath):
@@ -244,7 +231,7 @@ def tree_coproduct(t: Tree) -> LinComb:
     out: LinComb = {}
     for cut in admissible_edge_cuts(t):
         forest: list[Tree] = []
-        rooted = _split_cut(t, set(cut.edges), (), forest)
+        rooted = _split_cut(t, set(cut), (), forest)
         add_into(out, (rooted, tuple(forest)), 1)
     return out
 

@@ -178,9 +178,7 @@ def _elements(kind: str, alphabet: tuple[str, ...], degree: int) -> list:
 # suites
 
 
-def verify_coassociativity(max_degree: int = 6,
-                           alphabet: tuple[str, ...] = ("a", "b", "c"),
-                           ) -> SuiteReport:
+def verify_coassociativity(max_degree: int = 6) -> SuiteReport:
     """(Delta x id) Delta = (id x Delta) Delta on both bialgebras, checked
     on every generator up to the degree bound."""
     report = SuiteReport("coassociativity")
@@ -188,7 +186,7 @@ def verify_coassociativity(max_degree: int = 6,
         bad = []
         count = 0
         for degree in range(1, max_degree + 1):
-            for atom in _elements(kind, alphabet, degree):
+            for atom in _elements(kind, ("a", "b", "c"), degree):
                 b: BarWord = (atom,)
                 terms = delta_bar(b, "full")
                 if _apply(terms, 0, "full") != _apply(terms, 1, "full"):
@@ -199,14 +197,13 @@ def verify_coassociativity(max_degree: int = 6,
     return report
 
 
-def verify_unshuffle(max_degree: int = 5,
-                     alphabet: tuple[str, ...] = ("a", "b")) -> SuiteReport:
+def verify_unshuffle(max_degree: int = 5) -> SuiteReport:
     """The three half-coproduct axioms, the compatibilities with the bar
     product, and reconstruction of the full coproduct from its halves."""
     report = SuiteReport("unshuffle")
     for kind in (WORDS, NC):
         atoms = [a for d in range(1, max_degree + 1)
-                 for a in _elements(kind, alphabet, d)]
+                 for a in _elements(kind, ("a", "b"), d)]
         failures: dict[str, list] = {k: [] for k in
                                      ("C1", "C2", "C3", "halves", "D1", "D2")}
         for atom in atoms:
@@ -256,18 +253,18 @@ def _sample_barwords(algebra: Algebra, max_degree: int,
     return out
 
 
-def verify_halfshuffle(max_degree: int = 6, trials: int = 100,
-                       seed: int = 7, per_degree: int = 4) -> SuiteReport:
+def verify_halfshuffle(max_degree: int = 6) -> SuiteReport:
     """Dual shuffle axioms for random functionals on both bialgebras,
     evaluated on a random sample of basis bar words per degree, plus the
     unit laws with the augmentation."""
     report = SuiteReport("halfshuffle")
+    trials, seed = 100, 7
     for kind in (WORDS, NC):
         algebra = Algebra(kind, ("a", "b"))
         rng = random.Random(f"{seed}:{kind}")
         failures: dict[str, list] = {k: [] for k in ("A1", "A2", "A3", "units")}
         checked = 0
-        samples = _sample_barwords(algebra, max_degree, rng, per_degree)
+        samples = _sample_barwords(algebra, max_degree, rng, 4)
         for trial in range(trials):
             f = random_functional(algebra, max_degree, seed * 1000 + trial * 3)
             g = random_functional(algebra, max_degree, seed * 1000 + trial * 3 + 1)
@@ -303,13 +300,12 @@ def verify_halfshuffle(max_degree: int = 6, trials: int = 100,
     return report
 
 
-def verify_sp_morphism(max_word_len: int = 6,
-                       alphabet: tuple[str, ...] = ("a", "b"),
-                       functional_degree: int = 5, trials: int = 5,
-                       seed: int = 11) -> SuiteReport:
+def verify_sp_morphism(max_word_len: int = 6) -> SuiteReport:
     """The splitting map intertwines the full and half coproducts, and its
     dual preserves the convolution and both half-shuffle products."""
     report = SuiteReport("sp-morphism")
+    alphabet = ("a", "b")
+    functional_degree, trials, seed = 5, 5, 11
     for variant in ("full", "left+", "right+"):
         bad = []
         count = 0
@@ -360,12 +356,12 @@ def verify_sp_morphism(max_word_len: int = 6,
     return report
 
 
-def verify_character_bijection(truncation: int = 8, commute_degree: int = 6,
-                               seed: int = 23) -> SuiteReport:
+def verify_character_bijection(truncation: int = 8) -> SuiteReport:
     """Fixed point vs half-shuffle exponential, multiplicativity of the
     result, exact recovery of the generator, agreement with the free
     transforms, and commutation with the pullback of the splitting map."""
     report = SuiteReport("character-bijection")
+    commute_degree, seed = 6, 23
     algebra = Algebra(WORDS, ("a",))
     kappa = random_infinitesimal(algebra, truncation, seed)
     phi_fix = solve_left_fixed_point(kappa)
@@ -415,8 +411,7 @@ def verify_character_bijection(truncation: int = 8, commute_degree: int = 6,
     return report
 
 
-def verify_keyrell(max_n: int = 6, seed: int = 31,
-                   kappa_fn=None) -> SuiteReport:
+def verify_keyrell(max_n: int = 6) -> SuiteReport:
     """The fixed point of Psi = e + sd(kappa) ≺ Psi evaluates on a decorated
     partition as the product of kappa over its blocks, and summing those
     block products over the whole lattice recovers the moments from which
@@ -424,14 +419,14 @@ def verify_keyrell(max_n: int = 6, seed: int = 31,
     report = SuiteReport("keyrell")
     alphabet = tuple(f"x{i}" for i in range(1, max_n + 1))
     nc_algebra = Algebra(NC, alphabet)
-    if kappa_fn is None:
-        rng_values: dict = {}
+    seed = 31
+    rng_values: dict = {}
 
-        def kappa_fn(w: tuple[str, ...]) -> Fraction:
-            if w not in rng_values:
-                r = random.Random(f"{seed}:{'.'.join(w)}")
-                rng_values[w] = Fraction(r.randint(-12, 12), r.randint(1, 5))
-            return rng_values[w]
+    def kappa_fn(w: tuple[str, ...]) -> Fraction:
+        if w not in rng_values:
+            r = random.Random(f"{seed}:{'.'.join(w)}")
+            rng_values[w] = Fraction(r.randint(-12, 12), r.randint(1, 5))
+        return rng_values[w]
 
     sd = standard_section(kappa_fn, nc_algebra, max_n)
     psi = solve_left_fixed_point(sd)
@@ -471,12 +466,12 @@ def verify_keyrell(max_n: int = 6, seed: int = 31,
     return report
 
 
-def verify_roundtrip(order: int = 8, count: int = 50,
-                     seed: int = 41) -> SuiteReport:
+def verify_roundtrip(order: int = 8) -> SuiteReport:
     """moments -> cumulants -> moments and the reverse are the identity in
     both flavors, on random rational sequences."""
     report = SuiteReport("roundtrip")
-    rng = random.Random(seed)
+    count = 50
+    rng = random.Random(41)
     for flavor in (CLASSICAL, FREE):
         bad = []
         for trial in range(count):
@@ -618,12 +613,13 @@ def verify_counting(max_n: int = 10) -> SuiteReport:
     return report
 
 
-# Each suite by name, with the ceiling of its size bound (its first
-# parameter, whose default is in its signature).  The ceiling is the largest
-# bound that runs in under a minute and 600 MB on a 2-vCPU machine; one step
-# past it costs several times more, in time or memory (moebius at 10 runs
-# for minutes; counting at 11 takes 8 s and 240 MB, against 1.4 s and 57 MB
-# at 10).
+# Each suite by name, with the ceiling of its size bound.  The bound is the
+# suite's only parameter, and its default is in the suite's signature.  The
+# ceiling is the largest bound that runs in under a minute and 600 MB on a
+# 2-vCPU machine; one step past it costs several times more, in time or
+# memory (moebius at 10 runs for minutes; counting at 11 takes 8 s and
+# 240 MB, against 1.4 s and 57 MB at 10).  run_suite checks a bound
+# against it before any suite runs.
 SUITES = {
     "counting": (verify_counting, 10),
     "coassociativity": (verify_coassociativity, 7),
@@ -639,14 +635,17 @@ SUITES = {
 }
 
 
-def run_suite(name: str, *args, **kwargs) -> list[SuiteReport]:
-    """Run one named suite, or all of them, emptying the library's caches
-    after each, so no suite holds the memory of the ones before it.  Under
-    ``all``, a suite that raises an internal fault is reported as failed,
-    with the one check ``raised <exception type>`` holding the exception
-    text, and the next suite runs.  The first parameter of every suite is
-    its size bound, so ``run_suite(name, bound)`` sets it."""
+def run_suite(name: str, bound: int | None = None) -> list[SuiteReport]:
+    """Run one named suite, at ``bound`` or at its default bound, or all of
+    them at their defaults, emptying the library's caches after each, so no
+    suite holds the memory of the ones before it.  Under ``all``, a suite
+    that raises an internal fault is reported as failed, with the one check
+    ``raised <exception type>`` holding the exception text, and the next
+    suite runs.  A bound given with ``all``, or outside 1..ceiling, is a
+    domain error raised before any suite runs."""
     if name == "all":
+        if bound is not None:
+            raise NcHopfError("--max-degree applies to one suite, not 'all'")
         reports = []
         for suite, (fn, _) in SUITES.items():
             try:
@@ -661,4 +660,10 @@ def run_suite(name: str, *args, **kwargs) -> list[SuiteReport]:
     if name not in SUITES:
         raise NcHopfError(f"unknown suite {name!r}; choose from "
                           f"{', '.join(sorted(SUITES))} or 'all'")
-    return [SUITES[name][0](*args, **kwargs)]
+    fn, ceiling = SUITES[name]
+    if bound is None:
+        return [fn()]
+    if not 1 <= bound <= ceiling:
+        raise NcHopfError(f"--max-degree for {name} runs from 1 to "
+                          f"{ceiling}, not {bound}")
+    return [fn(bound)]

@@ -6,6 +6,7 @@ lines as they complete.  All arithmetic is exact; there are no tolerances.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from nc_hopf.coefficients import poly_str
 from nc_hopf.partitions import (
@@ -96,8 +97,8 @@ def test_criterion_03_free_tables_three_routes():
     c4 = classical_moments_from_cumulants(
         symbolic_cumulants(4, CLASSICAL)).moment(4)
     k4 = routes["nc-moebius"][3]
-    diverges = (c4.coefficient((("c2", 2),)) == 3
-                and k4.coefficient((("k2", 2),)) == 2)
+    diverges = (c4.terms[(("c2", 2),)] == 3
+                and k4.terms[(("k2", 2),)] == 2)
     report(3, ok and diverges,
            "m_1..m_4 via three routes; 3c2^2 vs 2k2^2 divergence")
 
@@ -126,8 +127,7 @@ def test_criterion_04_coproduct_goldens():
 
 
 def test_criterion_05_coassociativity():
-    from_suite(5, verify_coassociativity(max_degree=6,
-                                         alphabet=("a", "b", "c")),
+    from_suite(5, verify_coassociativity(max_degree=6),
                "coassociativity for NC_n (n<=6) and 3-letter words "
                "(length<=6)")
 
@@ -139,19 +139,19 @@ def test_criterion_06_unshuffle_axioms():
 
 
 def test_criterion_07_dual_shuffle_axioms():
-    from_suite(7, verify_halfshuffle(max_degree=6, trials=100),
+    from_suite(7, verify_halfshuffle(max_degree=6),
                "shuffle axioms for 100 random functional triples per "
                "algebra, plus unit laws")
 
 
 def test_criterion_08_splitting_morphism():
-    from_suite(8, verify_sp_morphism(max_word_len=6, functional_degree=5),
+    from_suite(8, verify_sp_morphism(max_word_len=6),
                "splitting map intertwines full and half coproducts; dual "
                "preserves the three products")
 
 
 def test_criterion_09_character_bijection():
-    from_suite(9, verify_character_bijection(truncation=8, commute_degree=6),
+    from_suite(9, verify_character_bijection(truncation=8),
                "exp = fixed point at N=8, character check, generator "
                "recovery, commutation with the splitting pullback")
 
@@ -163,7 +163,7 @@ def test_criterion_10_block_product_evaluation():
 
 
 def test_criterion_11_round_trips():
-    from_suite(11, verify_roundtrip(count=50, order=8),
+    from_suite(11, verify_roundtrip(order=8),
                "moments <-> cumulants round trips, both flavors, 50 "
                "random sequences at N=8")
 
@@ -215,7 +215,8 @@ def test_criterion_15_multivariate_cumulants():
         r = random.Random(f"acceptance15:{'.'.join(w)}")
         return Fraction(r.randint(-9, 9), r.randint(1, 4))
 
-    phi = MultiMomentMap.from_function(alphabet, 5, phi_fn)
+    phi = MultiMomentMap(alphabet, 5, {
+        w: phi_fn(w) for n in range(1, 6) for w in product(alphabet, repeat=n)})
     # the transform itself cross-checks the recursive solve against the
     # fixed-point extraction and raises on any disagreement
     r = generalized_free_cumulants(phi)

@@ -695,6 +695,17 @@ class TestExitCodes:
                             "--in", str(path))
             assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("direction", ["m2k", "multi-m2k"])
+    def test_file_that_is_not_utf8_is_bad_input(self, tmp_path, capsys,
+                                                direction):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"values": ["1"]}')
+        code, out = run("transform", "free", "--direction", direction,
+                        "--in", str(bad))
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8 text: invalid start byte at byte 0\n")
+
 
 class TestUsage:
     def test_unknown_command_exits_two(self):

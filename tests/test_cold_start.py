@@ -96,7 +96,8 @@ def test_every_layer_is_registered_before_it_runs():
 
 
 # every name the package exported when its submodules were imported eagerly,
-# less the two since deleted (singleton_partition, extend_multiplicative)
+# less the three since deleted (singleton_partition, extend_multiplicative,
+# EdgeCut)
 EXPORTED = """
     AlgebraMismatchError CarrierMismatchError InconsistencyError NcHopfError
     OrderError ParseError SizeLimitError TruncationError
@@ -117,8 +118,8 @@ EXPORTED = """
     classical_moments_from_cumulants free_cumulants_from_moments
     free_moments_from_cumulants generalized_free_cumulants kappa_powers
     symbolic_cumulants symbolic_moments
-    EdgeCut admissible_edge_cuts hierarchy_tree parse_tree tree_coproduct
-    tree_degree tree_text
+    admissible_edge_cuts hierarchy_tree parse_tree tree_coproduct tree_degree
+    tree_text
     SuiteReport run_suite
     coefficients config errors functionals partitions tensor transforms
     trees verify __version__

@@ -39,7 +39,6 @@ from nc_hopf.transforms import (
     MultiCumulantMap,
     MultiMomentMap,
 )
-from nc_hopf.trees import EdgeCut
 from nc_hopf.verify import Check, SuiteReport
 
 MAX_N = 6
@@ -265,8 +264,6 @@ VALUE_CLASSES = [
      ("alphabet", "order", "table"), True,
      "MultiCumulantMap(alphabet=('a', 'b'), order=1, "
      "table={('a',): Fraction(1, 2), ('b',): 0})"),
-    (lambda: EdgeCut(((0,), (1, 0))), ("edges",), True,
-     "EdgeCut(edges=((0,), (1, 0)))"),
     (lambda: Check("unit law", False, "2 failing: a, b"),
      ("label", "ok", "detail"), False,
      "Check(label='unit law', ok=False, detail='2 failing: a, b')"),

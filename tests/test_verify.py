@@ -47,7 +47,7 @@ def test_run_suite_unknown_name():
 
 
 def test_run_suite_single():
-    reports = run_suite("counting", max_n=6)
+    reports = run_suite("counting", 6)
     assert len(reports) == 1 and reports[0].passed
 
 
@@ -58,22 +58,68 @@ def test_all_suite_names_are_callable():
 
 
 def test_small_unshuffle_run():
-    reports = run_suite("unshuffle", max_degree=3)
+    reports = run_suite("unshuffle", 3)
     assert reports[0].passed
 
 
 def test_small_halfshuffle_run():
-    reports = run_suite("halfshuffle", max_degree=3, trials=3)
+    reports = run_suite("halfshuffle", 3)
     assert reports[0].passed
 
 
 def test_size_bound_is_the_first_parameter_of_every_suite():
-    # the CLI passes --max-degree positionally
+    # run_suite passes the bound positionally, and it is all a suite takes
     bounds = {"max_n", "max_degree", "max_word_len", "truncation", "order"}
     for name, (fn, _) in SUITES.items():
-        assert next(iter(inspect.signature(fn).parameters)) in bounds, name
+        params = list(inspect.signature(fn).parameters)
+        assert len(params) == 1 and params[0] in bounds, name
+    assert list(inspect.signature(run_suite).parameters) == ["name", "bound"]
     report, = run_suite("roundtrip", 3)
     assert report.passed and all("N=3" in c.label for c in report.checks)
+
+
+@pytest.fixture
+def ran(monkeypatch) -> list:
+    """Every suite swapped for a stub that records its bound, each under
+    its own ceiling; the calls, in order."""
+    calls = []
+
+    def stub(name):
+        def suite(*bound):
+            calls.append((name, *bound))
+            return SuiteReport(name)
+        return suite
+
+    monkeypatch.setattr(nc_hopf.verify, "SUITES", {
+        name: (stub(name), ceiling) for name, (_, ceiling) in SUITES.items()})
+    return calls
+
+
+@pytest.mark.parametrize("name,bound,message", [
+    ("all", 1, "--max-degree applies to one suite, not 'all'"),
+    ("counting", 0, "--max-degree for counting runs from 1 to 10, not 0"),
+    ("moebius", 0, "--max-degree for moebius runs from 1 to 9, not 0")],
+    ids=["all", "counting", "moebius"])
+def test_bound_that_does_not_apply_raises_before_any_suite_runs(
+        ran, name, bound, message):
+    with pytest.raises(NcHopfError) as exc:
+        run_suite(name, bound)
+    assert str(exc.value) == message and ran == []
+
+
+def test_bound_is_held_to_the_ceiling_of_the_suite(ran, monkeypatch):
+    def tiny(bound=1):
+        ran.append(("tiny", bound))
+        return SuiteReport("tiny")
+
+    monkeypatch.setitem(nc_hopf.verify.SUITES, "tiny", (tiny, 1))
+    with pytest.raises(NcHopfError, match="runs from 1 to 1, not 2"):
+        run_suite("tiny", 2)
+    assert ran == []
+    run_suite("tiny", 1)
+    run_suite("counting", 10)
+    run_suite("counting")
+    assert ran == [("tiny", 1), ("counting", 10), ("counting",)]
 
 
 def test_every_suite_has_a_default_and_a_ceiling():
