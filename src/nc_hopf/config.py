@@ -2,7 +2,8 @@
 
 Caps keep enumerations and the transforms that sum over a lattice at desk
 scale; exceeding one raises SizeLimitError rather than silently truncating.
-A variable that is set but is not an integer is an error, not a default.
+A variable that is set but is not an integer, or is below 1, is an error,
+not a default.
 """
 
 import os
@@ -20,10 +21,14 @@ def _env_int(name: str, fallback: int) -> int:
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise NcHopfError(
             f"environment variable {name}={raw!r} is not an integer") from None
+    if value < 1:
+        raise NcHopfError(
+            f"environment variable {name}={raw!r} is below 1")
+    return value
 
 
 def nc_cap() -> int:

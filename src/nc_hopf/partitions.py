@@ -371,7 +371,12 @@ def _split_walk(blocks: tuple[Block, ...]):
             for mask, q, closed, run in states)
 
 
-@lru_cache(maxsize=None)
+# one bound for both views of a shape: verify keyrell and tree-consistency
+# at their ceilings read all 6,917 NC shapes with n <= 9
+SHAPE_BOUND = 8192
+
+
+@lru_cache(maxsize=SHAPE_BOUND)
 def split_table(p: NonCrossingPartition) -> tuple[tuple, tuple]:
     """The admissible splits Q ⊔ T of p (either part may be empty), read
     off ``_split_walk``, as (parts, splits).
@@ -414,7 +419,7 @@ def split_table(p: NonCrossingPartition) -> tuple[tuple, tuple]:
     return tuple(parts), splits
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SHAPE_BOUND)
 def admissible_splits(p: NonCrossingPartition) -> tuple[AdmissibleSplit, ...]:
     """Every admissible two-part block partition Q ⊔ T of p (either part may
     be empty), each with T regrouped by connected component of the complement

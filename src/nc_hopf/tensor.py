@@ -164,7 +164,12 @@ def _halves(splits, atoms: list) -> tuple[LinComb, LinComb]:
     return left, right
 
 
-@lru_cache(maxsize=None)
+# hopf draws fresh words, so its hits come within one request (delta_word,
+# then delta_word_halves, of one word); a miss re-gathers from 0̂ₙ's table
+WORD_HALVES_BOUND = 256
+
+
+@lru_cache(maxsize=WORD_HALVES_BOUND)
 def delta_word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
     """(left, right) splitting of delta_word by whether position 1 lies in
     the kept subset S.  left + right == delta_word(w).
@@ -188,7 +193,11 @@ def delta_word(w: tuple[str, ...]) -> LinComb:
     return lincomb_sum(*delta_word_halves(w))
 
 
-@lru_cache(maxsize=None)
+# verify sp-morphism at its ceiling reads 64,978 decorated atoms
+NC_HALVES_BOUND = 65536
+
+
+@lru_cache(maxsize=NC_HALVES_BOUND)
 def delta_nc_halves(x: DecoratedNC) -> tuple[LinComb, LinComb]:
     """(left, right) splitting of delta_nc by whether the first carrier
     element lies in a Q-block (left) or a complement block (right).
@@ -223,7 +232,12 @@ def tensor_product(a: LinComb, b: LinComb) -> LinComb:
     return out
 
 
-@lru_cache(maxsize=None)
+# verify unshuffle at its ceiling reads 36,478 bar words and recomputes
+# 1,538 of them at this bound (18,083 at 4,096)
+BAR_BOUND = 16384
+
+
+@lru_cache(maxsize=BAR_BOUND)
 def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
     """Coproduct of a bar word, extended multiplicatively from generators.
 

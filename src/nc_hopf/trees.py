@@ -169,7 +169,11 @@ def hierarchy_tree(p: NonCrossingPartition) -> Tree:
 # admissible cuts
 
 
-@lru_cache(maxsize=None)
+# verify tree-consistency at its ceiling reads 539 trees
+EDGE_CUTS_BOUND = 1024
+
+
+@lru_cache(maxsize=EDGE_CUTS_BOUND)
 def admissible_edge_cuts(t: Tree) -> tuple[tuple[EdgePath, ...], ...]:
     """Every admissible cut of the tree, a set of edges meeting each
     root-to-leaf path at most once, as the sorted tuple of its edges; an

@@ -15,6 +15,8 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 BENCH_7 = json.loads((ROOT / "BENCH_7.json").read_text())
+BENCHMARK = (ROOT / "BENCHMARK.json").read_text()
+BETTER = bench_pairs.directions(json.loads(BENCHMARK))
 
 
 def canned_runs(side: dict) -> list[dict]:
@@ -56,6 +58,44 @@ def test_summary_counts_and_quartiles():
                                   "runs": [4.0, 1.0, 3.0, 2.0]}
 
 
+def test_pairs_count_wins_by_each_metrics_direction():
+    # seed by seed: a higher throughput wins, a higher latency loses, and
+    # equal recorded values tie
+    def side(rps, p50):
+        return [{"attempted": 1, "failed": 0, "metrics": {
+            name: {"value": {"throughput_rps": r,
+                             "latency_p50_ms": p}.get(name, 1.0)}
+            for name in bench_pairs.METRICS}} for r, p in zip(rps, p50)]
+
+    sides = {"parent": side([10, 20, 30, 40], [1.0, 2.0, 3.0, 4.0]),
+             "change": side([11, 20, 29, 50], [0.5, 2.0, 3.5, 3.0])}
+    pairs = bench_pairs.pair_counts(bench_pairs.summarize(sides["parent"]),
+                                    bench_pairs.summarize(sides["change"]),
+                                    BETTER)
+    assert list(pairs) == list(bench_pairs.METRICS)
+    assert pairs["throughput_rps"] == {
+        "better": "higher", "won": 2, "lost": 1, "tied": 1,
+        "parent_iqr": 15.0}
+    assert pairs["latency_p50_ms"] == {
+        "better": "lower", "won": 2, "lost": 1, "tied": 1,
+        "parent_iqr": 1.5}
+    assert pairs["setup_s"] == {
+        "better": "lower", "won": 0, "lost": 0, "tied": 4,
+        "parent_iqr": 0.0}
+
+
+def test_pairs_of_the_committed_record():
+    # BENCH_7's hopf throughput: the change won all ten pairs
+    hopf = BENCH_7["workloads"]["hopf"]
+    pairs = bench_pairs.pair_counts(hopf["parent"], hopf["change"], BETTER)
+    assert (pairs["throughput_rps"]["won"],
+            pairs["throughput_rps"]["lost"]) == (10, 0)
+    assert pairs["throughput_rps"]["parent_iqr"] == pytest.approx(
+        hopf["parent"]["throughput_rps"]["q3"]
+        - hopf["parent"]["throughput_rps"]["q1"])
+    assert pairs["peak_rss_mb"]["better"] == "lower"
+
+
 def test_sides_alternate_which_runs_first():
     calls = []
 
@@ -76,11 +116,13 @@ def test_record_adds_a_workload_and_prints_like_the_committed_file():
                     for run in canned_runs(hopf[side])]
              for side in ("parent", "change")}
     old = {**BENCH_7, "workloads": {"cli_cold": BENCH_7["workloads"]["cli_cold"]}}
-    rec = bench_pairs.record(old, "hopf", hopf["seeds"], sides)
+    rec = bench_pairs.record(old, "hopf", hopf["seeds"], sides, BETTER)
     assert {k: v for k, v in rec.items() if k != "workloads"} \
         == {k: v for k, v in BENCH_7.items() if k != "workloads"}
     assert list(rec["workloads"]) == ["cli_cold", "hopf"]
     assert rec["workloads"]["hopf"]["seeds"] == hopf["seeds"]
+    assert list(rec["workloads"]["hopf"]) == ["seeds", "parent", "change",
+                                              "pairs"]
     assert bench_pairs.record_text(BENCH_7) \
         == (ROOT / "BENCH_7.json").read_text()
 
@@ -93,6 +135,7 @@ def committed_checkouts(tmp_path) -> dict[str, Path]:
         checkout = tmp_path / side
         (checkout / "bench").mkdir(parents=True)
         (checkout / "bench" / "run.py").write_text("# same code\n")
+        (checkout / "BENCHMARK.json").write_text(BENCHMARK)
         (checkout / side).write_text(side)
         git = ["git", "-C", str(checkout), "-c", "user.name=t",
                "-c", "user.email=t@t"]
@@ -171,6 +214,7 @@ def test_both_sides_run_without_bytecode(tmp_path, monkeypatch):
         checkout = tmp_path / side
         (checkout / "bench").mkdir(parents=True)
         (checkout / "bench" / "run.py").write_text("# same code\n")
+        (checkout / "BENCHMARK.json").write_text(BENCHMARK)
         cache = checkout / "src" / "pkg" / "__pycache__"
         cache.mkdir(parents=True)
         (cache / "mod.cpython-311.pyc").write_bytes(b"stale")

@@ -288,12 +288,17 @@ class TestTransform:
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("direction", ["c2m", "m2c", "k2m", "m2k"])
-    def test_non_positive_order_is_domain_error(self, direction):
+    def test_non_positive_order_is_domain_error(self, direction, capsys):
         flavor = "classical" if direction in ("c2m", "m2c") else "free"
+        cap = 12 if flavor == "classical" else 14
         for n in ("0", "-2"):
             code, out = run("transform", flavor, "--direction", direction,
                             "--symbolic", "--n", n)
             assert code == 1 and out == "", (direction, n)
+            # the message names the order given, not the length of an
+            # empty sequence
+            assert capsys.readouterr().err == (
+                f"error: n={n} outside allowed range 1..{cap}\n")
 
     @pytest.mark.parametrize("direction", ["c2m", "m2c", "k2m", "m2k"])
     def test_empty_values_file_is_domain_error(self, tmp_path, direction):
@@ -653,6 +658,17 @@ class TestEnvironment:
         code, out = run("enumerate", "nc", "--n", "3", "--count")
         assert code == 1 and out == ""
         assert "NCHOPF_MAX_N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_cap_variable_below_one_is_domain_error(self, monkeypatch, capsys,
+                                                     value):
+        # a cap below 1 is the variable's fault, not the input's
+        monkeypatch.setenv("NCHOPF_MAX_N", value)
+        code, out = run("coproduct", "word", "a.b")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: environment variable NCHOPF_MAX_N={value!r} is below "
+            f"1\n")
 
     def test_well_formed_cap_variable_is_read(self, monkeypatch):
         monkeypatch.setenv("NCHOPF_MAX_N", "3")

@@ -14,6 +14,10 @@ and runs every child with ``PYTHONDONTWRITEBYTECODE=1``, so each process
 compiles the library from source.  The record gives, per workload and per
 side, the summed attempted and failed request counts and, for each
 end-to-end metric, the median, the quartiles and every run in seed order.
+Under ``pairs`` it gives, per metric, the direction ``BENCHMARK.json`` calls
+better, how many seeds' pairs the change won, lost and tied, and the
+parent's q3 - q1, all read from the recorded runs, so a claimed gain can be
+checked from the record alone.
 Running the tool again with another ``--workload`` and the same ``--out``
 adds that workload to the record (or replaces it); it refuses, before any
 run, a record that names another parent commit.
@@ -115,6 +119,29 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
+def directions(benchmark: dict) -> dict[str, str]:
+    """``better`` (``higher`` or ``lower``) of each end-to-end metric of a
+    ``BENCHMARK.json``."""
+    return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+
+
+def pair_counts(parent: dict, change: dict, better: dict[str, str]) -> dict:
+    """Per metric, from two sides' summaries: the change's won, lost and
+    tied pairs, seed by seed, and the parent's q3 - q1."""
+    out = {}
+    for name in METRICS:
+        sign = 1 if better[name] == "higher" else -1
+        diffs = [sign * (c - p) for p, c in zip(parent[name]["runs"],
+                                                change[name]["runs"])]
+        out[name] = {
+            "better": better[name],
+            "won": sum(d > 0 for d in diffs),
+            "lost": sum(d < 0 for d in diffs),
+            "tied": sum(d == 0 for d in diffs),
+            "parent_iqr": round(parent[name]["q3"] - parent[name]["q1"], 4)}
+    return out
+
+
 def pair_runs(parent: Path, change: Path, workload: str, seeds: list[int],
               run=run_bench) -> dict:
     """One run per side and seed, the parent first on even positions."""
@@ -126,8 +153,10 @@ def pair_runs(parent: Path, change: Path, workload: str, seeds: list[int],
     return sides
 
 
-def record(old: dict, workload: str, seeds: list[int], sides: dict) -> dict:
-    """``old`` (a record or ``{}``) with this workload's figures set."""
+def record(old: dict, workload: str, seeds: list[int], sides: dict,
+           better: dict[str, str]) -> dict:
+    """``old`` (a record or ``{}``) with this workload's figures set;
+    ``better`` is each metric's direction, as ``directions`` reads it."""
     first = sides["parent"][0]
     parent_commit = first["commit"][:7]
     out = {"what": WHAT.format(parent=parent_commit),
@@ -136,9 +165,10 @@ def record(old: dict, workload: str, seeds: list[int], sides: dict) -> dict:
            "python": first["python"], "nproc": first["nproc"],
            "parent_commit": parent_commit,
            "workloads": dict(old.get("workloads", {}))}
+    summaries = {side: summarize(runs) for side, runs in sides.items()}
     out["workloads"][workload] = {
-        "seeds": seeds,
-        **{side: summarize(runs) for side, runs in sides.items()}}
+        "seeds": seeds, **summaries,
+        "pairs": pair_counts(summaries["parent"], summaries["change"], better)}
     return out
 
 
@@ -172,10 +202,12 @@ def main(argv=None) -> int:
     if old and old["parent_commit"] != parent_commit:
         parser.error(f"{args.out} holds runs against parent commit "
                      f"{old['parent_commit']}, not {parent_commit}")
+    better = directions(json.loads(
+        (args.change / "BENCHMARK.json").read_text()))
     for checkout in (args.parent, args.change):
         clean_bytecode(checkout)
     sides = pair_runs(args.parent, args.change, args.workload, args.seeds)
-    new = record(old, args.workload, args.seeds, sides)
+    new = record(old, args.workload, args.seeds, sides, better)
     args.out.write_text(record_text(new))
     return 0
 
