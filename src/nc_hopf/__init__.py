@@ -131,8 +131,8 @@ def clear_caches() -> None:
     up to a bound set at the largest working set of a verify suite at its
     ceiling: ``split_table`` and ``admissible_splits`` 8,192 shapes (all
     6,917 NC shapes with n <= 9, read by keyrell and tree-consistency),
-    ``delta_word_halves`` 256 words (hits come within one request; a miss
-    re-gathers from the table of 0̂ₙ), ``delta_nc_halves`` 65,536
+    ``delta_word_halves`` 256 words (the hopf benchmark's hits come
+    mostly within one request; a miss re-gathers from the table of 0̂ₙ), ``delta_nc_halves`` 65,536
     decorated atoms (sp-morphism reads 64,978), ``delta_bar`` 16,384 bar
     words (unshuffle reads 36,478 and recomputes 1,538) and
     ``admissible_edge_cuts`` 1,024 trees (tree-consistency reads 539).  NC(n)

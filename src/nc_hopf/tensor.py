@@ -164,8 +164,9 @@ def _halves(splits, atoms: list) -> tuple[LinComb, LinComb]:
     return left, right
 
 
-# hopf draws fresh words, so its hits come within one request (delta_word,
-# then delta_word_halves, of one word); a miss re-gathers from 0̂ₙ's table
+# the hopf benchmark draws fresh words, so most hits come within one request
+# (delta_word, then delta_word_halves, of one word); a miss re-gathers from
+# the cached table of 0̂ₙ
 WORD_HALVES_BOUND = 256
 
 
