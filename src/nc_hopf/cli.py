@@ -246,13 +246,10 @@ def _cmd_transform(args, out) -> int:
         if args.infile:
             raise NcHopfError("--symbolic and --in exclude each other")
         order = args.n if args.n is not None else _SYMBOLIC_ORDER
-        # checked before the sequence is built: an empty one has order 0
-        partitions.check_enumeration_size(
-            "set" if flavor == transforms.CLASSICAL else "nc", order)
         if direction in ("c2m", "k2m"):
             seq = transforms.symbolic_cumulants(order, flavor)
         else:
-            seq = transforms.symbolic_moments(order)
+            seq = transforms.symbolic_moments(order, flavor)
     else:
         if not args.infile:
             raise NcHopfError("numeric transforms require --in (or --symbolic)")

@@ -164,13 +164,35 @@ def _halves(splits, atoms: list) -> tuple[LinComb, LinComb]:
     return left, right
 
 
-# the hopf benchmark draws fresh words, so most hits come within one request
-# (delta_word, then delta_word_halves, of one word); a miss re-gathers from
-# the cached table of 0̂ₙ
-WORD_HALVES_BOUND = 256
+def _word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
+    n = len(w)
+    parts, splits = split_table(NonCrossingPartition._unchecked(
+        tuple([(x,) for x in range(1, n + 1)]), n))
+    return _halves(splits, [gather(w) for gather in _gathers(
+        [ranks for _, _, ranks in parts])])
 
 
-@lru_cache(maxsize=WORD_HALVES_BOUND)
+# coassociativity 7 and a 60 s hopf run read again every word of at most 6
+# letters they meet, up to all 1,092 over three letters, 64 terms or fewer
+# each
+SHORT_WORD = 6
+SHORT_WORD_HALVES_BOUND = 2048
+# hopf reads a longer word again within its own request; sp-morphism 7 and
+# unshuffle 8 read some again only after more than 64 others.  A word of 9
+# letters holds 512 terms
+LONG_WORD_HALVES_BOUND = 16
+
+
+@lru_cache(maxsize=SHORT_WORD_HALVES_BOUND)
+def _short_word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
+    return _word_halves(w)
+
+
+@lru_cache(maxsize=LONG_WORD_HALVES_BOUND)
+def _long_word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
+    return _word_halves(w)
+
+
 def delta_word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
     """(left, right) splitting of delta_word by whether position 1 lies in
     the kept subset S.  left + right == delta_word(w).
@@ -179,12 +201,14 @@ def delta_word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
     is admissible and the components are the runs between kept positions.
     So the terms are those of 0̂ₙ's ``split_table``, each part's atom the
     letters of w gathered at the part's ranks.  The cached dicts are shared
-    by every caller: read them, never change them."""
-    n = len(w)
-    parts, splits = split_table(NonCrossingPartition._unchecked(
-        tuple([(x,) for x in range(1, n + 1)]), n))
-    return _halves(splits, [gather(w) for gather in _gathers(
-        [ranks for _, _, ranks in parts])])
+    by every caller: read them, never change them.
+
+    A word's entry holds 2ⁿ terms, so short and long words are cached
+    apart: the short ones are read again across requests, the long ones
+    only within one."""
+    if len(w) <= SHORT_WORD:
+        return _short_word_halves(w)
+    return _long_word_halves(w)
 
 
 def delta_word(w: tuple[str, ...]) -> LinComb:

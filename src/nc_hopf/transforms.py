@@ -101,15 +101,25 @@ class CumulantSequence(Value):
         return self.values[n - 1]
 
 
+def _lattice(flavor: str) -> str:
+    """The lattice the transforms of ``flavor`` sum over."""
+    return "set" if flavor == CLASSICAL else "nc"
+
+
 def symbolic_cumulants(order: int, flavor: str) -> CumulantSequence:
-    """Indeterminate cumulants c1..cN or k1..kN."""
+    """Indeterminate cumulants c1..cN or k1..kN.  N is checked first
+    against the cap of the flavor's lattice: an empty sequence would have
+    order 0, whatever N was asked for."""
+    check_enumeration_size(_lattice(flavor), order)
     prefix = "c" if flavor == CLASSICAL else "k"
     return CumulantSequence(
         tuple(Poly.var(f"{prefix}{i}") for i in range(1, order + 1)), flavor)
 
 
-def symbolic_moments(order: int) -> MomentSequence:
-    """Indeterminate moments m1..mN (with m_0 = 1)."""
+def symbolic_moments(order: int, flavor: str = FREE) -> MomentSequence:
+    """Indeterminate moments m1..mN (with m_0 = 1), N checked as in
+    ``symbolic_cumulants`` for the flavor of the cumulants wanted."""
+    check_enumeration_size(_lattice(flavor), order)
     return MomentSequence.of(Poly.var(f"m{i}") for i in range(1, order + 1))
 
 

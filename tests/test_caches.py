@@ -50,12 +50,30 @@ def singleton_on(i: int) -> NonCrossingPartition:
 INPUT_KEYED = [
     ("partitions", "split_table", lambda i: (singleton_on(i),)),
     ("partitions", "admissible_splits", lambda i: (singleton_on(i),)),
-    ("tensor", "delta_word_halves", lambda i: (("a", *letter(i)),)),
+    ("tensor", "_short_word_halves", lambda i: (("a", *letter(i)),)),
+    ("tensor", "_long_word_halves", lambda i: (("a",) * 6 + letter(i),)),
     ("tensor", "delta_nc_halves",
      lambda i: (DecoratedNC(singleton_on(1), letter(i)),)),
     ("tensor", "delta_bar", lambda i: ((letter(i),), "full")),
     ("trees", "admissible_edge_cuts", lambda i: (TREES[i],)),
 ]
+
+
+def test_a_word_is_cached_by_its_length():
+    tensor = nc_hopf.tensor
+    short = ("a",) * tensor.SHORT_WORD
+    long = short + ("b",)
+    nc_hopf.clear_caches()
+    try:
+        assert tensor.delta_word_halves(short) == tensor._word_halves(short)
+        assert tensor.delta_word_halves(long) == tensor._word_halves(long)
+        assert tensor._short_word_halves.cache_info().currsize == 1
+        assert tensor._long_word_halves.cache_info().currsize == 1
+        assert tensor._short_word_halves(short) is tensor.delta_word_halves(
+            short)
+        assert tensor._long_word_halves(long) is tensor.delta_word_halves(long)
+    finally:
+        nc_hopf.clear_caches()
 
 
 @pytest.mark.parametrize("module, name, make", INPUT_KEYED,

@@ -138,11 +138,12 @@ class TestCoproductLayer:
         # a word's halves are read off the split table of the singleton
         # partition of its length
         import nc_hopf
+        halves = nc_hopf.tensor._short_word_halves
         delta_word(w("abc"))
-        assert delta_word_halves.cache_info().currsize
+        assert halves.cache_info().currsize
         assert split_table.cache_info().currsize
         nc_hopf.clear_caches()
-        assert delta_word_halves.cache_info().currsize == 0
+        assert halves.cache_info().currsize == 0
         assert split_table.cache_info().currsize == 0
 
     def test_equal_left_legs_are_one_object(self):

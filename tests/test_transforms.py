@@ -305,6 +305,15 @@ class TestSizeCaps:
             with pytest.raises(SizeLimitError):
                 transform(seq(n))
 
+    @pytest.mark.parametrize("flavor,cap", [(CLASSICAL, 12), (FREE, 14)])
+    def test_symbolic_order_below_one_names_that_order(self, flavor, cap):
+        # the sequence built would be empty, and its order 0
+        for build in (symbolic_cumulants, symbolic_moments):
+            for n in (0, -2):
+                with pytest.raises(SizeLimitError, match=(
+                        rf"^n={n} outside allowed range 1\.\.{cap}$")):
+                    build(n, flavor)
+
     def test_multivariate_table_order(self):
         with pytest.raises(SizeLimitError):
             generalized_free_cumulants(MultiMomentMap(("a",), 0, {}))

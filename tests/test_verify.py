@@ -183,6 +183,7 @@ def fill_caches() -> None:
     admissible_splits(shape)
     delta_bar((DecoratedNC(shape),), "left")
     delta_word(Word(("a", "b")))
+    delta_word(Word("abcdefg"))
     tree_coproduct(gapped_hierarchy_tree(shape))
     enumerate_nc_partitions(3)
     classical_moments_from_cumulants(symbolic_cumulants(3, CLASSICAL))
