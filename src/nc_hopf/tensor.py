@@ -172,9 +172,9 @@ def _word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
         [ranks for _, _, ranks in parts])])
 
 
-# coassociativity 7 and a 60 s hopf run read again every word of at most 6
-# letters they meet, up to all 1,092 over three letters, 64 terms or fewer
-# each
+# coassociativity 7 and a 60 s hopf run read words of at most 6 letters
+# again across requests, up to all 1,092 over three letters, 64 terms or
+# fewer each
 SHORT_WORD = 6
 SHORT_WORD_HALVES_BOUND = 2048
 # hopf reads a longer word again within its own request; sp-morphism 7 and
