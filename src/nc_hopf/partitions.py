@@ -329,7 +329,7 @@ def _gathers(positions) -> list:
     ``operator.itemgetter`` that restricts a sequence to them, always as a
     tuple: ``itemgetter(*p)`` for two positions or more, and the slice of
     the one position, or the empty slice, for fewer.  A caller builds the
-    gathers of a table at once, before it reads any word, so each
+    gathers of a table once, before any decoration is read, so each
     restriction then runs in C."""
     return [itemgetter(*p) if len(p) > 1
             else itemgetter(slice(p[0], p[0] + 1) if p else slice(0))
@@ -379,44 +379,59 @@ SHAPE_BOUND = 8192
 @lru_cache(maxsize=SHAPE_BOUND)
 def split_table(p: NonCrossingPartition) -> tuple[tuple, tuple]:
     """The admissible splits Q ⊔ T of p (either part may be empty), read
-    off ``_split_walk``, as (parts, splits).
+    off ``_split_walk`` and compiled for the coproducts, as (parts, splits).
 
-    ``parts`` holds each distinct part once, as (the indices of its blocks
-    in p, its standardized shape, the 0-based ranks of its carrier in p's
-    carrier), so the ranks index a decoration of p on any carrier.
-    ``splits`` holds, for each split by bitmask of the Q-blocks in
-    canonical order, whether p's first carrier element lies in Q, the index
-    of the Q part (``None`` when Q is empty) and the indices of T's parts on
-    the connected components of the complement of Q's carrier, left to
-    right.  It is the one split table of both coproducts: a word of length
-    n splits as the singleton partition 0̂ₙ, whose parts' ranks are the
-    kept positions and the runs between them."""
+    ``parts`` holds each distinct part once, as (its standardized shape,
+    the gather of the 0-based ranks of its carrier in p's carrier), so the
+    gather restricts a decoration of p on any carrier to the part.  Equal
+    shapes are one object.  ``splits`` holds, for each split by bitmask of
+    the Q-blocks in canonical order, whether p's first carrier element lies
+    in Q, the index of the Q part (``None`` when Q is empty) and the gather
+    that picks, from a tuple with one atom per part, the atoms of T's parts
+    on the connected components of the complement of Q's carrier, left to
+    right.  The positions are kept only in the gathers: one applied to
+    ``tuple(range(k))`` gives them back.  It is the one split table of both
+    coproducts: a word of length n splits as the singleton partition 0̂ₙ,
+    whose parts' ranks are the kept positions and the runs between them."""
     blocks = p.blocks
-    owner = [i for _, i in sorted((x, i) for i, b in enumerate(blocks)
-                                  for x in b)]
-    parts: list[tuple] = []
+    # the 0-based ranks of each block's members in p's carrier
+    block_ranks: list[list[int]] = [[] for _ in blocks]
+    for r, (_, i) in enumerate(sorted((x, i) for i, b in enumerate(blocks)
+                                      for x in b)):
+        block_ranks[i].append(r)
     index: dict[tuple[int, ...], int] = {}
+    shapes: dict[tuple[Block, ...], NonCrossingPartition] = {}
+    parts: list[NonCrossingPartition] = []
+    part_ranks: list[list[int]] = []
 
     def part(ids: tuple[int, ...]) -> int:
         found = index.get(ids)
         if found is None:
             found = index[ids] = len(parts)
-            ranks = tuple([r for r, i in enumerate(owner) if i in ids])
-            members: dict[int, list[int]] = {i: [] for i in ids}
-            for j, r in enumerate(ranks, start=1):
-                members[owner[r]].append(j)
+            ranks = sorted([r for i in ids for r in block_ranks[i]])
+            label = {r: j for j, r in enumerate(ranks, start=1)}
             # blocks of p, relabelled by an increasing map: canonical
             # and non-crossing
-            shape = NonCrossingPartition._unchecked(
-                tuple([tuple(members[i]) for i in ids]), len(ranks))
-            parts.append((ids, shape, ranks))
+            members = tuple([tuple([label[r] for r in block_ranks[i]])
+                             for i in ids])
+            shape = shapes.get(members)
+            if shape is None:
+                shape = shapes[members] = NonCrossingPartition._unchecked(
+                    members, len(ranks))
+            parts.append(shape)
+            part_ranks.append(ranks)
         return found
 
     # the masks are distinct, so the sort never compares further
-    splits = tuple([(bool(mask & 1), part(q) if q else None,
-                     tuple([part(c) for c in comps]))
-                    for mask, q, comps in sorted(_split_walk(blocks))])
-    return tuple(parts), splits
+    rows = [(bool(mask & 1), part(q) if q else None,
+             tuple([part(c) for c in comps]))
+            for mask, q, comps in sorted(_split_walk(blocks))]
+    # T, and so its component list, differs from split to split: each
+    # gather serves one split
+    picks = _gathers([comps for _, _, comps in rows])
+    return (tuple(zip(parts, _gathers(part_ranks))),
+            tuple([(in_q, q, pick)
+                   for (in_q, q, _), pick in zip(rows, picks)]))
 
 
 @lru_cache(maxsize=SHAPE_BOUND)
@@ -424,16 +439,22 @@ def admissible_splits(p: NonCrossingPartition) -> tuple[AdmissibleSplit, ...]:
     """Every admissible two-part block partition Q ⊔ T of p (either part may
     be empty), each with T regrouped by connected component of the complement
     of Q's carrier, all on p's carrier.  Order: by bitmask of the Q-blocks in
-    canonical order.  A view of ``split_table(p)``."""
+    canonical order.  A view of ``split_table(p)``, its positions read back
+    from the gathers."""
     parts, splits = split_table(p)
-    # sub-sequences of canonical blocks are canonical
-    subs = [NonCrossingPartition(tuple([p.blocks[i] for i in ids]))
-            for ids, _, _ in parts]
+    carrier = p.carrier
+    owner = {x: block for block in p.blocks for x in block}
+    # sub-sequences of canonical blocks are canonical: a part's blocks are
+    # those of its carrier, in the order of their first member
+    subs = [NonCrossingPartition(tuple(dict.fromkeys(
+        [owner[x] for x in gather(carrier)])))
+        for _, gather in parts]
     empty = NonCrossingPartition(())
+    indices = tuple(range(len(parts)))
     return tuple(
         AdmissibleSplit(q_part=subs[q] if q is not None else empty,
-                        components=tuple([subs[c] for c in comps]))
-        for _, q, comps in splits)
+                        components=tuple([subs[c] for c in pick(indices)]))
+        for _, q, pick in splits)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ words; on generators the left leg always has at most one atom.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import lru_cache
 from typing import Union
 
@@ -24,9 +25,8 @@ from .errors import AlgebraMismatchError, ParseError, SizeLimitError
 from .partitions import (
     NonCrossingPartition,
     Value,
-    _gathers,
     _set,
-    enumerate_nc_partitions,
+    _all_nc_partitions,
     parse_partition,
     split_table,
 )
@@ -150,26 +150,24 @@ def _halves(splits, atoms: list) -> tuple[LinComb, LinComb]:
     """The (left, right) halves of a generator's coproduct: one term per
     split of ``splits``, as ``partitions.split_table`` lists them, with
     ``atoms[i]`` the atom of part i.  Equal atoms are one object, with one
-    left leg."""
+    left leg.  Each key is a leg and a gather's pick of the atoms, and each
+    half counts its keys in C."""
     shared: dict[Atom, BarWord] = {}
     legs = [shared.setdefault(atom, (atom,)) for atom in atoms]
-    atoms = [leg[0] for leg in legs]
-    left: LinComb = {}
-    right: LinComb = {}
-    for in_q, q, comps in splits:
-        half = left if in_q else right
-        key = (legs[q] if q is not None else UNIT,
-               tuple([atoms[i] for i in comps]))
-        half[key] = half.get(key, 0) + 1
-    return left, right
+    atoms = tuple([leg[0] for leg in legs])
+    # element 1 lies in Q on the left, so Q is not empty there
+    left = Counter([(legs[q], pick(atoms))
+                    for in_q, q, pick in splits if in_q])
+    right = Counter([(legs[q] if q is not None else UNIT, pick(atoms))
+                     for in_q, q, pick in splits if not in_q])
+    return dict(left), dict(right)
 
 
 def _word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
     n = len(w)
     parts, splits = split_table(NonCrossingPartition._unchecked(
         tuple([(x,) for x in range(1, n + 1)]), n))
-    return _halves(splits, [gather(w) for gather in _gathers(
-        [ranks for _, _, ranks in parts])])
+    return _halves(splits, [gather(w) for _, gather in parts])
 
 
 # coassociativity 7 and a 60 s hopf run read words of at most 6 letters
@@ -234,10 +232,9 @@ def delta_nc_halves(x: DecoratedNC) -> tuple[LinComb, LinComb]:
     parts, splits = split_table(x.shape)
     word = x.word
     if word is None:
-        atoms = [DecoratedNC(shape) for _, shape, _ in parts]
+        atoms = [DecoratedNC(shape) for shape, _ in parts]
     else:
-        atoms = [DecoratedNC(shape, gather(word)) for (_, shape, _), gather
-                 in zip(parts, _gathers([ranks for _, _, ranks in parts]))]
+        atoms = [DecoratedNC(shape, gather(word)) for shape, gather in parts]
     return _halves(splits, atoms)
 
 
@@ -323,7 +320,8 @@ def sp(b: BarWord) -> LinComb:
         if n > cap:
             raise SizeLimitError(f"word length {n} exceeds NC cap {cap}")
         summand: LinComb = {}
-        for shape in enumerate_nc_partitions(n):
+        # the cap is checked above, once per call
+        for shape in _all_nc_partitions(n):
             add_into(summand, (DecoratedNC(shape, atom),), 1)
         result = {k1 + k2: c1 * c2
                   for k1, c1 in result.items() for k2, c2 in summand.items()}

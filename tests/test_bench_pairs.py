@@ -116,13 +116,17 @@ def test_record_adds_a_workload_and_prints_like_the_committed_file():
                     for run in canned_runs(hopf[side])]
              for side in ("parent", "change")}
     old = {**BENCH_7, "workloads": {"cli_cold": BENCH_7["workloads"]["cli_cold"]}}
-    rec = bench_pairs.record(old, "hopf", hopf["seeds"], sides, BETTER)
+    traced = {"seed": hopf["seeds"][0], "parent": {"tensor.sp.calls": 44},
+              "change": {"tensor.sp.calls": 44}}
+    rec = bench_pairs.record(old, "hopf", hopf["seeds"], sides, BETTER,
+                             traced)
     assert {k: v for k, v in rec.items() if k != "workloads"} \
         == {k: v for k, v in BENCH_7.items() if k != "workloads"}
     assert list(rec["workloads"]) == ["cli_cold", "hopf"]
     assert rec["workloads"]["hopf"]["seeds"] == hopf["seeds"]
     assert list(rec["workloads"]["hopf"]) == ["seeds", "parent", "change",
-                                              "pairs"]
+                                              "pairs", "traced"]
+    assert rec["workloads"]["hopf"]["traced"] == traced
     assert bench_pairs.record_text(BENCH_7) \
         == (ROOT / "BENCH_7.json").read_text()
 
@@ -240,11 +244,55 @@ def test_both_sides_run_without_bytecode(tmp_path, monkeypatch):
                              "--change", str(sides["change"]),
                              "--workload", "hopf", "--seeds", "1-2",
                              "--out", str(out)]) == 0
-    assert len(envs) == 4
+    # two pairs, then one traced run per side
+    assert len(envs) == 6
     assert all(env["PYTHONDONTWRITEBYTECODE"] == "1" for env in envs)
     for checkout in sides.values():
         assert (checkout / "src" / "pkg" / "mod.py").exists()
     assert json.loads(out.read_text())["workloads"]["hopf"]["seeds"] == [1, 2]
+
+
+def test_each_side_runs_traced_once_after_the_pairs(tmp_path, monkeypatch):
+    # the traced runs give each side's per-layer metrics, which show the
+    # layer a saving sits in; the pairs stay untraced
+    sides = committed_checkouts(tmp_path)
+    calls = []
+
+    def fake_run(argv, cwd, **kw):
+        trace = argv[argv.index("--trace") + 1]
+        calls.append((Path(cwd).name, argv[argv.index("--seed") + 1], trace))
+        meta = {"meta": {"commit": bench_pairs.head_commit(Path(cwd)),
+                         "python": "3.11.7", "nproc": 2}}
+        if trace == "1":
+            self_s = 0.25 if Path(cwd).name == "parent" else 0.125
+            metrics = {"tensor.delta_word.self_s": {"value": self_s,
+                                                    "unit": "s"},
+                       "tensor.delta_word.calls": {"value": 276,
+                                                   "unit": "count"}}
+        else:
+            metrics = {name: {"value": 1.0} for name in bench_pairs.METRICS}
+        result = {"attempted": 5, "failed": 0, "metrics": metrics}
+        return subprocess.CompletedProcess(
+            argv, 0, json.dumps(meta) + "\n" + json.dumps(result), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(sides["parent"]),
+                             "--change", str(sides["change"]),
+                             "--workload", "hopf", "--seeds", "3-4",
+                             "--out", str(out)]) == 0
+    assert calls == [("parent", "3", "0"), ("change", "3", "0"),
+                     ("change", "4", "0"), ("parent", "4", "0"),
+                     ("parent", "3", "1"), ("change", "3", "1")]
+    hopf = json.loads(out.read_text())["workloads"]["hopf"]
+    assert hopf["traced"] == {
+        "seed": 3,
+        "parent": {"tensor.delta_word.self_s": 0.25,
+                   "tensor.delta_word.calls": 276},
+        "change": {"tensor.delta_word.self_s": 0.125,
+                   "tensor.delta_word.calls": 276}}
+    # the traced runs add no request to the pairs' counts
+    assert hopf["parent"]["attempted"] == hopf["change"]["attempted"] == 10
 
 
 def test_a_checkout_outside_git_is_refused_before_any_run(tmp_path, capsys,

@@ -7,6 +7,7 @@ import pytest
 import nc_hopf
 from nc_hopf.partitions import NonCrossingPartition
 from nc_hopf.tensor import DecoratedNC
+from split_tables import decode_split_table
 
 # keyed by an order n no larger than the size cap, so the cap bounds them
 ORDER_KEYED = {"_all_nc_partitions", "_type_table"}
@@ -58,6 +59,10 @@ INPUT_KEYED = [
     ("trees", "admissible_edge_cuts", lambda i: (TREES[i],)),
 ]
 
+# how a cached result is compared with one computed afresh: a split table's
+# gathers are equal only to themselves, so its tables compare decoded
+VIEWS = {"split_table": lambda args, table: decode_split_table(*args, table)}
+
 
 def test_a_word_is_cached_by_its_length():
     tensor = nc_hopf.tensor
@@ -80,6 +85,7 @@ def test_a_word_is_cached_by_its_length():
                          ids=[f"{m}.{n}" for m, n, _ in INPUT_KEYED])
 def test_input_keyed_cache_holds_at_most_its_bound(module, name, make):
     fn = getattr(getattr(nc_hopf, module), name)
+    view = VIEWS.get(name, lambda args, result: result)
     bound = fn.cache_info().maxsize
     assert bound is not None
     nc_hopf.clear_caches()
@@ -91,10 +97,11 @@ def test_input_keyed_cache_holds_at_most_its_bound(module, name, make):
         info = fn.cache_info()
         assert info.misses == count and info.currsize == bound
         # the first inputs were pushed out: reading one again computes it
-        assert fn(*inputs[0]) == results[0]
+        assert view(inputs[0], fn(*inputs[0])) == view(inputs[0], results[0])
         assert fn.cache_info().misses == count + 1
         assert fn.cache_info().currsize <= bound
         for args, result in zip(inputs, results):
-            assert result == fn.__wrapped__(*args), args
+            fresh = fn.__wrapped__(*args)
+            assert view(args, result) == view(args, fresh), args
     finally:
         nc_hopf.clear_caches()

@@ -30,6 +30,7 @@ from nc_hopf.partitions import (
 )
 from nc_hopf import partitions
 from nc_hopf.partitions import _blocks_noncrossing, _text_order
+from split_tables import decode_split_table
 
 
 def brute_force_crossing(blocks) -> bool:
@@ -256,7 +257,7 @@ class TestUncheckedConstruction:
     def test_split_table_parts_pass_the_constructor(self):
         for n in range(1, 9):
             for p in enumerate_nc_partitions(n):
-                parts, _ = split_table(p)
+                parts, _ = decode_split_table(p, split_table(p))
                 for ids, shape, ranks in parts:
                     assert_passes_the_constructor(shape, NonCrossingPartition,
                                                   len(ranks))
@@ -376,7 +377,31 @@ class TestAdmissibleSplits:
         shapes.append(NonCrossingPartition.of(
             [[2, 9, 15], [3, 4], [5, 8], [6], [11, 14], [12]]))
         for p in shapes:
-            assert split_table(p) == mask_split_table(p), p
+            assert decode_split_table(p, split_table(p)) \
+                == mask_split_table(p), p
+
+    def test_equal_part_shapes_are_one_object(self):
+        # within one table: equal shapes are one object, and no two splits
+        # hold the same component list (it decides T, so the split), so
+        # each component gather serves one list
+        for p in (p for n in range(1, 8) for p in enumerate_nc_partitions(n)):
+            parts, splits = split_table(p)
+            shapes = {}
+            for shape, _ in parts:
+                assert shapes.setdefault(shape, shape) is shape
+            _, decoded = decode_split_table(p, (parts, splits))
+            lists = [comps for _, _, comps in decoded]
+            assert len(set(lists)) == len(lists)
+            assert len({id(pick) for _, _, pick in splits}) == len(splits)
+
+    def test_the_singleton_partition_holds_one_shape_per_size(self):
+        # each part of 0̂ₙ, a kept subset or a run, is some 0̂ₖ
+        for n in range(1, 11):
+            p = NonCrossingPartition(tuple((x,) for x in range(1, n + 1)))
+            parts, _ = split_table(p)
+            assert len({id(shape) for shape, _ in parts}) == n
+            assert {shape.blocks for shape, _ in parts} == {
+                tuple((x,) for x in range(1, k + 1)) for k in range(1, n + 1)}
 
     def test_matches_definition_and_nesting_forest(self):
         shapes = [p for n in range(1, 9) for p in enumerate_nc_partitions(n)]

@@ -35,6 +35,7 @@ from nc_hopf.tensor import (
     tensor_text,
 )
 from nc_hopf.trees import hierarchy_tree, tree_coproduct
+from split_tables import decode_split_table
 
 ONE = Fraction(1)
 
@@ -271,7 +272,8 @@ class TestNcCoproduct:
         for n, shape in ((n, shape) for n in range(1, 8)
                          for shape in enumerate_nc_partitions(n)):
             for word in (Word("abcdefg"[:n]), Word("a" * n)):
-                parts, splits = split_table(shape)
+                parts, splits = decode_split_table(shape,
+                                                   split_table(shape))
                 atoms = [DecoratedNC(part, tuple([word[r] for r in ranks]))
                          for _, part, ranks in parts]
                 halves = (Counter(), Counter())  # right, left

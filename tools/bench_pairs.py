@@ -6,7 +6,8 @@
 
 Both arguments are checkouts (the parent's and the change's).  For each seed
 the tool runs each checkout's own ``bench/run.py`` once with ``--trace 0``,
-alternating which side goes first, and refuses to start unless the two
+alternating which side goes first; after the pairs it runs each side once
+with ``--trace 1`` on the first seed.  It refuses to start unless the two
 ``bench/`` trees hold the same code and each checkout is a git work tree
 (``git clone``, not ``git archive``), whose commit the record names.  Both sides run in the same bytecode
 state: the tool deletes every ``__pycache__`` under each checkout's ``src/``
@@ -17,7 +18,9 @@ end-to-end metric, the median, the quartiles and every run in seed order.
 Under ``pairs`` it gives, per metric, the direction ``BENCHMARK.json`` calls
 better, how many seeds' pairs the change won, lost and tied, and the
 parent's q3 - q1, all read from the recorded runs, so a claimed gain can be
-checked from the record alone.
+checked from the record alone.  Under ``traced`` it gives the seed and each
+side's per-layer metrics from its traced run, which show the layer where a
+saving sits.
 Running the tool again with another ``--workload`` and the same ``--out``
 adds that workload to the record (or replaces it); it refuses, before any
 run, a record that names another parent commit.
@@ -90,12 +93,15 @@ def clean_bytecode(checkout: Path):
         shutil.rmtree(cache)
 
 
-def run_bench(checkout: Path, workload: str, seed: int) -> dict:
-    """One ``bench/run.py`` run: its meta fields and its result line.  No
-    process of the run writes bytecode, so it leaves the state it found."""
+def run_bench(checkout: Path, workload: str, seed: int,
+              trace: int = 0) -> dict:
+    """One ``bench/run.py`` run, traced or not: its meta fields and its
+    result line.  No process of the run writes bytecode, so it leaves the
+    state it found."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(RUN_SECONDS),
+         "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if done.returncode != 0:
@@ -153,10 +159,23 @@ def pair_runs(parent: Path, change: Path, workload: str, seeds: list[int],
     return sides
 
 
+def traced_runs(parent: Path, change: Path, workload: str, seed: int,
+                run=run_bench) -> dict:
+    """One traced run per side on ``seed``, the parent first: the seed and
+    each side's per-layer metrics, to 4 places."""
+    out: dict = {"seed": seed}
+    for side, checkout in (("parent", parent), ("change", change)):
+        metrics = run(checkout, workload, seed, trace=1)["metrics"]
+        out[side] = {name: round(m["value"], 4)
+                     for name, m in metrics.items()}
+    return out
+
+
 def record(old: dict, workload: str, seeds: list[int], sides: dict,
-           better: dict[str, str]) -> dict:
+           better: dict[str, str], traced: dict) -> dict:
     """``old`` (a record or ``{}``) with this workload's figures set;
-    ``better`` is each metric's direction, as ``directions`` reads it."""
+    ``better`` is each metric's direction, as ``directions`` reads it, and
+    ``traced`` the traced runs, as ``traced_runs`` gives them."""
     first = sides["parent"][0]
     parent_commit = first["commit"][:7]
     out = {"what": WHAT.format(parent=parent_commit),
@@ -168,7 +187,8 @@ def record(old: dict, workload: str, seeds: list[int], sides: dict,
     summaries = {side: summarize(runs) for side, runs in sides.items()}
     out["workloads"][workload] = {
         "seeds": seeds, **summaries,
-        "pairs": pair_counts(summaries["parent"], summaries["change"], better)}
+        "pairs": pair_counts(summaries["parent"], summaries["change"], better),
+        "traced": traced}
     return out
 
 
@@ -207,7 +227,9 @@ def main(argv=None) -> int:
     for checkout in (args.parent, args.change):
         clean_bytecode(checkout)
     sides = pair_runs(args.parent, args.change, args.workload, args.seeds)
-    new = record(old, args.workload, args.seeds, sides, better)
+    traced = traced_runs(args.parent, args.change, args.workload,
+                         args.seeds[0])
+    new = record(old, args.workload, args.seeds, sides, better, traced)
     args.out.write_text(record_text(new))
     return 0
 
