@@ -383,7 +383,7 @@ class TestAdmissibleSplits:
     def test_equal_part_shapes_are_one_object(self):
         # within one table: equal shapes are one object, and no two splits
         # hold the same component list (it decides T, so the split), so
-        # each component gather serves one list
+        # there is no gather for two splits to share
         for p in (p for n in range(1, 8) for p in enumerate_nc_partitions(n)):
             parts, splits = split_table(p)
             shapes = {}
@@ -392,7 +392,6 @@ class TestAdmissibleSplits:
             _, decoded = decode_split_table(p, (parts, splits))
             lists = [comps for _, _, comps in decoded]
             assert len(set(lists)) == len(lists)
-            assert len({id(pick) for _, _, pick in splits}) == len(splits)
 
     def test_the_singleton_partition_holds_one_shape_per_size(self):
         # each part of 0̂ₙ, a kept subset or a run, is some 0̂ₖ

@@ -159,13 +159,13 @@ def pair_runs(parent: Path, change: Path, workload: str, seeds: list[int],
     return sides
 
 
-def traced_runs(parent: Path, change: Path, workload: str, seed: int,
-                run=run_bench) -> dict:
+def traced_runs(parent: Path, change: Path, workload: str,
+                seed: int) -> dict:
     """One traced run per side on ``seed``, the parent first: the seed and
     each side's per-layer metrics, to 4 places."""
     out: dict = {"seed": seed}
     for side, checkout in (("parent", parent), ("change", change)):
-        metrics = run(checkout, workload, seed, trace=1)["metrics"]
+        metrics = run_bench(checkout, workload, seed, trace=1)["metrics"]
         out[side] = {name: round(m["value"], 4)
                      for name, m in metrics.items()}
     return out
