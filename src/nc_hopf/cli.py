@@ -151,13 +151,17 @@ def _coproduct_rows(terms, legs, order=str) -> list[dict]:
 
 
 def _barword_order(key) -> str:
-    """``str(key)`` with each word atom (a tuple of letters) written
-    ``Word(letters=(...))``, the text the rows of ``coproduct word|nc
-    --json`` have always been sorted by."""
-    if type(key) is not tuple:
-        return repr(key)
-    if key and type(key[0]) is str:
-        return f"Word(letters={key!r})"
+    """``str(key)`` with each atom written as the value class it once was,
+    a word ``Word(letters=(...))`` and a decorated atom
+    ``DecoratedNC(shape=NonCrossingPartition(blocks=...), word=...)``: the
+    text the rows of ``coproduct word|nc --json`` have always been sorted
+    by."""
+    if key and tensor._is_atom(key):
+        if type(key[0]) is str:
+            return f"Word(letters={key!r})"
+        blocks, word = key
+        return (f"DecoratedNC(shape=NonCrossingPartition(blocks={blocks!r}), "
+                f"word={word!r})")
     inner = ", ".join(map(_barword_order, key))
     return f"({inner},)" if len(key) == 1 else f"({inner})"
 

@@ -301,10 +301,11 @@ def standard_section(kappa_on_words, algebra: Algebra,
     if algebra.kind != NC:
         raise AlgebraMismatchError("standard_section targets the NC algebra")
 
-    def atom_value(atom: DecoratedNC) -> Coefficient:
-        if len(atom.shape.blocks) == 1:
-            word = atom.word if atom.word is not None else (
-                (algebra.alphabet[0],) * atom.degree)
+    def atom_value(atom) -> Coefficient:
+        blocks, word = atom
+        if len(blocks) == 1:
+            if word is None:
+                word = (algebra.alphabet[0],) * len(blocks[0])
             return kappa_on_words(word)
         return ZERO
 

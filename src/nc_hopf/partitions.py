@@ -77,6 +77,13 @@ class Value(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _blocks_text(blocks: tuple[Block, ...]) -> str:
+    """The text encoding of canonical blocks, ``{1,4}{2,3}``."""
+    if not blocks:
+        return ""
+    return "{" + "}{".join([",".join(map(str, b)) for b in blocks]) + "}"
+
+
 class SetPartition(Value):
     """A partition of a finite set of positive integers, in canonical form.
 
@@ -114,7 +121,8 @@ class SetPartition(Value):
         """The partition with these blocks, which the library built in
         canonical form (and non-crossing, for that class) on ``size``
         elements, so none of the constructor's checks runs.  The tests hold
-        every caller's output to the constructor."""
+        every caller's output to the constructor; a decorated atom's
+        blocks come from ``tensor.DecoratedNC`` or a split table."""
         self = _new(cls)
         _set(self, "blocks", blocks)
         _set(self, "size", size)
@@ -142,10 +150,7 @@ class SetPartition(Value):
         return tuple(sorted(x for block in self.blocks for x in block))
 
     def text(self) -> str:
-        if not self.blocks:
-            return ""
-        return "{" + "}{".join([",".join(map(str, b))
-                                for b in self.blocks]) + "}"
+        return _blocks_text(self.blocks)
 
     def to_json(self) -> dict:
         return {"blocks": [list(b) for b in self.blocks]}
@@ -324,16 +329,22 @@ def standardize(p: SetPartition) -> SetPartition:
     return type(p)(tuple([tuple([relabel[x] for x in b]) for b in p.blocks]))
 
 
+def _gather(positions: tuple[int, ...]):
+    """The ``operator.itemgetter`` that restricts a sequence to the 0-based
+    ``positions``, always as a tuple: ``itemgetter(*positions)`` for two
+    positions or more, and the slice of the one position, or the empty
+    slice, for fewer.  A caller builds a table's gathers once, before any
+    decoration is read, so each restriction then runs in C."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(slice(0))
+
+
 def _gathers(positions) -> list:
-    """For each tuple of 0-based positions in ``positions``, the
-    ``operator.itemgetter`` that restricts a sequence to them, always as a
-    tuple: ``itemgetter(*p)`` for two positions or more, and the slice of
-    the one position, or the empty slice, for fewer.  A caller builds the
-    gathers of a table once, before any decoration is read, so each
-    restriction then runs in C."""
-    return [itemgetter(*p) if len(p) > 1
-            else itemgetter(slice(p[0], p[0] + 1) if p else slice(0))
-            for p in positions]
+    """The ``_gather`` of each tuple of positions in ``positions``."""
+    return [_gather(p) for p in positions]
 
 
 # ---------------------------------------------------------------------------
@@ -377,22 +388,29 @@ SHAPE_BOUND = 8192
 
 
 @lru_cache(maxsize=SHAPE_BOUND)
-def split_table(p: NonCrossingPartition) -> tuple[tuple, tuple]:
+def split_table(p: NonCrossingPartition) -> tuple:
     """The admissible splits Q ⊔ T of p (either part may be empty), read
-    off ``_split_walk`` and compiled for the coproducts, as (parts, splits).
+    off ``_split_walk`` and compiled for the coproducts into flat columns,
+    as (shapes, ranks, bounds, halves).
 
-    ``parts`` holds each distinct part once, as (its standardized shape,
-    the gather of the 0-based ranks of its carrier in p's carrier), so the
-    gather restricts a decoration of p on any carrier to the part.  Equal
-    shapes are one object.  ``splits`` holds, for each split by bitmask of
-    the Q-blocks in canonical order, whether p's first carrier element lies
-    in Q, the index of the Q part (``None`` when Q is empty) and the gather
-    that picks, from a tuple with one atom per part, the atoms of T's parts
-    on the connected components of the complement of Q's carrier, left to
-    right.  The positions are kept only in the gathers: one applied to
-    ``tuple(range(k))`` gives them back.  It is the one split table of both
-    coproducts: a word of length n splits as the singleton partition 0̂ₙ,
-    whose parts' ranks are the kept positions and the runs between them."""
+    Each distinct part i has its standardized shape ``shapes[i]``, as
+    canonical blocks (equal shapes are one object), and the 0-based ranks
+    of its carrier in p's carrier at ``bounds[i]:bounds[i + 1]`` of what
+    ``ranks`` picks: ``ranks`` is one gather over the ranks of all parts,
+    so applied to a decoration of p on any carrier it gives every part's
+    letters at once.  ``halves`` holds the splits whose Q
+    holds p's first carrier element (left), then the others (right), each
+    by bitmask of the Q-blocks in canonical order, as (qs, comps, ends):
+    split j has the Q part ``qs[j]`` (-1 when Q is empty) and, from a
+    tuple with one atom per part, the atoms of T's parts on the connected
+    components of the complement of Q's carrier, left to right, at
+    ``comps(atoms)[ends[j]:ends[j + 1]]``.  The positions are kept only in
+    the gathers: one applied to ``tuple(range(k))`` gives them back.  No
+    row is a container of its own, so the collector tracks a fixed handful
+    of objects per table, whatever its number of splits.  It is the one
+    split table of both coproducts: a word of length n splits as the
+    singleton partition 0̂ₙ, whose parts' ranks are the kept positions and
+    the runs between them."""
     blocks = p.blocks
     # the 0-based ranks of each block's members in p's carrier
     block_ranks: list[list[int]] = [[] for _ in blocks]
@@ -400,38 +418,38 @@ def split_table(p: NonCrossingPartition) -> tuple[tuple, tuple]:
                                       for x in b)):
         block_ranks[i].append(r)
     index: dict[tuple[int, ...], int] = {}
-    shapes: dict[tuple[Block, ...], NonCrossingPartition] = {}
-    parts: list[NonCrossingPartition] = []
-    part_ranks: list[list[int]] = []
+    shapes: dict[tuple[Block, ...], tuple[Block, ...]] = {}
+    parts: list[tuple[Block, ...]] = []
+    ranks: list[int] = []
+    bounds = [0]
 
     def part(ids: tuple[int, ...]) -> int:
         found = index.get(ids)
         if found is None:
             found = index[ids] = len(parts)
-            ranks = sorted([r for i in ids for r in block_ranks[i]])
-            label = {r: j for j, r in enumerate(ranks, start=1)}
+            mine = sorted([r for i in ids for r in block_ranks[i]])
+            label = {r: j for j, r in enumerate(mine, start=1)}
             # blocks of p, relabelled by an increasing map: canonical
             # and non-crossing
             members = tuple([tuple([label[r] for r in block_ranks[i]])
                              for i in ids])
-            shape = shapes.get(members)
-            if shape is None:
-                shape = shapes[members] = NonCrossingPartition._unchecked(
-                    members, len(ranks))
-            parts.append(shape)
-            part_ranks.append(ranks)
+            parts.append(shapes.setdefault(members, members))
+            ranks.extend(mine)
+            bounds.append(len(ranks))
         return found
 
+    qs: tuple[list, list] = ([], [])  # right, left
+    comps: tuple[list, list] = ([], [])
+    ends: tuple[list, list] = ([0], [0])
     # the masks are distinct, so the sort never compares further
-    rows = [(bool(mask & 1), part(q) if q else None,
-             tuple([part(c) for c in comps]))
-            for mask, q, comps in sorted(_split_walk(blocks))]
-    # T, and so its component list, differs from split to split: each
-    # gather serves one split
-    picks = _gathers([comps for _, _, comps in rows])
-    return (tuple(zip(parts, _gathers(part_ranks))),
-            tuple([(in_q, q, pick)
-                   for (in_q, q, _), pick in zip(rows, picks)]))
+    for mask, q, components in sorted(_split_walk(blocks)):
+        side = mask & 1
+        qs[side].append(part(q) if q else -1)
+        comps[side].extend([part(c) for c in components])
+        ends[side].append(len(comps[side]))
+    return (tuple(parts), _gather(ranks), tuple(bounds),
+            tuple([(tuple(qs[side]), _gather(comps[side]),
+                    tuple(ends[side])) for side in (1, 0)]))
 
 
 @lru_cache(maxsize=SHAPE_BOUND)
@@ -441,20 +459,27 @@ def admissible_splits(p: NonCrossingPartition) -> tuple[AdmissibleSplit, ...]:
     of Q's carrier, all on p's carrier.  Order: by bitmask of the Q-blocks in
     canonical order.  A view of ``split_table(p)``, its positions read back
     from the gathers."""
-    parts, splits = split_table(p)
-    carrier = p.carrier
-    owner = {x: block for block in p.blocks for x in block}
-    # sub-sequences of canonical blocks are canonical: a part's blocks are
-    # those of its carrier, in the order of their first member
-    subs = [NonCrossingPartition(tuple(dict.fromkeys(
-        [owner[x] for x in gather(carrier)])))
-        for _, gather in parts]
-    empty = NonCrossingPartition(())
-    indices = tuple(range(len(parts)))
-    return tuple(
-        AdmissibleSplit(q_part=subs[q] if q is not None else empty,
-                        components=tuple([subs[c] for c in pick(indices)]))
-        for _, q, pick in splits)
+    shapes, ranks, bounds, halves = split_table(p)
+    owner = {x: i for i, block in enumerate(p.blocks) for x in block}
+    members = ranks(p.carrier)
+    subs, masks = [], []
+    for start, end in zip(bounds, bounds[1:]):
+        # a part's blocks are those of its carrier, in the order of their
+        # first member; sub-sequences of canonical blocks are canonical
+        ids = dict.fromkeys([owner[x] for x in members[start:end]])
+        subs.append(NonCrossingPartition(tuple([p.blocks[i] for i in ids])))
+        masks.append(sum([1 << i for i in ids]))
+    subs.append(NonCrossingPartition(()))  # part -1: the empty Q
+    masks.append(0)
+    indices = tuple(range(len(shapes)))
+    splits = []
+    for qs, comps, ends in halves:
+        picked = comps(indices)
+        splits += [(masks[q], AdmissibleSplit(
+            q_part=subs[q],
+            components=tuple([subs[c] for c in picked[start:end]])))
+            for q, start, end in zip(qs, ends, ends[1:])]
+    return tuple([split for _, split in sorted(splits, key=itemgetter(0))])
 
 
 # ---------------------------------------------------------------------------

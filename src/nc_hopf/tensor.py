@@ -2,9 +2,15 @@
 
 Basis elements are bar words: tuples of atoms, where an atom is either a
 word, the plain tuple of its letters (double tensor algebra), or a
-:class:`DecoratedNC` (tensor algebra over decorated non-crossing
-partitions).  The empty tuple is the unit.  A bar word never contains a
-unit part, so normalization of ``w|1|w'`` to ``w|w'`` is structural.
+decorated non-crossing partition, the plain tuple ``(blocks, word)`` of
+its shape's canonical blocks and a letter tuple or ``None`` (tensor
+algebra over decorated non-crossing partitions).  A word starts with a
+letter and a decorated atom with its blocks, so ``type(a[0]) is str``
+tells the two kinds apart.  The empty tuple is the unit.  A bar word never
+contains a unit part, so normalization of ``w|1|w'`` to ``w|w'`` is
+structural.  Every atom, leg and key is a tuple of tuples, ints and
+strings, which hashes and compares in C and which the cyclic collector
+untracks.
 
 Formal linear combinations are plain dicts from a hashable key to a non-zero
 exact coefficient.  Structural coefficients (coproducts, ``sp``) are plain
@@ -18,15 +24,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from functools import lru_cache
-from typing import Union
 
 from .coefficients import Coefficient, coeff_str
 from .errors import AlgebraMismatchError, ParseError, SizeLimitError
 from .partitions import (
     NonCrossingPartition,
-    Value,
-    _set,
     _all_nc_partitions,
+    _blocks_text,
     parse_partition,
     split_table,
 )
@@ -43,47 +47,23 @@ def Word(letters) -> tuple[str, ...]:
     return word
 
 
-class DecoratedNC(Value):
-    """A non-crossing partition of [n] decorated by a word of length n.
+def DecoratedNC(shape: NonCrossingPartition, word=None) -> tuple:
+    """A non-crossing partition of n elements decorated by a word of length
+    n: the plain tuple ``(shape.blocks, word)``.
 
     ``word=None`` is the undecorated algebra (equivalently, a one-letter
-    alphabet with the decoration suppressed).  The hash is computed once,
-    at construction, from the shape and the word.
-    """
-
-    __slots__ = ("shape", "word", "_hash")
-    _fields = ("shape", "word")
-
-    def __init__(self, shape: NonCrossingPartition,
-                 word: tuple[str, ...] | None = None):
-        if word is not None and len(word) != shape.size:
+    alphabet with the decoration suppressed).  The shape has a block, as a
+    word has a letter: the empty atom is the unit."""
+    if not shape.blocks:
+        raise ValueError("the empty shape is represented by the unit only")
+    if word is not None:
+        word = tuple(word)
+        if len(word) != shape.size:
             raise ValueError("decoration length differs from carrier size")
-        _set(self, "shape", shape)
-        _set(self, "word", word)
-        _set(self, "_hash", hash((shape, word)))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.shape == other.shape and self.word == other.word
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def degree(self) -> int:
-        return self.shape.size
-
-    def text(self) -> str:
-        if self.word is None:
-            return self.shape.text()
-        return f"{self.shape.text()}:{'.'.join(self.word)}"
-
-    def __str__(self):
-        return self.text()
+    return (shape.blocks, word)
 
 
-Atom = Union[tuple, DecoratedNC]  # a word is tuple[str, ...]
+Atom = tuple  # a word tuple[str, ...], or (blocks, word | None)
 BarWord = tuple  # tuple[Atom, ...]; the empty tuple is the unit
 LinComb = dict   # key -> Coefficient, no zero values stored
 
@@ -91,11 +71,34 @@ UNIT: BarWord = ()
 
 
 def _atom_degree(a: Atom) -> int:
-    return len(a) if type(a) is tuple else a.degree
+    return len(a) if type(a[0]) is str else sum(map(len, a[0]))
 
 
 def _atom_text(a: Atom) -> str:
-    return ".".join(a) if type(a) is tuple else a.text()
+    if type(a[0]) is str:
+        return ".".join(a)
+    blocks, word = a
+    if word is None:
+        return _blocks_text(blocks)
+    return f"{_blocks_text(blocks)}:{'.'.join(word)}"
+
+
+def _atom_shape(a: Atom) -> NonCrossingPartition:
+    """The shape of the decorated atom ``a`` as a partition.  Its blocks
+    come from ``DecoratedNC`` or a split table, so they are not checked
+    again."""
+    blocks = a[0]
+    return NonCrossingPartition._unchecked(blocks, sum(map(len, blocks)))
+
+
+def _is_atom(x: tuple) -> bool:
+    """Whether the non-empty tuple ``x`` is an atom, not a bar word or a
+    pair of legs.  A word starts with a letter, and a decorated atom with
+    its blocks, whose first block starts with an int.  A bar word starts
+    with an atom, which starts with a letter or with blocks, and a pair
+    with a leg, the unit () or a bar word."""
+    head = x[0]
+    return type(head) is str or bool(head) and type(head[0][0]) is int
 
 
 def barword_degree(b: BarWord) -> int:
@@ -106,13 +109,34 @@ def barword_text(b: BarWord) -> str:
     return "|".join(map(_atom_text, b)) if b else "1"
 
 
+def _is_letters(word, size: int) -> bool:
+    return (type(word) is tuple and len(word) == size
+            and all([type(x) is str for x in word]))
+
+
+def _is_decorated(a: tuple) -> bool:
+    """Whether ``a`` has the form of a decorated atom: a non-empty tuple of
+    non-empty blocks of ints, and None or a word of their size.  That the
+    blocks are canonical and non-crossing is the check of the partition
+    that ``DecoratedNC`` reads them from."""
+    if len(a) != 2 or type(a[0]) is not tuple or not a[0]:
+        return False
+    blocks, word = a
+    return (all([type(block) is tuple and block for block in blocks])
+            and all([type(x) is int for block in blocks for x in block])
+            and (word is None or _is_letters(word, sum(map(len, blocks)))))
+
+
 def _check_homogeneous(b: BarWord):
-    kinds = {type(a) for a in b}
+    """Raise AlgebraMismatchError unless ``b`` is a tuple of atoms of one
+    kind: all words, or all decorated atoms."""
+    if not all([type(a) is tuple and a for a in b]):
+        raise AlgebraMismatchError(f"not a bar word of atoms: {b!r}")
+    kinds = {type(a[0]) is str for a in b}
     if len(kinds) > 1:
         raise AlgebraMismatchError(f"mixed atom kinds in bar word: {b}")
-    if not kinds <= {tuple, DecoratedNC} or not all(
-            a and all(type(x) is str for x in a)
-            for a in b if type(a) is tuple):
+    if not all([_is_letters(a, len(a)) if type(a[0]) is str
+                else _is_decorated(a) for a in b]):
         raise AlgebraMismatchError(f"not a bar word of atoms: {b!r}")
 
 
@@ -127,17 +151,19 @@ def add_into(acc: LinComb, key, coeff: Coefficient) -> None:
 
 def lincomb_sum(*combs: LinComb) -> LinComb:
     """The sum of linear combinations, dropping every entry that cancels.
-    A LinComb stores no zero, so the first one is copied as it is."""
+    A LinComb stores no zero, so the first one is copied as it is.  Each
+    later one is merged in C, and only the keys both hold are added in
+    Python."""
     if not combs:
         return {}
     out = dict(combs[0])
-    get = out.get
     for lc in combs[1:]:
-        for k, v in lc.items():
-            new = get(k, 0) + v
+        shared = [(k, out[k] + lc[k]) for k in out.keys() & lc.keys()]
+        out.update(lc)
+        for k, new in shared:
             if new:
                 out[k] = new
-            elif k in out:
+            else:
                 del out[k]
     return out
 
@@ -146,28 +172,32 @@ def lincomb_sum(*combs: LinComb) -> LinComb:
 # generator coproducts
 
 
-def _halves(splits, atoms: list) -> tuple[LinComb, LinComb]:
+def _halves(halves, atoms: list) -> tuple[LinComb, LinComb]:
     """The (left, right) halves of a generator's coproduct: one term per
-    split of ``splits``, as ``partitions.split_table`` lists them, with
+    split of ``halves``, as ``partitions.split_table`` lists them, with
     ``atoms[i]`` the atom of part i.  Equal atoms are one object, with one
-    left leg.  Each key is a leg and a gather's pick of the atoms, and each
-    half counts its keys in C."""
+    left leg.  Each key is a leg and a slice of one gather's pick of the
+    atoms, and each half counts its keys in C."""
     shared: dict[Atom, BarWord] = {}
     legs = [shared.setdefault(atom, (atom,)) for atom in atoms]
     atoms = tuple([leg[0] for leg in legs])
-    # element 1 lies in Q on the left, so Q is not empty there
-    left = Counter([(legs[q], pick(atoms))
-                    for in_q, q, pick in splits if in_q])
-    right = Counter([(legs[q] if q is not None else UNIT, pick(atoms))
-                     for in_q, q, pick in splits if not in_q])
-    return dict(left), dict(right)
+    legs.append(UNIT)  # the leg of part -1, the empty Q
+    out = []
+    for qs, comps, ends in halves:
+        picked = comps(atoms)
+        keys = [(legs[q], picked[start:end])
+                for q, start, end in zip(qs, ends, ends[1:])]
+        out.append(dict(Counter(keys)))
+    return tuple(out)
 
 
 def _word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
     n = len(w)
-    parts, splits = split_table(NonCrossingPartition._unchecked(
+    _, ranks, bounds, halves = split_table(NonCrossingPartition._unchecked(
         tuple([(x,) for x in range(1, n + 1)]), n))
-    return _halves(splits, [gather(w) for _, gather in parts])
+    letters = ranks(w)
+    return _halves(halves, [letters[start:end]
+                            for start, end in zip(bounds, bounds[1:])])
 
 
 # coassociativity 7 and a 60 s hopf run read words of at most 6 letters
@@ -221,7 +251,7 @@ NC_HALVES_BOUND = 65536
 
 
 @lru_cache(maxsize=NC_HALVES_BOUND)
-def delta_nc_halves(x: DecoratedNC) -> tuple[LinComb, LinComb]:
+def delta_nc_halves(x: Atom) -> tuple[LinComb, LinComb]:
     """(left, right) splitting of delta_nc by whether the first carrier
     element lies in a Q-block (left) or a complement block (right).
 
@@ -229,16 +259,18 @@ def delta_nc_halves(x: DecoratedNC) -> tuple[LinComb, LinComb]:
     standardized; each part's atom is its shape, decorated by the letters
     of ``x`` gathered at the ranks of the part's carrier.  The cached dicts
     are shared by every caller: read them, never change them."""
-    parts, splits = split_table(x.shape)
-    word = x.word
+    shapes, ranks, bounds, halves = split_table(_atom_shape(x))
+    word = x[1]
     if word is None:
-        atoms = [DecoratedNC(shape) for shape, _ in parts]
+        atoms = [(shape, None) for shape in shapes]
     else:
-        atoms = [DecoratedNC(shape, gather(word)) for shape, gather in parts]
-    return _halves(splits, atoms)
+        letters = ranks(word)
+        atoms = [(shape, letters[start:end])
+                 for shape, start, end in zip(shapes, bounds, bounds[1:])]
+    return _halves(halves, atoms)
 
 
-def delta_nc(x: DecoratedNC) -> LinComb:
+def delta_nc(x: Atom) -> LinComb:
     """Full coproduct of a (decorated) non-crossing partition: sum over
     admissible splits, all parts standardized, decorations restricted,
     taken as the sum of the two halves."""
@@ -292,7 +324,7 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
     elif variant not in ("left+", "right+"):
         raise ValueError(f"unknown variant: {variant!r}")
     else:
-        halves = (delta_word_halves(first) if type(first) is tuple
+        halves = (delta_word_halves(first) if type(first[0]) is str
                   else delta_nc_halves(first))
         result = halves[0 if variant == "left+" else 1]
     for atom in b[1:]:
@@ -301,7 +333,7 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
 
 
 def _delta_atom(atom: Atom) -> LinComb:
-    return delta_word(atom) if type(atom) is tuple else delta_nc(atom)
+    return delta_word(atom) if type(atom[0]) is str else delta_nc(atom)
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +346,14 @@ def sp(b: BarWord) -> LinComb:
     result: LinComb = {UNIT: 1}
     cap = config.nc_cap()
     for atom in b:
-        if type(atom) is not tuple or not atom:
+        if type(atom) is not tuple or not atom or type(atom[0]) is not str:
             raise AlgebraMismatchError("sp expects a bar word over words")
         n = len(atom)
         if n > cap:
             raise SizeLimitError(f"word length {n} exceeds NC cap {cap}")
-        summand: LinComb = {}
-        # the cap is checked above, once per call
-        for shape in _all_nc_partitions(n):
-            add_into(summand, (DecoratedNC(shape, atom),), 1)
+        # the cap is checked above, once per call; the shapes are distinct
+        summand = dict.fromkeys([((shape.blocks, atom),)
+                                 for shape in _all_nc_partitions(n)], 1)
         result = {k1 + k2: c1 * c2
                   for k1, c1 in result.items() for k2, c2 in summand.items()}
     return result
@@ -344,10 +375,9 @@ def lincomb_text(t: LinComb, key_text) -> str:
 
 
 def _tensor_key_text(key) -> str:
-    # a pair's first element is the unit () or a tuple of atoms; a bar
-    # word's first element is an atom: a tuple of letters or a DecoratedNC
-    first = key[0] if key else None
-    if type(first) is tuple and (not first or type(first[0]) is not str):
+    # a bar word's first element is an atom; a pair's first element is a
+    # leg, the unit () or a bar word
+    if key and (not key[0] or not _is_atom(key[0])):
         return " ⊗ ".join(barword_text(leg) for leg in key)
     return barword_text(key)
 

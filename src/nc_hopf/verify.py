@@ -50,6 +50,7 @@ from .tensor import (
     BarWord,
     DecoratedNC,
     LinComb,
+    _atom_shape,
     add_into,
     barword_degree,
     barword_text,
@@ -523,8 +524,8 @@ def _transported(shape: NonCrossingPartition, tree_of) -> LinComb:
     ``tree_of``: tree on the left leg, forest on the right."""
     out: LinComb = {}
     for (left, right), c in delta_nc(DecoratedNC(shape)).items():
-        rooted = tree_of(left[0].shape) if left else ()
-        forest = tuple(tree_of(atom.shape) for atom in right)
+        rooted = tree_of(_atom_shape(left[0])) if left else ()
+        forest = tuple([tree_of(_atom_shape(atom)) for atom in right])
         add_into(out, (rooted, forest), c)
     return out
 

@@ -385,11 +385,11 @@ class TestAdmissibleSplits:
         # hold the same component list (it decides T, so the split), so
         # there is no gather for two splits to share
         for p in (p for n in range(1, 8) for p in enumerate_nc_partitions(n)):
-            parts, splits = split_table(p)
+            table = split_table(p)
             shapes = {}
-            for shape, _ in parts:
+            for shape in table[0]:
                 assert shapes.setdefault(shape, shape) is shape
-            _, decoded = decode_split_table(p, (parts, splits))
+            _, decoded = decode_split_table(p, table)
             lists = [comps for _, _, comps in decoded]
             assert len(set(lists)) == len(lists)
 
@@ -397,9 +397,9 @@ class TestAdmissibleSplits:
         # each part of 0̂ₙ, a kept subset or a run, is some 0̂ₖ
         for n in range(1, 11):
             p = NonCrossingPartition(tuple((x,) for x in range(1, n + 1)))
-            parts, _ = split_table(p)
-            assert len({id(shape) for shape, _ in parts}) == n
-            assert {shape.blocks for shape, _ in parts} == {
+            shapes = split_table(p)[0]
+            assert len({id(shape) for shape in shapes}) == n
+            assert set(shapes) == {
                 tuple((x,) for x in range(1, k + 1)) for k in range(1, n + 1)}
 
     def test_matches_definition_and_nesting_forest(self):

@@ -181,6 +181,66 @@ class TestCoproductLayer:
                         tracked.append(item)
         assert tracked == []
 
+    def test_decorated_coproduct_keys_are_untracked_by_the_collector(self):
+        # a decorated atom is a tuple of blocks of ints and a word or None,
+        # so every key, leg and atom of its coproduct, and the blocks and
+        # word inside each atom, is one the cyclic collector untracks
+        import gc
+        import nc_hopf
+        nc_hopf.clear_caches()
+        results = []
+        for x in (nc("{1,4}{2,3}{5}", "abcab"), nc("{1,2}{3}{4}"),
+                  nc("{1,6}{2,5}{3,4}", "aabbcc")):
+            results += [*delta_nc_halves(x), delta_nc(x),
+                        delta_bar((x,), "right+")]
+        # one collection per level of nesting: keys, legs, atoms, blocks
+        # and the blocks' members
+        for _ in range(5):
+            gc.collect()
+        tracked = []
+        for result in results:
+            for key in result:
+                left, right = key
+                for atom in (*left, *right):
+                    blocks, word = atom
+                    tracked += [item for item in (atom, blocks, *blocks, word)
+                                if gc.is_tracked(item)]
+                tracked += [item for item in (key, left, right)
+                            if gc.is_tracked(item)]
+        assert tracked == []
+
+    def test_split_table_tracks_as_many_objects_whatever_its_splits(self):
+        # a table's columns hold ints and blocks, which the collector
+        # untracks: only its gathers and the tuples that hold them stay
+        # tracked, as many for 8 splits as for 1,024
+        import gc
+        from operator import itemgetter
+        import nc_hopf
+        nc_hopf.clear_caches()
+        shapes = [NonCrossingPartition(tuple((x,) for x in range(1, n + 1)))
+                  for n in (3, 6, 10)]
+        shapes += [NonCrossingPartition.of(blocks) for blocks in
+                   ([[1, 8], [2, 7], [3], [4], [5], [6]], [[1, 2, 3]])]
+        tables = [split_table(p) for p in shapes]
+        for _ in range(5):
+            gc.collect()
+
+        def tracked(table) -> int:
+            seen, stack, count = set(), [table], 0
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen or type(obj) not in (tuple, itemgetter):
+                    continue
+                seen.add(id(obj))
+                count += gc.is_tracked(obj)
+                stack += gc.get_referents(obj)
+            return count
+
+        counts = [tracked(table) for table in tables]
+        assert len(set(counts)) == 1, counts
+        splits = [sum(len(qs) for qs, _, _ in table[3]) for table in tables]
+        assert splits[:3] == [8, 64, 1024]
+
     def test_structural_coefficients_are_int(self):
         values = []
         for word in (w("a"), w("aab"), w("abab")):
@@ -195,23 +255,23 @@ class TestCoproductLayer:
         assert 2 in values  # a multiplicity, not only units
 
 
-def split_halves(x):
+def split_halves(shape, word):
     """Oracle for delta_nc_halves, from the definition: each admissible
-    split of x's shape on its own carrier, every part restricted and then
-    standardized, its decoration the letters of x at the ranks of the
-    part's carrier; in the left half iff the first carrier element lies in
-    a Q-block."""
-    carrier = x.shape.carrier
+    split of the shape on its own carrier, every part restricted and then
+    standardized, its decoration the letters of the word at the ranks of
+    the part's carrier; in the left half iff the first carrier element
+    lies in a Q-block."""
+    carrier = shape.carrier
     rank = {e: i for i, e in enumerate(carrier)}
 
     def restricted(part):
-        word = None
-        if x.word is not None:
-            word = Word(tuple(x.word[rank[e]] for e in part.carrier))
-        return DecoratedNC(standardize(part), word)
+        letters = None
+        if word is not None:
+            letters = Word(tuple(word[rank[e]] for e in part.carrier))
+        return DecoratedNC(standardize(part), letters)
 
     halves = (Counter(), Counter())  # right, left
-    for split in admissible_splits(x.shape):
+    for split in admissible_splits(shape):
         q = split.q_part
         left = (restricted(q),) if q.blocks else ()
         right = tuple(restricted(c) for c in split.components)
@@ -260,7 +320,7 @@ class TestNcCoproduct:
                 tuple(2 * e + 1 for e in block) for block in middle.blocks))
             for shape in (*shapes, moved):
                 x = DecoratedNC(shape, word)
-                left, right = split_halves(x)
+                left, right = split_halves(shape, word)
                 assert delta_nc_halves(x) == (left, right)
                 assert delta_nc(x) == lincomb_sum(left, right)
 
@@ -372,6 +432,22 @@ class TestBarWords:
         with pytest.raises(AlgebraMismatchError):
             delta_bar((w("a"), nc("{1}")), "full")
 
+    @pytest.mark.parametrize("b", [
+        (w("a"), nc("{1}", "a")), (nc("{1}", "a"), w("a")),
+        (nc("{1}"), w("ab")),
+        ((),), ((1, 2),), (("a", 1),), ((((1,),), "a"),),
+        ((((1,),), ("a", "b")),), ((((1, 2),), ("a",)),),
+        ((((),), None),), (((), None),), ((((1,),), None, None),),
+        (((1,), None),), ((((1,),), ("a", 1)),),
+        (((("1",),), None),), ((((1,),), ("a",), ("a",)),),
+    ], ids=repr)
+    def test_mixed_or_malformed_atoms_rejected(self, b):
+        # an atom of each kind is a tuple: a word holds letters, a
+        # decorated atom blocks of ints and None or a word of their size
+        for variant in ("full", "left+", "right"):
+            with pytest.raises(AlgebraMismatchError):
+                delta_bar(b, variant)
+
 
 class TestCoassociativity:
     def _check(self, b):
@@ -419,8 +495,12 @@ class TestSplittingMap:
         assert len(sp(b)) == 5 * 2
 
     def test_rejects_partition_atoms(self):
-        with pytest.raises(AlgebraMismatchError):
-            sp((nc("{1}"),))
+        # a decorated atom is a tuple too, of blocks and a word
+        for atom in ("{1}", "{1}:a", "{1,2}:a.b"):
+            with pytest.raises(AlgebraMismatchError):
+                sp((parse_atom(atom),))
+            with pytest.raises(AlgebraMismatchError):
+                sp((w("ab"), parse_atom(atom)))
 
     def test_cap(self):
         with pytest.raises(SizeLimitError):

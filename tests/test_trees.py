@@ -239,11 +239,15 @@ class TestOneWalkPerCut:
 
 
 def transported(shape):
-    """delta_nc of ``shape`` pushed through the gapped hierarchy map."""
+    """delta_nc of ``shape`` pushed through the gapped hierarchy map; an
+    atom holds its shape's blocks first."""
+    def tree(atom):
+        return gapped_hierarchy_tree(NonCrossingPartition(atom[0]))
+
     out = {}
     for (left, right), c in delta_nc(DecoratedNC(shape)).items():
-        rooted = gapped_hierarchy_tree(left[0].shape) if left else LEAF
-        forest = tuple(gapped_hierarchy_tree(a.shape) for a in right)
+        rooted = tree(left[0]) if left else LEAF
+        forest = tuple(tree(a) for a in right)
         add_into(out, (rooted, forest), c)
     return out
 
