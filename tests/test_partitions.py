@@ -382,8 +382,7 @@ class TestAdmissibleSplits:
 
     def test_equal_part_shapes_are_one_object(self):
         # within one table: equal shapes are one object, and no two splits
-        # hold the same component list (it decides T, so the split), so
-        # there is no gather for two splits to share
+        # hold the same component list (it decides T, so the split)
         for p in (p for n in range(1, 8) for p in enumerate_nc_partitions(n)):
             table = split_table(p)
             shapes = {}
