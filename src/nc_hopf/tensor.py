@@ -303,8 +303,8 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
       ``right``   -- ``right+`` minus 1 (x) b      (reduced right half)
       ``reduced`` -- ``full`` minus both group-like terms
     """
-    _check_homogeneous(b)
     if variant in ("left", "right", "reduced"):
+        # the left+, right+ or full call below checks b
         if variant == "left":
             out = dict(delta_bar(b, "left+"))
             add_into(out, (b, UNIT), -1)
@@ -316,6 +316,7 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
             add_into(out, (b, UNIT), -1)
             add_into(out, (UNIT, b), -1)
         return out
+    _check_homogeneous(b)
     if not b:
         return {(UNIT, UNIT): 1}
     first = b[0]

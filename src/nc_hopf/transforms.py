@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 from math import comb, factorial, lcm, prod
+from operator import itemgetter
 
 # registered lazily by the package: only the fixed point, the extraction
 # and the multivariate reader run these layers, at their first attribute read
@@ -46,14 +47,15 @@ from .errors import (
     InconsistencyError,
     NcHopfError,
     ParseError,
+    SizeLimitError,
 )
 from .partitions import (
     NonCrossingPartition,
     Value,
+    _gather,
     _gathers,
     _set,
     check_enumeration_size,
-    enumerate_nc_partitions,
 )
 
 CLASSICAL = "classical"
@@ -439,45 +441,71 @@ def kappa_powers(shape: NonCrossingPartition, w: tuple[str, ...],
     return total
 
 
-def _lattice_cumulants(moment, words) -> dict:
-    """Solve moment(w) = sum over pi in NC(|w|) of prod_{B in pi} kappa(w|_B)
-    for the one-block term kappa(w), for each letter tuple w in ``words``;
-    returns letter tuple -> kappa.  The words are solved shortest first, so
-    every proper subword a term needs is solved before it.
+def _first_block_rows(n: int) -> list:
+    """The proper subsets V of the positions 0..n-1 that hold 0, each as
+    the gather of w_V and the gathers of V's non-empty gaps: the runs of
+    positions between two consecutive members of V, and after its last."""
+    rows = []
+    for mask in range((1 << (n - 1)) - 1):
+        kept = (0, *[i for i in range(1, n) if mask >> (i - 1) & 1])
+        rows.append((_gather(kept), [
+            itemgetter(slice(a + 1, b))
+            for a, b in zip(kept, (*kept[1:], n)) if b > a + 1]))
+    return rows
 
-    Precondition, met by both callers: ``words`` holds every block
-    restriction of its words.  A missing subword raises KeyError, which is
-    an internal fault, not bad input."""
-    # each degree's multi-block shapes, once, as the gathers of their
-    # blocks' 0-based positions
-    shapes = {n: [_gathers([tuple([i - 1 for i in block])
-                            for block in shape.blocks])
-                  for shape in enumerate_nc_partitions(n)
-                  if len(shape.blocks) > 1]
-              for n in set(map(len, words))}
+
+def _first_block_cumulants(moment, words) -> dict:
+    """Solve moment(w) = sum over the subsets V of positions holding the
+    first of kappa(w_V) times the product of moment over the gaps of V,
+    for kappa(w), the term of V = all positions; returns letter tuple ->
+    kappa.  In an NC partition of w, V is the block of the first letter,
+    and the other blocks partition each gap on its own, so the sum over
+    those partitions of a gap is its moment (the word form of
+    F = K(tF)).  The words are solved shortest first, so every w_V a term
+    needs is solved before it.
+
+    Precondition, met by the caller: ``words`` holds every subword of its
+    words.  A missing one raises KeyError, which is an internal fault, not
+    bad input."""
+    rows = {n: _first_block_rows(n) for n in set(map(len, words))}
     r: dict = {}
     for letters in sorted(words, key=len):
         total = moment(letters)
-        for gathers in shapes[len(letters)]:
-            term = None
-            for gather in gathers:
-                kappa = r[gather(letters)]
-                term = kappa if term is None else term * kappa
+        for block, gaps in rows[len(letters)]:
+            term = r[block(letters)]
+            for gap in gaps:
+                term = term * moment(gap(letters))
             total = total - term
         r[letters] = total
     return r
 
 
+# The first-block recursion runs up to 2^(n-1) terms for each word of a
+# table of order n, so a table of N words needs at most N * 2^(n-1).  On a
+# 2-vCPU machine ``ab`` at order 11 (4,094 words, just under the cap) takes
+# 21 s and 360 MB, while ``abc`` at order 9 took 54 s and ``ab`` at order
+# 12 took 93 s and 1.3 GB; most of it is extraction.
+MULTI_TERM_CAP = 1 << 22
+
+
 def generalized_free_cumulants(phi: MultiMomentMap) -> MultiCumulantMap:
-    """Generalized cumulants of a multivariate moment table, by the direct
-    lattice solve and by extraction from the character extension of phi on
-    the double tensor algebra; the two must agree."""
+    """Generalized cumulants of a multivariate moment table, by the
+    first-block recursion and by extraction from the character extension
+    of phi on the double tensor algebra; the two must agree.  The order is
+    held to the non-crossing cap, and the table's words times 2^(order-1)
+    to ``MULTI_TERM_CAP``, both before any work."""
     check_enumeration_size("nc", phi.order)
+    count = sum(len(phi.alphabet) ** d for d in range(1, phi.order + 1))
+    if count << (phi.order - 1) > MULTI_TERM_CAP:
+        raise SizeLimitError(
+            f"a moment table of {count} words up to order {phi.order} needs "
+            f"{count} * 2^{phi.order - 1} first-block terms, more than "
+            f"{MULTI_TERM_CAP}")
     words = list(_letter_tuples(phi.alphabet, range(1, phi.order + 1)))
 
     def solve(moments) -> list:
         table = dict(zip(words, moments))
-        via_recursion = _lattice_cumulants(table.__getitem__, words)
+        via_recursion = _first_block_cumulants(table.__getitem__, words)
         via_extraction = _extracted_cumulants(
             phi.alphabet, phi.order, table.__getitem__)
         for letters in words:

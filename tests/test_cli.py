@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -266,6 +267,20 @@ class TestTransform:
         lines = dict(line.split(" = ") for line in out.strip().split("\n"))
         assert lines["R[a]"] == "1"
         assert lines["R[a.b]"] == "2"   # 4 - 1*2
+
+    def test_multivariate_table_past_the_term_cap(self, tmp_path, capsys):
+        # 8,190 words of order 12, 8,190 * 2^11 terms: refused before any work
+        table = {"alphabet": ["a", "b"], "values": {
+            ".".join(w): "1" for n in range(1, 13)
+            for w in itertools.product("ab", repeat=n)}}
+        f = tmp_path / "table.json"
+        f.write_text(json.dumps(table))
+        code, out = run("transform", "free", "--direction", "multi-m2k",
+                        "--in", str(f))
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: a moment table of 8190 words up to order 12 needs "
+            "8190 * 2^11 first-block terms, more than 4194304\n")
 
     def test_flavor_direction_mismatch(self):
         code, _ = run("transform", "free", "--direction", "c2m", "--symbolic",

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from nc_hopf import tensor
 from nc_hopf.cli import main
 from nc_hopf.errors import AlgebraMismatchError, ParseError, SizeLimitError
 from nc_hopf.partitions import (
@@ -38,6 +39,7 @@ from nc_hopf.trees import hierarchy_tree, tree_coproduct
 from split_tables import decode_split_table
 
 ONE = Fraction(1)
+VARIANTS = ("full", "left+", "right+", "left", "right", "reduced")
 
 
 def w(text):
@@ -443,10 +445,28 @@ class TestBarWords:
     ], ids=repr)
     def test_mixed_or_malformed_atoms_rejected(self, b):
         # an atom of each kind is a tuple: a word holds letters, a
-        # decorated atom blocks of ints and None or a word of their size
-        for variant in ("full", "left+", "right"):
-            with pytest.raises(AlgebraMismatchError):
+        # decorated atom blocks of ints and None or a word of their size;
+        # every variant raises what the bar word check raises
+        with pytest.raises(AlgebraMismatchError) as check:
+            tensor._check_homogeneous(b)
+        for variant in VARIANTS:
+            with pytest.raises(AlgebraMismatchError) as exc:
                 delta_bar(b, variant)
+            assert str(exc.value) == str(check.value)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_bar_word_is_checked_once(self, monkeypatch, variant):
+        # left, right and reduced leave the check to the left+, right+ or
+        # full call they make
+        checked = []
+        real = tensor._check_homogeneous
+        monkeypatch.setattr(tensor, "_check_homogeneous",
+                            lambda b: checked.append(b) or real(b))
+        for b in ((w("ab"), w("c")), (nc("{1,3}{2}", "abc"),)):
+            delta_bar.cache_clear()
+            checked.clear()
+            delta_bar(b, variant)
+            assert checked == [b]
 
 
 class TestCoassociativity:

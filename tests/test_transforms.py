@@ -7,7 +7,8 @@ from itertools import product
 
 import pytest
 
-from nc_hopf import transforms
+import nc_hopf
+from nc_hopf import transforms, verify
 from nc_hopf.coefficients import Poly, exact, poly_str
 from nc_hopf.errors import (
     CarrierMismatchError,
@@ -318,6 +319,28 @@ class TestSizeCaps:
         with pytest.raises(SizeLimitError):
             generalized_free_cumulants(MultiMomentMap(("a",), 0, {}))
 
+    def test_multivariate_first_block_terms(self, monkeypatch):
+        # N words of order n need N * 2^(n-1) terms; ab at order 11 has
+        # 4,094 words, and 4,094 * 2^10 is the largest under the cap
+        class Reached(Exception):
+            pass
+
+        def solve(moment, words):
+            raise Reached(len(words))
+
+        monkeypatch.setattr(transforms, "_first_block_cumulants", solve)
+        for alphabet, order in (("ab", 11), ("abc", 8), ("abcd", 7),
+                                ("a", 14)):
+            with pytest.raises(Reached):
+                generalized_free_cumulants(moment_map(alphabet, order, len))
+        for alphabet, order, words in (("ab", 12, 8190), ("abc", 9, 29523),
+                                       ("abcd", 8, 87380)):
+            with pytest.raises(SizeLimitError, match=(
+                    rf"^a moment table of {words} words up to order {order} "
+                    rf"needs {words} \* 2\^{order - 1} first-block terms, "
+                    rf"more than 4194304$")):
+                generalized_free_cumulants(moment_map(alphabet, order, len))
+
 
 class TestKappaPowers:
     def kappa(self, w):
@@ -383,12 +406,46 @@ class TestGeneralizedCumulants:
         # the solve reads each block restriction from the words it was
         # given; one left out is an internal KeyError, not a silent gap
         words = [w for n in range(1, 4) for w in product("ab", repeat=n)]
-        solved = transforms._lattice_cumulants(len, words)
+        solved = verify._lattice_cumulants(len, words)
         # m = length: kappa_1 = kappa_2 = 1, so kappa_3 = 3 - 4 terms of 1
         assert solved[("a", "b", "a")] == -1
         with pytest.raises(KeyError):
-            transforms._lattice_cumulants(len, [w for w in words
-                                                if w != ("b", "a")])
+            verify._lattice_cumulants(len, [w for w in words
+                                            if w != ("b", "a")])
+
+    def test_first_block_recursion_reads_subwords_from_its_words(self):
+        words = [w for n in range(1, 4) for w in product("ab", repeat=n)]
+        solved = transforms._first_block_cumulants(len, words)
+        # V = {1}, {1, 2}, {1, 3}: 3 - 1*2 - 1*1 - 1*1
+        assert solved[("a", "b", "a")] == -1
+        # w_V for V = {1, 3} of a.b.a
+        with pytest.raises(KeyError):
+            transforms._first_block_cumulants(len, [w for w in words
+                                                    if w != ("a", "a")])
+
+    @pytest.mark.parametrize("alphabet,order", [("ab", 8), ("abc", 6)])
+    def test_first_block_recursion_equals_the_lattice_solve(self, alphabet,
+                                                            order):
+        rng = random.Random(f"first-block:{alphabet}")
+        words = [w for n in range(1, order + 1)
+                 for w in product(alphabet, repeat=n)]
+        moments = {w: rng.randint(-10 ** 6, 10 ** 6) for w in words}
+        assert (transforms._first_block_cumulants(moments.__getitem__, words)
+                == verify._lattice_cumulants(moments.__getitem__, words))
+
+    def test_reads_no_nc_lattice(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the transform read the NC lattice")
+
+        phi = self.phi_map(("a", "b", "c"), 4, seed=3)
+        expect = generalized_free_cumulants(phi).table
+        for name in nc_hopf._LAYERS:
+            module = getattr(nc_hopf, name)
+            for fn in ("_lattice_cumulants", "enumerate_nc_partitions",
+                       "_all_nc_partitions", "iter_partitions"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+        assert generalized_free_cumulants(phi).table == expect
 
     def test_incomplete_table_is_a_domain_error(self):
         # a word of the declared order left out of the table is bad input,
@@ -539,7 +596,7 @@ class TestDegreeScaling:
         ("m2k", "_free_moments_series"),
         ("c2m", "bell_polynomials"),
         ("m2c", "bell_polynomials"),
-        ("multi", "_lattice_cumulants"),
+        ("multi", "_first_block_cumulants"),
     ])
     def test_a_disagreeing_route_still_raises(self, monkeypatch, direction,
                                               route):
@@ -601,7 +658,7 @@ class TestFreedByRefcount:
         # every block restriction of a.b.a.b is a word over {a, b} of
         # length at most 4
         words = [w for n in range(1, 5) for w in product("ab", repeat=n)]
-        solved = transforms._lattice_cumulants(moment, words)
+        solved = verify._lattice_cumulants(moment, words)
         assert solved[("a", "b")] == 2 - 1
         del moment, solved
         assert ref() is None

@@ -213,3 +213,20 @@ def test_all_empties_the_caches_after_each_suite(monkeypatch):
     assert [r.name for r in run_suite("all")] == ["filled", "filled"]
     assert seen[1] == 0
     assert sum(fn.cache_info().currsize for fn in layer_caches().values()) == 0
+
+
+def test_free_pair_moments_on_alternating_words():
+    # for free a and b: phi(ab) = phi(a) phi(b), and phi(abab) =
+    # phi(a^2) phi(b)^2 + phi(a)^2 phi(b^2) - phi(a)^2 phi(b)^2
+    from nc_hopf.transforms import MomentSequence
+    moments = {"a": MomentSequence.of((Fraction(2, 3), 5, -1, 4)),
+               "b": MomentSequence.of((-3, Fraction(1, 7), 2, 9))}
+    table = nc_hopf.verify._free_pair_moments(moments, 4)
+    (a1, a2), (b1, b2) = ((m.moment(1), m.moment(2))
+                          for m in moments.values())
+    assert table[("a", "a", "a")] == -1 and table[("b",) * 4] == 9
+    assert table[("a", "b")] == table[("b", "a")] == a1 * b1
+    assert table[("a", "a", "b")] == a2 * b1
+    assert table[("a", "b", "a", "b")] == (
+        a2 * b1 ** 2 + a1 ** 2 * b2 - a1 ** 2 * b1 ** 2)
+    assert len(table) == 2 + 4 + 8 + 16
