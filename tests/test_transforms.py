@@ -418,7 +418,7 @@ class TestGeneralizedCumulants:
         solved = transforms._first_block_cumulants(len, words)
         # V = {1}, {1, 2}, {1, 3}: 3 - 1*2 - 1*1 - 1*1
         assert solved[("a", "b", "a")] == -1
-        # w_V for V = {1, 3} of a.b.a
+        # a.b.a reads a.a, its w_V for V = {1, 3}
         with pytest.raises(KeyError):
             transforms._first_block_cumulants(len, [w for w in words
                                                     if w != ("a", "a")])

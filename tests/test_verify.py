@@ -14,6 +14,7 @@ from nc_hopf.functionals import (
     random_functional,
     random_infinitesimal,
 )
+from nc_hopf.transforms import MomentSequence
 from nc_hopf.verify import (
     SUITES,
     SuiteReport,
@@ -218,7 +219,6 @@ def test_all_empties_the_caches_after_each_suite(monkeypatch):
 def test_free_pair_moments_on_alternating_words():
     # for free a and b: phi(ab) = phi(a) phi(b), and phi(abab) =
     # phi(a^2) phi(b)^2 + phi(a)^2 phi(b^2) - phi(a)^2 phi(b)^2
-    from nc_hopf.transforms import MomentSequence
     moments = {"a": MomentSequence.of((Fraction(2, 3), 5, -1, 4)),
                "b": MomentSequence.of((-3, Fraction(1, 7), 2, 9))}
     table = nc_hopf.verify._free_pair_moments(moments, 4)
