@@ -21,11 +21,16 @@ from itertools import product as iter_product
 
 from .coefficients import ONE, ZERO, Coefficient
 from .errors import AlgebraMismatchError, TruncationError
-from .partitions import Record, Value, _set, enumerate_nc_partitions
+from .partitions import (
+    Record,
+    Value,
+    _nc_shapes,
+    _set,
+    check_enumeration_size,
+)
 from .tensor import (
     UNIT,
     BarWord,
-    DecoratedNC,
     LinComb,
     barword_degree,
     barword_text,
@@ -55,8 +60,8 @@ class Algebra(Value):
         words = list(iter_product(self.alphabet, repeat=degree))
         if self.kind == WORDS:
             return words
-        return [DecoratedNC(shape, w)
-                for shape in enumerate_nc_partitions(degree) for w in words]
+        check_enumeration_size("nc", degree)
+        return [(shape, w) for shape in _nc_shapes(degree) for w in words]
 
     def barwords(self, degree: int) -> list[BarWord]:
         """All basis bar words of the given total degree."""
@@ -64,8 +69,9 @@ class Algebra(Value):
             return [UNIT]
         out: list[BarWord] = []
         for first_deg in range(1, degree + 1):
+            tails = self.barwords(degree - first_deg)
             for atom in self.atoms(first_deg):
-                for tail in self.barwords(degree - first_deg):
+                for tail in tails:
                     out.append((atom,) + tail)
         return out
 
@@ -367,8 +373,9 @@ def check_character(f: LinearFunctional) -> CheckReport:
         violations.append(("unit", f.unit_value))
     for da in range(1, n):
         for db in range(1, n - da + 1):
+            tails = f.algebra.barwords(db)
             for a in f.algebra.barwords(da):
-                for b in f.algebra.barwords(db):
+                for b in tails:
                     if checked >= CHECK_LIMIT:
                         return CheckReport(not violations, checked, violations)
                     checked += 1

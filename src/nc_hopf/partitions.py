@@ -120,9 +120,11 @@ class SetPartition(Value):
     def _unchecked(cls, blocks: tuple[Block, ...], size: int):
         """The partition with these blocks, which the library built in
         canonical form (and non-crossing, for that class) on ``size``
-        elements, so none of the constructor's checks runs.  The tests hold
-        every caller's output to the constructor; a decorated atom's
-        blocks come from ``tensor.DecoratedNC`` or a split table."""
+        elements, so none of the constructor's checks runs.  Inside the
+        library a shape is its blocks; this wraps them where a caller gets
+        a partition: the enumerations, and the legs that ``verify`` hands
+        to the tree maps.  The tests hold every caller's output to the
+        constructor."""
         self = _new(cls)
         _set(self, "blocks", blocks)
         _set(self, "size", size)
@@ -302,15 +304,18 @@ def enumerate_set_partitions(n: int) -> list[SetPartition]:
 
 
 @lru_cache(maxsize=None)
-def _all_nc_partitions(n: int) -> tuple[NonCrossingPartition, ...]:
-    return tuple(iter_partitions("nc", n))
+def _nc_shapes(n: int) -> tuple[tuple[Block, ...], ...]:
+    """The canonical blocks of every non-crossing partition of [n], in text
+    order.  A caller checks the size cap first."""
+    return tuple(_text_order(tuple(range(1, n + 1)), True))
 
 
 def enumerate_nc_partitions(n: int) -> list[NonCrossingPartition]:
     """All non-crossing partitions of [n], canonical form, sorted by text
     encoding."""
     check_enumeration_size("nc", n)
-    return list(_all_nc_partitions(n))
+    make = NonCrossingPartition._unchecked
+    return [make(blocks, n) for blocks in _nc_shapes(n)]
 
 
 def full_partition(elements) -> NonCrossingPartition:
@@ -388,8 +393,9 @@ SHAPE_BOUND = 8192
 
 
 @lru_cache(maxsize=SHAPE_BOUND)
-def split_table(p: NonCrossingPartition) -> tuple:
-    """The admissible splits Q ⊔ T of p (either part may be empty), read
+def split_table(blocks: tuple[Block, ...]) -> tuple:
+    """The admissible splits Q ⊔ T of the non-crossing partition p with
+    these canonical blocks (either part may be empty), read
     off ``_split_walk`` and compiled for the coproducts into flat columns,
     as (shapes, ranks, bounds, halves).
 
@@ -411,7 +417,6 @@ def split_table(p: NonCrossingPartition) -> tuple:
     split table of both coproducts: a word of length n splits as the
     singleton partition 0̂ₙ, whose parts' ranks are the kept positions and
     the runs between them."""
-    blocks = p.blocks
     # the 0-based ranks of each block's members in p's carrier
     block_ranks: list[list[int]] = [[] for _ in blocks]
     for r, (_, i) in enumerate(sorted((x, i) for i, b in enumerate(blocks)
@@ -457,29 +462,18 @@ def admissible_splits(p: NonCrossingPartition) -> tuple[AdmissibleSplit, ...]:
     """Every admissible two-part block partition Q ⊔ T of p (either part may
     be empty), each with T regrouped by connected component of the complement
     of Q's carrier, all on p's carrier.  Order: by bitmask of the Q-blocks in
-    canonical order.  A view of ``split_table(p)``, its positions read back
-    from the gathers."""
-    shapes, ranks, bounds, halves = split_table(p)
-    owner = {x: i for i, block in enumerate(p.blocks) for x in block}
-    members = ranks(p.carrier)
-    subs, masks = [], []
-    for start, end in zip(bounds, bounds[1:]):
-        # a part's blocks are those of its carrier, in the order of their
-        # first member; sub-sequences of canonical blocks are canonical
-        ids = dict.fromkeys([owner[x] for x in members[start:end]])
-        subs.append(NonCrossingPartition(tuple([p.blocks[i] for i in ids])))
-        masks.append(sum([1 << i for i in ids]))
-    subs.append(NonCrossingPartition(()))  # part -1: the empty Q
-    masks.append(0)
-    indices = tuple(range(len(shapes)))
-    splits = []
-    for qs, comps, ends in halves:
-        picked = comps(indices)
-        splits += [(masks[q], AdmissibleSplit(
-            q_part=subs[q],
-            components=tuple([subs[c] for c in picked[start:end]])))
-            for q, start, end in zip(qs, ends, ends[1:])]
-    return tuple([split for _, split in sorted(splits, key=itemgetter(0))])
+    canonical order, as ``_split_walk`` lists them."""
+    blocks = p.blocks
+
+    def part(ids: tuple[int, ...]) -> NonCrossingPartition:
+        # a walk lists a part's blocks in the order of their first member,
+        # and sub-sequences of canonical blocks are canonical
+        return NonCrossingPartition(tuple([blocks[i] for i in ids]))
+
+    # the masks are distinct, so the sort never compares further
+    return tuple([AdmissibleSplit(q_part=part(q),
+                                  components=tuple(map(part, components)))
+                  for _, q, components in sorted(_split_walk(blocks))])
 
 
 # ---------------------------------------------------------------------------

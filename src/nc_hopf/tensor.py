@@ -29,8 +29,8 @@ from .coefficients import Coefficient, coeff_str
 from .errors import AlgebraMismatchError, ParseError, SizeLimitError
 from .partitions import (
     NonCrossingPartition,
-    _all_nc_partitions,
     _blocks_text,
+    _nc_shapes,
     parse_partition,
     split_table,
 )
@@ -81,14 +81,6 @@ def _atom_text(a: Atom) -> str:
     if word is None:
         return _blocks_text(blocks)
     return f"{_blocks_text(blocks)}:{'.'.join(word)}"
-
-
-def _atom_shape(a: Atom) -> NonCrossingPartition:
-    """The shape of the decorated atom ``a`` as a partition.  Its blocks
-    come from ``DecoratedNC`` or a split table, so they are not checked
-    again."""
-    blocks = a[0]
-    return NonCrossingPartition._unchecked(blocks, sum(map(len, blocks)))
 
 
 def _is_atom(x: tuple) -> bool:
@@ -192,9 +184,8 @@ def _halves(halves, atoms: list) -> tuple[LinComb, LinComb]:
 
 
 def _word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
-    n = len(w)
-    _, ranks, bounds, halves = split_table(NonCrossingPartition._unchecked(
-        tuple([(x,) for x in range(1, n + 1)]), n))
+    _, ranks, bounds, halves = split_table(
+        tuple([(x,) for x in range(1, len(w) + 1)]))
     letters = ranks(w)
     return _halves(halves, [letters[start:end]
                             for start, end in zip(bounds, bounds[1:])])
@@ -259,8 +250,8 @@ def delta_nc_halves(x: Atom) -> tuple[LinComb, LinComb]:
     standardized; each part's atom is its shape, decorated by the letters
     of ``x`` gathered at the ranks of the part's carrier.  The cached dicts
     are shared by every caller: read them, never change them."""
-    shapes, ranks, bounds, halves = split_table(_atom_shape(x))
-    word = x[1]
+    blocks, word = x
+    shapes, ranks, bounds, halves = split_table(blocks)
     if word is None:
         atoms = [(shape, None) for shape in shapes]
     else:
@@ -353,8 +344,8 @@ def sp(b: BarWord) -> LinComb:
         if n > cap:
             raise SizeLimitError(f"word length {n} exceeds NC cap {cap}")
         # the cap is checked above, once per call; the shapes are distinct
-        summand = dict.fromkeys([((shape.blocks, atom),)
-                                 for shape in _all_nc_partitions(n)], 1)
+        summand = dict.fromkeys(
+            [((shape, atom),) for shape in _nc_shapes(n)], 1)
         result = {k1 + k2: c1 * c2
                   for k1, c1 in result.items() for k2, c2 in summand.items()}
     return result

@@ -39,8 +39,10 @@ from .partitions import (
     NonCrossingPartition,
     Record,
     _gathers,
+    _nc_shapes,
     bell_number,
     catalan_number,
+    check_enumeration_size,
     enumerate_nc_partitions,
     enumerate_set_partitions,
     full_partition,
@@ -52,7 +54,6 @@ from .tensor import (
     BarWord,
     DecoratedNC,
     LinComb,
-    _atom_shape,
     add_into,
     barword_degree,
     barword_text,
@@ -68,6 +69,7 @@ from .transforms import (
     CumulantSequence,
     MomentSequence,
     MultiMomentMap,
+    _first_block_cumulants,
     _free_moments_fixed_point,
     classical_cumulants_from_moments,
     classical_moments_from_cumulants,
@@ -175,7 +177,8 @@ def _elements(kind: str, alphabet: tuple[str, ...], degree: int) -> list:
     """Single generator atoms of the given degree on the chosen bialgebra."""
     if kind == WORDS:
         return list(iter_product(alphabet, repeat=degree))
-    return [DecoratedNC(shape) for shape in enumerate_nc_partitions(degree)]
+    check_enumeration_size("nc", degree)
+    return [(shape, None) for shape in _nc_shapes(degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +436,18 @@ def _lattice_cumulants(moment, words) -> dict:
     every proper subword a term needs is solved before it.
 
     The transforms solve by the first-block recursion instead, with
-    2^(n-1) - 1 terms per word against Cat(n) - 1 here, so this solve is
-    the keyrell suite's own route to the principal equation.
+    2^(n-1) - 1 terms per word against Cat(n) - 1 here, and read no
+    partition, so the keyrell suite holds this solve to that one.
 
     Precondition: ``words`` holds every block restriction of its words.  A
     missing subword raises KeyError, which is an internal fault, not bad
     input."""
+    check_enumeration_size("nc", max(map(len, words), default=1))
     # each degree's multi-block shapes, once, as the gathers of their
     # blocks' 0-based positions
     shapes = {n: [_gathers([tuple([i - 1 for i in block])
-                            for block in shape.blocks])
-                  for shape in enumerate_nc_partitions(n)
-                  if len(shape.blocks) > 1]
+                            for block in blocks])
+                  for blocks in _nc_shapes(n) if len(blocks) > 1]
               for n in set(map(len, words))}
     r: dict = {}
     for letters in sorted(words, key=len):
@@ -491,11 +494,11 @@ def _free_pair_moments(moments: dict, order: int) -> dict:
 
 def verify_keyrell(max_n: int = 6) -> SuiteReport:
     """The fixed point of Psi = e + sd(kappa) ≺ Psi evaluates on a decorated
-    partition as the product of kappa over its blocks, and summing those
-    block products over the whole lattice recovers the moments from which
-    the cumulants were solved.  The multivariate transform, on the moments
-    of two free variables, gives their one-letter cumulants and no mixed
-    one, at order min(max_n, 8)."""
+    partition as the product of kappa over its blocks, and the cumulants
+    solved from moments over the whole NC lattice equal those of the
+    first-block recursion, which reads no partition.  The multivariate
+    transform, on the moments of two free variables, gives their
+    one-letter cumulants and no mixed one, at order min(max_n, 8)."""
     report = SuiteReport("keyrell")
     alphabet = tuple(f"x{i}" for i in range(1, max_n + 1))
     nc_algebra = Algebra(NC, alphabet)
@@ -522,27 +525,21 @@ def verify_keyrell(max_n: int = 6) -> SuiteReport:
     report.add(f"Psi(L⊗w) = block product of kappa ({count} partitions)",
                not bad, _failing(bad))
 
-    # principal equation: with kappa solved from phi, the lattice sum of
-    # block products returns phi
+    # principal equation: kappa solved from phi over the NC lattice, and by
+    # the first-block recursion, which reads no partition
     def phi_fn(letters: tuple) -> Fraction:
         r = random.Random(f"{seed + 1}:{'.'.join(letters)}")
         return Fraction(r.randint(-12, 12), r.randint(1, 5))
 
-    # the subwords of x1...x_max_n are closed under block restriction, so
-    # one solve over them serves every n
-    solved = _lattice_cumulants(
-        phi_fn,
-        [tuple(x for i, x in enumerate(alphabet) if mask >> i & 1)
-         for mask in range(1, 1 << max_n)])
-    bad = []
-    for n in range(1, max_n + 1):
-        w = alphabet[:n]
-        total = sum(kappa_powers(shape, w, solved.__getitem__)
-                    for shape in enumerate_nc_partitions(n))
-        if total != phi_fn(w):
-            bad.append(".".join(w))
-    report.add(f"lattice sum of cumulant block products = moments, n ≤ {max_n}",
-               not bad, _failing(bad))
+    # the subwords of x1...x_max_n are closed under block restriction and
+    # gaps, so one solve over them serves every n
+    words = [tuple(x for i, x in enumerate(alphabet) if mask >> i & 1)
+             for mask in range(1, 1 << max_n)]
+    lattice = _lattice_cumulants(phi_fn, words)
+    recursion = _first_block_cumulants(phi_fn, words)
+    bad = [".".join(w) for w in words if lattice[w] != recursion[w]]
+    report.add(f"lattice solve = first-block recursion on {len(words)} "
+               f"subwords, n ≤ {max_n}", not bad, _failing(bad))
 
     # freeness, from outside both routes of the transform: for free a and b
     # every mixed cumulant vanishes, and those of a^n and b^n are the
@@ -624,11 +621,15 @@ def verify_semicircular(order: int = 8) -> SuiteReport:
 def _transported(shape: NonCrossingPartition, tree_of) -> LinComb:
     """The partition coproduct of ``shape`` pushed through the tree map
     ``tree_of``: tree on the left leg, forest on the right."""
+    def leg_tree(atom) -> tuple:
+        blocks = atom[0]
+        return tree_of(NonCrossingPartition._unchecked(
+            blocks, sum(map(len, blocks))))
+
     out: LinComb = {}
     for (left, right), c in delta_nc(DecoratedNC(shape)).items():
-        rooted = tree_of(_atom_shape(left[0])) if left else ()
-        forest = tuple([tree_of(_atom_shape(atom)) for atom in right])
-        add_into(out, (rooted, forest), c)
+        rooted = leg_tree(left[0]) if left else ()
+        add_into(out, (rooted, tuple(map(leg_tree, right))), c)
     return out
 
 

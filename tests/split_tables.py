@@ -6,18 +6,18 @@ so the tests compare tables decoded."""
 from nc_hopf.partitions import NonCrossingPartition
 
 
-def decode_split_table(p, table) -> tuple[tuple, tuple]:
-    """``table``, the split table of p, with its positions read back from
-    the gathers: parts as (the indices of the part's blocks in p, its
-    shape, the 0-based ranks of its carrier in p's carrier) and splits as
-    (whether p's first element lies in Q, the Q part's index or ``None``,
-    the indices of the component parts, left to right), both halves
-    merged back into the order of the Q-block bitmasks.  A shape is
-    wrapped with no check, so that the tests can hold it to the
-    constructor."""
+def decode_split_table(blocks, table) -> tuple[tuple, tuple]:
+    """``table``, the split table of the partition p with these canonical
+    ``blocks``, with its positions read back from the gathers: parts as
+    (the indices of the part's blocks in p, its shape, the 0-based ranks
+    of its carrier in p's carrier) and splits as (whether p's first
+    element lies in Q, the Q part's index or ``None``, the indices of the
+    component parts, left to right), both halves merged back into the
+    order of the Q-block bitmasks.  A shape is wrapped with no check, so
+    that the tests can hold it to the constructor."""
     shapes, ranks, bounds, halves = table
     # owner[r]: the index of the block of p that holds the element of rank r
-    owner = [i for _, i in sorted((x, i) for i, b in enumerate(p.blocks)
+    owner = [i for _, i in sorted((x, i) for i, b in enumerate(blocks)
                                   for x in b)]
     every = ranks(tuple(range(len(owner))))
     parts = []

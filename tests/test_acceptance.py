@@ -159,7 +159,8 @@ def test_criterion_09_character_bijection():
 def test_criterion_10_block_product_evaluation():
     from_suite(10, verify_keyrell(max_n=6),
                "fixed point with one-block section evaluates as block "
-               "products; lattice sum recovers the moments")
+               "products; the lattice solve equals the first-block "
+               "recursion")
 
 
 def test_criterion_11_round_trips():

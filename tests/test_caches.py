@@ -10,7 +10,7 @@ from nc_hopf.tensor import DecoratedNC
 from split_tables import decode_split_table
 
 # keyed by an order n no larger than the size cap, so the cap bounds them
-ORDER_KEYED = {"_all_nc_partitions", "_type_table"}
+ORDER_KEYED = {"_nc_shapes", "_type_table"}
 
 
 def test_only_the_order_keyed_caches_are_unbounded():
@@ -49,7 +49,7 @@ def singleton_on(i: int) -> NonCrossingPartition:
 # (module, cache, the arguments of the i-th of an endless run of distinct
 # inputs)
 INPUT_KEYED = [
-    ("partitions", "split_table", lambda i: (singleton_on(i),)),
+    ("partitions", "split_table", lambda i: (singleton_on(i).blocks,)),
     ("partitions", "admissible_splits", lambda i: (singleton_on(i),)),
     ("tensor", "_short_word_halves", lambda i: (("a", *letter(i)),)),
     ("tensor", "_long_word_halves", lambda i: (("a",) * 6 + letter(i),)),

@@ -257,7 +257,7 @@ class TestUncheckedConstruction:
     def test_split_table_parts_pass_the_constructor(self):
         for n in range(1, 9):
             for p in enumerate_nc_partitions(n):
-                parts, _ = decode_split_table(p, split_table(p))
+                parts, _ = decode_split_table(p.blocks, split_table(p.blocks))
                 for ids, shape, ranks in parts:
                     assert_passes_the_constructor(shape, NonCrossingPartition,
                                                   len(ranks))
@@ -377,26 +377,25 @@ class TestAdmissibleSplits:
         shapes.append(NonCrossingPartition.of(
             [[2, 9, 15], [3, 4], [5, 8], [6], [11, 14], [12]]))
         for p in shapes:
-            assert decode_split_table(p, split_table(p)) \
+            assert decode_split_table(p.blocks, split_table(p.blocks)) \
                 == mask_split_table(p), p
 
     def test_equal_part_shapes_are_one_object(self):
         # within one table: equal shapes are one object, and no two splits
         # hold the same component list (it decides T, so the split)
         for p in (p for n in range(1, 8) for p in enumerate_nc_partitions(n)):
-            table = split_table(p)
+            table = split_table(p.blocks)
             shapes = {}
             for shape in table[0]:
                 assert shapes.setdefault(shape, shape) is shape
-            _, decoded = decode_split_table(p, table)
+            _, decoded = decode_split_table(p.blocks, table)
             lists = [comps for _, _, comps in decoded]
             assert len(set(lists)) == len(lists)
 
     def test_the_singleton_partition_holds_one_shape_per_size(self):
         # each part of 0̂ₙ, a kept subset or a run, is some 0̂ₖ
         for n in range(1, 11):
-            p = NonCrossingPartition(tuple((x,) for x in range(1, n + 1)))
-            shapes = split_table(p)[0]
+            shapes = split_table(tuple((x,) for x in range(1, n + 1)))[0]
             assert len({id(shape) for shape in shapes}) == n
             assert set(shapes) == {
                 tuple((x,) for x in range(1, k + 1)) for k in range(1, n + 1)}

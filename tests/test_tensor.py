@@ -219,11 +219,10 @@ class TestCoproductLayer:
         from operator import itemgetter
         import nc_hopf
         nc_hopf.clear_caches()
-        shapes = [NonCrossingPartition(tuple((x,) for x in range(1, n + 1)))
-                  for n in (3, 6, 10)]
-        shapes += [NonCrossingPartition.of(blocks) for blocks in
+        shapes = [tuple((x,) for x in range(1, n + 1)) for n in (3, 6, 10)]
+        shapes += [NonCrossingPartition.of(blocks).blocks for blocks in
                    ([[1, 8], [2, 7], [3], [4], [5], [6]], [[1, 2, 3]])]
-        tables = [split_table(p) for p in shapes]
+        tables = [split_table(blocks) for blocks in shapes]
         for _ in range(5):
             gc.collect()
 
@@ -334,8 +333,8 @@ class TestNcCoproduct:
         for n, shape in ((n, shape) for n in range(1, 8)
                          for shape in enumerate_nc_partitions(n)):
             for word in (Word("abcdefg"[:n]), Word("a" * n)):
-                parts, splits = decode_split_table(shape,
-                                                   split_table(shape))
+                parts, splits = decode_split_table(
+                    shape.blocks, split_table(shape.blocks))
                 atoms = [DecoratedNC(part, tuple([word[r] for r in ranks]))
                          for _, part, ranks in parts]
                 halves = (Counter(), Counter())  # right, left
@@ -525,6 +524,36 @@ class TestSplittingMap:
     def test_cap(self):
         with pytest.raises(SizeLimitError):
             sp((Word(("a",) * 99),))
+
+
+def test_sp_coproduct_misses_and_atoms_build_no_partition(monkeypatch):
+    # inside the library a shape is its blocks: from cold caches, none of
+    # these wraps one in a partition object
+    import nc_hopf
+    from nc_hopf.functionals import NC, Algebra
+    from nc_hopf.partitions import SetPartition, parse_partition
+
+    def refuse(*args):
+        raise AssertionError("built a partition object")
+
+    shape = NonCrossingPartition.of([[1, 4], [2, 3], [5]])
+    nc_hopf.clear_caches()
+    monkeypatch.setattr(SetPartition, "__init__", refuse)
+    monkeypatch.setattr(SetPartition, "_unchecked", classmethod(refuse))
+    try:
+        with pytest.raises(AssertionError):
+            parse_partition("{1}{2}")
+        assert len(sp((w("abcde"), w("ab")))) == 42 * 2
+        for x in (DecoratedNC(shape, w("abcab")), DecoratedNC(shape)):
+            assert delta_nc_halves(x)
+        for word in (w("abc"), w("abcdefgh")):
+            assert delta_word_halves(word)
+        assert delta_nc_halves.cache_info().misses == 2
+        assert tensor._short_word_halves.cache_info().misses == 1
+        assert tensor._long_word_halves.cache_info().misses == 1
+        assert len(Algebra(NC, ("a", "b")).atoms(4)) == 14 * 2 ** 4
+    finally:
+        nc_hopf.clear_caches()
 
 
 class TestParsing:

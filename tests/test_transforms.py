@@ -442,7 +442,7 @@ class TestGeneralizedCumulants:
         for name in nc_hopf._LAYERS:
             module = getattr(nc_hopf, name)
             for fn in ("_lattice_cumulants", "enumerate_nc_partitions",
-                       "_all_nc_partitions", "iter_partitions"):
+                       "_nc_shapes", "iter_partitions"):
                 if hasattr(module, fn):
                     monkeypatch.setattr(module, fn, refuse)
         assert generalized_free_cumulants(phi).table == expect

@@ -216,6 +216,36 @@ def test_all_empties_the_caches_after_each_suite(monkeypatch):
     assert sum(fn.cache_info().currsize for fn in layer_caches().values()) == 0
 
 
+def test_keyrell_fails_when_its_lattice_drops_a_shape(monkeypatch):
+    # a verify that reads NC(4) without {1,4}{2,3} must fail keyrell: the
+    # lattice solve then disagrees with the first-block recursion, which
+    # reads no partition, on every subword of 4 letters or more
+    dropped = ((1, 4), (2, 3))
+    calls = []
+
+    def drop(real, blocks_of):
+        def enumerate_without(n):
+            calls.append(n)
+            return [p for p in real(n) if blocks_of(p) != dropped]
+        return enumerate_without
+
+    verify = nc_hopf.verify
+    for name, blocks_of in (("_nc_shapes", lambda blocks: blocks),
+                            ("enumerate_nc_partitions", lambda p: p.blocks)):
+        real = getattr(verify, name, None)
+        if real is not None:
+            monkeypatch.setattr(verify, name, drop(real, blocks_of))
+    report = verify.verify_keyrell(5)
+    assert 4 in calls
+    assert not report.passed
+    failed = report.failures()
+    assert [c.label for c in failed] == [
+        "lattice solve = first-block recursion on 31 subwords, n ≤ 5"]
+    bad = failed[0].detail.split(": ", 1)[1].split(", ")
+    assert "x1.x2.x3.x4" in bad
+    assert all(len(word.split(".")) >= 4 for word in bad)
+
+
 def test_free_pair_moments_on_alternating_words():
     # for free a and b: phi(ab) = phi(a) phi(b), and phi(abab) =
     # phi(a^2) phi(b)^2 + phi(a)^2 phi(b^2) - phi(a)^2 phi(b)^2
