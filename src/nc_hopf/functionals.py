@@ -64,16 +64,17 @@ class Algebra(Value):
         return [(shape, w) for shape in _nc_shapes(degree) for w in words]
 
     def barwords(self, degree: int) -> list[BarWord]:
-        """All basis bar words of the given total degree."""
-        if degree == 0:
-            return [UNIT]
-        out: list[BarWord] = []
-        for first_deg in range(1, degree + 1):
-            tails = self.barwords(degree - first_deg)
-            for atom in self.atoms(first_deg):
-                for tail in tails:
-                    out.append((atom,) + tail)
-        return out
+        """All basis bar words of the given total degree, built degree by
+        degree: those of degree n are each atom of degree k followed by
+        each bar word of degree n - k, for k = 1..n in turn."""
+        atoms = [self.atoms(k) for k in range(1, degree + 1)]
+        by_degree: list[list[BarWord]] = [[UNIT]]
+        for n in range(1, degree + 1):
+            by_degree.append([(atom,) + tail
+                              for k in range(1, n + 1)
+                              for atom in atoms[k - 1]
+                              for tail in by_degree[n - k]])
+        return by_degree[degree]
 
 
 class LinearFunctional:
@@ -88,13 +89,14 @@ class LinearFunctional:
         self.unit_value = unit_value
         self.name = name
         self._eval = eval_basis
-        self._cache: dict[BarWord, Coefficient] = {}
+        # the values known so far, the unit's from the start; a pairing
+        # reads a leg here and calls the functional only on a miss
+        self._cache: dict[BarWord, Coefficient] = {UNIT: unit_value}
 
     def __call__(self, b: BarWord) -> Coefficient:
-        if b == UNIT:
-            return self.unit_value
-        if b in self._cache:
-            return self._cache[b]
+        value = self._cache.get(b)
+        if value is not None:
+            return value
         degree = barword_degree(b)
         if degree > self.truncation:
             raise TruncationError(
@@ -159,12 +161,17 @@ def _check_compatible(f: LinearFunctional, g: LinearFunctional):
 
 def _pair(f: LinearFunctional, g: LinearFunctional, b: BarWord,
           variant: str) -> Coefficient:
+    f_values, g_values = f._cache, g._cache
     total: Coefficient = ZERO
     for (left, right), c in delta_bar(b, variant).items():
-        fl = f.unit_value if left == UNIT else f(left)
+        fl = f_values.get(left)
+        if fl is None:
+            fl = f(left)
         if not fl:
             continue
-        gr = g.unit_value if right == UNIT else g(right)
+        gr = g_values.get(right)
+        if gr is None:
+            gr = g(right)
         if not gr:
             continue
         total = total + c * fl * gr
@@ -218,14 +225,22 @@ def solve_left_fixed_point(kappa: LinearFunctional) -> Character:
     a weak reference: no cycle keeps Phi and its value cache alive."""
     _require_infinitesimal(kappa)
 
+    kappa_values = kappa._cache
+
     def ev(b: BarWord) -> Coefficient:
         phi = phi_ref()
+        phi_values, later = phi._cache, b[1:]
         total: Coefficient = ZERO
         for (left, right), c in delta_bar(b[:1], "left+").items():
-            kl = kappa(left)
+            kl = kappa_values.get(left)
+            if kl is None:
+                kl = kappa(left)
             if not kl:
                 continue
-            pr = phi(right + b[1:])
+            right += later
+            pr = phi_values.get(right)
+            if pr is None:
+                pr = phi(right)
             if not pr:
                 continue
             total = total + c * kl * pr
@@ -266,17 +281,26 @@ def extract_infinitesimal(phi: LinearFunctional) -> InfinitesimalCharacter:
     holds ``atom_value``, which reaches kappa through a weak reference, so
     no cycle keeps kappa alive."""
 
+    phi_values = phi._cache
+
     def atom_value(atom) -> Coefficient:
         b: BarWord = (atom,)
-        total = phi(b)
+        total = phi_values.get(b)
+        if total is None:
+            total = phi(b)
         kappa = kappa_ref()
+        kappa_values = kappa._cache
         for (left, right), c in delta_bar(b, "left+").items():
             if left == b:
                 continue  # the kappa(w) * Phi(1) term being solved for
-            kl = kappa(left) if left != UNIT else ZERO
+            kl = kappa_values.get(left)
+            if kl is None:
+                kl = kappa(left)
             if not kl:
                 continue
-            pr = phi.unit_value if right == UNIT else phi(right)
+            pr = phi_values.get(right)
+            if pr is None:
+                pr = phi(right)
             total = total - c * kl * pr
         return total
 

@@ -222,23 +222,32 @@ _WEIGHTS = (_set_count, _nc_count, _set_moebius, _nc_moebius)
 def _type_table(n: int) -> tuple:
     """One row per type lam |- n, in ``_integer_partitions`` order: lam
     followed by its four weights, in the order of ``_WEIGHTS``.  One table
-    per degree, so the types and weights are computed once."""
+    per degree, so the types and weights are computed once; the tail
+    lam_2..lam_k of a row is a row of the table of n - lam_1."""
     return tuple((lam, *(weight(n, lam) for weight in _WEIGHTS))
                  for lam in _integer_partitions(n, n))
 
 
-def _type_sum(values_by_size, n: int, weight) -> Coefficient:
-    """sum over lam |- n of weight(n, lam) * prod_i values_by_size(lam_i),
-    with the weights read from the degree's type table."""
+def _type_sums(values_by_size, order: int, weight) -> list:
+    """The sums over lam |- n of weight(n, lam) * prod_i values_by_size(lam_i)
+    for n = 1..order, with the weights read from each degree's type table.
+    The product of a type is values_by_size(lam_1) times the product of its
+    tail, which a lower degree has computed, so a type costs at most one
+    multiplication; the products are held for this call only."""
     column = 1 + _WEIGHTS.index(weight)
-    total: Coefficient = ZERO
-    for row in _type_table(n):
-        first, *rest = row[0]
-        term = values_by_size(first)
-        for part in rest:
-            term = term * values_by_size(part)
-        total = total + row[column] * term
-    return total
+    products: dict = {}
+    sums = []
+    for n in range(1, order + 1):
+        total: Coefficient = ZERO
+        for row in _type_table(n):
+            lam = row[0]
+            term = values_by_size(lam[0])
+            if len(lam) > 1:
+                term = term * products[lam[1:]]
+            products[lam] = term
+            total = total + row[column] * term
+        sums.append(total)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +280,7 @@ def classical_moments_from_cumulants(c: CumulantSequence) -> MomentSequence:
 def _classical_moments(values) -> list:
     c = CumulantSequence(tuple(values), CLASSICAL)
     via_bell = bell_polynomials(c)[1:]
-    via_partitions = [_type_sum(c.cumulant, n, _set_count)
-                      for n in range(1, c.order + 1)]
+    via_partitions = _type_sums(c.cumulant, c.order, _set_count)
     _require_agreement(
         {"bell-recursion": via_bell, "partition-sum": via_partitions},
         "classical moments")
@@ -290,8 +298,7 @@ def classical_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
 def _classical_cumulants(values) -> list:
     m = MomentSequence.of(values)
     c = CumulantSequence(
-        tuple(_type_sum(m.moment, n, _set_moebius)
-              for n in range(1, m.order + 1)), CLASSICAL)
+        tuple(_type_sums(m.moment, m.order, _set_moebius)), CLASSICAL)
     back = bell_polynomials(c)[1:]
     if tuple(back) != m.values[1:]:
         raise InconsistencyError(
@@ -304,8 +311,7 @@ def _classical_cumulants(values) -> list:
 
 
 def _free_moments_nc_sum(k: CumulantSequence) -> list:
-    return [_type_sum(k.cumulant, n, _nc_count)
-            for n in range(1, k.order + 1)]
+    return _type_sums(k.cumulant, k.order, _nc_count)
 
 
 def _free_moments_fixed_point(k: CumulantSequence) -> list:
@@ -381,8 +387,7 @@ def free_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
 def _free_cumulants(values) -> list:
     m = MomentSequence.of(values)
     k = CumulantSequence(
-        tuple(_type_sum(m.moment, n, _nc_moebius)
-              for n in range(1, m.order + 1)), FREE)
+        tuple(_type_sums(m.moment, m.order, _nc_moebius)), FREE)
     if tuple(_free_moments_series(k)) != m.values[1:]:
         raise InconsistencyError(
             "free cumulants: Möbius inversion does not round-trip")

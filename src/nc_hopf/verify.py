@@ -517,8 +517,12 @@ def verify_keyrell(max_n: int = 6) -> SuiteReport:
     count = 0
     for n in range(1, max_n + 1):
         w = alphabet[:n]
-        for shape in enumerate_nc_partitions(n):
-            count += 1
+        shapes = enumerate_nc_partitions(n)
+        count += len(shapes)
+        if len(shapes) != catalan_number(n):
+            bad.append(f"|NC_{n}| = {len(shapes)} ≠ Catalan({n}) = "
+                       f"{catalan_number(n)}")
+        for shape in shapes:
             expect = kappa_powers(shape, w, kappa_fn)
             if psi((DecoratedNC(shape, w),)) != expect:
                 bad.append(f"{shape.text()} on {'.'.join(w)}")

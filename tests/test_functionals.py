@@ -54,6 +54,29 @@ def unpruned_fixed_point(kappa):
     return box[0]
 
 
+def recursive_barwords(algebra, degree):
+    """The bar words of a degree by the first atom's degree, recursing into
+    the rest: the definition, rebuilt at every call."""
+    if degree == 0:
+        return [UNIT]
+    return [(atom,) + tail for k in range(1, degree + 1)
+            for atom in algebra.atoms(k)
+            for tail in recursive_barwords(algebra, degree - k)]
+
+
+def record_evaluations(f):
+    """The list of bar words that f's eval_basis is called on, from now."""
+    seen = []
+    inner = f._eval
+
+    def ev(b):
+        seen.append(b)
+        return inner(b)
+
+    f._eval = ev
+    return seen
+
+
 class TestAlgebraBasis:
     def test_atom_counts(self):
         assert len(AB.atoms(3)) == 8
@@ -67,6 +90,23 @@ class TestAlgebraBasis:
 
     def test_unit_basis(self):
         assert A1.barwords(0) == [UNIT]
+
+    @pytest.mark.parametrize("kind", [WORDS, NC])
+    def test_barwords_built_degree_by_degree(self, kind, monkeypatch):
+        # one atoms() call per degree, and the lists of the recursion in its
+        # order
+        algebra = Algebra(kind, ("a",))
+        expected = recursive_barwords(algebra, 10)
+        calls = []
+        atoms = Algebra.atoms
+
+        def counted(self, degree):
+            calls.append(degree)
+            return atoms(self, degree)
+
+        monkeypatch.setattr(Algebra, "atoms", counted)
+        assert algebra.barwords(10) == expected
+        assert calls == list(range(1, 11))
 
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):
@@ -90,6 +130,16 @@ class TestEvaluation:
     def test_unit_value(self):
         assert augmentation(A1, 4)(UNIT) == 1
         assert random_functional(A1, 4, seed=2)(UNIT) == 0
+
+    def test_truncation_raised_through_the_cache(self):
+        # a miss above the truncation raises, from __call__ and from
+        # on_lincomb, also after values below it have been cached
+        f = random_functional(A1, 3, seed=6)
+        assert f.on_lincomb({aw(1): 2, aw(3): 1, UNIT: 5}) is not None
+        with pytest.raises(TruncationError):
+            f(aw(4))
+        with pytest.raises(TruncationError):
+            f.on_lincomb({aw(1): 1, (Word(("a",)), Word(("a",) * 3)): 1})
 
     def test_on_lincomb_linear(self):
         f = random_functional(A1, 4, seed=3)
@@ -297,6 +347,42 @@ class TestMultiplicativeExtension:
         m = {1: Fraction(1, 2), 2: Fraction(3)}
         phi = Character.from_atoms(A1, 3, lambda w: m[len(w)])
         assert phi((Word(("a",) * 2), Word(("a",)))) == Fraction(3, 2)
+
+
+class TestEvaluatedOnce:
+    """Pairings read known values from the cache: each functional's
+    eval_basis runs once per distinct bar word, and never on the unit."""
+
+    @staticmethod
+    def assert_once(*seen):
+        for words in seen:
+            assert words and UNIT not in words
+            assert len(set(words)) == len(words)
+
+    def test_convolution(self):
+        f = random_functional(AB, 4, seed=31)
+        g = random_functional(AB, 4, seed=32)
+        products = [convolve(f, g), half_convolve(f, g, "left"),
+                    half_convolve(f, g, "right")]
+        seen = [record_evaluations(h) for h in (f, g, *products)]
+        for h in products:
+            for d in range(5):
+                for b in AB.barwords(d):
+                    h(b)
+        self.assert_once(*seen)
+
+    @pytest.mark.parametrize("kind,degree", [(WORDS, 5), (NC, 4)])
+    def test_fixed_point_and_extraction(self, kind, degree):
+        algebra = Algebra(kind, ("a", "b"))
+        kappa = random_infinitesimal(algebra, degree, seed=33)
+        phi = solve_left_fixed_point(kappa)
+        back = extract_infinitesimal(phi)
+        seen = [record_evaluations(f) for f in (kappa, phi, back)]
+        for d in range(degree + 1):
+            for b in algebra.barwords(d):
+                assert back(b) == kappa(b)
+                phi(b)
+        self.assert_once(*seen)
 
 
 class TestFreedByRefcount:

@@ -272,23 +272,52 @@ class TestTypeWeights:
             assert set_mu == nc_mu == (1 if n == 1 else 0), n
 
     def test_type_sum_is_the_lattice_sum(self):
-        # each count against its enumeration, each Möbius total against
-        # its Möbius column
+        # every degree of one call, each count against its enumeration and
+        # each Möbius total against its Möbius column
         k = symbolic_cumulants(7, FREE)
-        for n in range(1, 8):
-            lattices = {
-                transforms._set_count: {
-                    p.blocks: 1 for p in enumerate_set_partitions(n)},
-                transforms._nc_count: {
-                    p.blocks: 1 for p in enumerate_nc_partitions(n)},
-                transforms._set_moebius: moebius_to_top("set", n),
-                transforms._nc_moebius: moebius_to_top("nc", n)}
-            for weight, by_blocks in lattices.items():
+        lattices = {
+            transforms._set_count: lambda n: {
+                p.blocks: 1 for p in enumerate_set_partitions(n)},
+            transforms._nc_count: lambda n: {
+                p.blocks: 1 for p in enumerate_nc_partitions(n)},
+            transforms._set_moebius: lambda n: moebius_to_top("set", n),
+            transforms._nc_moebius: lambda n: moebius_to_top("nc", n)}
+        for weight, lattice in lattices.items():
+            sums = transforms._type_sums(k.cumulant, 7, weight)
+            assert len(sums) == 7, weight.__name__
+            for n, got in enumerate(sums, 1):
                 total = sum((w * block_product(k.cumulant, blocks)
-                             for blocks, w in by_blocks.items()),
+                             for blocks, w in lattice(n).items()),
                             start=Poly())
-                assert transforms._type_sum(k.cumulant, n, weight) == total, (
-                    weight.__name__, n)
+                assert got == total, (weight.__name__, n)
+
+    def test_type_sums_multiply_once_per_type(self):
+        # a type of one part takes its value as it is, and every other type
+        # one product, its first part times its tail's product
+        class Counted:
+            products = 0
+
+            def __mul__(self, other):
+                if isinstance(other, Counted):
+                    Counted.products += 1
+                return self
+
+            __rmul__ = __mul__
+
+            def __add__(self, other):
+                return self
+
+            __radd__ = __add__
+
+        value = Counted()
+        # p(n), the number of types of degree n
+        types = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+        for order in range(1, 11):
+            Counted.products = 0
+            sums = transforms._type_sums(
+                lambda size: value, order, transforms._nc_count)
+            assert len(sums) == order
+            assert Counted.products == sum(types[:order]) - order, order
 
 
 class TestSizeCaps:

@@ -218,8 +218,9 @@ def test_all_empties_the_caches_after_each_suite(monkeypatch):
 
 def test_keyrell_fails_when_its_lattice_drops_a_shape(monkeypatch):
     # a verify that reads NC(4) without {1,4}{2,3} must fail keyrell: the
-    # lattice solve then disagrees with the first-block recursion, which
-    # reads no partition, on every subword of 4 letters or more
+    # first check counts 13 shapes of NC(4), and the lattice solve then
+    # disagrees with the first-block recursion, which reads no partition,
+    # on every subword of 4 letters or more
     dropped = ((1, 4), (2, 3))
     calls = []
 
@@ -240,8 +241,10 @@ def test_keyrell_fails_when_its_lattice_drops_a_shape(monkeypatch):
     assert not report.passed
     failed = report.failures()
     assert [c.label for c in failed] == [
+        "Psi(L⊗w) = block product of kappa (63 partitions)",
         "lattice solve = first-block recursion on 31 subwords, n ≤ 5"]
-    bad = failed[0].detail.split(": ", 1)[1].split(", ")
+    assert failed[0].detail == "1 failing: |NC_4| = 13 ≠ Catalan(4) = 14"
+    bad = failed[1].detail.split(": ", 1)[1].split(", ")
     assert "x1.x2.x3.x4" in bad
     assert all(len(word.split(".")) >= 4 for word in bad)
 

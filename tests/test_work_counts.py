@@ -1,0 +1,58 @@
+"""Deterministic work counts of two requests, pinned so that a change which
+brings back repeated work fails here, whatever the speed of the host."""
+
+import io
+from fractions import Fraction
+
+from nc_hopf import cli, functionals, transforms
+from nc_hopf.coefficients import Poly
+
+
+def test_symbolic_k2m_poly_multiplications(monkeypatch):
+    # the type sums make one product per type of two or more parts (58 up
+    # to degree 8) and one scalar product per type for its weight (66); the
+    # series makes the rest
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    out = io.StringIO()
+    assert cli.main(["transform", "free", "--direction", "k2m",
+                     "--symbolic", "--n", "8"], out=out) == 0
+    assert len(calls) == 265
+
+
+def test_multi_m2k_functional_evaluations(monkeypatch):
+    # extraction reads known values in place, so every call of a functional
+    # is a cache miss that evaluates one bar word, for the character or for
+    # the extracted cumulants
+    evaluations, calls = [], []
+    init = functionals.LinearFunctional.__init__
+    call = functionals.LinearFunctional.__call__
+
+    def counted_init(self, algebra, truncation, eval_basis, *args, **kw):
+        def ev(b):
+            evaluations.append(b)
+            return eval_basis(b)
+        init(self, algebra, truncation, ev, *args, **kw)
+
+    def counted_call(self, b):
+        calls.append(b)
+        return call(self, b)
+
+    monkeypatch.setattr(functionals.LinearFunctional, "__init__",
+                        counted_init)
+    monkeypatch.setattr(functionals.LinearFunctional, "__call__",
+                        counted_call)
+    words = list(transforms._letter_tuples("abc", range(1, 5)))
+    table = {w: Fraction(sum(map(ord, w)) % 7 - 3, len(w) + 1)
+             for w in words}
+    transforms.generalized_free_cumulants(
+        transforms.MultiMomentMap(("a", "b", "c"), 4, table))
+    assert len(words) == 120
+    assert len(evaluations) == len(calls) == 249
