@@ -128,21 +128,14 @@ def clear_caches() -> None:
     module.
 
     Each cache keyed by caller input keeps its least recently used entries
-    up to a bound set at the largest working set measured on the verify
-    suites at their ceilings: ``split_table`` and ``admissible_splits``
-    8,192 shapes (all 6,917 NC shapes with n <= 9, read by keyrell and
-    tree-consistency), ``delta_nc_halves`` 65,536 decorated atoms
-    (sp-morphism reads 64,978), ``delta_bar`` 16,384 bar words (unshuffle
-    reads 36,478 and recomputes 1,538) and ``admissible_edge_cuts`` 1,024
-    trees (tree-consistency reads 539).  ``delta_word_halves`` keeps 2,048
-    words of at most 6 letters, which coassociativity and the hopf
-    benchmark read again across requests (all 1,092 over three letters),
-    and 16 longer words, which hold 2ⁿ terms each and are read again
-    mostly within one request.  NC(n) and the transforms' block-type
-    tables hold one entry per order up to the cap, and NC(n) near the cap
-    is large (NC(14) is 2,674,440 block tuples, 678 MB of peak RSS in a
-    fresh process), so a long-lived process that reached it calls this to
-    free them; ``verify all`` calls it after each suite."""
+    up to a bound stated next to it, set at the largest working set
+    measured on the verify suites at their ceilings.  ``delta_bar`` caches
+    only the products it builds (8,192; unshuffle reads 17,746): a one-atom
+    half lives in its generator cache alone.  NC(n) and the transforms'
+    block-type tables hold one entry per order up to the cap, and NC(14)
+    is 678 MB of peak RSS in a fresh process, so a long-lived process that
+    reached it calls this to free them; ``verify all`` calls it after each
+    suite."""
     for name in _LAYERS:
         for value in vars(globals()[name]).values():
             if hasattr(value, "cache_clear"):

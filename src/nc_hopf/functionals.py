@@ -17,7 +17,8 @@ exponential as an independent route.
 from __future__ import annotations
 
 import weakref
-from itertools import product as iter_product
+from functools import cache
+from itertools import islice, product as iter_product
 
 from .coefficients import ONE, ZERO, Coefficient
 from .errors import AlgebraMismatchError, TruncationError
@@ -390,40 +391,29 @@ CHECK_LIMIT = 20000
 def check_character(f: LinearFunctional) -> CheckReport:
     """Verify f(1) = 1 and f(a|b) = f(a) f(b) on the first ``CHECK_LIMIT``
     basis pairs within the truncation."""
-    n = f.truncation
-    violations = []
+    n, barwords = f.truncation, cache(f.algebra.barwords)  # once per degree
+    pairs = islice(((a, b) for da in range(1, n)
+                    for db in range(1, n - da + 1)
+                    for a in barwords(da) for b in barwords(db)), CHECK_LIMIT)
+    violations = [("unit", f.unit_value)] if f.unit_value != 1 else []
     checked = 0
-    if f.unit_value != 1:
-        violations.append(("unit", f.unit_value))
-    for da in range(1, n):
-        for db in range(1, n - da + 1):
-            tails = f.algebra.barwords(db)
-            for a in f.algebra.barwords(da):
-                for b in tails:
-                    if checked >= CHECK_LIMIT:
-                        return CheckReport(not violations, checked, violations)
-                    checked += 1
-                    if f(a + b) != f(a) * f(b):
-                        violations.append((barword_text(a), barword_text(b)))
+    for checked, (a, b) in enumerate(pairs, 1):
+        if f(a + b) != f(a) * f(b):
+            violations.append((barword_text(a), barword_text(b)))
     return CheckReport(not violations, checked, violations)
 
 
 def check_infinitesimal(f: LinearFunctional) -> CheckReport:
     """Verify f(1) = 0 and f vanishes on the first ``CHECK_LIMIT`` bar words
     with >= 2 parts within the truncation."""
-    violations = []
+    products = islice((b for d in range(2, f.truncation + 1)
+                       for b in f.algebra.barwords(d) if len(b) > 1),
+                      CHECK_LIMIT)
+    violations = [("unit", f.unit_value)] if f.unit_value != 0 else []
     checked = 0
-    if f.unit_value != 0:
-        violations.append(("unit", f.unit_value))
-    for d in range(2, f.truncation + 1):
-        for b in f.algebra.barwords(d):
-            if len(b) < 2:
-                continue
-            if checked >= CHECK_LIMIT:
-                return CheckReport(not violations, checked, violations)
-            checked += 1
-            if f(b) != 0:
-                violations.append(barword_text(b))
+    for checked, b in enumerate(products, 1):
+        if f(b) != 0:
+            violations.append(barword_text(b))
     return CheckReport(not violations, checked, violations)
 
 

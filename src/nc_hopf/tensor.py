@@ -119,14 +119,19 @@ def _is_decorated(a: tuple) -> bool:
             and (word is None or _is_letters(word, sum(map(len, blocks)))))
 
 
+def _check_kinds(b: BarWord):
+    """Raise AlgebraMismatchError unless ``b`` is a tuple of non-empty
+    tuples of one kind: all start with a letter, or all with blocks."""
+    if not all([type(a) is tuple and a for a in b]):
+        raise AlgebraMismatchError(f"not a bar word of atoms: {b!r}")
+    if len({type(a[0]) is str for a in b}) > 1:
+        raise AlgebraMismatchError(f"mixed atom kinds in bar word: {b}")
+
+
 def _check_homogeneous(b: BarWord):
     """Raise AlgebraMismatchError unless ``b`` is a tuple of atoms of one
     kind: all words, or all decorated atoms."""
-    if not all([type(a) is tuple and a for a in b]):
-        raise AlgebraMismatchError(f"not a bar word of atoms: {b!r}")
-    kinds = {type(a[0]) is str for a in b}
-    if len(kinds) > 1:
-        raise AlgebraMismatchError(f"mixed atom kinds in bar word: {b}")
+    _check_kinds(b)
     if not all([_is_letters(a, len(a)) if type(a[0]) is str
                 else _is_decorated(a) for a in b]):
         raise AlgebraMismatchError(f"not a bar word of atoms: {b!r}")
@@ -184,6 +189,7 @@ def _halves(halves, atoms: list) -> tuple[LinComb, LinComb]:
 
 
 def _word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
+    _check_homogeneous((w,))
     _, ranks, bounds, halves = split_table(
         tuple([(x,) for x in range(1, len(w) + 1)]))
     letters = ranks(w)
@@ -250,6 +256,7 @@ def delta_nc_halves(x: Atom) -> tuple[LinComb, LinComb]:
     standardized; each part's atom is its shape, decorated by the letters
     of ``x`` gathered at the ranks of the part's carrier.  The cached dicts
     are shared by every caller: read them, never change them."""
+    _check_homogeneous((x,))
     blocks, word = x
     shapes, ranks, bounds, halves = split_table(blocks)
     if word is None:
@@ -277,12 +284,14 @@ def tensor_product(a: LinComb, b: LinComb) -> LinComb:
     return out
 
 
-# verify unshuffle at its ceiling reads 36,478 bar words and recomputes
-# 1,538 of them at this bound (18,083 at 4,096)
-BAR_BOUND = 16384
+def _atom_halves(atom: Atom) -> tuple[LinComb, LinComb]:
+    """The cached halves of an atom's coproduct.  What is not a word goes
+    to ``delta_nc_halves``, whose miss rejects all but a decorated atom."""
+    if type(atom) is tuple and atom and type(atom[0]) is str:
+        return delta_word_halves(atom)
+    return delta_nc_halves(atom)
 
 
-@lru_cache(maxsize=BAR_BOUND)
 def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
     """Coproduct of a bar word, extended multiplicatively from generators.
 
@@ -290,42 +299,37 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
       ``full``    -- product of full coproducts of all atoms
       ``left+``   -- half coproduct on the first atom, full on the rest
       ``right+``  -- likewise with the right half
-      ``left``    -- ``left+`` minus b (x) 1       (reduced left half)
-      ``right``   -- ``right+`` minus 1 (x) b      (reduced right half)
-      ``reduced`` -- ``full`` minus both group-like terms
-    """
-    if variant in ("left", "right", "reduced"):
-        # the left+, right+ or full call below checks b
-        if variant == "left":
-            out = dict(delta_bar(b, "left+"))
-            add_into(out, (b, UNIT), -1)
-        elif variant == "right":
-            out = dict(delta_bar(b, "right+"))
-            add_into(out, (UNIT, b), -1)
-        else:
-            out = dict(delta_bar(b, "full"))
-            add_into(out, (b, UNIT), -1)
-            add_into(out, (UNIT, b), -1)
-        return out
-    _check_homogeneous(b)
+
+    A one-atom ``left+`` or ``right+`` is the dict cached by
+    ``delta_word_halves`` or ``delta_nc_halves``, any other result one
+    cached by ``_bar_coproduct``: read it, never change it.  A generator
+    cache checks an atom's form on its miss, so a warm call checks nothing."""
+    if variant not in ("full", "left+", "right+"):
+        raise ValueError(f"unknown variant: {variant!r}")
+    if len(b) == 1 and variant != "full":
+        return _atom_halves(b[0])[variant == "right+"]
+    return _bar_coproduct(b, variant)
+
+
+# products and one-atom full sums: unshuffle 8 reads 17,746 and recomputes
+# 85 at this bound, peaking at 121 MB (152 MB at 16,384); coassociativity
+# 7 reads 10,904, character-bijection 12 4,524, a 60 s hopf run 4,401
+BAR_BOUND = 8192
+
+
+@lru_cache(maxsize=BAR_BOUND)
+def _bar_coproduct(b: BarWord, variant: str) -> LinComb:
+    """The ``delta_bar`` results that no generator cache holds: the first
+    atom's factor times the full coproduct of each later atom."""
+    _check_kinds(b)
     if not b:
         return {(UNIT, UNIT): 1}
-    first = b[0]
-    if variant == "full":
-        result = _delta_atom(first)
-    elif variant not in ("left+", "right+"):
-        raise ValueError(f"unknown variant: {variant!r}")
-    else:
-        halves = (delta_word_halves(first) if type(first[0]) is str
-                  else delta_nc_halves(first))
-        result = halves[0 if variant == "left+" else 1]
+    halves = _atom_halves(b[0])
+    result = (lincomb_sum(*halves) if variant == "full"
+              else halves[variant == "right+"])
     for atom in b[1:]:
-        result = tensor_product(result, _delta_atom(atom))
+        result = tensor_product(result, lincomb_sum(*_atom_halves(atom)))
     return result
-
-
-def _delta_atom(atom: Atom) -> LinComb:
-    return delta_word(atom) if type(atom[0]) is str else delta_nc(atom)
 
 
 # ---------------------------------------------------------------------------

@@ -486,10 +486,10 @@ def _first_block_cumulants(moment, words) -> dict:
 
 
 # The first-block recursion runs up to 2^(n-1) terms for each word of a
-# table of order n, so a table of N words needs at most N * 2^(n-1).  On a
-# 2-vCPU machine ``ab`` at order 11 (4,094 words, just under the cap) takes
-# 21 s and 360 MB, while ``abc`` at order 9 took 54 s and ``ab`` at order
-# 12 took 93 s and 1.3 GB; most of it is extraction.
+# table of order n, so a table of N words needs at most N * 2^(n-1).  The
+# cap bounds time, not memory: on a 2-vCPU machine ``ab`` at order 11 (4,094
+# words, just under it) takes 14 s at 30 MB, while ``abc`` at order 9 took
+# 35 s at 58 MB and ``ab`` at 12 took 83 s at 46 MB, mostly extraction.
 MULTI_TERM_CAP = 1 << 22
 
 

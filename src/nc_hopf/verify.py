@@ -147,14 +147,14 @@ def _failing(names: list) -> str:
 # coproduct operator plumbing
 
 
-def _apply(terms: LinComb, leg: int, variant: str) -> LinComb:
-    """Apply the chosen coproduct variant to leg ``leg`` of each pair (0 the
-    left, 1 the right), dropping every entry that cancels."""
+def _apply(terms: LinComb, leg: int, coproduct) -> LinComb:
+    """Apply ``coproduct`` to leg ``leg`` of each pair (0 the left, 1 the
+    right), dropping every entry that cancels."""
     out: LinComb = {}
     get = out.get
     for pair, c in terms.items():
         other = pair[1 - leg]
-        for (a, b), d in delta_bar(pair[leg], variant).items():
+        for (a, b), d in coproduct(pair[leg]).items():
             key = (other, a, b) if leg else (a, b, other)
             new = get(key, 0) + c * d
             if new:
@@ -162,6 +162,20 @@ def _apply(terms: LinComb, leg: int, variant: str) -> LinComb:
             elif key in out:
                 del out[key]
     return out
+
+
+def _reduced(variant: str):
+    """b -> ``delta_bar(b, variant)`` less its group-like terms b ⊗ 1 and
+    1 ⊗ b: the reduced halves of ``left+`` and ``right+`` and the reduced
+    coproduct of ``full``, in which the unshuffle axioms are stated."""
+    def coproduct(b: BarWord) -> LinComb:
+        out = dict(delta_bar(b, variant))
+        if variant != "right+":
+            add_into(out, (b, UNIT), -1)
+        if variant != "left+":
+            add_into(out, (UNIT, b), -1)
+        return out
+    return coproduct
 
 
 def _rational(f: LinearFunctional) -> LinearFunctional:
@@ -196,7 +210,7 @@ def verify_coassociativity(max_degree: int = 6) -> SuiteReport:
             for atom in _elements(kind, ("a", "b", "c"), degree):
                 b: BarWord = (atom,)
                 terms = delta_bar(b, "full")
-                if _apply(terms, 0, "full") != _apply(terms, 1, "full"):
+                if _apply(terms, 0, delta_bar) != _apply(terms, 1, delta_bar):
                     bad.append(barword_text(b))
                 count += 1
         report.add(f"{kind}: generators up to degree {max_degree} ({count})",
@@ -208,6 +222,7 @@ def verify_unshuffle(max_degree: int = 5) -> SuiteReport:
     """The three half-coproduct axioms, the compatibilities with the bar
     product, and reconstruction of the full coproduct from its halves."""
     report = SuiteReport("unshuffle")
+    left_of, right_of, reduced_of = map(_reduced, ("left+", "right+", "full"))
     for kind in (WORDS, NC):
         atoms = [a for d in range(1, max_degree + 1)
                  for a in _elements(kind, ("a", "b"), d)]
@@ -215,14 +230,13 @@ def verify_unshuffle(max_degree: int = 5) -> SuiteReport:
                                      ("C1", "C2", "C3", "halves", "D1", "D2")}
         for atom in atoms:
             b: BarWord = (atom,)
-            left = delta_bar(b, "left")
-            right = delta_bar(b, "right")
+            left, right = left_of(b), right_of(b)
             name = barword_text(b)
-            if _apply(left, 0, "left") != _apply(left, 1, "reduced"):
+            if _apply(left, 0, left_of) != _apply(left, 1, reduced_of):
                 failures["C1"].append(name)
-            if _apply(left, 0, "right") != _apply(right, 1, "left"):
+            if _apply(left, 0, right_of) != _apply(right, 1, left_of):
                 failures["C2"].append(name)
-            if _apply(right, 0, "reduced") != _apply(right, 1, "right"):
+            if _apply(right, 0, reduced_of) != _apply(right, 1, right_of):
                 failures["C3"].append(name)
             rebuilt = lincomb_sum(left, right,
                                   {(b, UNIT): 1, (UNIT, b): 1})
@@ -331,9 +345,8 @@ def verify_sp_morphism(max_word_len: int = 6) -> SuiteReport:
                 rhs: LinComb = {}
                 get = rhs.get
                 for (left, right), c in delta_bar(b, variant).items():
-                    left_img = sp(left) if left != UNIT else {UNIT: 1}
-                    right_img = sp(right) if right != UNIT else {UNIT: 1}
-                    for kl, cl in left_img.items():
+                    right_img = sp(right)  # sp of the unit is the unit
+                    for kl, cl in sp(left).items():
                         for kr, cr in right_img.items():
                             pair = (kl, kr)
                             new = get(pair, 0) + c * cl * cr

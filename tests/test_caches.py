@@ -55,7 +55,8 @@ INPUT_KEYED = [
     ("tensor", "_long_word_halves", lambda i: (("a",) * 6 + letter(i),)),
     ("tensor", "delta_nc_halves",
      lambda i: (DecoratedNC(singleton_on(1), letter(i)),)),
-    ("tensor", "delta_bar", lambda i: ((letter(i),), "full")),
+    ("tensor", "_bar_coproduct",
+     lambda i: ((letter(i), letter(i + 1)), "full")),
     ("trees", "admissible_edge_cuts", lambda i: (TREES[i],)),
 ]
 

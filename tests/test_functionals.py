@@ -26,7 +26,7 @@ from nc_hopf.functionals import (
     standard_section,
 )
 from nc_hopf.partitions import NonCrossingPartition, catalan_number
-from nc_hopf.tensor import UNIT, DecoratedNC, Word, delta_bar
+from nc_hopf.tensor import UNIT, DecoratedNC, Word, barword_text, delta_bar
 
 A1 = Algebra(WORDS, ("a",))
 AB = Algebra(WORDS, ("a", "b"))
@@ -164,6 +164,44 @@ class TestCharacters:
     def test_check_character_flags_violation(self):
         f = random_functional(A1, 4, seed=5)
         assert not check_character(f).ok
+
+    def test_check_character_builds_each_degree_once(self, monkeypatch):
+        # the same report as a loop that rebuilds both degrees' bar words
+        # for every pair of degrees, from one list per degree; abc at
+        # truncation 6 stops at CHECK_LIMIT
+        from nc_hopf.functionals import CHECK_LIMIT, CheckReport
+
+        def rebuilding(f):
+            n, checked = f.truncation, 0
+            violations = [("unit", f.unit_value)] if f.unit_value != 1 else []
+            for da in range(1, n):
+                for db in range(1, n - da + 1):
+                    for a in f.algebra.barwords(da):
+                        for b in f.algebra.barwords(db):
+                            if checked == CHECK_LIMIT:
+                                return CheckReport(not violations, checked,
+                                                   violations)
+                            checked += 1
+                            if f(a + b) != f(a) * f(b):
+                                violations.append((barword_text(a),
+                                                   barword_text(b)))
+            return CheckReport(not violations, checked, violations)
+
+        cases = [random_functional(AB, 6, seed=5),
+                 Character.from_atoms(AB, 6, lambda w: Fraction(len(w), 2)),
+                 Character.from_atoms(Algebra(WORDS, ("a", "b", "c")), 6,
+                                      lambda w: Fraction(len(w), 2))]
+        expected = [rebuilding(f) for f in cases]
+        assert [r.checked for r in expected] == [6372, 6372, CHECK_LIMIT]
+        calls = []
+        barwords = Algebra.barwords
+        monkeypatch.setattr(Algebra, "barwords",
+                            lambda self, d: calls.append(d)
+                            or barwords(self, d))
+        for f, report in zip(cases, expected):
+            calls.clear()
+            assert check_character(f) == report
+            assert len(calls) <= f.truncation - 1
 
 
 class TestConvolution:

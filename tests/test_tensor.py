@@ -39,7 +39,7 @@ from nc_hopf.trees import hierarchy_tree, tree_coproduct
 from split_tables import decode_split_table
 
 ONE = Fraction(1)
-VARIANTS = ("full", "left+", "right+", "left", "right", "reduced")
+VARIANTS = ("full", "left+", "right+")
 
 
 def w(text):
@@ -415,19 +415,31 @@ class TestBarWords:
     def test_delta_bar_of_unit(self):
         assert delta_bar(UNIT, "full") == {(UNIT, UNIT): ONE}
 
-    def test_reduced_variant_drops_group_likes(self):
-        b = (w("ab"),)
-        reduced = delta_bar(b, "reduced")
-        assert (b, UNIT) not in reduced
-        assert (UNIT, b) not in reduced
-        rebuilt = lincomb_sum(reduced, {(b, UNIT): ONE, (UNIT, b): ONE})
-        assert rebuilt == delta_bar(b, "full")
+    @pytest.mark.parametrize("variant", ["bogus", "left", "right", "reduced"])
+    def test_unknown_variant_rejected(self, variant):
+        # the reduced halves and coproduct are no variants: they are stated
+        # in verify unshuffle; a variant is checked before any other work
+        import nc_hopf
+        nc_hopf.clear_caches()
+        for b in (UNIT, (w("ab"),), (w("ab"), w("c"))):
+            with pytest.raises(ValueError, match="unknown variant"):
+                delta_bar(b, variant)
+        assert tensor._bar_coproduct.cache_info().currsize == 0
+        assert tensor._short_word_halves.cache_info().misses == 0
 
-    def test_left_plus_and_left_differ_by_group_like(self):
-        b = (w("ab"),)
-        plus = dict(delta_bar(b, "left+"))
-        add_into(plus, (b, UNIT), -ONE)
-        assert plus == delta_bar(b, "left")
+    def test_a_one_atom_half_is_held_only_by_the_word_cache(self):
+        # delta_bar returns a one-atom half as the word cache's dict and
+        # keeps no copy: once more than LONG_WORD_HALVES_BOUND other long
+        # words have pushed it out, only the caller holds it
+        import sys
+        import nc_hopf
+        nc_hopf.clear_caches()
+        first = w("abcdefg")
+        half = delta_bar((first,), "left+")
+        assert half is delta_word_halves(first)[0]
+        for i in range(tensor.LONG_WORD_HALVES_BOUND + 1):
+            delta_bar((Word(("b",) * 6 + (f"x{i}",)),), "left+")
+        assert sys.getrefcount(half) == 2
 
     def test_mixed_atom_kinds_rejected(self):
         with pytest.raises(AlgebraMismatchError):
@@ -455,17 +467,23 @@ class TestBarWords:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_a_bar_word_is_checked_once(self, monkeypatch, variant):
-        # left, right and reduced leave the check to the left+, right+ or
-        # full call they make
+        # a generator cache checks an atom's form on its miss: from cold
+        # caches each atom is checked exactly once, a repeated one too, and
+        # a warm call checks nothing
+        import nc_hopf
         checked = []
         real = tensor._check_homogeneous
         monkeypatch.setattr(tensor, "_check_homogeneous",
                             lambda b: checked.append(b) or real(b))
-        for b in ((w("ab"), w("c")), (nc("{1,3}{2}", "abc"),)):
-            delta_bar.cache_clear()
+        for b in ((w("ab"), w("c"), w("ab")), (nc("{1,3}{2}", "abc"),),
+                  (w("abcdefg"),)):
+            nc_hopf.clear_caches()
             checked.clear()
             delta_bar(b, variant)
-            assert checked == [b]
+            assert sorted(checked) == sorted({(atom,) for atom in b})
+            checked.clear()
+            delta_bar(b, variant)
+            assert checked == []
 
 
 class TestCoassociativity:

@@ -182,7 +182,7 @@ def fill_caches() -> None:
     from nc_hopf.trees import gapped_hierarchy_tree, tree_coproduct
     shape = parse_partition("{1,4}{2,3}{5}")
     admissible_splits(shape)
-    delta_bar((DecoratedNC(shape),), "left")
+    delta_bar((DecoratedNC(shape),), "full")
     delta_word(Word(("a", "b")))
     delta_word(Word("abcdefg"))
     tree_coproduct(gapped_hierarchy_tree(shape))

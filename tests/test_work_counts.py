@@ -1,4 +1,4 @@
-"""Deterministic work counts of two requests, pinned so that a change which
+"""Deterministic work counts of a few requests, pinned so that a change which
 brings back repeated work fails here, whatever the speed of the host."""
 
 import io
@@ -56,3 +56,25 @@ def test_multi_m2k_functional_evaluations(monkeypatch):
         transforms.MultiMomentMap(("a", "b", "c"), 4, table))
     assert len(words) == 120
     assert len(evaluations) == len(calls) == 249
+
+
+def test_unshuffle_form_checks_and_bar_misses(monkeypatch):
+    # a generator cache checks an atom's form on its miss, so each of the
+    # 52 atoms read (30 words and 22 decorated shapes up to degree 4) is
+    # checked once; the bar cache builds only products and one-atom full
+    # sums
+    import nc_hopf
+    from nc_hopf import tensor
+    checked = []
+    real = tensor._check_homogeneous
+    monkeypatch.setattr(tensor, "_check_homogeneous",
+                        lambda b: checked.append(b) or real(b))
+    nc_hopf.clear_caches()
+    try:
+        out = io.StringIO()
+        assert cli.main(["verify", "unshuffle", "--max-degree", "4"],
+                        out=out) == 0
+        assert len(checked) == len(set(checked)) == 52
+        assert tensor._bar_coproduct.cache_info().misses == 231
+    finally:
+        nc_hopf.clear_caches()
