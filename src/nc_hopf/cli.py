@@ -6,8 +6,8 @@ identical invocations produce byte-identical output so the results can be
 kept as golden files.
 
 Exit status: 0 on success, 1 on a domain error (bad partition, failed
-verification, ...), 2 on a usage error, 3 on an internal fault (two
-computation routes disagreed).
+verification, ...), 2 on a usage error, 3 on an internal fault (one of
+``errors.INTERNAL_FAULTS``: two computation routes disagreed, say).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import sys
 # the handlers in ``main`` whatever the command.
 from . import (coefficients, partitions, tensor, transforms, trees,
                verify)
-from .errors import InconsistencyError, NcHopfError, ParseError
+from .errors import (INTERNAL_FAULTS, InconsistencyError, NcHopfError,
+                     ParseError)
 
 # accepted shorthand for suite names
 _SUITE_ALIASES = {
@@ -349,14 +350,13 @@ def main(argv=None, out=None) -> int:
     except InconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NcHopfError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (KeyError, ValueError) as exc:
-        # bad input raises a domain error, so this is a fault of the tool
+    except INTERNAL_FAULTS as exc:
         print(f"error: internal fault: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
+    except (NcHopfError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

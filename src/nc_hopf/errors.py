@@ -34,3 +34,8 @@ class InconsistencyError(NcHopfError):
 
     This always indicates an implementation bug, never bad user input.
     """
+
+
+# faults of the tool, never bad input: cli.main and run_suite("all") say so
+INTERNAL_FAULTS = (InconsistencyError, AlgebraMismatchError, TruncationError,
+                   KeyError, ValueError)

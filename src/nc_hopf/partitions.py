@@ -84,6 +84,30 @@ def _blocks_text(blocks: tuple[Block, ...]) -> str:
     return "{" + "}{".join([",".join(map(str, b)) for b in blocks]) + "}"
 
 
+def _canonical_size(blocks: tuple[Block, ...]) -> int:
+    """The number of carrier elements of blocks of ints in canonical form:
+    non-empty, each strictly increasing from a positive element, ordered by
+    their minima and pairwise disjoint.  Raise ValueError otherwise."""
+    seen: set[int] = set()
+    prev_min = 0
+    for block in blocks:
+        if not block:
+            raise ValueError("empty block")
+        members = set(block)
+        # equal to the sorted members only if strictly increasing
+        if list(block) != sorted(members):
+            raise ValueError(f"block not strictly increasing: {block}")
+        if block[0] < 1:
+            raise ValueError("carrier elements must be positive")
+        if block[0] <= prev_min:
+            raise ValueError("blocks not ordered by minimum element")
+        if not seen.isdisjoint(members):
+            raise ValueError("blocks not disjoint")
+        seen |= members
+        prev_min = block[0]
+    return len(seen)
+
+
 class SetPartition(Value):
     """A partition of a finite set of positive integers, in canonical form.
 
@@ -95,25 +119,8 @@ class SetPartition(Value):
     _fields = ("blocks",)
 
     def __init__(self, blocks: tuple[Block, ...]):
-        seen: set[int] = set()
-        prev_min = 0
-        for block in blocks:
-            if not block:
-                raise ValueError("empty block")
-            members = set(block)
-            # equal to the sorted members only if strictly increasing
-            if list(block) != sorted(members):
-                raise ValueError(f"block not strictly increasing: {block}")
-            if block[0] < 1:
-                raise ValueError("carrier elements must be positive")
-            if block[0] <= prev_min:
-                raise ValueError("blocks not ordered by minimum element")
-            if not seen.isdisjoint(members):
-                raise ValueError("blocks not disjoint")
-            seen |= members
-            prev_min = block[0]
+        _set(self, "size", _canonical_size(blocks))
         _set(self, "blocks", blocks)
-        _set(self, "size", len(seen))
         _set(self, "_hash", hash(blocks))
 
     @classmethod

@@ -29,7 +29,9 @@ from .coefficients import Coefficient, coeff_str
 from .errors import AlgebraMismatchError, ParseError, SizeLimitError
 from .partitions import (
     NonCrossingPartition,
+    _blocks_noncrossing,
     _blocks_text,
+    _canonical_size,
     _nc_shapes,
     parse_partition,
     split_table,
@@ -101,22 +103,31 @@ def barword_text(b: BarWord) -> str:
     return "|".join(map(_atom_text, b)) if b else "1"
 
 
-def _is_letters(word, size: int) -> bool:
-    return (type(word) is tuple and len(word) == size
-            and all([type(x) is str for x in word]))
+def _is_word(a) -> bool:
+    return type(a) is tuple and bool(a) and all([type(x) is str for x in a])
 
 
-def _is_decorated(a: tuple) -> bool:
-    """Whether ``a`` has the form of a decorated atom: a non-empty tuple of
-    non-empty blocks of ints, and None or a word of their size.  That the
-    blocks are canonical and non-crossing is the check of the partition
-    that ``DecoratedNC`` reads them from."""
-    if len(a) != 2 or type(a[0]) is not tuple or not a[0]:
+def _is_decorated(a) -> bool:
+    """Whether ``a`` is a decorated atom: the canonical blocks of a non-empty
+    ``NonCrossingPartition``, and None or a word of their size."""
+    if (type(a) is not tuple or len(a) != 2 or type(a[0]) is not tuple
+            or not all([type(block) is tuple for block in a[0]])
+            or not all([type(x) is int for block in a[0] for x in block])):
         return False
     blocks, word = a
-    return (all([type(block) is tuple and block for block in blocks])
-            and all([type(x) is int for block in blocks for x in block])
-            and (word is None or _is_letters(word, sum(map(len, blocks)))))
+    try:
+        size = _canonical_size(blocks)
+    except ValueError:
+        return False
+    return (size > 0 and _blocks_noncrossing(blocks)
+            and (word is None or _is_word(word) and len(word) == size))
+
+
+def _check_atom(a, word: bool) -> None:
+    """Raise AlgebraMismatchError unless ``a`` is an atom of the kind asked
+    for: a word if ``word``, else a decorated atom."""
+    if not (_is_word(a) if word else _is_decorated(a)):
+        raise AlgebraMismatchError(f"not a bar word of atoms: {(a,)!r}")
 
 
 def _check_kinds(b: BarWord):
@@ -126,15 +137,6 @@ def _check_kinds(b: BarWord):
         raise AlgebraMismatchError(f"not a bar word of atoms: {b!r}")
     if len({type(a[0]) is str for a in b}) > 1:
         raise AlgebraMismatchError(f"mixed atom kinds in bar word: {b}")
-
-
-def _check_homogeneous(b: BarWord):
-    """Raise AlgebraMismatchError unless ``b`` is a tuple of atoms of one
-    kind: all words, or all decorated atoms."""
-    _check_kinds(b)
-    if not all([_is_letters(a, len(a)) if type(a[0]) is str
-                else _is_decorated(a) for a in b]):
-        raise AlgebraMismatchError(f"not a bar word of atoms: {b!r}")
 
 
 def add_into(acc: LinComb, key, coeff: Coefficient) -> None:
@@ -189,7 +191,7 @@ def _halves(halves, atoms: list) -> tuple[LinComb, LinComb]:
 
 
 def _word_halves(w: tuple[str, ...]) -> tuple[LinComb, LinComb]:
-    _check_homogeneous((w,))
+    _check_atom(w, True)
     _, ranks, bounds, halves = split_table(
         tuple([(x,) for x in range(1, len(w) + 1)]))
     letters = ranks(w)
@@ -256,7 +258,7 @@ def delta_nc_halves(x: Atom) -> tuple[LinComb, LinComb]:
     standardized; each part's atom is its shape, decorated by the letters
     of ``x`` gathered at the ranks of the part's carrier.  The cached dicts
     are shared by every caller: read them, never change them."""
-    _check_homogeneous((x,))
+    _check_atom(x, False)
     blocks, word = x
     shapes, ranks, bounds, halves = split_table(blocks)
     if word is None:
@@ -285,8 +287,8 @@ def tensor_product(a: LinComb, b: LinComb) -> LinComb:
 
 
 def _atom_halves(atom: Atom) -> tuple[LinComb, LinComb]:
-    """The cached halves of an atom's coproduct.  What is not a word goes
-    to ``delta_nc_halves``, whose miss rejects all but a decorated atom."""
+    """The cached halves of an atom's coproduct.  The miss of each halves
+    cache checks the atom against the one kind it serves."""
     if type(atom) is tuple and atom and type(atom[0]) is str:
         return delta_word_halves(atom)
     return delta_nc_halves(atom)
@@ -302,8 +304,8 @@ def delta_bar(b: BarWord, variant: str = "full") -> LinComb:
 
     A one-atom ``left+`` or ``right+`` is the dict cached by
     ``delta_word_halves`` or ``delta_nc_halves``, any other result one
-    cached by ``_bar_coproduct``: read it, never change it.  A generator
-    cache checks an atom's form on its miss, so a warm call checks nothing."""
+    cached by ``_bar_coproduct``: read it, never change it.  An atom is
+    checked once, against its kind, on the miss of its generator cache."""
     if variant not in ("full", "left+", "right+"):
         raise ValueError(f"unknown variant: {variant!r}")
     if len(b) == 1 and variant != "full":
@@ -342,7 +344,7 @@ def sp(b: BarWord) -> LinComb:
     result: LinComb = {UNIT: 1}
     cap = config.nc_cap()
     for atom in b:
-        if type(atom) is not tuple or not atom or type(atom[0]) is not str:
+        if not _is_word(atom):
             raise AlgebraMismatchError("sp expects a bar word over words")
         n = len(atom)
         if n > cap:

@@ -17,7 +17,7 @@ from itertools import groupby
 from itertools import product as iter_product
 
 from . import clear_caches
-from .errors import InconsistencyError, NcHopfError
+from .errors import INTERNAL_FAULTS, InconsistencyError, NcHopfError
 from .functionals import (
     NC,
     WORDS,
@@ -760,10 +760,10 @@ def run_suite(name: str, bound: int | None = None) -> list[SuiteReport]:
     """Run one named suite, at ``bound`` or at its default bound, or all of
     them at their defaults, emptying the library's caches after each, so no
     suite holds the memory of the ones before it.  Under ``all``, a suite
-    that raises an internal fault is reported as failed, with the one check
-    ``raised <exception type>`` holding the exception text, and the next
-    suite runs.  A bound given with ``all``, or outside 1..ceiling, is a
-    domain error raised before any suite runs."""
+    raising one of ``errors.INTERNAL_FAULTS`` is reported as failed, its one
+    check ``raised <exception type>`` holding the text, and the next suite
+    runs; a domain error ends the run.  A bound given with ``all``, or
+    outside 1..ceiling, is a domain error raised before any suite runs."""
     if name == "all":
         if bound is not None:
             raise NcHopfError("--max-degree applies to one suite, not 'all'")
@@ -771,8 +771,7 @@ def run_suite(name: str, bound: int | None = None) -> list[SuiteReport]:
         for suite, (fn, _) in SUITES.items():
             try:
                 reports.append(fn())
-            # the exceptions cli.main reports as internal faults
-            except (InconsistencyError, KeyError, ValueError) as exc:
+            except INTERNAL_FAULTS as exc:
                 report = SuiteReport(suite)
                 report.add(RAISED + type(exc).__name__, False, str(exc))
                 reports.append(report)

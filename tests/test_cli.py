@@ -632,6 +632,10 @@ class TestVerify:
         for error, failure in (
                 (nc_hopf.errors.InconsistencyError("routes differ"),
                  "raised InconsistencyError: routes differ"),
+                (nc_hopf.errors.AlgebraMismatchError("kinds differ"),
+                 "raised AlgebraMismatchError: kinds differ"),
+                (nc_hopf.errors.TruncationError("too deep"),
+                 "raised TruncationError: too deep"),
                 (KeyError("lost"), "raised KeyError: 'lost'"),
                 (ValueError("bad"), "raised ValueError: bad")):
             for name in names:
@@ -650,6 +654,18 @@ class TestVerify:
             assert [r["suite"] for r in data if not r["passed"]] == [broken]
             check, = data[names.index(broken)]["checks"]
             assert f"{check['label']}: {check['detail']}" == failure
+
+    def test_size_limit_under_all_is_a_domain_error(self, monkeypatch,
+                                                     capsys):
+        # a lowered cap is the environment's doing, not the tool's: the
+        # run ends with the one error line and no report
+        def capped():
+            raise nc_hopf.errors.SizeLimitError("n=5 outside allowed range")
+
+        monkeypatch.setitem(nc_hopf.verify.SUITES, "capped", (capped, 1))
+        assert run("verify", "all") == (1, "")
+        assert capsys.readouterr().err == (
+            "error: n=5 outside allowed range\n")
 
     def test_known_failure_surfaces_nonzero(self, monkeypatch):
         def failing_suite():
@@ -693,7 +709,10 @@ class TestEnvironment:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("exc", [KeyError("k"), ValueError("v")])
+    @pytest.mark.parametrize("exc", [
+        KeyError("k"), ValueError("v"),
+        nc_hopf.errors.AlgebraMismatchError("m"),
+        nc_hopf.errors.TruncationError("t")])
     def test_stray_exception_is_internal_fault(self, monkeypatch, capsys,
                                                exc):
         def broken(*args):

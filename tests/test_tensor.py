@@ -453,17 +453,35 @@ class TestBarWords:
         ((((),), None),), (((), None),), ((((1,),), None, None),),
         (((1,), None),), ((((1,),), ("a", 1)),),
         (((("1",),), None),), ((((1,),), ("a",), ("a",)),),
+        ((((1, 3), (2, 4)), None),), ((((2,), (1,)), None),),
+        ((((1, 1),), None),),
     ], ids=repr)
     def test_mixed_or_malformed_atoms_rejected(self, b):
         # an atom of each kind is a tuple: a word holds letters, a
-        # decorated atom blocks of ints and None or a word of their size;
-        # every variant raises what the bar word check raises
+        # decorated atom canonical non-crossing blocks of ints and None or
+        # a word of their size; every variant raises what the kind check,
+        # then the check of each atom against its own kind, raises
         with pytest.raises(AlgebraMismatchError) as check:
-            tensor._check_homogeneous(b)
+            tensor._check_kinds(b)
+            for atom in b:
+                tensor._check_atom(atom, type(atom[0]) is str)
         for variant in VARIANTS:
             with pytest.raises(AlgebraMismatchError) as exc:
                 delta_bar(b, variant)
             assert str(exc.value) == str(check.value)
+
+    @pytest.mark.parametrize("call, atom", [
+        (delta_nc, ("a", "b")), (delta_nc_halves, ("a", "b")),
+        (delta_nc, ("a", "b", "c")),
+        (delta_word, (((1,),), None)), (delta_word_halves, (((1,),), None)),
+        (delta_nc, (((1, 3), (2, 4)), None)),
+        (delta_nc, (((2,), (1,)), None)), (delta_nc, (((1, 1),), None)),
+    ], ids=lambda v: getattr(v, "__name__", repr(v)))
+    def test_other_kind_or_malformed_blocks_rejected(self, call, atom):
+        # each generator coproduct takes only an atom of its own kind, and a
+        # decorated one only with canonical non-crossing blocks
+        with pytest.raises(AlgebraMismatchError):
+            call(atom)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_a_bar_word_is_checked_once(self, monkeypatch, variant):
@@ -472,15 +490,16 @@ class TestBarWords:
         # a warm call checks nothing
         import nc_hopf
         checked = []
-        real = tensor._check_homogeneous
-        monkeypatch.setattr(tensor, "_check_homogeneous",
-                            lambda b: checked.append(b) or real(b))
+        real = tensor._check_atom
+        monkeypatch.setattr(
+            tensor, "_check_atom",
+            lambda a, word: checked.append(a) or real(a, word))
         for b in ((w("ab"), w("c"), w("ab")), (nc("{1,3}{2}", "abc"),),
                   (w("abcdefg"),)):
             nc_hopf.clear_caches()
             checked.clear()
             delta_bar(b, variant)
-            assert sorted(checked) == sorted({(atom,) for atom in b})
+            assert sorted(checked) == sorted(set(b))
             checked.clear()
             delta_bar(b, variant)
             assert checked == []
@@ -538,6 +557,14 @@ class TestSplittingMap:
                 sp((parse_atom(atom),))
             with pytest.raises(AlgebraMismatchError):
                 sp((w("ab"), parse_atom(atom)))
+
+    @pytest.mark.parametrize("atom", [("a", 1), ("a", None)], ids=repr)
+    def test_rejects_malformed_words(self, atom):
+        # a word holds letters only
+        for b in ((atom,), (w("ab"), atom)):
+            with pytest.raises(AlgebraMismatchError,
+                               match="sp expects a bar word over words"):
+                sp(b)
 
     def test_cap(self):
         with pytest.raises(SizeLimitError):

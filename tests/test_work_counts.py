@@ -66,9 +66,9 @@ def test_unshuffle_form_checks_and_bar_misses(monkeypatch):
     import nc_hopf
     from nc_hopf import tensor
     checked = []
-    real = tensor._check_homogeneous
-    monkeypatch.setattr(tensor, "_check_homogeneous",
-                        lambda b: checked.append(b) or real(b))
+    real = tensor._check_atom
+    monkeypatch.setattr(tensor, "_check_atom",
+                        lambda a, word: checked.append(a) or real(a, word))
     nc_hopf.clear_caches()
     try:
         out = io.StringIO()
