@@ -36,6 +36,6 @@ class InconsistencyError(NcHopfError):
     """
 
 
-# faults of the tool, never bad input: cli.main and run_suite("all") say so
+# never bad input: cli.main and verify all report these as faults of the tool
 INTERNAL_FAULTS = (InconsistencyError, AlgebraMismatchError, TruncationError,
                    KeyError, ValueError)
