@@ -19,6 +19,7 @@ from __future__ import annotations
 import weakref
 from functools import cache
 from itertools import islice, product as iter_product
+from math import prod
 
 from .coefficients import ONE, ZERO, Coefficient
 from .errors import AlgebraMismatchError, TruncationError
@@ -33,6 +34,7 @@ from .tensor import (
     UNIT,
     BarWord,
     LinComb,
+    _letters,
     barword_degree,
     barword_text,
     delta_bar,
@@ -44,15 +46,18 @@ NC = "nc"
 
 
 class Algebra(Value):
-    """Which bialgebra a functional lives on, with its declared alphabet."""
+    """Which bialgebra a functional lives on, with its declared alphabet:
+    a tuple of distinct letters by ``tensor.is_letter``."""
 
     __slots__ = _fields = ("kind", "alphabet")
 
     def __init__(self, kind: str, alphabet: tuple[str, ...]):
         if kind not in (WORDS, NC):
             raise ValueError(f"unknown algebra kind: {kind!r}")
-        if not alphabet:
-            raise ValueError("alphabet must be declared and non-empty")
+        alphabet = _letters(alphabet)
+        if not alphabet or len(set(alphabet)) != len(alphabet):
+            raise ValueError("alphabet must be declared, non-empty and "
+                             f"without repeats: {alphabet!r}")
         _set(self, "kind", kind)
         _set(self, "alphabet", alphabet)
 
@@ -125,10 +130,7 @@ class Character(LinearFunctional):
     def from_atoms(cls, algebra: Algebra, truncation: int, atom_value,
                    name: str = "") -> "Character":
         def ev(b: BarWord) -> Coefficient:
-            total: Coefficient = ONE
-            for atom in b:
-                total = total * atom_value(atom)
-            return total
+            return prod(map(atom_value, b), start=ONE)
         return cls(algebra, truncation, ev, unit_value=ONE, name=name)
 
 
@@ -139,9 +141,7 @@ class InfinitesimalCharacter(LinearFunctional):
     def from_atoms(cls, algebra: Algebra, truncation: int, atom_value,
                    name: str = "") -> "InfinitesimalCharacter":
         def ev(b: BarWord) -> Coefficient:
-            if len(b) != 1:
-                return ZERO
-            return atom_value(b[0])
+            return atom_value(b[0]) if len(b) == 1 else ZERO
         return cls(algebra, truncation, ev, unit_value=ZERO, name=name)
 
 
@@ -160,16 +160,22 @@ def _check_compatible(f: LinearFunctional, g: LinearFunctional):
             f"truncation mismatch: {f.truncation} vs {g.truncation}")
 
 
-def _pair(f: LinearFunctional, g: LinearFunctional, b: BarWord,
-          variant: str) -> Coefficient:
+def _pair(f: LinearFunctional, g: LinearFunctional, terms: LinComb,
+          later: BarWord = UNIT) -> Coefficient:
+    """The sum of c·f(l)·g(r + later) over the terms (l, r) ↦ c of a
+    coproduct value: the one loop that pairs two functionals against a
+    coproduct.  Each value is read from the functional's cache, the
+    functional called only on a miss, and a zero f(l) or g(r) ends its
+    term's work."""
     f_values, g_values = f._cache, g._cache
     total: Coefficient = ZERO
-    for (left, right), c in delta_bar(b, variant).items():
+    for (left, right), c in terms.items():
         fl = f_values.get(left)
         if fl is None:
             fl = f(left)
         if not fl:
             continue
+        right += later
         gr = g_values.get(right)
         if gr is None:
             gr = g(right)
@@ -184,7 +190,7 @@ def convolve(f: LinearFunctional, g: LinearFunctional) -> LinearFunctional:
     _check_compatible(f, g)
     return LinearFunctional(
         f.algebra, f.truncation,
-        lambda b: _pair(f, g, b, "full"),
+        lambda b: _pair(f, g, delta_bar(b, "full")),
         unit_value=f.unit_value * g.unit_value,
         name=f"({f.name}*{g.name})")
 
@@ -202,7 +208,7 @@ def half_convolve(f: LinearFunctional, g: LinearFunctional,
     op = "≺" if side == "left" else "≻"
     return LinearFunctional(
         f.algebra, f.truncation,
-        lambda b: _pair(f, g, b, variant),
+        lambda b: _pair(f, g, delta_bar(b, variant)),
         unit_value=f.unit_value * g.unit_value,
         name=f"({f.name}{op}{g.name})")
 
@@ -226,26 +232,8 @@ def solve_left_fixed_point(kappa: LinearFunctional) -> Character:
     a weak reference: no cycle keeps Phi and its value cache alive."""
     _require_infinitesimal(kappa)
 
-    kappa_values = kappa._cache
-
     def ev(b: BarWord) -> Coefficient:
-        phi = phi_ref()
-        phi_values, later = phi._cache, b[1:]
-        total: Coefficient = ZERO
-        for (left, right), c in delta_bar(b[:1], "left+").items():
-            kl = kappa_values.get(left)
-            if kl is None:
-                kl = kappa(left)
-            if not kl:
-                continue
-            right += later
-            pr = phi_values.get(right)
-            if pr is None:
-                pr = phi(right)
-            if not pr:
-                continue
-            total = total + c * kl * pr
-        return total
+        return _pair(kappa, phi_ref(), delta_bar(b[:1], "left+"), b[1:])
 
     phi = Character(kappa.algebra, kappa.truncation, ev,
                     unit_value=ONE, name=f"fix({kappa.name})")
@@ -266,44 +254,33 @@ def exp_prec(kappa: LinearFunctional) -> Character:
         return powers[k]
 
     def ev(b: BarWord) -> Coefficient:
-        degree = barword_degree(b)
-        total: Coefficient = ZERO
-        for k in range(1, degree + 1):
-            total = total + power(k)(b)
-        return total
+        return sum([power(k)(b) for k in range(1, barword_degree(b) + 1)],
+                   ZERO)
 
     return Character(kappa.algebra, kappa.truncation, ev,
                      unit_value=ONE, name=f"exp≺({kappa.name})")
 
 
 def extract_infinitesimal(phi: LinearFunctional) -> InfinitesimalCharacter:
-    """Invert Phi = e + kappa ≺ Phi for kappa: on a single atom,
-    kappa(w) = Phi(w) - sum of the strictly-lower-degree pairings.  kappa
-    holds ``atom_value``, which reaches kappa through a weak reference, so
-    no cycle keeps kappa alive."""
-
+    """Invert Phi = e + kappa ≺ Phi for kappa: on a single atom, kappa(w)
+    = Phi(w) - the pairing of kappa and Phi against the left half of w's
+    coproduct without its term w ⊗ 1, all of strictly lower degree.  That
+    term is kappa(w)·Phi(1), so a Phi(1) other than 1 raises ``ValueError``
+    before any work.  kappa holds ``atom_value``, which reaches kappa
+    through a weak reference, so no cycle keeps kappa alive."""
+    if phi.unit_value != 1:
+        raise ValueError(f"extraction needs Phi(1) = 1, not {phi.unit_value}")
     phi_values = phi._cache
 
     def atom_value(atom) -> Coefficient:
         b: BarWord = (atom,)
-        total = phi_values.get(b)
-        if total is None:
-            total = phi(b)
-        kappa = kappa_ref()
-        kappa_values = kappa._cache
-        for (left, right), c in delta_bar(b, "left+").items():
-            if left == b:
-                continue  # the kappa(w) * Phi(1) term being solved for
-            kl = kappa_values.get(left)
-            if kl is None:
-                kl = kappa(left)
-            if not kl:
-                continue
-            pr = phi_values.get(right)
-            if pr is None:
-                pr = phi(right)
-            total = total - c * kl * pr
-        return total
+        value = phi_values[b] if b in phi_values else phi(b)
+        # the half without kappa(w)·Phi(1), the term solved for: a copy, so
+        # the cached half stays whole and kappa caches no guess for w.  An
+        # atom off its standard carrier has no such term, and gets 0
+        terms = dict(delta_bar(b, "left+"))
+        terms.pop((b, UNIT), None)
+        return value - _pair(kappa_ref(), phi, terms)
 
     kappa = InfinitesimalCharacter.from_atoms(
         phi.algebra, phi.truncation, atom_value, name=f"log≺({phi.name})")
@@ -312,13 +289,11 @@ def extract_infinitesimal(phi: LinearFunctional) -> InfinitesimalCharacter:
 
 
 def _require_infinitesimal(kappa: LinearFunctional):
-    if isinstance(kappa, InfinitesimalCharacter):
-        return
-    report = check_infinitesimal(kappa)
-    if not report.ok:
-        found = report.violations
-        raise ValueError(f"not an infinitesimal character: {len(found)} "
-                         f"failing: {', '.join(map(str, found))}")
+    if not isinstance(kappa, InfinitesimalCharacter):
+        found = check_infinitesimal(kappa).violations
+        if found:
+            raise ValueError(f"not an infinitesimal character: {len(found)} "
+                             f"failing: {', '.join(map(str, found))}")
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,20 @@ from .partitions import (
 from . import config
 
 
+def _letters(letters) -> tuple[str, ...]:
+    """``letters`` as a tuple, each of them a ``str`` that is a letter by
+    ``is_letter``; raise ValueError otherwise."""
+    word = tuple(letters)
+    if not all([type(x) is str and is_letter(x) for x in word]):
+        raise ValueError(f"not a tuple of letters: {word!r}")
+    return word
+
+
 def Word(letters) -> tuple[str, ...]:
     """A non-empty word over a declared alphabet of letter names: the plain
     tuple of its letters.  The cyclic collector untracks a tuple of strings,
     and with it every coproduct key, leg and run tuple built of words."""
-    word = tuple(letters)
+    word = _letters(letters)
     if not word:
         raise ValueError("the empty word is represented by the unit only")
     return word
@@ -59,7 +68,7 @@ def DecoratedNC(shape: NonCrossingPartition, word=None) -> tuple:
     if not shape.blocks:
         raise ValueError("the empty shape is represented by the unit only")
     if word is not None:
-        word = tuple(word)
+        word = _letters(word)
         if len(word) != shape.size:
             raise ValueError("decoration length differs from carrier size")
     return (shape.blocks, word)
@@ -410,7 +419,7 @@ def parse_word(text: str) -> tuple[str, ...]:
         if not is_letter(letter):
             raise ParseError(f"letter {letter!r} in word {text!r} holds a "
                              f"separator")
-    return Word(letters)
+    return letters
 
 
 def parse_atom(text: str) -> Atom:

@@ -112,6 +112,18 @@ class TestAlgebraBasis:
         with pytest.raises(ValueError):
             Algebra(WORDS, ())
 
+    @pytest.mark.parametrize("alphabet", [
+        ("a.b", "c"), ("a", ""), ("a b",), ("a", 1), ("a", "b", "a")])
+    def test_alphabet_of_distinct_letters_only(self, alphabet):
+        # ("a.b",) would print as the two-letter word a.b, and a random
+        # functional, seeded by that text, would give both atoms one value
+        with pytest.raises(ValueError):
+            Algebra(WORDS, alphabet)
+
+    def test_alphabet_stored_as_a_tuple(self):
+        assert Algebra(NC, ["a", "b"]).alphabet == ("a", "b")
+        assert Algebra(WORDS, ["a", "b"]) == AB
+
 
 class TestEvaluation:
     def test_truncation_enforced(self):
@@ -284,6 +296,54 @@ class TestFixedPoint:
         for d in range(1, 5):
             for atom in AB.atoms(d):
                 assert back((atom,)) == kappa((atom,))
+
+    def test_extraction_needs_a_unital_phi(self):
+        # the unit value is 0: no kappa solves Phi = e + kappa ≺ Phi
+        phi = random_functional(A1, 4, seed=3)
+        seen = record_evaluations(phi)
+        with pytest.raises(ValueError, match="Phi"):
+            extract_infinitesimal(phi)
+        assert seen == []
+
+    def test_extraction_gives_0_off_the_standard_carrier(self):
+        # Phi reads an atom only through its half, whose legs are
+        # standardized, so Phi = e + kappa ≺ Phi leaves kappa free on an
+        # atom off its standard carrier, and extraction gives it 0
+        algebra = Algebra(NC, ("a", "b"))
+        kappa = random_infinitesimal(algebra, 3, seed=26)
+        back = extract_infinitesimal(solve_left_fixed_point(kappa))
+        for blocks in (((2, 3),), ((2, 3), (4,)), ((2, 4), (3,))):
+            shape = NonCrossingPartition(blocks)
+            off = DecoratedNC(shape, ("a", "b", "a")[:shape.size])
+            assert kappa((off,)) != 0 and back((off,)) == 0
+        std = (DecoratedNC(NonCrossingPartition(((1, 2),)), ("a", "b")),)
+        assert back(std) == kappa(std)
+
+    def test_extraction_caches_nothing_when_it_raises(self):
+        # Phi(b.a) fails once, while abab's extraction pairs kappa(a.b)
+        # with it: kappa keeps no value of abab, and a retry is right
+        def moment(atom):
+            return Fraction(len(atom) ** 2 + atom.count("a"),
+                            1 + atom.count("b"))
+
+        failures = [("b", "a")]
+
+        def flaky(atom):
+            if atom in failures:
+                failures.remove(atom)
+                raise RuntimeError("transient")
+            return moment(atom)
+
+        back = extract_infinitesimal(Character.from_atoms(AB, 4, flaky))
+        b = (("a", "b", "a", "b"),)
+        with pytest.raises(RuntimeError):
+            back(b)
+        assert failures == [] and b not in back._cache
+        expected = extract_infinitesimal(Character.from_atoms(AB, 4, moment))
+        assert back(b) == expected(b)
+        for d in range(1, 5):
+            for atom in AB.atoms(d):
+                assert back((atom,)) == expected((atom,))
 
     @pytest.mark.parametrize("kind,degree", [(WORDS, 5), (NC, 4)])
     def test_multi_atom_bar_words_match_definition(self, kind, degree):

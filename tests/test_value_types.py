@@ -162,6 +162,18 @@ def test_word_is_its_letter_tuple():
         Word(())
 
 
+@pytest.mark.parametrize("letters", [
+    (1, 2), ("a", 1), ("a", None), ("a.b",), ("a", ""), ("a b",), (b"a",)])
+def test_constructors_take_letters_only(letters):
+    # a validating constructor rejects a letter that is not a str by
+    # is_letter at once, not at a later cache miss
+    with pytest.raises(ValueError):
+        Word(letters)
+    shape = enumerate_nc_partitions(len(letters))[0]
+    with pytest.raises(ValueError):
+        DecoratedNC(shape, letters)
+
+
 def test_word_is_immutable():
     word = Word(("a", "b"))
     for name in ("letters", "degree", "other"):

@@ -78,3 +78,61 @@ def test_unshuffle_form_checks_and_bar_misses(monkeypatch):
         assert tensor._bar_coproduct.cache_info().misses == 231
     finally:
         nc_hopf.clear_caches()
+
+
+def count_pairing_work(monkeypatch, request):
+    """The functional evaluations and ``delta_bar`` calls that ``request``
+    makes, on functionals it builds itself."""
+    evaluations, coproducts = [], []
+    init = functionals.LinearFunctional.__init__
+    delta_bar = functionals.delta_bar
+
+    def counted_init(self, algebra, truncation, eval_basis, *args, **kw):
+        def ev(b):
+            evaluations.append(b)
+            return eval_basis(b)
+        init(self, algebra, truncation, ev, *args, **kw)
+
+    def counted_delta_bar(b, variant="full"):
+        coproducts.append((b, variant))
+        return delta_bar(b, variant)
+
+    monkeypatch.setattr(functionals.LinearFunctional, "__init__",
+                        counted_init)
+    monkeypatch.setattr(functionals, "delta_bar", counted_delta_bar)
+    request()
+    return len(evaluations), len(coproducts)
+
+
+def test_fixed_point_and_extraction_pairing_work(monkeypatch):
+    # Phi of one decorated atom of degree 5 reads kappa and Phi on the legs
+    # of its left half, recursively; the extraction then solves for kappa
+    # on the atoms of the same legs, reading Phi from its cache
+    from nc_hopf.partitions import NonCrossingPartition
+    from nc_hopf.tensor import DecoratedNC
+
+    def request():
+        algebra = functionals.Algebra(functionals.NC, ("a", "b"))
+        singletons = NonCrossingPartition(tuple((i,) for i in range(1, 6)))
+        atom = DecoratedNC(singletons, ("a", "b", "b", "a", "b"))
+        kappa = functionals.random_infinitesimal(algebra, 5, seed=5)
+        phi = functionals.solve_left_fixed_point(kappa)
+        assert functionals.extract_infinitesimal(phi)((atom,)) == kappa(
+            (atom,))
+
+    assert count_pairing_work(monkeypatch, request) == (65, 31)
+
+
+def test_convolution_pairing_work(monkeypatch):
+    # one three-atom bar word of degree 5, paired against its full
+    # coproduct and both of its halves
+    def request():
+        algebra = functionals.Algebra(functionals.WORDS, ("a", "b"))
+        f = functionals.random_functional(algebra, 5, seed=1)
+        g = functionals.random_functional(algebra, 5, seed=2)
+        b = (("a", "b"), ("b",), ("a", "a"))
+        functionals.convolve(f, g)(b)
+        functionals.half_convolve(f, g, "left")(b)
+        functionals.half_convolve(f, g, "right")(b)
+
+    assert count_pairing_work(monkeypatch, request) == (37, 3)
