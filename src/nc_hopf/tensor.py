@@ -43,7 +43,7 @@ def _letters(letters) -> tuple[str, ...]:
     """``letters`` as a tuple, each of them a ``str`` that is a letter by
     ``is_letter``; raise ValueError otherwise."""
     word = tuple(letters)
-    if not all([type(x) is str and is_letter(x) for x in word]):
+    if word and not _is_word(word):
         raise ValueError(f"not a tuple of letters: {word!r}")
     return word
 
@@ -113,7 +113,10 @@ def barword_text(b: BarWord) -> str:
 
 
 def _is_word(a) -> bool:
-    return type(a) is tuple and bool(a) and all([type(x) is str for x in a])
+    """Whether ``a`` is a non-empty tuple of letters by ``is_letter``."""
+    return (type(a) is tuple and bool(a)
+            and all([type(x) is str and x for x in a])
+            and not _SEPARATOR.search("".join(a)))
 
 
 def _is_decorated(a) -> bool:

@@ -1,8 +1,10 @@
 """Moment / cumulant transforms, classical and free, exact and symbolic.
 
-Every direction is computed by at least two independent routes and the
-results compared; a disagreement raises InconsistencyError because the
-redundancy exists to catch implementation drift, not input problems.
+Each one-letter direction is a sum over block types held to its flavor's
+recursion by one check: the recursion run on the cumulants must give the
+moments.  A multivariate table is solved by two routes compared word by
+word.  A failed check raises InconsistencyError because the redundancy
+exists to catch implementation drift, not input problems.
 
 Sequences carry Coefficient values, so the same code runs numerically over
 rational inputs and symbolically over polynomial indeterminates (c1, c2, ...
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iter_product
 from math import comb, factorial, lcm, prod
 from operator import itemgetter
@@ -70,7 +72,7 @@ class MomentSequence(Value):
     def __init__(self, values: tuple):
         if not values or values[0] != 1:
             raise ValueError("a moment sequence starts with m_0 = 1")
-        _set(self, "values", values)
+        _set(self, "values", tuple(values))
 
     @property
     def order(self) -> int:
@@ -92,7 +94,7 @@ class CumulantSequence(Value):
     def __init__(self, values: tuple, flavor: str):
         if flavor not in (CLASSICAL, FREE):
             raise ValueError(f"unknown cumulant flavor: {flavor!r}")
-        _set(self, "values", values)
+        _set(self, "values", tuple(values))
         _set(self, "flavor", flavor)
 
     @property
@@ -115,7 +117,7 @@ def symbolic_cumulants(order: int, flavor: str) -> CumulantSequence:
     check_enumeration_size(_lattice(flavor), order)
     prefix = "c" if flavor == CLASSICAL else "k"
     return CumulantSequence(
-        tuple(Poly.var(f"{prefix}{i}") for i in range(1, order + 1)), flavor)
+        [Poly.var(f"{prefix}{i}") for i in range(1, order + 1)], flavor)
 
 
 def symbolic_moments(order: int, flavor: str = FREE) -> MomentSequence:
@@ -142,17 +144,6 @@ def _degree_scaled(solve, values, degrees=None) -> list:
               for v, n in zip(values, degrees)]
     return [exact(Fraction(r, power[n]))
             for r, n in zip(solve(scaled), degrees)]
-
-
-def _require_agreement(routes: dict[str, list], context: str):
-    names = list(routes)
-    reference = routes[names[0]]
-    for name in names[1:]:
-        if routes[name] != reference:
-            raise InconsistencyError(
-                f"{context}: route {names[0]!r} and route {name!r} disagree: "
-                f"{[coeff_str(v) for v in reference]} vs "
-                f"{[coeff_str(v) for v in routes[name]]}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +242,7 @@ def _type_sums(values_by_size, order: int, weight) -> list:
 
 
 # ---------------------------------------------------------------------------
-# classical
+# the one-letter transforms
 
 
 def bell_polynomials(c: CumulantSequence) -> list:
@@ -266,63 +257,6 @@ def bell_polynomials(c: CumulantSequence) -> list:
             total = total + comb(n, j) * b[n - j] * c.cumulant(j + 1)
         b.append(total)
     return b
-
-
-def classical_moments_from_cumulants(c: CumulantSequence) -> MomentSequence:
-    """m_n as the n-th Bell polynomial of the cumulants, cross-checked
-    against the sum over all set partitions of block-size products."""
-    if c.flavor != CLASSICAL:
-        raise ValueError("expected classical cumulants")
-    check_enumeration_size("set", c.order)
-    return MomentSequence.of(_degree_scaled(_classical_moments, c.values))
-
-
-def _classical_moments(values) -> list:
-    c = CumulantSequence(tuple(values), CLASSICAL)
-    via_bell = bell_polynomials(c)[1:]
-    via_partitions = _type_sums(c.cumulant, c.order, _set_count)
-    _require_agreement(
-        {"bell-recursion": via_bell, "partition-sum": via_partitions},
-        "classical moments")
-    return via_bell
-
-
-def classical_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
-    """c_n by Möbius inversion over the partition lattice, cross-checked by
-    running the forward Bell recursion on the result."""
-    check_enumeration_size("set", m.order)
-    return CumulantSequence(
-        tuple(_degree_scaled(_classical_cumulants, m.values[1:])), CLASSICAL)
-
-
-def _classical_cumulants(values) -> list:
-    m = MomentSequence.of(values)
-    c = CumulantSequence(
-        tuple(_type_sums(m.moment, m.order, _set_moebius)), CLASSICAL)
-    back = bell_polynomials(c)[1:]
-    if tuple(back) != m.values[1:]:
-        raise InconsistencyError(
-            "classical cumulants: Möbius inversion does not round-trip")
-    return list(c.values)
-
-
-# ---------------------------------------------------------------------------
-# free
-
-
-def _free_moments_nc_sum(k: CumulantSequence) -> list:
-    return _type_sums(k.cumulant, k.order, _nc_count)
-
-
-def _free_moments_fixed_point(k: CumulantSequence) -> list:
-    """One-letter specialization of Phi = e + kappa ≺ Phi: the moments are
-    the character values on single powers of the letter.  The transforms do
-    not run it; the character-bijection suite holds it to them."""
-    kappa = functionals.InfinitesimalCharacter.from_atoms(
-        functionals.Algebra(functionals.WORDS, ("a",)), k.order,
-        lambda w: k.cumulant(len(w)), name="κ")
-    phi = functionals.solve_left_fixed_point(kappa)
-    return [phi((("a",) * n,)) for n in range(1, k.order + 1)]
 
 
 def _free_moments_series(k: CumulantSequence) -> list:
@@ -348,22 +282,82 @@ def _free_moments_series(k: CumulantSequence) -> list:
     return f[1:]
 
 
+# per flavor: the weights of the moments' and the cumulants' type sums, and
+# the two routes of the moments' error text, in the order it names them
+_FLAVORS = {CLASSICAL: (_set_count, _set_moebius,
+                        ("bell-recursion", "partition-sum")),
+            FREE: (_nc_count, _nc_moebius, ("nc-sum", "series"))}
+
+
+def _transform(flavor: str, from_cumulants: bool, values) -> list:
+    """One direction's type sum over the flavor's lattice: of the cumulants
+    weighted by each type's count for the moments (c2m, k2m), of m_1.. by
+    mu(pi, 1̂) for the cumulants (m2c, m2k).  It is held to the flavor's
+    recursion, which reads no lattice: run on the cumulants (the input or
+    the sum), it must give the moments."""
+    count, moebius, names = _FLAVORS[flavor]
+    by_sum = _type_sums(lambda n: values[n - 1], len(values),
+                        count if from_cumulants else moebius)
+    cumulants = CumulantSequence(values if from_cumulants else by_sum, flavor)
+    recursion = (bell_polynomials(cumulants)[1:] if flavor == CLASSICAL
+                 else _free_moments_series(cumulants))
+    if recursion != (by_sum if from_cumulants else list(values)):
+        if not from_cumulants:
+            raise InconsistencyError(
+                f"{flavor} cumulants: Möbius inversion does not round-trip")
+        routes = ((recursion, by_sum) if flavor == CLASSICAL
+                  else (by_sum, recursion))
+        raise InconsistencyError(
+            f"{flavor} moments: route {names[0]!r} and route {names[1]!r} "
+            f"disagree: {[coeff_str(v) for v in routes[0]]} vs "
+            f"{[coeff_str(v) for v in routes[1]]}")
+    return by_sum
+
+
+def classical_moments_from_cumulants(c: CumulantSequence) -> MomentSequence:
+    """m_n by the sum over set partitions, held to the Bell recursion."""
+    if c.flavor != CLASSICAL:
+        raise ValueError("expected classical cumulants")
+    check_enumeration_size("set", c.order)
+    return MomentSequence.of(
+        _degree_scaled(partial(_transform, CLASSICAL, True), c.values))
+
+
+def classical_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
+    """c_n by Möbius inversion over the partition lattice, cross-checked by
+    running the forward Bell recursion on the result."""
+    check_enumeration_size("set", m.order)
+    return CumulantSequence(_degree_scaled(
+        partial(_transform, CLASSICAL, False), m.values[1:]), CLASSICAL)
+
+
 def free_moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
     """m_n by the non-crossing partition sum, cross-checked against the
     truncated series F = K(tF)."""
     if k.flavor != FREE:
         raise ValueError("expected free cumulants")
     check_enumeration_size("nc", k.order)
-    return MomentSequence.of(_degree_scaled(_free_moments, k.values))
+    return MomentSequence.of(
+        _degree_scaled(partial(_transform, FREE, True), k.values))
 
 
-def _free_moments(values) -> list:
-    k = CumulantSequence(tuple(values), FREE)
-    via_sum = _free_moments_nc_sum(k)
-    _require_agreement(
-        {"nc-sum": via_sum, "series": _free_moments_series(k)},
-        "free moments")
-    return via_sum
+def free_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
+    """k_n by Möbius inversion over the non-crossing lattice, cross-checked
+    by running the series F = K(tF) forward on the result."""
+    check_enumeration_size("nc", m.order)
+    return CumulantSequence(_degree_scaled(
+        partial(_transform, FREE, False), m.values[1:]), FREE)
+
+
+def _free_moments_fixed_point(k: CumulantSequence) -> list:
+    """One-letter specialization of Phi = e + kappa ≺ Phi: the moments are
+    the character values on single powers of the letter.  The transforms do
+    not run it; the character-bijection suite holds it to them."""
+    kappa = functionals.InfinitesimalCharacter.from_atoms(
+        functionals.Algebra(functionals.WORDS, ("a",)), k.order,
+        lambda w: k.cumulant(len(w)), name="κ")
+    phi = functionals.solve_left_fixed_point(kappa)
+    return [phi((("a",) * n,)) for n in range(1, k.order + 1)]
 
 
 def _extracted_cumulants(alphabet, order: int, moment):
@@ -374,24 +368,6 @@ def _extracted_cumulants(alphabet, order: int, moment):
         name="Φ")
     kappa = functionals.extract_infinitesimal(character)
     return lambda letters: kappa((letters,))
-
-
-def free_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
-    """k_n by Möbius inversion over the non-crossing lattice, cross-checked
-    by running the series F = K(tF) forward on the result."""
-    check_enumeration_size("nc", m.order)
-    return CumulantSequence(
-        tuple(_degree_scaled(_free_cumulants, m.values[1:])), FREE)
-
-
-def _free_cumulants(values) -> list:
-    m = MomentSequence.of(values)
-    k = CumulantSequence(
-        tuple(_type_sums(m.moment, m.order, _nc_moebius)), FREE)
-    if tuple(_free_moments_series(k)) != m.values[1:]:
-        raise InconsistencyError(
-            "free cumulants: Möbius inversion does not round-trip")
-    return list(k.values)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +388,7 @@ class MultiMomentMap(Value):
     __slots__ = _fields = ("alphabet", "order", "table")
 
     def __init__(self, alphabet: tuple[str, ...], order: int, table: dict):
-        _set(self, "alphabet", alphabet)
+        _set(self, "alphabet", tuple(alphabet))
         _set(self, "order", order)
         _set(self, "table", table)
 
@@ -553,7 +529,7 @@ def moment_sequence_from_json(data: dict) -> MomentSequence:
 
 
 def cumulant_sequence_from_json(data: dict, flavor: str) -> CumulantSequence:
-    return CumulantSequence(tuple(_json_values(data)), flavor)
+    return CumulantSequence(_json_values(data), flavor)
 
 
 def multi_moment_map_from_json(data: dict) -> MultiMomentMap:

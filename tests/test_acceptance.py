@@ -24,8 +24,9 @@ from nc_hopf.transforms import (
     kappa_powers,
     symbolic_cumulants,
     _free_moments_fixed_point,
-    _free_moments_nc_sum,
     _free_moments_series,
+    _nc_count,
+    _type_sums,
 )
 from nc_hopf.trees import hierarchy_tree, tree_coproduct
 from nc_hopf.verify import (
@@ -88,7 +89,7 @@ def test_criterion_03_free_tables_three_routes():
     ]
     k = symbolic_cumulants(4, FREE)
     routes = {
-        "nc-moebius": _free_moments_nc_sum(k),
+        "nc-moebius": _type_sums(k.cumulant, 4, _nc_count),
         "fixed-point": _free_moments_fixed_point(k),
         "series": _free_moments_series(k),
     }

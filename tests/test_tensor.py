@@ -476,10 +476,14 @@ class TestBarWords:
         (delta_word, (((1,),), None)), (delta_word_halves, (((1,),), None)),
         (delta_nc, (((1, 3), (2, 4)), None)),
         (delta_nc, (((2,), (1,)), None)), (delta_nc, (((1, 1),), None)),
+        (delta_word, ("a|b", "c")), (delta_nc, (((1,), (2,)), ("a.b", "c"))),
+        (sp, (("x y",),)), (delta_word, ("a", "")),
     ], ids=lambda v: getattr(v, "__name__", repr(v)))
     def test_other_kind_or_malformed_blocks_rejected(self, call, atom):
         # each generator coproduct takes only an atom of its own kind, and a
-        # decorated one only with canonical non-crossing blocks
+        # decorated one only with canonical non-crossing blocks; a letter,
+        # here and in sp, must be one by is_letter, or its term would print
+        # as another (a|b.c reads back as a bar word of two atoms)
         with pytest.raises(AlgebraMismatchError):
             call(atom)
 

@@ -665,6 +665,43 @@ class TestDegreeScaling:
         assert seen and all(type(v) is int for v in seen)
 
 
+    @pytest.mark.parametrize("symbolic", [False, True],
+                             ids=["rational", "symbolic"])
+    @pytest.mark.parametrize("direction", ["c2m", "m2c", "k2m", "m2k"])
+    def test_a_type_sum_off_by_one_raises(self, monkeypatch, direction,
+                                          symbolic):
+        # one weight row of degree 3 off by one: the recursion, which reads
+        # no type table, holds the sum to it in every direction
+        real = transforms._type_table
+
+        def off(n):
+            rows = real(n)
+            if n != 3:
+                return rows
+            lam, *weights = rows[1]
+            return (rows[0], (lam, *[w + 1 for w in weights]), *rows[2:])
+
+        monkeypatch.setattr(transforms, "_type_table", off)
+        flavor = CLASSICAL if "c" in direction else FREE
+        values = (Fraction(1, 3), Fraction(-2, 7), 5, Fraction(1, 9973))
+        if direction in ("c2m", "k2m"):
+            seq = (symbolic_cumulants(4, flavor) if symbolic
+                   else CumulantSequence(values, flavor))
+            transform = (classical_moments_from_cumulants
+                         if flavor == CLASSICAL
+                         else free_moments_from_cumulants)
+            expected = f"{flavor} moments: route '.*' and route '.*' disagree"
+        else:
+            seq = (symbolic_moments(4, flavor) if symbolic
+                   else MomentSequence.of(values))
+            transform = (classical_cumulants_from_moments
+                         if flavor == CLASSICAL
+                         else free_cumulants_from_moments)
+            expected = f"{flavor} cumulants: Möbius inversion does not"
+        with pytest.raises(InconsistencyError, match=expected):
+            transform(seq)
+
+
 class TestFreedByRefcount:
     """With the cyclic collector off, what a transform builds is freed by
     reference counting alone: no closure cycle holds a functional, a value

@@ -417,6 +417,27 @@ def test_only_the_base_classes_define_the_value_contract():
     assert found == []
 
 
+@pytest.mark.parametrize("make,field,stored", [
+    (lambda v: CumulantSequence(v, "free"), "values", (1, 2, 3)),
+    (lambda v: CumulantSequence(v, "classical"), "values", (1, 2, 3)),
+    (lambda v: MomentSequence([1, *v]), "values", (1, 1, 2, 3)),
+    (lambda v: MultiMomentMap(["a", "b", "c"][:len(v)], 1,
+                              {("a",): 1, ("b",): 2, ("c",): 3}),
+     "alphabet", ("a", "b", "c")),
+], ids=["free", "classical", "moments", "multi-moments"])
+def test_sequences_and_alphabets_are_stored_as_tuples(make, field, stored):
+    # a list handed in is copied to a tuple: the value hashes, and neither
+    # the caller's list nor the field can change it afterwards
+    given = [1, 2, 3]
+    value = make(given)
+    given.append(9)
+    assert type(getattr(value, field)) is tuple
+    assert getattr(value, field) == stored
+    assert hash(value) == hash(make((1, 2, 3))) and value == make((1, 2, 3))
+    with pytest.raises(AttributeError):
+        getattr(value, field).append(9)
+
+
 def test_moment_and_cumulant_maps_with_equal_fields_stay_unequal():
     moments = MultiMomentMap(("a",), 1, {("a",): 2})
     cumulants = MultiCumulantMap(("a",), 1, {("a",): 2})
