@@ -64,15 +64,28 @@ CLASSICAL = "classical"
 FREE = "free"
 
 
+def _exact_values(values) -> tuple:
+    """``values`` as a tuple, each an ``int``, ``Fraction`` or ``Poly``;
+    raise ValueError naming the first that is not, before any transform
+    reads a float it cannot hold exactly."""
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, (int, Fraction, Poly)):
+            raise ValueError(f"not an exact coefficient (int, Fraction or "
+                             f"Poly): {v!r}")
+    return values
+
+
 class MomentSequence(Value):
-    """Moments m_0 = 1, m_1, ..., m_N."""
+    """Moments m_0 = 1, m_1, ..., m_N, each exact (``_exact_values``)."""
 
     __slots__ = _fields = ("values",)
 
     def __init__(self, values: tuple):
+        values = _exact_values(values)
         if not values or values[0] != 1:
             raise ValueError("a moment sequence starts with m_0 = 1")
-        _set(self, "values", tuple(values))
+        _set(self, "values", values)
 
     @property
     def order(self) -> int:
@@ -87,14 +100,15 @@ class MomentSequence(Value):
 
 
 class CumulantSequence(Value):
-    """Cumulants c_1, ..., c_N (classical) or k_1, ..., k_N (free)."""
+    """Cumulants c_1, ..., c_N (classical) or k_1, ..., k_N (free), each
+    exact (``_exact_values``)."""
 
     __slots__ = _fields = ("values", "flavor")
 
     def __init__(self, values: tuple, flavor: str):
         if flavor not in (CLASSICAL, FREE):
             raise ValueError(f"unknown cumulant flavor: {flavor!r}")
-        _set(self, "values", tuple(values))
+        _set(self, "values", _exact_values(values))
         _set(self, "flavor", flavor)
 
     @property
@@ -382,15 +396,17 @@ def _letter_tuples(alphabet, degrees):
 
 class MultiMomentMap(Value):
     """A total moment table word -> Coefficient for words of length <= order
-    over the alphabet; the empty word has value 1 implicitly.  The hash
-    leaves out the table."""
+    over the alphabet; the empty word has value 1 implicitly.  The values
+    are exact (``_exact_values``), and the table is a copy of the caller's
+    dict.  The hash leaves out the table."""
 
     __slots__ = _fields = ("alphabet", "order", "table")
 
     def __init__(self, alphabet: tuple[str, ...], order: int, table: dict):
         _set(self, "alphabet", tuple(alphabet))
         _set(self, "order", order)
-        _set(self, "table", table)
+        _exact_values(table.values())
+        _set(self, "table", dict(table))
 
     def __hash__(self):
         return hash((self.alphabet, self.order))

@@ -80,6 +80,7 @@ from .transforms import (
     symbolic_cumulants,
 )
 from .trees import (
+    UNIT_TREE,
     erase_gaps,
     gapped_hierarchy_tree,
     hierarchy_tree,
@@ -147,20 +148,27 @@ def _failing(names: list) -> str:
 # coproduct operator plumbing
 
 
-def _apply(terms: LinComb, leg: int, coproduct) -> LinComb:
-    """Apply ``coproduct`` to leg ``leg`` of each pair (0 the left, 1 the
-    right), dropping every entry that cancels."""
+def _apply(terms: LinComb, leg: int, linear_map) -> LinComb:
+    """Push ``terms``, keyed by tuples of legs, through ``linear_map`` on
+    leg ``leg``: each key of the leg's image, a tuple of legs, replaces
+    that leg in place, so a coproduct turns pairs into triples.  Each
+    distinct leg's image is computed once per call; entries that cancel
+    are dropped."""
     out: LinComb = {}
     get = out.get
-    for pair, c in terms.items():
-        other = pair[1 - leg]
-        for (a, b), d in coproduct(pair[leg]).items():
-            key = (other, a, b) if leg else (a, b, other)
-            new = get(key, 0) + c * d
+    images: dict = {}
+    for key, c in terms.items():
+        x = key[leg]
+        if x not in images:
+            images[x] = linear_map(x)
+        head, tail = key[:leg], key[leg + 1:]
+        for legs, d in images[x].items():
+            new_key = head + legs + tail
+            new = get(new_key, 0) + c * d
             if new:
-                out[key] = new
-            elif key in out:
-                del out[key]
+                out[new_key] = new
+            elif new_key in out:
+                del out[new_key]
     return out
 
 
@@ -327,33 +335,19 @@ def verify_sp_morphism(max_word_len: int = 6) -> SuiteReport:
     report = SuiteReport("sp-morphism")
     alphabet = ("a", "b")
     functional_degree, trials, seed = 5, 5, 11
+
+    def sp_legs(b: BarWord) -> LinComb:  # Sp, each image a one-leg key
+        return {(x,): c for x, c in sp(b).items()}
+
     for variant in ("full", "left+", "right+"):
         bad = []
         count = 0
         for degree in range(1, max_word_len + 1):
             for ls in iter_product(alphabet, repeat=degree):
                 b: BarWord = (ls,)
-                lhs: LinComb = {}
-                get = lhs.get
-                for key, c in sp(b).items():
-                    for pair, d in delta_bar(key, variant).items():
-                        new = get(pair, 0) + c * d
-                        if new:
-                            lhs[pair] = new
-                        elif pair in lhs:
-                            del lhs[pair]
-                rhs: LinComb = {}
-                get = rhs.get
-                for (left, right), c in delta_bar(b, variant).items():
-                    right_img = sp(right)  # sp of the unit is the unit
-                    for kl, cl in sp(left).items():
-                        for kr, cr in right_img.items():
-                            pair = (kl, kr)
-                            new = get(pair, 0) + c * cl * cr
-                            if new:
-                                rhs[pair] = new
-                            elif pair in rhs:
-                                del rhs[pair]
+                lhs = _apply(sp_legs(b), 0, lambda x: delta_bar(x, variant))
+                rhs = _apply(_apply(delta_bar(b, variant), 1, sp_legs), 0,
+                             sp_legs)
                 if lhs != rhs:
                     bad.append(barword_text(b))
                 count += 1
@@ -637,17 +631,15 @@ def verify_semicircular(order: int = 8) -> SuiteReport:
 
 def _transported(shape: NonCrossingPartition, tree_of) -> LinComb:
     """The partition coproduct of ``shape`` pushed through the tree map
-    ``tree_of``: tree on the left leg, forest on the right."""
-    def leg_tree(atom) -> tuple:
-        blocks = atom[0]
-        return tree_of(NonCrossingPartition._unchecked(
-            blocks, sum(map(len, blocks))))
+    ``tree_of``: tree on the left leg, which holds one atom or is the unit
+    (mapped to the bare root), forest on the right."""
+    def trees(b: BarWord) -> tuple:
+        return tuple(tree_of(NonCrossingPartition._unchecked(
+            blocks, sum(map(len, blocks)))) for blocks, _ in b)
 
-    out: LinComb = {}
-    for (left, right), c in delta_nc(DecoratedNC(shape)).items():
-        rooted = leg_tree(left[0]) if left else ()
-        add_into(out, (rooted, tuple(map(leg_tree, right))), c)
-    return out
+    rooted = _apply(delta_nc(DecoratedNC(shape)), 0,
+                    lambda b: {trees(b) or (UNIT_TREE,): 1})
+    return _apply(rooted, 1, lambda b: {(trees(b),): 1})
 
 
 def verify_tree_consistency(max_n: int = 6) -> SuiteReport:

@@ -14,9 +14,11 @@ import os
 import pickle
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 import types
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -42,11 +44,14 @@ from nc_hopf.tensor import (
     barword_text,
     tensor_text,
 )
+from nc_hopf.coefficients import Poly
 from nc_hopf.transforms import (
+    FREE,
     CumulantSequence,
     MomentSequence,
     MultiCumulantMap,
     MultiMomentMap,
+    free_moments_from_cumulants,
 )
 from nc_hopf.verify import Check, SuiteReport
 
@@ -442,3 +447,54 @@ def test_moment_and_cumulant_maps_with_equal_fields_stay_unequal():
     moments = MultiMomentMap(("a",), 1, {("a",): 2})
     cumulants = MultiCumulantMap(("a",), 1, {("a",): 2})
     assert moments != cumulants and cumulants != moments
+
+
+EXACT_MAKERS = [
+    lambda v: MomentSequence((1, Fraction(1, 2), v)),
+    lambda v: MomentSequence.of([v]),
+    lambda v: CumulantSequence([1, v], "free"),
+    lambda v: CumulantSequence([v], "classical"),
+    lambda v: MultiMomentMap(("a", "b"), 1, {("a",): 1, ("b",): v}),
+    lambda v: MultiCumulantMap(("a",), 1, {("a",): v}),
+]
+EXACT_IDS = ["moments", "moments-of", "free", "classical", "multi-moments",
+             "multi-cumulants"]
+
+
+@pytest.mark.parametrize("make", EXACT_MAKERS, ids=EXACT_IDS)
+@pytest.mark.parametrize("value", [0.1, 2.0, "x", None, Decimal("0.5"),
+                                   complex(1, 0)],
+                         ids=["float", "integral-float", "str", "none",
+                              "decimal", "complex"])
+def test_inexact_values_are_refused_by_name(make, value):
+    # a float would reach the transforms as an inexact value, and a str as
+    # a bare TypeError deep inside them
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        make(value)
+
+
+@pytest.mark.parametrize("make", EXACT_MAKERS, ids=EXACT_IDS)
+@pytest.mark.parametrize("value", [3, -2, Fraction(-2, 3), Poly.var("m1")],
+                         ids=["int", "negative", "fraction", "poly"])
+def test_exact_values_are_kept_as_given(make, value):
+    made = make(value)
+    stored = (made.values if hasattr(made, "values")
+              else tuple(made.table.values()))
+    assert stored[-1] is value
+
+
+def test_float_inputs_never_reach_a_transform():
+    with pytest.raises(ValueError, match="0.1"):
+        free_moments_from_cumulants(
+            CumulantSequence([0.1, 0.2, 0.3, 0.7, 1.3, 2.9], FREE))
+    with pytest.raises(ValueError, match="1.0"):
+        MomentSequence((1.0, Fraction(1, 2)))
+
+
+def test_moment_map_keeps_a_copy_of_the_table():
+    table = {("a",): 1, ("b",): 2}
+    moments = MultiMomentMap(("a", "b"), 1, table)
+    table[("a",)] = 0.5
+    del table[("b",)]
+    assert moments.table == {("a",): 1, ("b",): 2}
+    assert moments.table is not table

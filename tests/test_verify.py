@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -263,3 +264,48 @@ def test_free_pair_moments_on_alternating_words():
     assert table[("a", "b", "a", "b")] == (
         a2 * b1 ** 2 + a1 ** 2 * b2 - a1 ** 2 * b1 ** 2)
     assert len(table) == 2 + 4 + 8 + 16
+
+
+def test_sp_morphism_fails_when_sp_drops_a_shape(monkeypatch):
+    # an Sp that reads NC(2) without its last shape breaks Δ∘Sp = (Sp⊗Sp)∘Δ
+    # on every word of two letters or more, for each of the three coproducts
+    real = nc_hopf.tensor._nc_shapes
+    monkeypatch.setattr(nc_hopf.tensor, "_nc_shapes",
+                        lambda n: real(n)[:-1] if n == 2 else real(n))
+    report = nc_hopf.verify.verify_sp_morphism(3)
+    words = [".".join(w) for n in (2, 3) for w in product("ab", repeat=n)]
+    structural = [c for c in report.checks if c.label.startswith("structural")]
+    assert [c.label.split()[1] for c in structural] == [
+        "full", "left+", "right+"]
+    assert [(c.ok, c.detail) for c in structural] == [
+        (False, f"12 failing: {', '.join(words)}")] * 3
+
+
+def test_tree_consistency_fails_through_the_bare_map(monkeypatch):
+    # read through the bare map, the transport check fails on the one
+    # marked shape up to 5 blocks
+    monkeypatch.setattr(nc_hopf.verify, "gapped_hierarchy_tree",
+                        nc_hopf.verify.hierarchy_tree)
+    transport = nc_hopf.verify.verify_tree_consistency(5).checks[0]
+    assert transport.label.startswith("coproducts agree through the gapped")
+    assert (transport.ok, transport.detail) == (
+        False, "1 failing: {1,3,5}{2}{4}")
+
+
+def test_keyrell_freeness_fails_when_the_transform_drifts(monkeypatch):
+    # verify reads its own binding of the first-block solve, so only the
+    # multivariate transform sees the drift, and raises for it
+    transforms = nc_hopf.transforms
+    real = transforms._first_block_cumulants
+
+    def drifted(moment, words):
+        r = real(moment, words)
+        longest = max(r, key=len)
+        r[longest] += 1
+        return r
+
+    monkeypatch.setattr(transforms, "_first_block_cumulants", drifted)
+    report = nc_hopf.verify.verify_keyrell(3)
+    assert [c.ok for c in report.checks] == [True, True, False]
+    assert report.checks[2].detail == (
+        "generalized cumulants disagree at a.a.a: 2126 vs 2125")
