@@ -94,6 +94,12 @@ class TestWords:
             left, right = delta_word_halves(word)
             assert lincomb_sum(left, right) == delta_word(word)
 
+    def test_lincomb_sum_drops_what_cancels(self):
+        x, y, z = (w("a"),), (w("b"),), (w("ab"),)
+        assert lincomb_sum() == {}
+        assert lincomb_sum({x: 2, y: Fraction(1, 3)}, {x: -2, z: 1},
+                           {y: Fraction(-1, 3)}) == {z: 1}
+
     def test_left_half_keeps_first_position(self):
         left, right = delta_word_halves(w("ab"))
         assert ((w("ab"),), ()) in left

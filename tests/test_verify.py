@@ -309,3 +309,155 @@ def test_keyrell_freeness_fails_when_the_transform_drifts(monkeypatch):
     assert [c.ok for c in report.checks] == [True, True, False]
     assert report.checks[2].detail == (
         "generalized cumulants disagree at a.a.a: 2126 vs 2125")
+
+
+def failed(report) -> list:
+    """(label, detail) of each failed check of ``report``, in order."""
+    return [(c.label, c.detail) for c in report.failures()]
+
+
+def failing(names: list) -> str:
+    return f"{len(names)} failing: {', '.join(names)}"
+
+
+WORDS_TO_3 = ["a", "b", "a.a", "a.b", "b.a", "b.b"] + [
+    ".".join(w) for w in product("ab", repeat=3)]
+
+
+def test_unshuffle_fails_its_axioms_when_the_halves_swap(monkeypatch):
+    # a left half read as the right one breaks C1, C2 and C3 on words of
+    # three letters, and C1 and C3 on the one NC(3) shape whose halves are
+    # not mirror images of each other; the halves still add up to Δ
+    verify = nc_hopf.verify
+    real = verify._reduced
+    swap = {"left+": "right+", "right+": "left+", "full": "full"}
+    monkeypatch.setattr(verify, "_reduced", lambda v: real(swap[v]))
+    words_3 = WORDS_TO_3[6:]
+    assert failed(verify.verify_unshuffle(3)) == [
+        ("words: C1 up to degree 3", failing(words_3)),
+        ("words: C2 up to degree 3",
+         failing(["a.b.a", "a.b.b", "b.a.a", "b.a.b"])),
+        ("words: C3 up to degree 3", failing(words_3)),
+        ("nc: C1 up to degree 3", failing(["{1}{2}{3}"])),
+        ("nc: C3 up to degree 3", failing(["{1}{2}{3}"]))]
+
+
+def test_unshuffle_fails_halves_when_the_sum_drops_a_term(monkeypatch):
+    # halves without b ⊗ 1 + 1 ⊗ b miss Δ(b) on every generator
+    verify = nc_hopf.verify
+    real = verify.lincomb_sum
+    monkeypatch.setattr(verify, "lincomb_sum", lambda *c: real(*c[:-1]))
+    assert failed(verify.verify_unshuffle(2)) == [
+        ("words: halves up to degree 2", failing(WORDS_TO_3[:6])),
+        ("nc: halves up to degree 2",
+         failing(["{1}", "{1,2}", "{1}{2}"]))]
+
+
+def test_unshuffle_fails_d1_and_d2_when_the_product_flips(monkeypatch):
+    # Δ≺(ab) = Δ≺(a) Δ(b) read as Δ(b) Δ≺(a) fails on every product of two
+    # distinct generators, and so does Δ≻
+    verify = nc_hopf.verify
+    real = verify.tensor_product
+    monkeypatch.setattr(verify, "tensor_product", lambda a, b: real(b, a))
+    report = verify.verify_unshuffle(3)
+    words = [f"{x}|{y}" for x in WORDS_TO_3[:6] for y in WORDS_TO_3[:6]
+             if x != y and len(x + y) <= 4]
+    nc = ["{1}|{1,2}", "{1}|{1}{2}", "{1,2}|{1}", "{1}{2}|{1}"]
+    assert len(words) == 18
+    assert failed(report) == [
+        ("words: D1 up to degree 3", failing(words)),
+        ("words: D2 up to degree 3", failing(words)),
+        ("nc: D1 up to degree 3", failing(nc)),
+        ("nc: D2 up to degree 3", failing(nc))]
+
+
+def test_halfshuffle_fails_a1_a2_a3_on_float_values(monkeypatch):
+    # the trial on f / 60, computed in binary floating point, rounds each
+    # side of every axiom apart on one bar word: a check on exact values
+    # sees it
+    verify = nc_hopf.verify
+    monkeypatch.setattr(verify, "_rational", lambda f: type(f)(
+        f.algebra, f.truncation, lambda b: f(b) / 60,
+        unit_value=f.unit_value, name=f.name))
+    assert failed(verify.verify_halfshuffle(3)) == [
+        (f"words: {axiom} (100 triples, 1000 samples)",
+         failing(["trial 0: b|a.b"])) for axiom in ("A1", "A2", "A3")]
+
+
+def test_halfshuffle_fails_units_when_a_product_with_e_drifts(monkeypatch):
+    # a half product with the counit e that comes out one too high breaks
+    # the unit laws on every trial and every sample
+    verify = nc_hopf.verify
+    real = verify.half_convolve
+
+    def drifted(f, g, side):
+        h = real(f, g, side)
+        if "e" not in (f.name, g.name):
+            return h
+        return type(h)(h.algebra, h.truncation, lambda b: h(b) + 1,
+                       unit_value=h.unit_value, name=h.name)
+
+    monkeypatch.setattr(verify, "half_convolve", drifted)
+    assert failed(verify.verify_halfshuffle(1)) == [
+        (f"{kind}: units (100 triples, 200 samples)",
+         failing([f"trial {t}: {x}" for t in range(100) for x in atoms]))
+        for kind, atoms in (("words", ("a", "b")),
+                            ("nc", ("{1}:a", "{1}:b")))]
+
+
+def test_keyrell_fails_its_block_product_when_kappa_drifts(monkeypatch):
+    # an oracle product one too high misses Psi on every decorated shape;
+    # the two cumulant solves read no block product
+    verify = nc_hopf.verify
+    real = verify.kappa_powers
+    monkeypatch.setattr(verify, "kappa_powers",
+                        lambda *args: real(*args) + 1)
+    assert failed(verify.verify_keyrell(2)) == [
+        ("Psi(L⊗w) = block product of kappa (3 partitions)",
+         failing(["{1} on x1", "{1,2} on x1.x2", "{1}{2} on x1.x2"]))]
+
+
+def test_roundtrip_fails_when_one_direction_drifts(monkeypatch):
+    # k2m reading its last cumulant one too high breaks both round trips
+    # of every classical sequence; the free ones do not read it
+    verify = nc_hopf.verify
+    real = verify.classical_moments_from_cumulants
+    monkeypatch.setattr(verify, "classical_moments_from_cumulants",
+                        lambda c: real(verify.CumulantSequence(
+                            c.values[:-1] + (c.values[-1] + 1,), c.flavor)))
+    assert failed(verify.verify_roundtrip(3)) == [
+        ("classical: 50 random sequences, N=3",
+         failing([f"trial {t}" for t in range(50)]))]
+
+
+def test_semicircular_fails_when_nc2_drops_its_block(monkeypatch):
+    # NC(2) without {1,2} counts no pairing of two points, against Catalan
+    # and against the second moment, which the transform reads off no list
+    verify = nc_hopf.verify
+    real = verify.enumerate_nc_partitions
+    monkeypatch.setattr(verify, "enumerate_nc_partitions", lambda n: [
+        p for p in real(n) if p.blocks != ((1, 2),)])
+    assert failed(verify.verify_semicircular(3)) == [
+        ("moments = non-crossing pair counts = Catalan, N=3",
+         failing(["pair count at n=2", "moment at n=2"]))]
+
+
+def test_moebius_fails_its_bottom_values_against_a_wrong_catalan(
+        monkeypatch):
+    # only the NC bottom check reads the Catalan numbers
+    verify = nc_hopf.verify
+    real = verify.catalan_number
+    monkeypatch.setattr(verify, "catalan_number", lambda n: real(n) + 1)
+    assert failed(verify.verify_moebius(3)) == [
+        ("nc lattice: recursion gives signed Catalan values, n ≤ 3",
+         failing(["n=1", "n=2", "n=3"]))]
+
+
+def test_apply_drops_a_term_that_cancels():
+    # two legs with one image and opposite coefficients leave nothing, and
+    # a third key's term stays
+    image = {"x": {("z",): 1}, "y": {("z",): 1}, "w": {("v", "u"): 2}}
+    terms = {("x", "k"): 3, ("y", "k"): -3, ("w", "k"): 1}
+    assert nc_hopf.verify._apply(terms, 0, image.__getitem__) == {
+        ("v", "u", "k"): 2}
+
