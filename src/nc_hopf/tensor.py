@@ -257,8 +257,10 @@ def delta_word(w: tuple[str, ...]) -> LinComb:
     return lincomb_sum(*delta_word_halves(w))
 
 
-# verify sp-morphism at its ceiling reads 64,978 decorated atoms
-NC_HALVES_BOUND = 65536
+# sp-morphism 7 reads one word's Sp atoms again, at most Cat(7) = 429, and
+# 64,978 in all; keyrell 9 reads 9,891 (10,079 misses at this bound),
+# tree-consistency 9 6,917, unshuffle 8 2,055 and a 15 s hopf run 1,553
+NC_HALVES_BOUND = 4096
 
 
 @lru_cache(maxsize=NC_HALVES_BOUND)

@@ -122,6 +122,13 @@ class SuiteReport(Record):
     def add(self, label: str, ok: bool, detail: str = ""):
         self.checks.append(Check(label, ok, detail))
 
+    def check(self, label: str, failing: list):
+        """Record a check that holds when ``failing``, the names of the
+        cases it failed on, is empty; its detail counts and lists them."""
+        detail = f"{len(failing)} failing: {', '.join(failing)}"
+        self.checks.append(Check(label, not failing,
+                                 detail if failing else ""))
+
     @property
     def raised(self) -> bool:
         """Whether the suite stopped on an internal fault."""
@@ -137,11 +144,6 @@ class SuiteReport(Record):
         for c in self.failures():
             lines.append(f"  FAIL {c.label}" + (f": {c.detail}" if c.detail else ""))
         return "\n".join(lines)
-
-
-def _failing(names: list) -> str:
-    """Failure detail of a check: how many cases failed, then every one."""
-    return f"{len(names)} failing: {', '.join(names)}" if names else ""
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +197,14 @@ def _rational(f: LinearFunctional) -> LinearFunctional:
                    unit_value=f.unit_value, name=f.name)
 
 
-def _elements(kind: str, alphabet: tuple[str, ...], degree: int) -> list:
-    """Single generator atoms of the given degree on the chosen bialgebra."""
+def _elements(kind: str, alphabet: tuple[str, ...], max_degree: int) -> list:
+    """Single generator atoms of every degree up to ``max_degree`` on the
+    chosen bialgebra, by degree."""
+    degrees = range(1, max_degree + 1)
     if kind == WORDS:
-        return list(iter_product(alphabet, repeat=degree))
-    check_enumeration_size("nc", degree)
-    return [(shape, None) for shape in _nc_shapes(degree)]
+        return [w for d in degrees for w in iter_product(alphabet, repeat=d)]
+    check_enumeration_size("nc", max_degree)
+    return [(shape, None) for d in degrees for shape in _nc_shapes(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +216,15 @@ def verify_coassociativity(max_degree: int = 6) -> SuiteReport:
     on every generator up to the degree bound."""
     report = SuiteReport("coassociativity")
     for kind in (WORDS, NC):
+        atoms = _elements(kind, ("a", "b", "c"), max_degree)
         bad = []
-        count = 0
-        for degree in range(1, max_degree + 1):
-            for atom in _elements(kind, ("a", "b", "c"), degree):
-                b: BarWord = (atom,)
-                terms = delta_bar(b, "full")
-                if _apply(terms, 0, delta_bar) != _apply(terms, 1, delta_bar):
-                    bad.append(barword_text(b))
-                count += 1
-        report.add(f"{kind}: generators up to degree {max_degree} ({count})",
-                   not bad, _failing(bad))
+        for atom in atoms:
+            b: BarWord = (atom,)
+            terms = delta_bar(b, "full")
+            if _apply(terms, 0, delta_bar) != _apply(terms, 1, delta_bar):
+                bad.append(barword_text(b))
+        report.check(f"{kind}: generators up to degree {max_degree} "
+                     f"({len(atoms)})", bad)
     return report
 
 
@@ -232,8 +234,7 @@ def verify_unshuffle(max_degree: int = 5) -> SuiteReport:
     report = SuiteReport("unshuffle")
     left_of, right_of, reduced_of = map(_reduced, ("left+", "right+", "full"))
     for kind in (WORDS, NC):
-        atoms = [a for d in range(1, max_degree + 1)
-                 for a in _elements(kind, ("a", "b"), d)]
+        atoms = _elements(kind, ("a", "b"), max_degree)
         failures: dict[str, list] = {k: [] for k in
                                      ("C1", "C2", "C3", "halves", "D1", "D2")}
         for atom in atoms:
@@ -265,8 +266,7 @@ def verify_unshuffle(max_degree: int = 5) -> SuiteReport:
                 if delta_bar(bar, "right+") != expect_r:
                     failures["D2"].append(name)
         for label, bad in failures.items():
-            report.add(f"{kind}: {label} up to degree {max_degree}",
-                       not bad, _failing(bad))
+            report.check(f"{kind}: {label} up to degree {max_degree}", bad)
     return report
 
 
@@ -292,7 +292,6 @@ def verify_halfshuffle(max_degree: int = 6) -> SuiteReport:
         algebra = Algebra(kind, ("a", "b"))
         rng = random.Random(f"{seed}:{kind}")
         failures: dict[str, list] = {k: [] for k in ("A1", "A2", "A3", "units")}
-        checked = 0
         samples = _sample_barwords(algebra, max_degree, rng, 4)
         for trial in range(trials):
             f = random_functional(algebra, max_degree, seed * 1000 + trial * 3)
@@ -312,7 +311,6 @@ def verify_halfshuffle(max_degree: int = 6) -> SuiteReport:
             ef0 = half_convolve(e, f, "left")
             fe0 = half_convolve(f, e, "right")
             for b in samples:
-                checked += 1
                 name = f"trial {trial}: {barword_text(b)}"
                 if a1_l(b) != a1_r(b):
                     failures["A1"].append(name)
@@ -324,8 +322,8 @@ def verify_halfshuffle(max_degree: int = 6) -> SuiteReport:
                         or ef0(b) != 0 or fe0(b) != 0):
                     failures["units"].append(name)
         for label, bad in failures.items():
-            report.add(f"{kind}: {label} ({trials} triples, {checked} samples)",
-                       not bad, _failing(bad))
+            report.check(f"{kind}: {label} ({trials} triples, "
+                         f"{trials * len(samples)} samples)", bad)
     return report
 
 
@@ -339,20 +337,21 @@ def verify_sp_morphism(max_word_len: int = 6) -> SuiteReport:
     def sp_legs(b: BarWord) -> LinComb:  # Sp, each image a one-leg key
         return {(x,): c for x, c in sp(b).items()}
 
-    for variant in ("full", "left+", "right+"):
-        bad = []
-        count = 0
-        for degree in range(1, max_word_len + 1):
-            for ls in iter_product(alphabet, repeat=degree):
-                b: BarWord = (ls,)
-                lhs = _apply(sp_legs(b), 0, lambda x: delta_bar(x, variant))
-                rhs = _apply(_apply(delta_bar(b, variant), 1, sp_legs), 0,
-                             sp_legs)
-                if lhs != rhs:
-                    bad.append(barword_text(b))
-                count += 1
-        report.add(f"structural {variant} on words up to length {max_word_len}"
-                   f" ({count})", not bad, _failing(bad))
+    # the three coproducts of a word read its Sp image's atoms in turn
+    words = _elements(WORDS, alphabet, max_word_len)
+    structural: dict = {k: [] for k in ("full", "left+", "right+")}
+    for ls in words:
+        b: BarWord = (ls,)
+        image = sp_legs(b)
+        for variant, bad in structural.items():
+            lhs = _apply(image, 0, lambda x: delta_bar(x, variant))
+            rhs = _apply(_apply(delta_bar(b, variant), 1, sp_legs), 0,
+                         sp_legs)
+            if lhs != rhs:
+                bad.append(barword_text(b))
+    for variant, bad in structural.items():
+        report.check(f"structural {variant} on words up to length "
+                     f"{max_word_len} ({len(words)})", bad)
 
     nc_algebra = Algebra(NC, alphabet)
     words_algebra = Algebra(WORDS, alphabet)
@@ -376,8 +375,7 @@ def verify_sp_morphism(max_word_len: int = 6) -> SuiteReport:
                 if lhs(b) != rhs(b):
                     failures[label].append(f"trial {trial}: {barword_text(b)}")
     for label, bad in failures.items():
-        report.add(f"dual preserves {label} ({trials} pairs)",
-                   not bad, _failing(bad))
+        report.check(f"dual preserves {label} ({trials} pairs)", bad)
     return report
 
 
@@ -393,17 +391,17 @@ def verify_character_bijection(truncation: int = 8) -> SuiteReport:
     phi_exp = exp_prec(kappa)
     basis = [b for d in range(truncation + 1) for b in algebra.barwords(d)]
     bad = [barword_text(b) for b in basis if phi_fix(b) != phi_exp(b)]
-    report.add(f"exp≺ = fixed point on {len(basis)} bar words, N={truncation}",
-               not bad, _failing(bad))
+    report.check(f"exp≺ = fixed point on {len(basis)} bar words, "
+                 f"N={truncation}", bad)
 
     char = check_character(phi_fix)
-    report.add(f"fixed point is a character ({char.checked} products)",
-               char.ok, _failing([str(v) for v in char.violations]))
+    report.check(f"fixed point is a character ({char.checked} products)",
+                 [str(v) for v in char.violations])
 
     recovered = extract_infinitesimal(phi_fix)
     bad = [f"a^{n}" for n in range(1, truncation + 1)
            if recovered((("a",) * n,)) != kappa((("a",) * n,))]
-    report.add("generator recovered exactly", not bad, _failing(bad))
+    report.check("generator recovered exactly", bad)
 
     # the paper's construction against the closed forms of the transforms
     powers = [(("a",) * n,) for n in range(1, truncation + 1)]
@@ -419,8 +417,8 @@ def verify_character_bijection(truncation: int = 8) -> SuiteReport:
     }
     bad = [f"{name} at a^{n}" for name, (got, expect) in routes.items()
            for n, (x, y) in enumerate(zip(got, expect), 1) if x != y]
-    report.add(f"fixed point = k2m and extraction = m2k on a^n, N={truncation}"
-               f", symbolic to N={k_sym.order}", not bad, _failing(bad))
+    report.check(f"fixed point = k2m and extraction = m2k on a^n, "
+                 f"N={truncation}, symbolic to N={k_sym.order}", bad)
 
     nc_algebra = Algebra(NC, ("a",))
     kappa_nc = _rational(
@@ -431,8 +429,8 @@ def verify_character_bijection(truncation: int = 8) -> SuiteReport:
     basis = [b for d in range(commute_degree + 1)
              for b in words_algebra.barwords(d)]
     bad = [barword_text(b) for b in basis if lhs(b) != rhs(b)]
-    report.add(f"Sp* commutes with exp≺ up to degree {commute_degree}",
-               not bad, _failing(bad))
+    report.check(f"Sp* commutes with exp≺ up to degree {commute_degree}",
+                 bad)
     return report
 
 
@@ -533,8 +531,8 @@ def verify_keyrell(max_n: int = 6) -> SuiteReport:
             expect = kappa_powers(shape, w, kappa_fn)
             if psi((DecoratedNC(shape, w),)) != expect:
                 bad.append(f"{shape.text()} on {'.'.join(w)}")
-    report.add(f"Psi(L⊗w) = block product of kappa ({count} partitions)",
-               not bad, _failing(bad))
+    report.check(f"Psi(L⊗w) = block product of kappa ({count} partitions)",
+                 bad)
 
     # principal equation: kappa solved from phi over the NC lattice, and by
     # the first-block recursion, which reads no partition
@@ -549,8 +547,8 @@ def verify_keyrell(max_n: int = 6) -> SuiteReport:
     lattice = _lattice_cumulants(phi_fn, words)
     recursion = _first_block_cumulants(phi_fn, words)
     bad = [".".join(w) for w in words if lattice[w] != recursion[w]]
-    report.add(f"lattice solve = first-block recursion on {len(words)} "
-               f"subwords, n ≤ {max_n}", not bad, _failing(bad))
+    report.check(f"lattice solve = first-block recursion on {len(words)} "
+                 f"subwords, n ≤ {max_n}", bad)
 
     # freeness, from outside both routes of the transform: for free a and b
     # every mixed cumulant vanishes, and those of a^n and b^n are the
@@ -562,18 +560,17 @@ def verify_keyrell(max_n: int = 6) -> SuiteReport:
         for _ in range(order)) for x in ("a", "b")}
     one_letter = {x: free_cumulants_from_moments(m)
                   for x, m in moments.items()}
+    label = (f"free a, b: mixed cumulants vanish, a^n and b^n give m2k, "
+             f"order {order}")
     try:
         kappa = generalized_free_cumulants(MultiMomentMap(
             ("a", "b"), order, _free_pair_moments(moments, order))).table
     except InconsistencyError as exc:
-        ok, detail = False, str(exc)
+        report.add(label, False, str(exc))
     else:
-        bad = [".".join(w) for w, k in kappa.items()
-               if k != (one_letter[w[0]].cumulant(len(w))
-                        if len(set(w)) == 1 else 0)]
-        ok, detail = not bad, _failing(bad)
-    report.add(f"free a, b: mixed cumulants vanish, a^n and b^n give m2k, "
-               f"order {order}", ok, detail)
+        report.check(label, [".".join(w) for w, k in kappa.items()
+                             if k != (one_letter[w[0]].cumulant(len(w))
+                                      if len(set(w)) == 1 else 0)])
     return report
 
 
@@ -602,8 +599,7 @@ def verify_roundtrip(order: int = 8) -> SuiteReport:
                     free_moments_from_cumulants(c))
             if back_m.values != m.values or back_c.values != c.values:
                 bad.append(f"trial {trial}")
-        report.add(f"{flavor}: {count} random sequences, N={order}",
-                   not bad, _failing(bad))
+        report.check(f"{flavor}: {count} random sequences, N={order}", bad)
     return report
 
 
@@ -624,8 +620,8 @@ def verify_semicircular(order: int = 8) -> SuiteReport:
             bad.append(f"pair count at n={n}")
         if m.moment(n) != pairings:
             bad.append(f"moment at n={n}")
-    report.add(f"moments = non-crossing pair counts = Catalan, N={order}",
-               not bad, _failing(bad))
+    report.check(f"moments = non-crossing pair counts = Catalan, N={order}",
+                 bad)
     return report
 
 
@@ -652,33 +648,32 @@ def verify_tree_consistency(max_n: int = 6) -> SuiteReport:
     report = SuiteReport("tree-consistency")
     shapes = [shape for n in range(1, max_n + 1)
               for shape in enumerate_nc_partitions(n)]
-    bad, marked, bare_wrong = [], [], []
+    bad, marked, bare_failed = [], [], []
     for shape in shapes:
-        gapped = gapped_hierarchy_tree(shape)
+        text, gapped = shape.text(), gapped_hierarchy_tree(shape)
         if _transported(shape, gapped_hierarchy_tree) != tree_coproduct(gapped):
-            bad.append(shape.text())
+            bad.append(text)
         bare = erase_gaps(gapped)
-        has_mark = bare != gapped
-        if has_mark:
-            marked.append(shape.text())
-        bare_holds = _transported(shape, hierarchy_tree) == tree_coproduct(bare)
-        if bare_holds == has_mark:
-            bare_wrong.append(shape.text())
-    report.add(f"coproducts agree through the gapped hierarchy map "
-               f"({len(shapes)} shapes)",
-               not bad, _failing(bad))
+        if bare != gapped:
+            marked.append(text)
+        if _transported(shape, hierarchy_tree) != tree_coproduct(bare):
+            bare_failed.append(text)
+    report.check(f"coproducts agree through the gapped hierarchy map "
+                 f"({len(shapes)} shapes)", bad)
+    # the rule: the bare map fails on exactly the marked shapes
     detail = f"marked: {', '.join(marked)}" if marked else "marked: none"
-    if bare_wrong:
-        detail += (f"; {len(bare_wrong)} against the rule: "
-                   f"{', '.join(bare_wrong)}")
+    if bare_failed != marked:
+        wrong = set(marked).symmetric_difference(bare_failed)
+        against = [s.text() for s in shapes if s.text() in wrong]
+        detail += f"; {len(wrong)} against the rule: {', '.join(against)}"
     report.add(f"bare hierarchy map transports exactly the mark-free shapes "
                f"({len(shapes) - len(marked)} hold, {len(marked)} marked fail)",
-               not bare_wrong, detail)
+               bare_failed == marked, detail)
 
     bad = [shape.text() for shape in shapes
            if not tree_degree(gapped_hierarchy_tree(shape))
            == tree_degree(hierarchy_tree(shape)) == len(shape.blocks)]
-    report.add("degree preserved (vertices = blocks)", not bad, _failing(bad))
+    report.check("degree preserved (vertices = blocks)", bad)
 
     a = NonCrossingPartition.of([[1, 4], [2, 3], [5, 6, 7]])
     b = NonCrossingPartition.of([[1, 3], [2], [4, 5]])
@@ -706,11 +701,10 @@ def verify_moebius(max_n: int = 7) -> SuiteReport:
             count += len(parts)
             bad_column += [p.text() for p in parts
                            if moebius(lattice, p, top) != column[p.blocks]]
-        report.add(f"{lattice} lattice: recursion gives {values} values, "
-                   f"n ≤ {max_n}", not bad_bottom, _failing(bad_bottom))
-        report.add(f"{lattice} lattice: closed form matches the recursion "
-                   f"on [pi, 1̂] ({count} intervals)",
-                   not bad_column, _failing(bad_column))
+        report.check(f"{lattice} lattice: recursion gives {values} values, "
+                     f"n ≤ {max_n}", bad_bottom)
+        report.check(f"{lattice} lattice: closed form matches the recursion "
+                     f"on [pi, 1̂] ({count} intervals)", bad_column)
     return report
 
 
@@ -719,10 +713,10 @@ def verify_counting(max_n: int = 10) -> SuiteReport:
     report = SuiteReport("counting")
     bad = [f"nc n={n}" for n in range(1, max_n + 1)
            if len(enumerate_nc_partitions(n)) != catalan_number(n)]
-    report.add(f"|NC_n| = Catalan(n), n ≤ {max_n}", not bad, _failing(bad))
+    report.check(f"|NC_n| = Catalan(n), n ≤ {max_n}", bad)
     bad = [f"set n={n}" for n in range(1, max_n + 1)
            if len(enumerate_set_partitions(n)) != bell_number(n)]
-    report.add(f"|P_n| = Bell(n), n ≤ {max_n}", not bad, _failing(bad))
+    report.check(f"|P_n| = Bell(n), n ≤ {max_n}", bad)
     return report
 
 

@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -461,3 +462,33 @@ def test_apply_drops_a_term_that_cancels():
     assert nc_hopf.verify._apply(terms, 0, image.__getitem__) == {
         ("v", "u", "k"): 2}
 
+
+def test_sp_morphism_reads_a_word_s_atoms_while_they_are_cached(
+        monkeypatch):
+    # the three coproducts of one word read its decorated atoms in turn, so
+    # a 256-entry cache misses at most a tenth more than an unbounded one;
+    # walking every word once per coproduct missed three times as often
+    tensor = nc_hopf.tensor
+    misses = {}
+    for size in (None, 256):
+        cache = lru_cache(maxsize=size)(tensor.delta_nc_halves.__wrapped__)
+        monkeypatch.setattr(tensor, "delta_nc_halves", cache)
+        nc_hopf.clear_caches()
+        assert nc_hopf.verify.verify_sp_morphism(5).passed
+        misses[size] = cache.cache_info().misses
+    nc_hopf.clear_caches()
+    assert misses[256] <= 1.1 * misses[None]
+
+
+def test_tree_consistency_fails_its_rule_when_no_shape_is_marked(
+        monkeypatch):
+    # with the bare map in place of the gapped one no tree carries a mark,
+    # so the one shape the bare map cannot transport breaks the rule too
+    verify = nc_hopf.verify
+    monkeypatch.setattr(verify, "gapped_hierarchy_tree", verify.hierarchy_tree)
+    assert failed(verify.verify_tree_consistency(5)) == [
+        ("coproducts agree through the gapped hierarchy map (64 shapes)",
+         failing(["{1,3,5}{2}{4}"])),
+        ("bare hierarchy map transports exactly the mark-free shapes "
+         "(64 hold, 0 marked fail)",
+         "marked: none; 1 against the rule: {1,3,5}{2}{4}")]
