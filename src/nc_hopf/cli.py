@@ -23,12 +23,6 @@ from . import (coefficients, partitions, tensor, transforms, trees,
 from .errors import (INTERNAL_FAULTS, InconsistencyError, NcHopfError,
                      ParseError)
 
-# accepted shorthand for suite names
-_SUITE_ALIASES = {
-    "coassoc": "coassociativity",
-    "characters": "character-bijection",
-}
-
 # order of a symbolic transform without --n
 _SYMBOLIC_ORDER = 8
 
@@ -313,8 +307,7 @@ def _cmd_tree(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    reports = verify.run_suite(_SUITE_ALIASES.get(args.suite, args.suite),
-                               args.max_degree)
+    reports = verify.run_suite(args.suite, args.max_degree)
     if args.json:
         print(_dumps([{
             "suite": r.name,

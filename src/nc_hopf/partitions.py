@@ -394,8 +394,9 @@ def _split_walk(blocks: tuple[Block, ...]):
             for mask, q, closed, run in states)
 
 
-# one bound for both views of a shape: verify keyrell and tree-consistency
-# at their ceilings read all 6,917 NC shapes with n <= 9
+# one bound for both views of a shape: verify tree-consistency at its
+# ceiling reads all 6,917 NC shapes with n <= 9; keyrell 10 reads 23,713
+# and misses 29,200 times, no slower than unbounded and 76 MB smaller
 SHAPE_BOUND = 8192
 
 
@@ -572,50 +573,30 @@ def moebius_to_top(lattice: str, n: int) -> dict[tuple[Block, ...], int]:
 _BLOCK_RE = re.compile(r"\{(\s*(?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?)\}")
 
 
-def _members(m: re.Match, text: str) -> list[int]:
-    """The integers of one matched block; none for ``{}``."""
-    listed = m.group(1)
-    if not listed.strip():
-        return []
-    try:
-        return [int(x) for x in listed.split(",")]
-    except ValueError as exc:  # more digits than int() reads
-        raise ParseError(f"element too long in {text!r}") from exc
-
-
 def parse_partition(text: str, noncrossing: bool = True) -> SetPartition:
-    """Parse the ``{1,4}{2,3}`` text encoding.  An optional ``on {...}``
-    suffix is accepted and checked against the union of the blocks."""
+    """Parse the ``{1,4}{2,3}`` text encoding."""
     body = text.strip()
-    explicit_carrier = None
-    if " on " in body:
-        body, _, carrier_part = body.partition(" on ")
-        m = _BLOCK_RE.fullmatch(carrier_part.strip())
-        if not m:
-            raise ParseError(f"malformed carrier suffix in {text!r}")
-        explicit_carrier = tuple(sorted(_members(m, text)))
     pos = 0
     blocks = []
-    body = body.strip()
     while pos < len(body):
         m = _BLOCK_RE.match(body, pos)
         if not m:
             raise ParseError(f"malformed partition encoding: {text!r}")
-        members = _members(m, text)
-        if not members:
+        listed = m.group(1)
+        if not listed.strip():
             raise ParseError(f"empty block in {text!r}")
-        blocks.append(members)
+        try:
+            blocks.append([int(x) for x in listed.split(",")])
+        except ValueError as exc:  # more digits than int() reads
+            raise ParseError(f"element too long in {text!r}") from exc
         pos = m.end()
     if not blocks:
         raise ParseError(f"no blocks in {text!r}")
     cls = NonCrossingPartition if noncrossing else SetPartition
     try:
-        p = cls.of(blocks)
+        return cls.of(blocks)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if explicit_carrier is not None and p.carrier != explicit_carrier:
-        raise ParseError(f"carrier suffix does not match blocks in {text!r}")
-    return p
 
 
 # independent count helpers, used for size guards and the CLI

@@ -26,17 +26,17 @@ from collections import Counter
 from functools import lru_cache
 
 from .coefficients import Coefficient, coeff_str
-from .errors import AlgebraMismatchError, ParseError, SizeLimitError
+from .errors import AlgebraMismatchError, ParseError
 from .partitions import (
     NonCrossingPartition,
     _blocks_noncrossing,
     _blocks_text,
     _canonical_size,
     _nc_shapes,
+    check_enumeration_size,
     parse_partition,
     split_table,
 )
-from . import config
 
 
 def _letters(letters) -> tuple[str, ...]:
@@ -258,7 +258,7 @@ def delta_word(w: tuple[str, ...]) -> LinComb:
 
 
 # sp-morphism 7 reads one word's Sp atoms again, at most Cat(7) = 429, and
-# 64,978 in all; keyrell 9 reads 9,891 (10,079 misses at this bound),
+# 64,978 in all; keyrell 10 reads 33,604 (34,712 misses at this bound),
 # tree-consistency 9 6,917, unshuffle 8 2,055 and a 15 s hopf run 1,553
 NC_HALVES_BOUND = 4096
 
@@ -356,16 +356,13 @@ def sp(b: BarWord) -> LinComb:
     """The splitting map: each word atom of length n is replaced by the sum
     over NC_n of that partition decorating the word; bar structure kept."""
     result: LinComb = {UNIT: 1}
-    cap = config.nc_cap()
     for atom in b:
         if not _is_word(atom):
             raise AlgebraMismatchError("sp expects a bar word over words")
-        n = len(atom)
-        if n > cap:
-            raise SizeLimitError(f"word length {n} exceeds NC cap {cap}")
-        # the cap is checked above, once per call; the shapes are distinct
+        check_enumeration_size("nc", len(atom))
+        # the shapes are distinct
         summand = dict.fromkeys(
-            [((shape, atom),) for shape in _nc_shapes(n)], 1)
+            [((shape, atom),) for shape in _nc_shapes(len(atom))], 1)
         result = {k1 + k2: c1 * c2
                   for k1, c1 in result.items() for k2, c2 in summand.items()}
     return result

@@ -397,24 +397,30 @@ def _letter_tuples(alphabet, degrees):
 class MultiMomentMap(Value):
     """A total moment table word -> Coefficient for words of length <= order
     over the alphabet; the empty word has value 1 implicitly.  The values
-    are exact (``_exact_values``), and the table is a copy of the caller's
-    dict.  The hash leaves out the table."""
+    are exact (``_exact_values``).  The map holds its own copy of the
+    caller's dict, and ``table`` hands out a fresh copy of it, so no caller
+    can change the map.  The hash leaves out the table."""
 
-    __slots__ = _fields = ("alphabet", "order", "table")
+    __slots__ = ("alphabet", "order", "_table")
+    _fields = ("alphabet", "order", "table")
 
     def __init__(self, alphabet: tuple[str, ...], order: int, table: dict):
         _set(self, "alphabet", tuple(alphabet))
         _set(self, "order", order)
         _exact_values(table.values())
-        _set(self, "table", dict(table))
+        _set(self, "_table", dict(table))
+
+    @property
+    def table(self) -> dict:
+        return dict(self._table)
 
     def __hash__(self):
         return hash((self.alphabet, self.order))
 
     def value(self, w: tuple[str, ...]) -> Coefficient:
-        if w not in self.table:
+        if w not in self._table:
             raise NcHopfError(f"no moment recorded for word {'.'.join(w)}")
-        return self.table[w]
+        return self._table[w]
 
 
 class MultiCumulantMap(MultiMomentMap):

@@ -540,9 +540,13 @@ class TestVerify:
         code, out = run("verify", "moebius", "--max-degree", "5")
         assert code == 0 and "PASS" in out
 
-    def test_alias(self):
-        code, out = run("verify", "coassoc", "--max-degree", "3")
-        assert code == 0 and "coassociativity: PASS" in out
+    def test_alias(self, capsys):
+        # verify takes exactly the SUITES names: no shorthand
+        for name in ("coassoc", "characters"):
+            assert run("verify", name, "--max-degree", "3") == (1, "")
+            assert capsys.readouterr().err == (
+                f"error: unknown suite {name!r}; choose from "
+                f"{', '.join(sorted(SUITES))} or 'all'\n")
 
     def test_json_report(self):
         code, out = run("verify", "counting", "--max-degree", "6")
@@ -738,6 +742,7 @@ class TestExitCodes:
         ("coproduct", "nc", "{1,,2}"),
         ("split", "{1,}"),
         ("moebius", "nc", "{1}{2}", "{1,2} on {1 2}"),
+        ("moebius", "nc", "{1}{2}", "{1,2} on {1,2}"),
     ])
     def test_malformed_partition_is_bad_input(self, argv, capsys):
         code, out = run(*argv)

@@ -108,6 +108,10 @@ class TestAlgebraBasis:
         assert algebra.barwords(10) == expected
         assert calls == list(range(1, 11))
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown algebra kind: 'tree'"):
+            Algebra("tree", ("a",))
+
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):
             Algebra(WORDS, ())
@@ -225,6 +229,12 @@ class TestConvolution:
         h = random_functional(A1, 5, seed=1)
         with pytest.raises(AlgebraMismatchError):
             half_convolve(f, h, "left")
+
+    def test_half_convolution_side_is_left_or_right(self):
+        f = random_functional(A1, 4, seed=1)
+        with pytest.raises(ValueError,
+                           match="side must be 'left' or 'right', not 'up'"):
+            half_convolve(f, f, "up")
 
     def test_half_sum_is_convolution(self):
         f = random_functional(AB, 4, seed=11)

@@ -52,7 +52,8 @@ def fuzz_text(valid, alphabet: str, max_size: int = 30):
 
 
 SHAPES = [p for n in range(1, 6) for p in enumerate_set_partitions(n)]
-# the same shapes on two-digit carriers, with and without a carrier suffix
+# the same shapes on two-digit carriers, and with a carrier suffix, which
+# the reader rejects
 MOVED = [SetPartition(tuple(tuple(x + 9 for x in b) for b in p.blocks))
          for p in SHAPES]
 partition_texts = st.sampled_from(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nc_hopf.errors import (
+    CarrierMismatchError,
     OrderError,
     ParseError,
     SizeLimitError,
@@ -564,6 +565,23 @@ class TestMoebius:
         with pytest.raises(OrderError):
             moebius("set", lo, hi)
 
+    def test_unknown_lattice_rejected(self):
+        p = SetPartition.of([[1, 2]])
+        for call in (lambda: moebius("tree", p, p),
+                     lambda: moebius_to_top("tree", 2)):
+            with pytest.raises(ValueError,
+                               match="unknown lattice selector: 'tree'"):
+                call()
+
+    def test_endpoints_on_different_carriers_rejected(self):
+        lo = SetPartition.of([[1], [2]])
+        hi = SetPartition.of([[1, 3]])
+        for lattice in ("set", "nc"):
+            with pytest.raises(CarrierMismatchError,
+                               match="interval endpoints on different "
+                                     "carriers"):
+                moebius(lattice, lo, hi)
+
     def test_crossing_endpoint_rejected_on_nc(self):
         lo = SetPartition.of([[1, 3], [2, 4]])
         hi = SetPartition.of([[1, 2, 3, 4]])
@@ -573,8 +591,13 @@ class TestMoebius:
 
 class TestParsing:
     def test_parse_with_carrier_suffix(self):
-        p = parse_partition("{2,5}{3,4} on {2,3,4,5}")
-        assert p.blocks == ((2, 5), (3, 4))
+        # the encoding is blocks only: a carrier suffix is malformed
+        for text in ("{2,5}{3,4} on {2,3,4,5}", "{1,2} on {1,2}",
+                     "{1}{2} on {1,3}", "{ 1 , 4 }{2,3} on { 1,2,3,4 }"):
+            for noncrossing in (True, False):
+                with pytest.raises(ParseError,
+                                   match="malformed partition encoding"):
+                    parse_partition(text, noncrossing=noncrossing)
 
     def test_parse_rejects_malformed(self):
         for bad in ["", "{1,2", "{1}{1}", "{}", "1,2"]:
@@ -601,7 +624,7 @@ class TestParsing:
                 parse_partition(bad, noncrossing=noncrossing)
 
     def test_parse_allows_blanks_around_members(self):
-        assert parse_partition("{ 1 , 4 }{2,3} on { 1,2,3,4 }") == \
+        assert parse_partition(" { 1 , 4 }{2,3} ") == \
             NonCrossingPartition.of([[1, 4], [2, 3]])
 
     def test_parse_set_flavor_allows_crossing(self):

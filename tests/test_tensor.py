@@ -576,9 +576,16 @@ class TestSplittingMap:
                                match="sp expects a bar word over words"):
                 sp(b)
 
-    def test_cap(self):
-        with pytest.raises(SizeLimitError):
-            sp((Word(("a",) * 99),))
+    def test_cap(self, monkeypatch):
+        # the NC enumeration cap, read as every NC reader reads it
+        for n in (15, 99):
+            with pytest.raises(SizeLimitError,
+                               match=f"n={n} outside allowed range 1..14"):
+                sp((w("ab"), Word(("a",) * n)))
+        monkeypatch.setenv("NCHOPF_MAX_N", "3")
+        assert len(sp((Word(("a",) * 3),))) == 5
+        with pytest.raises(SizeLimitError, match="1..3"):
+            sp((Word(("a",) * 4),))
 
 
 def test_sp_coproduct_misses_and_atoms_build_no_partition(monkeypatch):

@@ -109,6 +109,11 @@ class TestClassical:
         assert [m.moment(n) for n in range(1, 9)] == \
             [1, 2, 5, 15, 52, 203, 877, 4140]
 
+    def test_bell_polynomials_refuse_free_cumulants(self):
+        with pytest.raises(ValueError, match="bell_polynomials expects "
+                                             "classical cumulants"):
+            bell_polynomials(CumulantSequence((1, 2), FREE))
+
     def test_poisson_type_collapse(self):
         c = CumulantSequence((Fraction(1),) + (Fraction(0),) * 7, CLASSICAL)
         m = classical_moments_from_cumulants(c)

@@ -491,6 +491,19 @@ def test_float_inputs_never_reach_a_transform():
         MomentSequence((1.0, Fraction(1, 2)))
 
 
+@pytest.mark.parametrize("cls", [MultiMomentMap, MultiCumulantMap])
+def test_changing_the_table_leaves_the_map_unchanged(cls):
+    made = cls(("a", "b"), 1, {("a",): 1, ("b",): 2})
+    table = made.table
+    table[("a",)] = 7
+    del table[("b",)]
+    made.table[("a",)] = 7
+    assert made.table == {("a",): 1, ("b",): 2}
+    assert made == cls(("a", "b"), 1, {("a",): 1, ("b",): 2})
+    assert made.value(("a",)) == 1 and made.value(("b",)) == 2
+    assert pickle.loads(pickle.dumps(made)) == made
+
+
 def test_moment_map_keeps_a_copy_of_the_table():
     table = {("a",): 1, ("b",): 2}
     moments = MultiMomentMap(("a", "b"), 1, table)

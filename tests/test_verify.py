@@ -11,15 +11,18 @@ import nc_hopf
 import nc_hopf.verify
 from nc_hopf.errors import NcHopfError
 from nc_hopf.functionals import (
+    NC,
     WORDS,
     Algebra,
     random_functional,
     random_infinitesimal,
 )
+from nc_hopf.tensor import barword_degree
 from nc_hopf.transforms import MomentSequence
 from nc_hopf.verify import (
     SUITES,
     SuiteReport,
+    _elements,
     _rational,
     run_suite,
 )
@@ -63,6 +66,14 @@ def test_all_suite_names_are_callable():
 def test_small_unshuffle_run():
     reports = run_suite("unshuffle", 3)
     assert reports[0].passed
+
+
+@pytest.mark.parametrize("kind", [WORDS, NC])
+def test_elements_come_in_non_decreasing_degree(kind):
+    # unshuffle's D1/D2 pair loop stops at the first pair over its bound
+    degrees = [barword_degree((atom,))
+               for atom in _elements(kind, ("a", "b"), 6)]
+    assert degrees == sorted(degrees) and degrees[-1] == 6
 
 
 def test_small_halfshuffle_run():
