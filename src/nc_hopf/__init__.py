@@ -116,7 +116,7 @@ def _register_lazily(name: str):
 
 
 # ``cli`` is left out: ``python -m nc_hopf.cli`` must find it unimported
-_LAYERS = ("errors", "config", "coefficients", "partitions", "tensor",
+_LAYERS = ("errors", "coefficients", "partitions", "tensor",
            "functionals", "transforms", "trees", "verify")
 for _name in _LAYERS:
     _register_lazily(_name)

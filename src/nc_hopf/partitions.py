@@ -12,14 +12,15 @@ with ascending members, e.g. ``{1,4}{2,3}``.  JSON: ``{"blocks": [[1,4],[2,3]]}`
 
 from __future__ import annotations
 
+import os
 import re
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import itemgetter
 
-from . import config
 from .errors import (
     CarrierMismatchError,
+    NcHopfError,
     OrderError,
     ParseError,
     SizeLimitError,
@@ -37,8 +38,7 @@ class Record:
     equal when they are of the same class and their fields are equal.  A
     record prints as ``Qualname(field=..., ...)`` and pickles and copies
     through its constructor, so a record loaded in another process is
-    validated again, and a hash cached at construction is never carried
-    from one process to another.  A record is mutable and unhashable."""
+    validated again.  A record is mutable and unhashable."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -109,19 +109,16 @@ def _canonical_size(blocks: tuple[Block, ...]) -> int:
 
 
 class SetPartition(Value):
-    """A partition of a finite set of positive integers, in canonical form.
+    """A partition of a finite set of positive integers, in canonical form,
+    equal by its class and blocks and hashed by its blocks, as a ``Value``.
+    ``size``, the number of carrier elements, is computed at construction."""
 
-    The hash and ``size``, the number of carrier elements, are computed
-    once, at construction; equality and hashing are determined by the
-    blocks (and the class, for equality)."""
-
-    __slots__ = ("blocks", "size", "_hash")
+    __slots__ = ("blocks", "size")
     _fields = ("blocks",)
 
     def __init__(self, blocks: tuple[Block, ...]):
         _set(self, "size", _canonical_size(blocks))
         _set(self, "blocks", blocks)
-        _set(self, "_hash", hash(blocks))
 
     @classmethod
     def _unchecked(cls, blocks: tuple[Block, ...], size: int):
@@ -135,16 +132,7 @@ class SetPartition(Value):
         self = _new(cls)
         _set(self, "blocks", blocks)
         _set(self, "size", size)
-        _set(self, "_hash", hash(blocks))
         return self
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self):
-        return self._hash
 
     @classmethod
     def of(cls, blocks) -> "SetPartition":
@@ -288,8 +276,21 @@ def _grow(walk, block: list[int], last: int):
 
 def check_enumeration_size(lattice: str, n: int) -> None:
     """Raise SizeLimitError unless 1 <= n <= the enumeration cap of the
-    chosen lattice ("set" or "nc")."""
-    cap = config.nc_cap() if lattice == "nc" else config.set_cap()
+    chosen lattice ("set" or "nc"): 14 for "nc" and 12 for "set", or
+    NCHOPF_MAX_N for both when it is set.  A value of it that is not an
+    integer, or is below 1, is an error, not a default."""
+    raw = os.environ.get("NCHOPF_MAX_N")
+    if raw is None:
+        cap = 14 if lattice == "nc" else 12
+    else:
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise NcHopfError(f"environment variable NCHOPF_MAX_N={raw!r} "
+                              f"is not an integer") from None
+        if cap < 1:
+            raise NcHopfError(
+                f"environment variable NCHOPF_MAX_N={raw!r} is below 1")
     if not (1 <= n <= cap):
         raise SizeLimitError(f"n={n} outside allowed range 1..{cap}")
 

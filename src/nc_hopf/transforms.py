@@ -33,7 +33,7 @@ from math import comb, factorial, lcm, prod
 from operator import itemgetter
 
 # registered lazily by the package: only the fixed point, the extraction
-# and the multivariate reader run these layers, at their first attribute read
+# and the multivariate tables run these layers, at their first attribute read
 from . import functionals, tensor
 from .coefficients import (
     ONE,
@@ -396,16 +396,21 @@ def _letter_tuples(alphabet, degrees):
 
 class MultiMomentMap(Value):
     """A total moment table word -> Coefficient for words of length <= order
-    over the alphabet; the empty word has value 1 implicitly.  The values
-    are exact (``_exact_values``).  The map holds its own copy of the
-    caller's dict, and ``table`` hands out a fresh copy of it, so no caller
-    can change the map.  The hash leaves out the table."""
+    over the alphabet; the empty word has value 1 implicitly.  The alphabet
+    is a tuple of distinct letters by ``tensor.is_letter``, the rule of the
+    JSON reader, and the values are exact (``_exact_values``); the
+    constructor raises ValueError otherwise.  The map holds its own copy of
+    the caller's dict, and ``table`` hands out a fresh copy of it, so no
+    caller can change the map.  The hash leaves out the table."""
 
     __slots__ = ("alphabet", "order", "_table")
     _fields = ("alphabet", "order", "table")
 
     def __init__(self, alphabet: tuple[str, ...], order: int, table: dict):
-        _set(self, "alphabet", tuple(alphabet))
+        alphabet = tensor._letters(alphabet)
+        if len(set(alphabet)) != len(alphabet):
+            raise ValueError(f"alphabet has a repeated letter: {alphabet!r}")
+        _set(self, "alphabet", alphabet)
         _set(self, "order", order)
         _exact_values(table.values())
         _set(self, "_table", dict(table))

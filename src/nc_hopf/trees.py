@@ -12,9 +12,11 @@ them, so the siblings sit in different gaps of the parent.  A mark never
 leads, trails or doubles, and never stands directly under the root (the
 root is not a block, so it has no elements to separate its children).
 Trees without marks are the bare planar rooted trees above.  The reader
-:func:`parse_tree` raises ``SizeLimitError`` for a tree with more non-root
-vertices than the NC cap, the most a hierarchy tree within the cap has, and
-stops reading as soon as the count passes it.
+:func:`parse_tree` counts each non-root vertex through
+``partitions.check_enumeration_size``, so a tree with more of them than the
+NC cap, the most a hierarchy tree within the cap has, raises its
+``SizeLimitError`` (``n=15 outside allowed range 1..14``) as soon as the
+count passes the cap.
 
 The hierarchy map sends a partition to the tree of its block nesting: one
 vertex per block, parent the minimal strictly containing block, children
@@ -37,9 +39,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import config
-from .errors import ParseError, SizeLimitError
-from .partitions import NonCrossingPartition
+from .errors import ParseError
+from .partitions import NonCrossingPartition, check_enumeration_size
 from .tensor import LinComb, add_into, lincomb_text
 
 Tree = tuple            # nested tuples of children and GAP marks; () is the bare root
@@ -81,26 +82,22 @@ def _checked_node(children: list, at_root: bool, source) -> Tree:
     return tuple(children)
 
 
-def _take_vertex(at_root: bool, budget) -> None:
-    """Spend one of the reader's tokens ``iter(range(config.nc_cap()))`` on
-    a non-root vertex, before reading it."""
-    if not at_root and next(budget, None) is None:
-        raise SizeLimitError(
-            f"tree has more than {config.nc_cap()} vertices (the NC cap)")
-
-
 def parse_tree(text: str) -> Tree:
     body = text.strip()
-    tree, pos = _parse_node(body, 0, True, iter(range(config.nc_cap())))
+    tree, pos, _ = _parse_node(body, 0, 0)
     if pos != len(body):
         raise ParseError(f"trailing characters in tree encoding: {text!r}")
     return tree
 
 
-def _parse_node(s: str, pos: int, at_root: bool, budget) -> tuple[Tree, int]:
+def _parse_node(s: str, pos: int, count: int) -> tuple[Tree, int, int]:
+    """The node that opens at ``pos``, the position after it, and the count
+    of non-root vertices read so far, ``count`` of them before this node:
+    only the root is read at count 0.  Each child is counted, and the
+    count held to the NC cap, before the child is read."""
     if pos >= len(s) or s[pos] != "(":
         raise ParseError(f"expected '(' at position {pos} in {s!r}")
-    _take_vertex(at_root, budget)
+    at_root = count == 0
     pos += 1
     children = []
     while pos < len(s) and s[pos] in "(|":
@@ -108,11 +105,13 @@ def _parse_node(s: str, pos: int, at_root: bool, budget) -> tuple[Tree, int]:
             children.append(GAP)
             pos += 1
         else:
-            child, pos = _parse_node(s, pos, False, budget)
+            count += 1
+            check_enumeration_size("nc", count)
+            child, pos, count = _parse_node(s, pos, count)
             children.append(child)
     if pos >= len(s) or s[pos] != ")":
         raise ParseError(f"expected ')' at position {pos} in {s!r}")
-    return _checked_node(children, at_root, s), pos + 1
+    return _checked_node(children, at_root, s), pos + 1, count
 
 
 def tree_to_json(t: Tree) -> list:

@@ -32,8 +32,8 @@ print(json.dumps({"code": code, "ran": sorted(
     if name.startswith("nc_hopf.") and type(module) is types.ModuleType)}))
 """
 
-LAYERS = {"coefficients", "config", "errors", "functionals", "partitions",
-          "tensor", "transforms", "trees", "verify"}
+LAYERS = {"coefficients", "errors", "functionals", "partitions", "tensor",
+          "transforms", "trees", "verify"}
 
 
 def modules_run(*argv) -> set:
@@ -96,8 +96,8 @@ def test_every_layer_is_registered_before_it_runs():
 
 
 # every name the package exported when its submodules were imported eagerly,
-# less the three since deleted (singleton_partition, extend_multiplicative,
-# EdgeCut)
+# less the four since deleted (singleton_partition, extend_multiplicative,
+# EdgeCut, and the config module, whose caps check_enumeration_size holds)
 EXPORTED = """
     AlgebraMismatchError CarrierMismatchError InconsistencyError NcHopfError
     OrderError ParseError SizeLimitError TruncationError
@@ -121,8 +121,8 @@ EXPORTED = """
     admissible_edge_cuts hierarchy_tree parse_tree tree_coproduct tree_degree
     tree_text
     SuiteReport run_suite
-    coefficients config errors functionals partitions tensor transforms
-    trees verify __version__
+    coefficients errors functionals partitions tensor transforms trees
+    verify __version__
 """.split()
 
 

@@ -481,6 +481,17 @@ class TestGeneralizedCumulants:
                     monkeypatch.setattr(module, fn, refuse)
         assert generalized_free_cumulants(phi).table == expect
 
+    @pytest.mark.parametrize("alphabet,message", [
+        (("a.b", "c"), r"^not a tuple of letters: \('a\.b', 'c'\)$"),
+        (("a", "a"), r"^alphabet has a repeated letter: \('a', 'a'\)$"),
+        (("",), r"^not a tuple of letters: \('',\)$"),
+        ((1, 2), r"^not a tuple of letters: \(1, 2\)$"),
+    ], ids=["separator", "repeat", "blank", "not-str"])
+    def test_alphabet_is_checked_at_construction(self, alphabet, message):
+        # the JSON reader's rule, applied before any route can run
+        with pytest.raises(ValueError, match=message):
+            MultiMomentMap(alphabet, 1, {(a,): 1 for a in alphabet})
+
     def test_incomplete_table_is_a_domain_error(self):
         # a word of the declared order left out of the table is bad input,
         # not an internal fault

@@ -80,6 +80,16 @@ class TestSizeGuard:
         with pytest.raises(SizeLimitError):
             parse_tree(text)
 
+    @pytest.mark.parametrize("text", [
+        "((((()))))", "(()()()())", "((()|())())", "(()()()()(((("])
+    def test_a_lowered_cap_stops_the_reader_at_its_first_vertex_past_it(
+            self, monkeypatch, text):
+        # the shared cap check's text; the last tree is read no further
+        monkeypatch.setenv("NCHOPF_MAX_N", "3")
+        with pytest.raises(SizeLimitError,
+                           match=r"^n=4 outside allowed range 1\.\.3$"):
+            parse_tree(text)
+
 
 class TestHierarchyMap:
     def test_singleton(self):
