@@ -30,7 +30,6 @@ _EXPORTS = {
         "LinearFunctional",
         "augmentation",
         "check_character",
-        "check_infinitesimal",
         "convolve",
         "exp_prec",
         "extract_infinitesimal",
@@ -64,7 +63,6 @@ _EXPORTS = {
         "delta_bar",
         "delta_nc",
         "delta_word",
-        "parse_atom",
         "parse_word",
         "sp",
         "tensor_text",

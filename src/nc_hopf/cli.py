@@ -272,12 +272,10 @@ def _cmd_transform(args, out) -> int:
 
 
 def _cmd_split(args, out) -> int:
-    splits = partitions.admissible_splits(_parse_shape(args.subject))
-    rows = []
-    for s in splits:
-        q = s.q_part.text() if s.q_part.blocks else "{}"
-        comps = [c.text() for c in s.components if c.blocks]
-        rows.append((q, comps))
+    rows = [(q.text() if q.blocks else "{}",
+             [c.text() for c in components if c.blocks])
+            for q, components in partitions.admissible_splits(
+                _parse_shape(args.subject))]
     if args.json:
         print(_dumps([{"selected": q, "components": comps}
                       for q, comps in rows]), file=out)

@@ -217,7 +217,7 @@ def half_convolve(f: LinearFunctional, g: LinearFunctional,
 # fixed point, exponential, extraction
 
 
-def solve_left_fixed_point(kappa: LinearFunctional) -> Character:
+def solve_left_fixed_point(kappa: InfinitesimalCharacter) -> Character:
     """The unique character Phi with Phi = e + kappa ≺ Phi, computed degree
     by degree: every coproduct term pairing kappa non-trivially strictly
     lowers the degree of the remaining Phi argument.
@@ -241,7 +241,7 @@ def solve_left_fixed_point(kappa: LinearFunctional) -> Character:
     return phi
 
 
-def exp_prec(kappa: LinearFunctional) -> Character:
+def exp_prec(kappa: InfinitesimalCharacter) -> Character:
     """The half-shuffle exponential: the truncated sum of iterated left
     half-shuffle powers kappa^{≺n}.  Agrees with the fixed point exactly."""
     _require_infinitesimal(kappa)
@@ -290,10 +290,8 @@ def extract_infinitesimal(phi: LinearFunctional) -> InfinitesimalCharacter:
 
 def _require_infinitesimal(kappa: LinearFunctional):
     if not isinstance(kappa, InfinitesimalCharacter):
-        found = check_infinitesimal(kappa).violations
-        if found:
-            raise ValueError(f"not an infinitesimal character: {len(found)} "
-                             f"failing: {', '.join(map(str, found))}")
+        raise ValueError(f"expected an InfinitesimalCharacter, not "
+                         f"{type(kappa).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +373,6 @@ def check_character(f: LinearFunctional) -> CheckReport:
     for checked, (a, b) in enumerate(pairs, 1):
         if f(a + b) != f(a) * f(b):
             violations.append((barword_text(a), barword_text(b)))
-    return CheckReport(not violations, checked, violations)
-
-
-def check_infinitesimal(f: LinearFunctional) -> CheckReport:
-    """Verify f(1) = 0 and f vanishes on the first ``CHECK_LIMIT`` bar words
-    with >= 2 parts within the truncation."""
-    products = islice((b for d in range(2, f.truncation + 1)
-                       for b in f.algebra.barwords(d) if len(b) > 1),
-                      CHECK_LIMIT)
-    violations = [("unit", f.unit_value)] if f.unit_value != 0 else []
-    checked = 0
-    for checked, b in enumerate(products, 1):
-        if f(b) != 0:
-            violations.append(barword_text(b))
     return CheckReport(not violations, checked, violations)
 
 

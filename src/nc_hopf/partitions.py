@@ -168,19 +168,6 @@ class NonCrossingPartition(SetPartition):
             raise ValueError(f"partition is crossing: {blocks}")
 
 
-class AdmissibleSplit(Value):
-    """A two-part block partition L = Q ⊔ T with no Q-block nested inside a
-    T-block, packaged with T's restriction to each connected component of the
-    complement of Q's carrier."""
-
-    __slots__ = _fields = ("q_part", "components")
-
-    def __init__(self, q_part: NonCrossingPartition,
-                 components: tuple[NonCrossingPartition, ...]):
-        _set(self, "q_part", q_part)
-        _set(self, "components", components)
-
-
 # ---------------------------------------------------------------------------
 # crossing test and nesting
 
@@ -467,11 +454,11 @@ def split_table(blocks: tuple[Block, ...]) -> tuple:
 
 
 @lru_cache(maxsize=SHAPE_BOUND)
-def admissible_splits(p: NonCrossingPartition) -> tuple[AdmissibleSplit, ...]:
+def admissible_splits(p: NonCrossingPartition) -> tuple:
     """Every admissible two-part block partition Q ⊔ T of p (either part may
-    be empty), each with T regrouped by connected component of the complement
-    of Q's carrier, all on p's carrier.  Order: by bitmask of the Q-blocks in
-    canonical order, as ``_split_walk`` lists them."""
+    be empty) as a pair: the Q part, and T regrouped by connected component
+    of the complement of Q's carrier, all on p's carrier.  Order: by bitmask
+    of the Q-blocks in canonical order, as ``_split_walk`` lists them."""
     blocks = p.blocks
 
     def part(ids: tuple[int, ...]) -> NonCrossingPartition:
@@ -480,8 +467,7 @@ def admissible_splits(p: NonCrossingPartition) -> tuple[AdmissibleSplit, ...]:
         return NonCrossingPartition(tuple([blocks[i] for i in ids]))
 
     # the masks are distinct, so the sort never compares further
-    return tuple([AdmissibleSplit(q_part=part(q),
-                                  components=tuple(map(part, components)))
+    return tuple([(part(q), tuple(map(part, components)))
                   for _, q, components in sorted(_split_walk(blocks))])
 
 

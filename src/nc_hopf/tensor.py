@@ -34,7 +34,6 @@ from .partitions import (
     _canonical_size,
     _nc_shapes,
     check_enumeration_size,
-    parse_partition,
     split_table,
 )
 
@@ -423,18 +422,3 @@ def parse_word(text: str) -> tuple[str, ...]:
                              f"separator")
     return letters
 
-
-def parse_atom(text: str) -> Atom:
-    """Parse a word, a partition, or a decorated partition atom."""
-    body = text.strip()
-    if not body.startswith("{"):
-        return parse_word(body)
-    shape_part, colon, word_part = body.partition(":")
-    shape = parse_partition(shape_part)
-    if not colon:
-        return DecoratedNC(shape)
-    word = parse_word(word_part)
-    if len(word) != shape.size:
-        raise ParseError(f"decoration {'.'.join(word)!r} has {len(word)} "
-                         f"letters for {shape.size} elements in {text!r}")
-    return DecoratedNC(shape, word)

@@ -69,4 +69,18 @@ MUTANTS = (
            "        if not isinstance(other, Record):\n",
            "tests/test_value_types.py"
            "::test_set_and_noncrossing_partitions_stay_unequal"),
+    Mutant("fixed-point-takes-any-functional", "functionals.py",
+           "if not isinstance(kappa, InfinitesimalCharacter):",
+           "if False:",
+           "tests/test_functionals.py::TestFixedPoint"
+           "::test_only_an_infinitesimal_character_is_taken"),
+    Mutant("splits-swap-the-q-part-and-the-components", "partitions.py",
+           "return tuple([(part(q), tuple(map(part, components)))",
+           "return tuple([(tuple(map(part, components)), part(q))",
+           "tests/test_partitions.py::TestAdmissibleSplits"
+           "::test_matches_definition_and_nesting_forest"),
+    Mutant("split-listing-drops-the-empty-q-mark", "cli.py",
+           'q.text() if q.blocks else "{}"',
+           "q.text()",
+           "tests/test_cli.py::TestSplitAndTree::test_split_listing"),
 )

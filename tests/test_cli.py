@@ -75,7 +75,14 @@ class TestEnumerate:
             assert code == 0
             assert out == json.dumps([p.to_json() for p in enum(n)]) + "\n"
 
-    def test_cap_checked_before_any_output(self):
+    def test_cap_checked_before_any_output(self, monkeypatch):
+        # the lowered cap comes first: a cap one too high fails there at
+        # once, where at the default it would write the 27,644,437
+        # partitions of [13] before failing
+        monkeypatch.setenv("NCHOPF_MAX_N", "3")
+        for argv in (("set", "--n", "4", "--json"), ("nc", "--n", "4")):
+            assert run("enumerate", *argv) == (1, "")
+        monkeypatch.delenv("NCHOPF_MAX_N")
         code, out = run("enumerate", "set", "--n", "13", "--json")
         assert (code, out) == (1, "")
 

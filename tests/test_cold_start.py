@@ -96,14 +96,15 @@ def test_every_layer_is_registered_before_it_runs():
 
 
 # every name the package exported when its submodules were imported eagerly,
-# less the four since deleted (singleton_partition, extend_multiplicative,
-# EdgeCut, and the config module, whose caps check_enumeration_size holds)
+# less the six since deleted (singleton_partition, extend_multiplicative,
+# EdgeCut, the config module, whose caps check_enumeration_size holds, and
+# parse_atom and check_infinitesimal, which only the tests called)
 EXPORTED = """
     AlgebraMismatchError CarrierMismatchError InconsistencyError NcHopfError
     OrderError ParseError SizeLimitError TruncationError
     Coefficient Poly coeff_str poly_str
     Algebra Character InfinitesimalCharacter LinearFunctional augmentation
-    check_character check_infinitesimal convolve exp_prec
+    check_character convolve exp_prec
     extract_infinitesimal half_convolve pullback_sp
     random_functional random_infinitesimal solve_left_fixed_point
     standard_section
@@ -112,7 +113,7 @@ EXPORTED = """
     full_partition is_noncrossing moebius moebius_to_top parse_partition
     standardize
     UNIT DecoratedNC Word barword_text delta_bar delta_nc delta_word
-    parse_atom parse_word sp tensor_text
+    parse_word sp tensor_text
     CumulantSequence MomentSequence MultiCumulantMap MultiMomentMap
     bell_polynomials classical_cumulants_from_moments
     classical_moments_from_cumulants free_cumulants_from_moments

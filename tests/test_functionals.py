@@ -14,7 +14,6 @@ from nc_hopf.functionals import (
     LinearFunctional,
     augmentation,
     check_character,
-    check_infinitesimal,
     convolve,
     exp_prec,
     extract_infinitesimal,
@@ -34,6 +33,14 @@ AB = Algebra(WORDS, ("a", "b"))
 
 def aw(n):
     return (Word(("a",) * n),)
+
+
+def vanishes_on_products(f) -> bool:
+    """Whether f kills the unit and every bar word of two or more atoms
+    within its truncation."""
+    return f.unit_value == 0 and all(
+        f(b) == 0 for d in range(2, f.truncation + 1)
+        for b in f.algebra.barwords(d) if len(b) > 1)
 
 
 def unpruned_fixed_point(kappa):
@@ -175,7 +182,7 @@ class TestCharacters:
             A1, 6, lambda w: Fraction(1))
         assert kappa(aw(2)) == 1
         assert kappa((Word(("a",)), Word(("a",)))) == 0
-        assert check_infinitesimal(kappa).ok
+        assert vanishes_on_products(kappa)
 
     def test_check_character_flags_violation(self):
         f = random_functional(A1, 4, seed=5)
@@ -383,16 +390,17 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             solve_left_fixed_point(f)
 
-    def test_rejection_lists_every_violation(self):
-        # value 1 on every bar word up to degree 4 over one letter: all 11
-        # bar words of two or more atoms are violations, and each is named
-        f = LinearFunctional(A1, 4, lambda b: 1)
+    @pytest.mark.parametrize("solve", [solve_left_fixed_point, exp_prec],
+                             ids=lambda solve: solve.__name__)
+    def test_only_an_infinitesimal_character_is_taken(self, solve):
+        # a plain functional is refused by its class, even one that kills
+        # the unit and every product
+        f = LinearFunctional(A1, 4, lambda b: 1 if len(b) == 1 else 0)
+        assert vanishes_on_products(f)
         with pytest.raises(ValueError) as exc:
-            solve_left_fixed_point(f)
+            solve(f)
         assert str(exc.value) == (
-            "not an infinitesimal character: 11 failing: a|a, a|a|a, a|a.a, "
-            "a.a|a, a|a|a|a, a|a|a.a, a|a.a|a, a|a.a.a, a.a|a|a, a.a|a.a, "
-            "a.a.a|a")
+            "expected an InfinitesimalCharacter, not LinearFunctional")
 
     def test_moment_values_one_letter(self):
         # with kappa supported on single atoms the character values on a^n
@@ -443,7 +451,7 @@ class TestStandardSection:
                                  Word(("a", "b")))
         assert sd((one_block,)) == 2
         assert sd((two_blocks,)) == 0
-        assert check_infinitesimal(sd).ok
+        assert vanishes_on_products(sd)
 
     def test_requires_nc_target(self):
         with pytest.raises(AlgebraMismatchError):

@@ -1,14 +1,15 @@
-"""``SuiteReport.check`` is the one way ``verify.py`` records a check from
-its failing cases: it alone writes the ``N failing: a, b, …`` detail, and
-it reads the check's ok flag off the same list.  No ``add`` call passes an
-ok flag written as ``not <name>``, which would state that flag apart from
-the list its detail is built from."""
+"""``SuiteReport.check`` is the one way ``src/nc_hopf`` records a check
+from its failing cases: it alone, in any module there, writes the
+``N failing: a, b, …`` detail, and it reads the check's ok flag off the
+same list.  No ``add`` call passes an ok flag written as ``not <name>``,
+which would state that flag apart from the list its detail is built
+from."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-VERIFY = ROOT / "src" / "nc_hopf" / "verify.py"
+SRC = sorted((ROOT / "src" / "nc_hopf").glob("*.py"))
 SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 RECORDER = "SuiteReport.check"
 
@@ -27,15 +28,15 @@ def _negated_name(node) -> bool:
             and isinstance(node.operand, ast.Name))
 
 
-def stray_recorders(path=VERIFY) -> list[str]:
-    """``file:line scope`` of each place in ``path``, outside
+def stray_recorders(paths=SRC) -> list[str]:
+    """``file:line scope`` of each place in ``paths``, outside
     ``SuiteReport.check``, that writes ``failing:`` text, and of each
     ``add`` call whose ok flag, its second argument or ``ok=``, is
     ``not <name>``.  The scope is the dotted path of the classes and
     functions that hold the place, or ``<module>``."""
     found = []
 
-    def walk(node, scope: tuple):
+    def walk(path, node, scope: tuple):
         if isinstance(node, SCOPES):
             scope += (node.name,)
         where = f"{path.name}:{getattr(node, 'lineno', 0)} " + (
@@ -52,9 +53,10 @@ def stray_recorders(path=VERIFY) -> list[str]:
         for child in ast.iter_child_nodes(node):
             # an f-string's parts are read with the f-string itself
             if not isinstance(node, ast.JoinedStr):
-                walk(child, scope)
+                walk(path, child, scope)
 
-    walk(ast.parse(path.read_text(), filename=str(path)), ())
+    for path in paths:
+        walk(path, ast.parse(path.read_text(), filename=str(path)), ())
     return sorted(set(found))
 
 
@@ -85,6 +87,6 @@ def test_the_scan_finds_a_second_recorder(tmp_path):
                       "HEADER = 'failing: '\n")
     # the recorder's own text and its own negation are allowed; a negated
     # subscript is not a failing list
-    assert stray_recorders(source) == [
+    assert stray_recorders([source]) == [
         "second.py:12 suite", "second.py:13 suite", "second.py:14 suite",
         "second.py:19 <module>", "second.py:8 _failing"]

@@ -16,7 +16,7 @@ from nc_hopf.partitions import (
     enumerate_set_partitions,
     parse_partition,
 )
-from nc_hopf.tensor import barword_text, parse_atom, parse_word
+from nc_hopf.tensor import parse_word
 from nc_hopf.transforms import (
     FREE,
     cumulant_sequence_from_json,
@@ -62,10 +62,6 @@ partition_texts = st.sampled_from(
 word_texts = st.lists(st.sampled_from(["a", "b", "cd"]), min_size=1,
                       max_size=5).map(".".join)
 NC_SHAPES = [p for n in range(1, 5) for p in enumerate_nc_partitions(n)]
-atom_texts = word_texts | st.sampled_from(
-    [p.text() for p in NC_SHAPES]
-    + [f"{p.text()}:{'.'.join('ab'[i % 2] for i in range(p.size))}"
-       for p in NC_SHAPES])
 tree_texts = st.sampled_from(
     [tree_text(gapped_hierarchy_tree(p)) for p in NC_SHAPES])
 
@@ -95,14 +91,6 @@ def test_parse_word(text):
     w = read_or_reject(parse_word, text)
     if w is not None:
         assert parse_word(".".join(w)) == w
-
-
-@given(text=fuzz_text(atom_texts, "{}0123456789,:.ab "))
-@FUZZ
-def test_parse_atom(text):
-    atom = read_or_reject(parse_atom, text)
-    if atom is not None:
-        assert parse_atom(barword_text((atom,))) == atom
 
 
 @given(text=fuzz_text(tree_texts, "()| ", max_size=40))

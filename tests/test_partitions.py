@@ -13,7 +13,6 @@ from nc_hopf.errors import (
     SizeLimitError,
 )
 from nc_hopf.partitions import (
-    AdmissibleSplit,
     NonCrossingPartition,
     SetPartition,
     admissible_splits,
@@ -408,34 +407,35 @@ class TestAdmissibleSplits:
             [[2, 9, 15], [3, 4], [5, 8], [6], [11, 14], [12]]))
         for p in shapes:
             splits = admissible_splits(p)
-            got = [(s.q_part.blocks, tuple(c.blocks for c in s.components))
-                   for s in splits]
+            got = [(q.blocks, tuple(c.blocks for c in components))
+                   for q, components in splits]
             assert got == oracle_splits(p), p
             assert len(splits) == upset_count(p), p
             assert all(isinstance(part, NonCrossingPartition)
-                       for s in splits for part in (s.q_part, *s.components))
+                       for q, components in splits
+                       for part in (q, *components))
 
     def test_total_and_extreme_splits(self):
         p = NonCrossingPartition.of([[1, 4], [2, 3]])
         splits = admissible_splits(p)
-        q_parts = [s.q_part.blocks for s in splits]
+        q_parts = [q.blocks for q, _ in splits]
         assert () in q_parts
         assert p.blocks in q_parts
 
     def test_nested_selection_rule(self):
         # the inner block alone cannot be selected: it is nested in the outer
         p = NonCrossingPartition.of([[1, 4], [2, 3]])
-        selected = {s.q_part.blocks for s in admissible_splits(p)}
+        selected = {q.blocks for q, _ in admissible_splits(p)}
         assert ((2, 3),) not in selected
         assert ((1, 4),) in selected
 
     def test_components_partition_the_complement(self):
         for n in range(1, 6):
             for p in enumerate_nc_partitions(n):
-                for s in admissible_splits(p):
-                    left = set(s.q_part.carrier)
+                for q, components in admissible_splits(p):
+                    left = set(q.carrier)
                     right = set()
-                    for comp in s.components:
+                    for comp in components:
                         right.update(comp.carrier)
                     assert left | right == set(p.carrier)
                     assert not left & right

@@ -29,7 +29,6 @@ from nc_hopf.tensor import (
     delta_word,
     delta_word_halves,
     lincomb_sum,
-    parse_atom,
     parse_word,
     sp,
     tensor_product,
@@ -278,10 +277,9 @@ def split_halves(shape, word):
         return DecoratedNC(standardize(part), letters)
 
     halves = (Counter(), Counter())  # right, left
-    for split in admissible_splits(shape):
-        q = split.q_part
+    for q, components in admissible_splits(shape):
         left = (restricted(q),) if q.blocks else ()
-        right = tuple(restricted(c) for c in split.components)
+        right = tuple(restricted(c) for c in components)
         halves[carrier[0] in q.carrier][(left, right)] += 1
     return dict(halves[1]), dict(halves[0])
 
@@ -401,7 +399,9 @@ class TestNcCoproduct:
         ("{2,5}{3,4}:a.b.c.d", "{1,4}{2,3}:a.b.c.d"),
     ])
     def test_decoration_read_by_rank_on_other_carriers(self, atom, standard):
-        x, y = parse_atom(atom), parse_atom(standard)
+        (shape, word), (std_shape, std_word) = (atom.split(":"),
+                                                standard.split(":"))
+        x, y = nc(shape, word.split(".")), nc(std_shape, std_word.split("."))
         assert delta_nc(x) == delta_nc(y)
         assert delta_nc_halves(x) == delta_nc_halves(y)
 
@@ -562,11 +562,11 @@ class TestSplittingMap:
 
     def test_rejects_partition_atoms(self):
         # a decorated atom is a tuple too, of blocks and a word
-        for atom in ("{1}", "{1}:a", "{1,2}:a.b"):
+        for atom in (nc("{1}"), nc("{1}", "a"), nc("{1,2}", "ab")):
             with pytest.raises(AlgebraMismatchError):
-                sp((parse_atom(atom),))
+                sp((atom,))
             with pytest.raises(AlgebraMismatchError):
-                sp((w("ab"), parse_atom(atom)))
+                sp((w("ab"), atom))
 
     @pytest.mark.parametrize("atom", [("a", 1), ("a", None)], ids=repr)
     def test_rejects_malformed_words(self, atom):
@@ -577,15 +577,18 @@ class TestSplittingMap:
                 sp(b)
 
     def test_cap(self, monkeypatch):
-        # the NC enumeration cap, read as every NC reader reads it
-        for n in (15, 99):
-            with pytest.raises(SizeLimitError,
-                               match=f"n={n} outside allowed range 1..14"):
-                sp((w("ab"), Word(("a",) * n)))
+        # the NC enumeration cap, read as every NC reader reads it.  The
+        # lowered cap comes first: a cap one too high fails there at once,
+        # where at the default it would enumerate NC(15) before failing
         monkeypatch.setenv("NCHOPF_MAX_N", "3")
         assert len(sp((Word(("a",) * 3),))) == 5
         with pytest.raises(SizeLimitError, match="1..3"):
             sp((Word(("a",) * 4),))
+        monkeypatch.delenv("NCHOPF_MAX_N")
+        for n in (15, 99):
+            with pytest.raises(SizeLimitError,
+                               match=f"n={n} outside allowed range 1..14"):
+                sp((w("ab"), Word(("a",) * n)))
 
 
 def test_sp_coproduct_misses_and_atoms_build_no_partition(monkeypatch):
@@ -624,28 +627,15 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_word("")
 
-    @pytest.mark.parametrize("text", [
-        "a..b", ".a.", "a.", ".a", ".", "{1,2}:a..b", "{1}:.a"])
+    @pytest.mark.parametrize("text", ["a..b", ".a.", "a.", ".a", "."])
     def test_empty_letter_rejected(self, text):
         with pytest.raises(ParseError, match="empty letter"):
-            parse_atom(text)
+            parse_word(text)
 
     @pytest.mark.parametrize("read,text", [
-        *[(parse_word, t) for t in ("a b", "a\tb.c", "a|b.c", "a:b", "{1}",
-                                    "a}", "(a)", "a⊗b", "2·a")],
-        *[(parse_atom, t) for t in ("a|b.c", "{1,2}:a|b.c", "{1}:a:b",
-                                    "{1,2}:a.b c")]])
+        (parse_word, t) for t in ("a b", "a\tb.c", "a|b.c", "a:b", "{1}",
+                                  "a}", "(a)", "a⊗b", "2·a")])
     def test_letter_holding_a_separator_rejected(self, read, text):
         # each would print as a different term, such as a two-atom bar word
         with pytest.raises(ParseError, match="separator"):
             read(text)
-
-    @pytest.mark.parametrize("text", ["{1,2}:a", "{1}:a.b", "{2,3}:a.b.c"])
-    def test_decoration_of_wrong_length_is_parse_error(self, text):
-        with pytest.raises(ParseError, match="decoration"):
-            parse_atom(text)
-
-    def test_parse_atom_variants(self):
-        assert parse_atom("a.b") == w("ab")
-        assert parse_atom("{1,4}{2,3}") == nc("{1,4}{2,3}")
-        assert parse_atom("{1,2}:a.b") == nc("{1,2}", "ab")

@@ -36,7 +36,6 @@ from nc_hopf.partitions import (
 )
 from nc_hopf.cli import _barword_order, main
 from nc_hopf.functionals import Algebra, CheckReport
-from nc_hopf.partitions import AdmissibleSplit
 from nc_hopf.tensor import (
     DecoratedNC,
     Word,
@@ -305,10 +304,6 @@ VALUE_CLASSES = [
      "SetPartition(blocks=((1, 3), (2,)))"),
     (lambda: NC(((1, 4), (2, 3))), ("blocks",), True,
      "NonCrossingPartition(blocks=((1, 4), (2, 3)))"),
-    (lambda: AdmissibleSplit(NC(((1, 4),)), (NC(((2, 3),)),)),
-     ("q_part", "components"), True,
-     "AdmissibleSplit(q_part=NonCrossingPartition(blocks=((1, 4),)), "
-     "components=(NonCrossingPartition(blocks=((2, 3),)),))"),
     (lambda: Algebra("words", ("a", "b")), ("kind", "alphabet"), True,
      "Algebra(kind='words', alphabet=('a', 'b'))"),
     (lambda: CheckReport(False, 3, [("unit", 2)]),
