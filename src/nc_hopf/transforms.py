@@ -30,14 +30,13 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product as iter_product
 from math import comb, factorial, lcm, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 
 # registered lazily by the package: only the fixed point, the extraction
 # and the multivariate tables run these layers, at their first attribute read
 from . import functionals, tensor
 from .coefficients import (
     ONE,
-    ZERO,
     Coefficient,
     Poly,
     coeff_str,
@@ -56,6 +55,7 @@ from .partitions import (
     Value,
     _gather,
     _gathers,
+    _new,
     _set,
     check_enumeration_size,
 )
@@ -65,15 +65,25 @@ FREE = "free"
 
 
 def _exact_values(values) -> tuple:
-    """``values`` as a tuple, each an ``int``, ``Fraction`` or ``Poly``;
-    raise ValueError naming the first that is not, before any transform
-    reads a float it cannot hold exactly."""
-    values = tuple(values)
+    """``values`` as a tuple in exact normal form: each ``int`` or
+    ``Fraction`` through ``exact`` (an integral value, a ``bool`` among
+    them, becomes an ``int``), each ``Poly`` as it is.  Raise ValueError
+    naming the first other value, before any transform reads a float it
+    cannot hold exactly.  It runs where a caller hands values in; a
+    sequence the library builds from its own exact sums skips it
+    (``_unchecked``)."""
+    out = []
     for v in values:
-        if not isinstance(v, (int, Fraction, Poly)):
+        if (type(v) is int or type(v) is Fraction and v.denominator > 1
+                or isinstance(v, Poly)):
+            out.append(v)
+        elif isinstance(v, (int, Fraction)):
+            # a bool, an integral Fraction, or a subclass of int or Fraction
+            out.append(exact(v))
+        else:
             raise ValueError(f"not an exact coefficient (int, Fraction or "
                              f"Poly): {v!r}")
-    return values
+    return tuple(out)
 
 
 class MomentSequence(Value):
@@ -86,6 +96,14 @@ class MomentSequence(Value):
         if not values or values[0] != 1:
             raise ValueError("a moment sequence starts with m_0 = 1")
         _set(self, "values", values)
+
+    @classmethod
+    def _unchecked(cls, values: tuple) -> "MomentSequence":
+        """The sequence of ``values``, a tuple in exact normal form starting
+        with 1 that the library computed, so no check runs."""
+        self = _new(cls)
+        _set(self, "values", values)
+        return self
 
     @property
     def order(self) -> int:
@@ -110,6 +128,15 @@ class CumulantSequence(Value):
             raise ValueError(f"unknown cumulant flavor: {flavor!r}")
         _set(self, "values", _exact_values(values))
         _set(self, "flavor", flavor)
+
+    @classmethod
+    def _unchecked(cls, values: tuple, flavor: str) -> "CumulantSequence":
+        """The sequence of ``values``, a tuple in exact normal form that the
+        library computed, of a known flavor, so no check runs."""
+        self = _new(cls)
+        _set(self, "values", values)
+        _set(self, "flavor", flavor)
+        return self
 
     @property
     def order(self) -> int:
@@ -146,9 +173,11 @@ def _degree_scaled(solve, values, degrees=None) -> list:
     module docstring).  ``degrees[i]`` is the degree of ``values[i]`` and
     of the i-th result of ``solve``; by default the degrees are 1, 2, ...
     When a value is not a rational (a Poly), or D = 1, ``solve`` runs on
-    the values as given."""
+    the values as given; among Polys, a result that is a sum of rationals
+    alone is brought to the form of ``exact``."""
     if not all(isinstance(v, (int, Fraction)) for v in values):
-        return solve(values)
+        return [r if isinstance(r, Poly) else exact(r)
+                for r in solve(values)]
     d = lcm(*(v.denominator for v in values))
     if d == 1:
         return solve(values)
@@ -233,25 +262,40 @@ def _type_table(n: int) -> tuple:
                  for lam in _integer_partitions(n, n))
 
 
+@lru_cache(maxsize=None)
+def _type_gathers(n: int) -> tuple:
+    """The types of n after its first, (n), multiply out by position: each
+    is its first part times its tail, a type of a lower degree.  Returns the
+    gather of their first parts from the values of sizes 1, 2, ..., n and
+    the gather of their tails from the products of the types of 1, 2, ...,
+    n - 1, listed degree after degree, each in ``_integer_partitions``
+    order.  One pair per degree, like ``_type_table``."""
+    position: dict = {}
+    for m in range(1, n):
+        for lam in _integer_partitions(m, m):
+            position[lam] = len(position)
+    types = list(_integer_partitions(n, n))[1:]
+    return (_gather(tuple([lam[0] - 1 for lam in types])),
+            _gather(tuple([position[lam[1:]] for lam in types])))
+
+
 def _type_sums(values_by_size, order: int, weight) -> list:
     """The sums over lam |- n of weight(n, lam) * prod_i values_by_size(lam_i)
     for n = 1..order, with the weights read from each degree's type table.
-    The product of a type is values_by_size(lam_1) times the product of its
-    tail, which a lower degree has computed, so a type costs at most one
-    multiplication; the products are held for this call only."""
-    column = 1 + _WEIGHTS.index(weight)
-    products: dict = {}
+    The product of a type of one part is its value, and any other type's is
+    the value of its first part times the product of its tail, which a
+    lower degree has computed and ``_type_gathers`` reads by position, so a
+    type costs at most one multiplication; the products are held for this
+    call only."""
+    weights = itemgetter(1 + _WEIGHTS.index(weight))
+    values = list(map(values_by_size, range(1, order + 1)))
+    products: list = []
     sums = []
     for n in range(1, order + 1):
-        total: Coefficient = ZERO
-        for row in _type_table(n):
-            lam = row[0]
-            term = values_by_size(lam[0])
-            if len(lam) > 1:
-                term = term * products[lam[1:]]
-            products[lam] = term
-            total = total + row[column] * term
-        sums.append(total)
+        firsts, tails = _type_gathers(n)
+        row = [values[n - 1], *map(mul, firsts(values), tails(products))]
+        products += row
+        sums.append(sum(map(mul, map(weights, _type_table(n)), row)))
     return sums
 
 
@@ -261,14 +305,17 @@ def _type_sums(values_by_size, order: int, weight) -> list:
 
 def bell_polynomials(c: CumulantSequence) -> list:
     """B_0 = 1 and B_{n+1} = sum_{j=0}^{n} C(n,j) B_{n-j} c_{j+1}, so that
-    the n-th classical moment is B_n evaluated at the cumulants."""
+    the n-th classical moment is B_n evaluated at the cumulants.  The terms
+    j = 0 and j = n carry the factors C(n,0) = 1 and C(n,n) B_0 = 1, so they
+    are taken as B_n c_1 and c_{n+1}, with no product by a constant."""
     if c.flavor != CLASSICAL:
         raise ValueError("bell_polynomials expects classical cumulants")
-    b: list = [ONE]
-    for n in range(c.order):
-        total: Coefficient = ZERO
-        for j in range(n + 1):
-            total = total + comb(n, j) * b[n - j] * c.cumulant(j + 1)
+    values = c.values
+    b: list = [ONE, *values[:1]]
+    for n in range(1, c.order):
+        total = b[n] * values[0] + values[n]
+        for j in range(1, n):
+            total = total + comb(n, j) * b[n - j] * values[j]
         b.append(total)
     return b
 
@@ -276,23 +323,31 @@ def bell_polynomials(c: CumulantSequence) -> list:
 def _free_moments_series(k: CumulantSequence) -> list:
     """Degree-wise solve of F(t) = K(t F(t)) for the truncated series
     F = 1 + m_1 t + ... : m_n = sum_s k_s [t^(n-s)] F^s, and the right side
-    only involves m_1..m_{n-1}, so substitution closes at each degree."""
-    order = k.order
-    f: list = [ONE] + [ZERO] * order
+    only involves m_1..m_{n-1}, so substitution closes at each degree.
+
+    Every F^s has constant term 1, and no product is taken by it: the term
+    of s = n is k_n, F^1 is F, and for s > 1 and d > 0, F^s = F * F^(s-1)
+    gives [t^d] F^s = [t^d] F^(s-1) + m_d + sum_{0<j<d} m_j [t^(d-j)] F^(s-1).
+    """
+    kappa = k.values
+    order = len(kappa)
+    f: list = [ONE]
     # powers[s][d] = t^d coefficient of F^s; degree n fills s + d = n from
-    # F^s = F * F^(s-1), whose factors are known up to degree n - 1
-    powers: list = [[ONE] + [ZERO] * order]
+    # F^(s-1), which is known up to degree n - 1
+    powers: list = [None, f, *([ONE] for _ in range(2, order))]
     for n in range(1, order + 1):
-        powers.append([ZERO] * (order + 1))
-        coeff: Coefficient = ZERO
-        for s in range(1, n + 1):
+        # s = n and s = 1 read the constant term of F^n and F itself
+        coeff = kappa[n - 1]
+        if n > 1:
+            coeff = coeff + kappa[0] * f[n - 1]
+        for s in range(2, n):
             d, below = n - s, powers[s - 1]
-            total: Coefficient = ZERO
-            for j in range(d + 1):
+            total = below[d] + f[d]
+            for j in range(1, d):
                 total = total + f[j] * below[d - j]
-            powers[s][d] = total
-            coeff = coeff + k.cumulant(s) * total
-        f[n] = coeff
+            powers[s].append(total)
+            coeff = coeff + kappa[s - 1] * total
+        f.append(coeff)
     return f[1:]
 
 
@@ -312,7 +367,8 @@ def _transform(flavor: str, from_cumulants: bool, values) -> list:
     count, moebius, names = _FLAVORS[flavor]
     by_sum = _type_sums(lambda n: values[n - 1], len(values),
                         count if from_cumulants else moebius)
-    cumulants = CumulantSequence(values if from_cumulants else by_sum, flavor)
+    cumulants = CumulantSequence._unchecked(
+        tuple(values if from_cumulants else by_sum), flavor)
     recursion = (bell_polynomials(cumulants)[1:] if flavor == CLASSICAL
                  else _free_moments_series(cumulants))
     if recursion != (by_sum if from_cumulants else list(values)):
@@ -328,39 +384,49 @@ def _transform(flavor: str, from_cumulants: bool, values) -> list:
     return by_sum
 
 
+def _expect(seq, kind: type, flavor: str | None = None) -> None:
+    """Raise ValueError, before any work, unless ``seq`` is a ``kind``, and
+    for cumulants, of ``flavor``."""
+    if not isinstance(seq, kind):
+        raise ValueError(f"expected a {kind.__name__}, not "
+                         f"{type(seq).__name__}")
+    if flavor is not None and seq.flavor != flavor:
+        raise ValueError(f"expected {flavor} cumulants")
+
+
 def classical_moments_from_cumulants(c: CumulantSequence) -> MomentSequence:
     """m_n by the sum over set partitions, held to the Bell recursion."""
-    if c.flavor != CLASSICAL:
-        raise ValueError("expected classical cumulants")
+    _expect(c, CumulantSequence, CLASSICAL)
     check_enumeration_size("set", c.order)
-    return MomentSequence.of(
-        _degree_scaled(partial(_transform, CLASSICAL, True), c.values))
+    return MomentSequence._unchecked((ONE, *_degree_scaled(
+        partial(_transform, CLASSICAL, True), c.values)))
 
 
 def classical_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     """c_n by Möbius inversion over the partition lattice, cross-checked by
     running the forward Bell recursion on the result."""
+    _expect(m, MomentSequence)
     check_enumeration_size("set", m.order)
-    return CumulantSequence(_degree_scaled(
-        partial(_transform, CLASSICAL, False), m.values[1:]), CLASSICAL)
+    return CumulantSequence._unchecked(tuple(_degree_scaled(
+        partial(_transform, CLASSICAL, False), m.values[1:])), CLASSICAL)
 
 
 def free_moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
     """m_n by the non-crossing partition sum, cross-checked against the
     truncated series F = K(tF)."""
-    if k.flavor != FREE:
-        raise ValueError("expected free cumulants")
+    _expect(k, CumulantSequence, FREE)
     check_enumeration_size("nc", k.order)
-    return MomentSequence.of(
-        _degree_scaled(partial(_transform, FREE, True), k.values))
+    return MomentSequence._unchecked((ONE, *_degree_scaled(
+        partial(_transform, FREE, True), k.values)))
 
 
 def free_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     """k_n by Möbius inversion over the non-crossing lattice, cross-checked
     by running the series F = K(tF) forward on the result."""
+    _expect(m, MomentSequence)
     check_enumeration_size("nc", m.order)
-    return CumulantSequence(_degree_scaled(
-        partial(_transform, FREE, False), m.values[1:]), FREE)
+    return CumulantSequence._unchecked(tuple(_degree_scaled(
+        partial(_transform, FREE, False), m.values[1:])), FREE)
 
 
 def _free_moments_fixed_point(k: CumulantSequence) -> list:
@@ -412,8 +478,18 @@ class MultiMomentMap(Value):
             raise ValueError(f"alphabet has a repeated letter: {alphabet!r}")
         _set(self, "alphabet", alphabet)
         _set(self, "order", order)
-        _exact_values(table.values())
-        _set(self, "_table", dict(table))
+        _set(self, "_table", dict(zip(table, _exact_values(table.values()))))
+
+    @classmethod
+    def _unchecked(cls, alphabet: tuple[str, ...], order: int, table: dict):
+        """The map of ``table``, a dict of exact values in normal form that
+        the library computed over a checked alphabet and hands over, so no
+        check runs and no copy is made."""
+        self = _new(cls)
+        _set(self, "alphabet", alphabet)
+        _set(self, "order", order)
+        _set(self, "_table", table)
+        return self
 
     @property
     def table(self) -> dict:
@@ -528,8 +604,8 @@ def generalized_free_cumulants(phi: MultiMomentMap) -> MultiCumulantMap:
     cumulants = _degree_scaled(
         solve, [phi.value(letters) for letters in words],
         [len(letters) for letters in words])
-    return MultiCumulantMap(phi.alphabet, phi.order,
-                            dict(zip(words, cumulants)))
+    return MultiCumulantMap._unchecked(phi.alphabet, phi.order,
+                                       dict(zip(words, cumulants)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,30 @@ MUTANTS = (
            "(lam, *(weight(n, lam) for weight in _WEIGHTS))",
            "(lam, *(weight(n, lam) + (lam == (2, 1)) for weight in _WEIGHTS))",
            "tests/test_transforms.py::TestTypeWeights::test_type_table_rows"),
+    Mutant("type-sums-read-a-tail-one-position-off", "transforms.py",
+           "_gather(tuple([position[lam[1:]] for lam in types])))",
+           "_gather(tuple([position[lam[1:]] - 1 for lam in types])))",
+           "tests/test_transforms.py::TestTypeWeights"
+           "::test_type_sum_is_the_lattice_sum"),
+    Mutant("series-drops-the-term-of-the-constant-term", "transforms.py",
+           "total = below[d] + f[d]",
+           "total = below[d]",
+           "tests/test_transforms.py::TestFree::test_free_moment_table"),
+    Mutant("bell-drops-the-term-of-b0", "transforms.py",
+           "total = b[n] * values[0] + values[n]",
+           "total = b[n] * values[0]",
+           "tests/test_transforms.py::TestClassical"
+           "::test_bell_polynomial_table"),
+    Mutant("sequences-keep-integral-fractions", "transforms.py",
+           "out.append(exact(v))",
+           "out.append(v)",
+           "tests/test_value_types.py"
+           "::test_integral_values_are_stored_as_ints"),
+    Mutant("m2k-reads-cumulants-as-moments", "transforms.py",
+           '    _expect(m, MomentSequence)\n    check_enumeration_size("nc"',
+           '    check_enumeration_size("nc"',
+           "tests/test_transforms.py::TestSequenceTypes"
+           "::test_the_wrong_sequence_type_raises_before_any_work"),
     Mutant("split-walk-drops-trailing-component", "partitions.py",
            "return ((mask, q, closed + (run,) if run else closed)",
            "return ((mask, q, closed)",

@@ -4,6 +4,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -93,6 +94,30 @@ class TestSequenceTypes:
         c = symbolic_cumulants(3, CLASSICAL)
         with pytest.raises(ValueError):
             free_moments_from_cumulants(c)
+
+    @pytest.mark.parametrize("transform,given,expected", [
+        (free_cumulants_from_moments, CumulantSequence((1, 2, 3), FREE),
+         "MomentSequence, not CumulantSequence"),
+        (classical_cumulants_from_moments,
+         CumulantSequence((1, 2, 3), CLASSICAL),
+         "MomentSequence, not CumulantSequence"),
+        (free_moments_from_cumulants, MomentSequence((1, 2, 3)),
+         "CumulantSequence, not MomentSequence"),
+        (classical_moments_from_cumulants, MomentSequence((1, 2, 3)),
+         "CumulantSequence, not MomentSequence"),
+    ], ids=["m2k", "m2c", "k2m", "c2m"])
+    def test_the_wrong_sequence_type_raises_before_any_work(
+            self, monkeypatch, transform, given, expected):
+        # cumulants read as moments would take k_1 for m_0; moments have no
+        # flavor to read
+        def unreachable(*args):
+            raise AssertionError("a transform started work")
+
+        monkeypatch.setattr(transforms, "check_enumeration_size",
+                            unreachable)
+        monkeypatch.setattr(transforms, "_degree_scaled", unreachable)
+        with pytest.raises(ValueError, match=f"^expected a {expected}$"):
+            transform(given)
 
 
 class TestClassical:
@@ -323,6 +348,65 @@ class TestTypeWeights:
                 lambda size: value, order, transforms._nc_count)
             assert len(sums) == order
             assert Counted.products == sum(types[:order]) - order, order
+
+
+class Tally:
+    """A value that counts every product it takes part in, whatever the
+    other operand, and records each other operand equal to 0 or 1."""
+
+    products = 0
+    constants: list = []
+
+    def __mul__(self, other):
+        Tally.products += 1
+        if other in (0, 1):
+            Tally.constants.append(other)
+        return self
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return self
+
+    __radd__ = __add__
+
+
+class TestRecursionWork:
+    """The recursions take no product by a constant term: F^0 = 1, the
+    constant term 1 of each F^s, B_0 = 1 and C(n,0) = C(n,n) = 1."""
+
+    @pytest.fixture(autouse=True)
+    def reset(self, monkeypatch):
+        monkeypatch.setattr(Tally, "products", 0)
+        monkeypatch.setattr(Tally, "constants", [])
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_series_products(self, order):
+        # degree n takes k_s [t^(n-s)] F^s for 0 < s < n (n - 1 products)
+        # and sum_{0<j<d} m_j [t^(d-j)] F^(s-1) for each s > 1 with d = n - s
+        # (C(n-2, 2) products), so C(N, 2) + C(N-1, 3) in all
+        value = Tally()
+        moments = transforms._free_moments_series(
+            CumulantSequence._unchecked((value,) * order, FREE))
+        assert len(moments) == order
+        assert Tally.constants == []
+        assert Tally.products == comb(order, 2) + comb(order - 1, 3)
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_bell_products(self, order):
+        # B_{n+1} takes B_n c_1 and C(n,j) B_{n-j} c_{j+1} for 0 < j < n,
+        # 2n - 1 products for n >= 1, so (N - 1)^2 in all
+        value = Tally()
+        b = bell_polynomials(
+            CumulantSequence._unchecked((value,) * order, CLASSICAL))
+        assert len(b) == order + 1
+        assert Tally.constants == []
+        assert Tally.products == (order - 1) ** 2
+
+    def test_tally_sees_a_product_by_a_constant(self):
+        value = Tally()
+        assert 1 * value is value and value * 0 is value
+        assert Tally.products == 2 and Tally.constants == [1, 0]
 
 
 class TestSizeCaps:

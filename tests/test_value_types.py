@@ -45,11 +45,14 @@ from nc_hopf.tensor import (
 )
 from nc_hopf.coefficients import Poly
 from nc_hopf.transforms import (
+    CLASSICAL,
     FREE,
     CumulantSequence,
     MomentSequence,
     MultiCumulantMap,
     MultiMomentMap,
+    classical_moments_from_cumulants,
+    free_cumulants_from_moments,
     free_moments_from_cumulants,
 )
 from nc_hopf.verify import Check, SuiteReport
@@ -487,6 +490,45 @@ def test_exact_values_are_kept_as_given(make, value):
     stored = (made.values if hasattr(made, "values")
               else tuple(made.table.values()))
     assert stored[-1] is value
+
+
+@pytest.mark.parametrize("make", EXACT_MAKERS, ids=EXACT_IDS)
+@pytest.mark.parametrize("value,stored", [
+    (Fraction(4, 2), 2), (Fraction(-6, 3), -2), (True, 1), (False, 0)],
+    ids=["integral-fraction", "negative-integral-fraction", "true", "false"])
+def test_integral_values_are_stored_as_ints(make, value, stored):
+    # the normal form of coefficients.exact: an integral value is an int,
+    # and a Fraction has a denominator above 1
+    made = make(value)
+    kept = (made.values if hasattr(made, "values")
+            else tuple(made.table.values()))
+    assert type(kept[-1]) is int and kept[-1] == stored
+
+
+def test_integral_fractions_reach_a_transform_as_ints():
+    # with every denominator 1 the routes run on the values as stored
+    moments = MomentSequence((Fraction(1), Fraction(4, 2)))
+    assert moments.values == (1, 2)
+    assert [type(v) for v in moments.values] == [int, int]
+    cumulants = free_cumulants_from_moments(moments)
+    assert cumulants.values == (2,) and type(cumulants.values[0]) is int
+    moments = free_moments_from_cumulants(
+        CumulantSequence((True, Fraction(3, 1)), FREE))
+    assert moments.values == (1, 1, 4)
+    assert [type(v) for v in moments.values] == [int, int, int]
+
+
+@pytest.mark.parametrize("transform,flavor", [
+    (free_moments_from_cumulants, FREE),
+    (classical_moments_from_cumulants, CLASSICAL)], ids=["k2m", "c2m"])
+def test_rationals_beside_a_poly_give_results_in_normal_form(transform,
+                                                              flavor):
+    # m_2 = c_1^2 + c_2 = 1/4 + 3/4 is a sum of Fractions alone
+    moments = transform(
+        CumulantSequence((Fraction(1, 2), Fraction(3, 4), Poly.var("x")),
+                         flavor))
+    assert moments.values[:3] == (1, Fraction(1, 2), 1)
+    assert [type(v) for v in moments.values] == [int, Fraction, int, Poly]
 
 
 def test_float_inputs_never_reach_a_transform():

@@ -2,7 +2,10 @@
 brings back repeated work fails here, whatever the speed of the host."""
 
 import io
+import json
 from fractions import Fraction
+
+import pytest
 
 from nc_hopf import cli, functionals, transforms
 from nc_hopf.coefficients import Poly
@@ -11,7 +14,7 @@ from nc_hopf.coefficients import Poly
 def test_symbolic_k2m_poly_multiplications(monkeypatch):
     # the type sums make one product per type of two or more parts (58 up
     # to degree 8) and one scalar product per type for its weight (66); the
-    # series makes the rest
+    # series makes the other 63, C(8,2) + C(7,3), none by a constant term
     calls = []
     mul = Poly.__mul__
 
@@ -24,7 +27,57 @@ def test_symbolic_k2m_poly_multiplications(monkeypatch):
     out = io.StringIO()
     assert cli.main(["transform", "free", "--direction", "k2m",
                      "--symbolic", "--n", "8"], out=out) == 0
-    assert len(calls) == 265
+    assert len(calls) == 187
+
+
+def count_exact_values(monkeypatch) -> list:
+    """The values that each ``_exact_values`` call is handed, in order."""
+    seen = []
+    real = transforms._exact_values
+
+    def counted(values):
+        values = tuple(values)
+        seen.append(values)
+        return real(values)
+
+    monkeypatch.setattr(transforms, "_exact_values", counted)
+    return seen
+
+
+@pytest.mark.parametrize("symbolic", [False, True],
+                         ids=["rational", "symbolic"])
+@pytest.mark.parametrize("flavor,direction", [
+    ("classical", "c2m"), ("classical", "m2c"), ("free", "k2m"),
+    ("free", "m2k")])
+def test_a_transform_request_checks_only_the_callers_values(
+        monkeypatch, tmp_path, flavor, direction, symbolic):
+    # the caller's sequence is checked where it is built; the intermediate
+    # cumulants and the result are the library's own sums
+    if symbolic:
+        args = ["--symbolic", "--n", "6"]
+        given = 6 if direction.endswith("2m") else 7
+    else:
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps({"values": ["1/2", "-3", "2/7", "5"]}))
+        args = ["--in", str(path)]
+        given = 4 if direction.endswith("2m") else 5
+    seen = count_exact_values(monkeypatch)
+    out = io.StringIO()
+    assert cli.main(["transform", flavor, "--direction", direction, *args],
+                    out=out) == 0
+    assert len(seen) == 1 and len(seen[0]) == given
+
+
+def test_a_multi_m2k_table_is_checked_once(monkeypatch, tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"alphabet": ["a", "b"], "values": {
+        "a": "1", "b": "1/2", "a.a": "2", "a.b": "0", "b.a": "-1",
+        "b.b": "3"}}))
+    seen = count_exact_values(monkeypatch)
+    out = io.StringIO()
+    assert cli.main(["transform", "free", "--direction", "multi-m2k",
+                     "--in", str(path)], out=out) == 0
+    assert seen == [(1, Fraction(1, 2), 2, 0, -1, 3)]
 
 
 def test_multi_m2k_functional_evaluations(monkeypatch):
