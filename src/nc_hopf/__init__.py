@@ -29,7 +29,6 @@ _EXPORTS = {
         "InfinitesimalCharacter",
         "LinearFunctional",
         "augmentation",
-        "check_character",
         "convolve",
         "exp_prec",
         "extract_infinitesimal",

@@ -17,19 +17,12 @@ exponential as an independent route.
 from __future__ import annotations
 
 import weakref
-from functools import cache
-from itertools import islice, product as iter_product
+from itertools import product as iter_product
 from math import prod
 
 from .coefficients import ONE, ZERO, Coefficient
 from .errors import AlgebraMismatchError, TruncationError
-from .partitions import (
-    Record,
-    Value,
-    _nc_shapes,
-    _set,
-    check_enumeration_size,
-)
+from .partitions import Value, _nc_shapes, _set, check_enumeration_size
 from .tensor import (
     UNIT,
     BarWord,
@@ -335,45 +328,6 @@ def pullback_sp(psi: LinearFunctional) -> LinearFunctional:
         cls = InfinitesimalCharacter
     return cls(words_algebra, psi.truncation, ev,
                unit_value=psi.unit_value, name=f"Sp*({psi.name})")
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-class CheckReport(Record):
-    """The outcome of a check: whether it held, how many cases it examined
-    and the violations it found."""
-
-    _fields = ("ok", "checked", "violations")
-
-    def __init__(self, ok: bool, checked: int, violations: list):
-        self.ok = ok
-        self.checked = checked
-        self.violations = violations
-
-    def __bool__(self):
-        return self.ok
-
-
-# the most basis elements (or pairs) a check examines: a deterministic
-# prefix, which keeps large alphabets tractable
-CHECK_LIMIT = 20000
-
-
-def check_character(f: LinearFunctional) -> CheckReport:
-    """Verify f(1) = 1 and f(a|b) = f(a) f(b) on the first ``CHECK_LIMIT``
-    basis pairs within the truncation."""
-    n, barwords = f.truncation, cache(f.algebra.barwords)  # once per degree
-    pairs = islice(((a, b) for da in range(1, n)
-                    for db in range(1, n - da + 1)
-                    for a in barwords(da) for b in barwords(db)), CHECK_LIMIT)
-    violations = [("unit", f.unit_value)] if f.unit_value != 1 else []
-    checked = 0
-    for checked, (a, b) in enumerate(pairs, 1):
-        if f(a + b) != f(a) * f(b):
-            violations.append((barword_text(a), barword_text(b)))
-    return CheckReport(not violations, checked, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -342,9 +342,10 @@ def _gather(positions: tuple[int, ...]):
     return itemgetter(slice(0))
 
 
-def _gathers(positions) -> list:
-    """The ``_gather`` of each tuple of positions in ``positions``."""
-    return [_gather(p) for p in positions]
+def _block_gathers(blocks) -> list:
+    """The ``_gather`` of each block of ``blocks``, whose positions are
+    1-based: the restriction of a sequence to each block in turn."""
+    return [_gather(tuple([i - 1 for i in block])) for block in blocks]
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ from .errors import (
 from .partitions import (
     NonCrossingPartition,
     Value,
+    _block_gathers,
     _gather,
-    _gathers,
     _new,
     _set,
     check_enumeration_size,
@@ -308,6 +308,7 @@ def bell_polynomials(c: CumulantSequence) -> list:
     the n-th classical moment is B_n evaluated at the cumulants.  The terms
     j = 0 and j = n carry the factors C(n,0) = 1 and C(n,n) B_0 = 1, so they
     are taken as B_n c_1 and c_{n+1}, with no product by a constant."""
+    _expect(c, CumulantSequence)
     if c.flavor != CLASSICAL:
         raise ValueError("bell_polynomials expects classical cumulants")
     values = c.values
@@ -518,9 +519,7 @@ def kappa_powers(shape: NonCrossingPartition, w: tuple[str, ...],
             f"partition of size {shape.size} cannot decorate a word of "
             f"length {len(w)}")
     total: Coefficient = ONE
-    # a block's positions are 1-based and increasing
-    for gather in _gathers([tuple([i - 1 for i in block])
-                            for block in shape.blocks]):
+    for gather in _block_gathers(shape.blocks):
         total = total * kappa(gather(w))
     return total
 
@@ -578,6 +577,7 @@ def generalized_free_cumulants(phi: MultiMomentMap) -> MultiCumulantMap:
     of phi on the double tensor algebra; the two must agree.  The order is
     held to the non-crossing cap, and the table's words times 2^(order-1)
     to ``MULTI_TERM_CAP``, both before any work."""
+    _expect(phi, MultiMomentMap)
     check_enumeration_size("nc", phi.order)
     count = sum(len(phi.alphabet) ** d for d in range(1, phi.order + 1))
     if count << (phi.order - 1) > MULTI_TERM_CAP:

@@ -24,7 +24,6 @@ from .functionals import (
     Algebra,
     LinearFunctional,
     augmentation,
-    check_character,
     convolve,
     exp_prec,
     extract_infinitesimal,
@@ -38,7 +37,7 @@ from .functionals import (
 from .partitions import (
     NonCrossingPartition,
     Record,
-    _gathers,
+    _block_gathers,
     _nc_shapes,
     bell_number,
     catalan_number,
@@ -389,14 +388,24 @@ def verify_character_bijection(truncation: int = 8) -> SuiteReport:
     kappa = random_infinitesimal(algebra, truncation, seed)
     phi_fix = solve_left_fixed_point(kappa)
     phi_exp = exp_prec(kappa)
-    basis = [b for d in range(truncation + 1) for b in algebra.barwords(d)]
+    by_degree = [algebra.barwords(d) for d in range(truncation + 1)]
+    basis = [b for words in by_degree for b in words]
     bad = [barword_text(b) for b in basis if phi_fix(b) != phi_exp(b)]
     report.check(f"exp≺ = fixed point on {len(basis)} bar words, "
                  f"N={truncation}", bad)
 
-    char = check_character(phi_fix)
-    report.check(f"fixed point is a character ({char.checked} products)",
-                 [str(v) for v in char.violations])
+    # every product a|b within the truncation, each value read from the
+    # check above
+    pairs = ((a, b) for da in range(1, truncation)
+             for db in range(1, truncation - da + 1)
+             for a in by_degree[da] for b in by_degree[db])
+    bad = ([str(("unit", phi_fix.unit_value))]
+           if phi_fix.unit_value != 1 else [])
+    products = 0
+    for products, (a, b) in enumerate(pairs, 1):
+        if phi_fix(a + b) != phi_fix(a) * phi_fix(b):
+            bad.append(str((barword_text(a), barword_text(b))))
+    report.check(f"fixed point is a character ({products} products)", bad)
 
     recovered = extract_infinitesimal(phi_fix)
     bad = [f"a^{n}" for n in range(1, truncation + 1)
@@ -448,10 +457,8 @@ def _lattice_cumulants(moment, words) -> dict:
     missing subword raises KeyError, which is an internal fault, not bad
     input."""
     check_enumeration_size("nc", max(map(len, words), default=1))
-    # each degree's multi-block shapes, once, as the gathers of their
-    # blocks' 0-based positions
-    shapes = {n: [_gathers([tuple([i - 1 for i in block])
-                            for block in blocks])
+    # each degree's multi-block shapes, once, as the gathers of their blocks
+    shapes = {n: [_block_gathers(blocks)
                   for blocks in _nc_shapes(n) if len(blocks) > 1]
               for n in set(map(len, words))}
     r: dict = {}

@@ -77,6 +77,11 @@ MUTANTS = (
            "_transported(shape, gapped_hierarchy_tree) != tree_coproduct(",
            "_transported(shape, hierarchy_tree) != tree_coproduct(",
            "tests/test_acceptance.py::test_criterion_13_tree_consistency"),
+    Mutant("character-check-misses-a-product-too-high", "verify.py",
+           "if phi_fix(a + b) != phi_fix(a) * phi_fix(b):",
+           "if phi_fix(a + b) < phi_fix(a) * phi_fix(b):",
+           "tests/test_verify.py"
+           "::test_character_bijection_fails_off_a_character"),
     Mutant("tree-reader-does-not-count", "trees.py",
            '            check_enumeration_size("nc", count)\n',
            "",

@@ -96,15 +96,17 @@ def test_every_layer_is_registered_before_it_runs():
 
 
 # every name the package exported when its submodules were imported eagerly,
-# less the six since deleted (singleton_partition, extend_multiplicative,
-# EdgeCut, the config module, whose caps check_enumeration_size holds, and
-# parse_atom and check_infinitesimal, which only the tests called)
+# less the seven since deleted (singleton_partition, extend_multiplicative,
+# EdgeCut, the config module, whose caps check_enumeration_size holds,
+# parse_atom and check_infinitesimal, which only the tests called, and
+# check_character, whose one caller, the character-bijection suite, checks
+# multiplicativity in its own walk)
 EXPORTED = """
     AlgebraMismatchError CarrierMismatchError InconsistencyError NcHopfError
     OrderError ParseError SizeLimitError TruncationError
     Coefficient Poly coeff_str poly_str
     Algebra Character InfinitesimalCharacter LinearFunctional augmentation
-    check_character convolve exp_prec
+    convolve exp_prec
     extract_infinitesimal half_convolve pullback_sp
     random_functional random_infinitesimal solve_left_fixed_point
     standard_section

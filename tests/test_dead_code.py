@@ -98,16 +98,16 @@ def test_every_definition_in_src_has_a_use():
 
 
 def test_the_scan_finds_an_unused_definition(tmp_path):
-    # check_character is exported, and no code in bench/ reads it
-    assert "check_character" in nc_hopf._EXPORTS["functionals"]
+    # standard_section is exported, and no code in bench/ reads it
+    assert "standard_section" in nc_hopf._EXPORTS["functionals"]
     orphan = tmp_path / "orphan.py"
     orphan.write_text("def orphan():\n    return orphan()\n"
                       "\n"
                       "\n"
-                      "def check_character():\n"
-                      "    return check_character()\n")
+                      "def standard_section():\n"
+                      "    return standard_section()\n")
     assert unused_definitions([orphan]) == ["orphan.py:1 orphan",
-                                            "orphan.py:5 check_character"]
+                                            "orphan.py:5 standard_section"]
 
 
 def test_every_member_of_a_src_class_has_a_use():

@@ -670,10 +670,7 @@ def word_and_positions(draw):
 def test_gathers_restrict_to_the_positions_as_a_tuple(case):
     # a one-position gather returns the one-item tuple, not the bare item
     word, positions = case
-    gathers = partitions._gathers(positions)
-    assert len(gathers) == len(positions)
-    for p, gather in zip(positions, gathers):
-        restricted = gather(word)
+    for p in positions:
+        restricted = partitions._gather(p)(word)
         assert type(restricted) is tuple
         assert restricted == tuple(word[i] for i in p)
-    assert partitions._gathers([]) == []

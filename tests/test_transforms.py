@@ -105,11 +105,15 @@ class TestSequenceTypes:
          "CumulantSequence, not MomentSequence"),
         (classical_moments_from_cumulants, MomentSequence((1, 2, 3)),
          "CumulantSequence, not MomentSequence"),
-    ], ids=["m2k", "m2c", "k2m", "c2m"])
+        (bell_polynomials, MomentSequence((1, 2, 3)),
+         "CumulantSequence, not MomentSequence"),
+        (generalized_free_cumulants, MomentSequence((1, 2, 3)),
+         "MultiMomentMap, not MomentSequence"),
+    ], ids=["m2k", "m2c", "k2m", "c2m", "bell", "multi"])
     def test_the_wrong_sequence_type_raises_before_any_work(
             self, monkeypatch, transform, given, expected):
         # cumulants read as moments would take k_1 for m_0; moments have no
-        # flavor to read
+        # flavor or alphabet to read
         def unreachable(*args):
             raise AssertionError("a transform started work")
 

@@ -35,7 +35,7 @@ from nc_hopf.partitions import (
     enumerate_set_partitions,
 )
 from nc_hopf.cli import _barword_order, main
-from nc_hopf.functionals import Algebra, CheckReport
+from nc_hopf.functionals import Algebra
 from nc_hopf.tensor import (
     DecoratedNC,
     Word,
@@ -309,9 +309,6 @@ VALUE_CLASSES = [
      "NonCrossingPartition(blocks=((1, 4), (2, 3)))"),
     (lambda: Algebra("words", ("a", "b")), ("kind", "alphabet"), True,
      "Algebra(kind='words', alphabet=('a', 'b'))"),
-    (lambda: CheckReport(False, 3, [("unit", 2)]),
-     ("ok", "checked", "violations"), False,
-     "CheckReport(ok=False, checked=3, violations=[('unit', 2)])"),
     (lambda: MomentSequence((1, Fraction(1, 2), 3)), ("values",), True,
      "MomentSequence(values=(1, Fraction(1, 2), 3))"),
     (lambda: CumulantSequence((1, Fraction(-2, 3)), "free"),

@@ -14,10 +14,11 @@ from nc_hopf.functionals import (
     NC,
     WORDS,
     Algebra,
+    Character,
     random_functional,
     random_infinitesimal,
 )
-from nc_hopf.tensor import barword_degree
+from nc_hopf.tensor import Word, barword_degree
 from nc_hopf.transforms import MomentSequence
 from nc_hopf.verify import (
     SUITES,
@@ -503,3 +504,61 @@ def test_tree_consistency_fails_its_rule_when_no_shape_is_marked(
         ("bare hierarchy map transports exactly the mark-free shapes "
          "(64 hold, 0 marked fail)",
          "marked: none; 1 against the rule: {1,3,5}{2}{4}")]
+
+
+def test_character_bijection_fails_off_a_character(monkeypatch):
+    # a fixed point one too high on the two-atom bar word a|aa fails the
+    # product check on exactly that pair, and exp≺ = fixed point there
+    verify = nc_hopf.verify
+    real = verify.solve_left_fixed_point
+    drifted_at = (Word(("a",)), Word(("a", "a")))
+
+    def drifted(kappa):
+        phi = real(kappa)
+        return Character(kappa.algebra, kappa.truncation,
+                         lambda b: phi(b) + (b == drifted_at), unit_value=1)
+
+    monkeypatch.setattr(verify, "solve_left_fixed_point", drifted)
+    assert failed(verify.verify_character_bijection(3)) == [
+        ("exp≺ = fixed point on 8 bar words, N=3", failing(["a|a.a"])),
+        ("fixed point is a character (5 products)",
+         failing(["('a', 'a.a')"]))]
+
+
+def test_character_bijection_fails_off_the_unit(monkeypatch):
+    # Phi(1) = 2 fails the character check at the unit; the extraction,
+    # which refuses such a Phi, reads the true fixed point
+    verify = nc_hopf.verify
+    real, extract = verify.solve_left_fixed_point, verify.extract_infinitesimal
+    solved = []
+
+    def doubled_unit(kappa):
+        solved.append(real(kappa))
+        return Character(kappa.algebra, kappa.truncation, solved[-1],
+                         unit_value=2)
+
+    monkeypatch.setattr(verify, "solve_left_fixed_point", doubled_unit)
+    monkeypatch.setattr(verify, "extract_infinitesimal",
+                        lambda phi: extract(solved[-1]))
+    assert failed(verify.verify_character_bijection(2)) == [
+        ("exp≺ = fixed point on 4 bar words, N=2", failing(["1"])),
+        ("fixed point is a character (1 products)",
+         failing(["('unit', 2)"]))]
+
+
+def character_products(n: int) -> int:
+    """The pairs a, b of one-letter bar words with deg a + deg b <= n:
+    (s - 1) 2^(s - 2) of total degree s, as a degree d >= 1 has 2^(d - 1)
+    bar words."""
+    return sum((s - 1) << (s - 2) for s in range(2, n + 1))
+
+
+@pytest.mark.parametrize("n,products", [(1, 0), (3, 5), (8, 769),
+                                        (10, 4097)])
+def test_character_bijection_reads_every_product(n, products):
+    # no cap: at the ceiling, 12, the check reads all 20,481 pairs
+    [report] = run_suite("character-bijection", n)
+    assert report.checks[1].label == (
+        f"fixed point is a character ({products} products)")
+    assert products == character_products(n)
+    assert character_products(12) == 20481
