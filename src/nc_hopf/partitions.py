@@ -76,6 +76,18 @@ class Value(Record):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    @classmethod
+    def _unchecked(cls, **slots):
+        """The value with these slots, which the library built in the form
+        the constructor would give, so none of the constructor's checks
+        runs; the tests hold every caller's output to the constructor.  A
+        misspelt slot raises AttributeError, as a value has no
+        ``__dict__``."""
+        self = _new(cls)
+        for name, value in slots.items():
+            _set(self, name, value)
+        return self
+
 
 def _blocks_text(blocks: tuple[Block, ...]) -> str:
     """The text encoding of canonical blocks, ``{1,4}{2,3}``."""
@@ -119,20 +131,6 @@ class SetPartition(Value):
     def __init__(self, blocks: tuple[Block, ...]):
         _set(self, "size", _canonical_size(blocks))
         _set(self, "blocks", blocks)
-
-    @classmethod
-    def _unchecked(cls, blocks: tuple[Block, ...], size: int):
-        """The partition with these blocks, which the library built in
-        canonical form (and non-crossing, for that class) on ``size``
-        elements, so none of the constructor's checks runs.  Inside the
-        library a shape is its blocks; this wraps them where a caller gets
-        a partition: the enumerations, and the legs that ``verify`` hands
-        to the tree maps.  The tests hold every caller's output to the
-        constructor."""
-        self = _new(cls)
-        _set(self, "blocks", blocks)
-        _set(self, "size", size)
-        return self
 
     @classmethod
     def of(cls, blocks) -> "SetPartition":
@@ -289,7 +287,7 @@ def iter_partitions(lattice: str, n: int):
     check_enumeration_size(lattice, n)
     cls = NonCrossingPartition if lattice == "nc" else SetPartition
     make = cls._unchecked
-    return (make(blocks, n)
+    return (make(blocks=blocks, size=n)
             for blocks in _text_order(tuple(range(1, n + 1)), lattice == "nc"))
 
 
@@ -310,7 +308,7 @@ def enumerate_nc_partitions(n: int) -> list[NonCrossingPartition]:
     encoding."""
     check_enumeration_size("nc", n)
     make = NonCrossingPartition._unchecked
-    return [make(blocks, n) for blocks in _nc_shapes(n)]
+    return [make(blocks=blocks, size=n) for blocks in _nc_shapes(n)]
 
 
 def full_partition(elements) -> NonCrossingPartition:

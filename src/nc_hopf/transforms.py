@@ -55,7 +55,6 @@ from .partitions import (
     Value,
     _block_gathers,
     _gather,
-    _new,
     _set,
     check_enumeration_size,
 )
@@ -97,14 +96,6 @@ class MomentSequence(Value):
             raise ValueError("a moment sequence starts with m_0 = 1")
         _set(self, "values", values)
 
-    @classmethod
-    def _unchecked(cls, values: tuple) -> "MomentSequence":
-        """The sequence of ``values``, a tuple in exact normal form starting
-        with 1 that the library computed, so no check runs."""
-        self = _new(cls)
-        _set(self, "values", values)
-        return self
-
     @property
     def order(self) -> int:
         return len(self.values) - 1
@@ -128,15 +119,6 @@ class CumulantSequence(Value):
             raise ValueError(f"unknown cumulant flavor: {flavor!r}")
         _set(self, "values", _exact_values(values))
         _set(self, "flavor", flavor)
-
-    @classmethod
-    def _unchecked(cls, values: tuple, flavor: str) -> "CumulantSequence":
-        """The sequence of ``values``, a tuple in exact normal form that the
-        library computed, of a known flavor, so no check runs."""
-        self = _new(cls)
-        _set(self, "values", values)
-        _set(self, "flavor", flavor)
-        return self
 
     @property
     def order(self) -> int:
@@ -254,29 +236,21 @@ _WEIGHTS = (_set_count, _nc_count, _set_moebius, _nc_moebius)
 
 @lru_cache(maxsize=None)
 def _type_table(n: int) -> tuple:
-    """One row per type lam |- n, in ``_integer_partitions`` order: lam
-    followed by its four weights, in the order of ``_WEIGHTS``.  One table
-    per degree, so the types and weights are computed once; the tail
-    lam_2..lam_k of a row is a row of the table of n - lam_1."""
-    return tuple((lam, *(weight(n, lam) for weight in _WEIGHTS))
-                 for lam in _integer_partitions(n, n))
-
-
-@lru_cache(maxsize=None)
-def _type_gathers(n: int) -> tuple:
-    """The types of n after its first, (n), multiply out by position: each
-    is its first part times its tail, a type of a lower degree.  Returns the
-    gather of their first parts from the values of sizes 1, 2, ..., n and
-    the gather of their tails from the products of the types of 1, 2, ...,
-    n - 1, listed degree after degree, each in ``_integer_partitions``
-    order.  One pair per degree, like ``_type_table``."""
-    position: dict = {}
-    for m in range(1, n):
-        for lam in _integer_partitions(m, m):
-            position[lam] = len(position)
-    types = list(_integer_partitions(n, n))[1:]
-    return (_gather(tuple([lam[0] - 1 for lam in types])),
-            _gather(tuple([position[lam[1:]] for lam in types])))
+    """The types lam |- n, in ``_integer_partitions`` order, and how they
+    multiply out by position.  Returns one row per type, lam followed by its
+    four weights in the order of ``_WEIGHTS``; then, for the types after the
+    first, (n), each its first part times its tail, a type of a lower
+    degree: the gather of their first parts from the values of sizes 1, 2,
+    ..., n, and the gather of their tails from the products of the types of
+    1, 2, ..., n - 1, listed degree after degree.  One table per degree, so
+    all of it is computed once."""
+    types = list(_integer_partitions(n, n))
+    position = {lam: i for i, lam in enumerate(
+        [lam for m in range(1, n) for lam in _integer_partitions(m, m)])}
+    return (tuple((lam, *(weight(n, lam) for weight in _WEIGHTS))
+                  for lam in types),
+            _gather(tuple([lam[0] - 1 for lam in types[1:]])),
+            _gather(tuple([position[lam[1:]] for lam in types[1:]])))
 
 
 def _type_sums(values_by_size, order: int, weight) -> list:
@@ -284,7 +258,7 @@ def _type_sums(values_by_size, order: int, weight) -> list:
     for n = 1..order, with the weights read from each degree's type table.
     The product of a type of one part is its value, and any other type's is
     the value of its first part times the product of its tail, which a
-    lower degree has computed and ``_type_gathers`` reads by position, so a
+    lower degree has computed and ``_type_table`` reads by position, so a
     type costs at most one multiplication; the products are held for this
     call only."""
     weights = itemgetter(1 + _WEIGHTS.index(weight))
@@ -292,10 +266,10 @@ def _type_sums(values_by_size, order: int, weight) -> list:
     products: list = []
     sums = []
     for n in range(1, order + 1):
-        firsts, tails = _type_gathers(n)
+        rows, firsts, tails = _type_table(n)
         row = [values[n - 1], *map(mul, firsts(values), tails(products))]
         products += row
-        sums.append(sum(map(mul, map(weights, _type_table(n)), row)))
+        sums.append(sum(map(mul, map(weights, rows), row)))
     return sums
 
 
@@ -369,7 +343,7 @@ def _transform(flavor: str, from_cumulants: bool, values) -> list:
     by_sum = _type_sums(lambda n: values[n - 1], len(values),
                         count if from_cumulants else moebius)
     cumulants = CumulantSequence._unchecked(
-        tuple(values if from_cumulants else by_sum), flavor)
+        values=tuple(values if from_cumulants else by_sum), flavor=flavor)
     recursion = (bell_polynomials(cumulants)[1:] if flavor == CLASSICAL
                  else _free_moments_series(cumulants))
     if recursion != (by_sum if from_cumulants else list(values)):
@@ -386,9 +360,9 @@ def _transform(flavor: str, from_cumulants: bool, values) -> list:
 
 
 def _expect(seq, kind: type, flavor: str | None = None) -> None:
-    """Raise ValueError, before any work, unless ``seq`` is a ``kind``, and
-    for cumulants, of ``flavor``."""
-    if not isinstance(seq, kind):
+    """Raise ValueError, before any work, unless ``seq`` is of the class
+    ``kind`` itself, not a subclass, and for cumulants, of ``flavor``."""
+    if type(seq) is not kind:
         raise ValueError(f"expected a {kind.__name__}, not "
                          f"{type(seq).__name__}")
     if flavor is not None and seq.flavor != flavor:
@@ -399,7 +373,7 @@ def classical_moments_from_cumulants(c: CumulantSequence) -> MomentSequence:
     """m_n by the sum over set partitions, held to the Bell recursion."""
     _expect(c, CumulantSequence, CLASSICAL)
     check_enumeration_size("set", c.order)
-    return MomentSequence._unchecked((ONE, *_degree_scaled(
+    return MomentSequence._unchecked(values=(ONE, *_degree_scaled(
         partial(_transform, CLASSICAL, True), c.values)))
 
 
@@ -408,8 +382,9 @@ def classical_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     running the forward Bell recursion on the result."""
     _expect(m, MomentSequence)
     check_enumeration_size("set", m.order)
-    return CumulantSequence._unchecked(tuple(_degree_scaled(
-        partial(_transform, CLASSICAL, False), m.values[1:])), CLASSICAL)
+    return CumulantSequence._unchecked(values=tuple(_degree_scaled(
+        partial(_transform, CLASSICAL, False), m.values[1:])),
+        flavor=CLASSICAL)
 
 
 def free_moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
@@ -417,7 +392,7 @@ def free_moments_from_cumulants(k: CumulantSequence) -> MomentSequence:
     truncated series F = K(tF)."""
     _expect(k, CumulantSequence, FREE)
     check_enumeration_size("nc", k.order)
-    return MomentSequence._unchecked((ONE, *_degree_scaled(
+    return MomentSequence._unchecked(values=(ONE, *_degree_scaled(
         partial(_transform, FREE, True), k.values)))
 
 
@@ -426,8 +401,8 @@ def free_cumulants_from_moments(m: MomentSequence) -> CumulantSequence:
     by running the series F = K(tF) forward on the result."""
     _expect(m, MomentSequence)
     check_enumeration_size("nc", m.order)
-    return CumulantSequence._unchecked(tuple(_degree_scaled(
-        partial(_transform, FREE, False), m.values[1:])), FREE)
+    return CumulantSequence._unchecked(values=tuple(_degree_scaled(
+        partial(_transform, FREE, False), m.values[1:])), flavor=FREE)
 
 
 def _free_moments_fixed_point(k: CumulantSequence) -> list:
@@ -480,17 +455,6 @@ class MultiMomentMap(Value):
         _set(self, "alphabet", alphabet)
         _set(self, "order", order)
         _set(self, "_table", dict(zip(table, _exact_values(table.values()))))
-
-    @classmethod
-    def _unchecked(cls, alphabet: tuple[str, ...], order: int, table: dict):
-        """The map of ``table``, a dict of exact values in normal form that
-        the library computed over a checked alphabet and hands over, so no
-        check runs and no copy is made."""
-        self = _new(cls)
-        _set(self, "alphabet", alphabet)
-        _set(self, "order", order)
-        _set(self, "_table", table)
-        return self
 
     @property
     def table(self) -> dict:
@@ -604,8 +568,9 @@ def generalized_free_cumulants(phi: MultiMomentMap) -> MultiCumulantMap:
     cumulants = _degree_scaled(
         solve, [phi.value(letters) for letters in words],
         [len(letters) for letters in words])
-    return MultiCumulantMap._unchecked(phi.alphabet, phi.order,
-                                       dict(zip(words, cumulants)))
+    return MultiCumulantMap._unchecked(alphabet=phi.alphabet,
+                                       order=phi.order,
+                                       _table=dict(zip(words, cumulants)))
 
 
 # ---------------------------------------------------------------------------

@@ -638,7 +638,7 @@ def _transported(shape: NonCrossingPartition, tree_of) -> LinComb:
     (mapped to the bare root), forest on the right."""
     def trees(b: BarWord) -> tuple:
         return tuple(tree_of(NonCrossingPartition._unchecked(
-            blocks, sum(map(len, blocks)))) for blocks, _ in b)
+            blocks=blocks, size=sum(map(len, blocks)))) for blocks, _ in b)
 
     rooted = _apply(delta_nc(DecoratedNC(shape)), 0,
                     lambda b: {trees(b) or (UNIT_TREE,): 1})

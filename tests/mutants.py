@@ -29,8 +29,8 @@ MUTANTS = (
            "(lam, *(weight(n, lam) + (lam == (2, 1)) for weight in _WEIGHTS))",
            "tests/test_transforms.py::TestTypeWeights::test_type_table_rows"),
     Mutant("type-sums-read-a-tail-one-position-off", "transforms.py",
-           "_gather(tuple([position[lam[1:]] for lam in types])))",
-           "_gather(tuple([position[lam[1:]] - 1 for lam in types])))",
+           "_gather(tuple([position[lam[1:]] for lam in types[1:]])))",
+           "_gather(tuple([position[lam[1:]] - 1 for lam in types[1:]])))",
            "tests/test_transforms.py::TestTypeWeights"
            "::test_type_sum_is_the_lattice_sum"),
     Mutant("series-drops-the-term-of-the-constant-term", "transforms.py",
@@ -52,6 +52,11 @@ MUTANTS = (
            '    check_enumeration_size("nc"',
            "tests/test_transforms.py::TestSequenceTypes"
            "::test_the_wrong_sequence_type_raises_before_any_work"),
+    Mutant("unchecked-values-drop-their-last-slot", "partitions.py",
+           "for name, value in slots.items():",
+           "for name, value in list(slots.items())[:-1]:",
+           "tests/test_partitions.py::TestUncheckedConstruction"
+           "::test_generated_partitions_pass_the_constructor"),
     Mutant("split-walk-drops-trailing-component", "partitions.py",
            "return ((mask, q, closed + (run,) if run else closed)",
            "return ((mask, q, closed)",

@@ -24,7 +24,8 @@ def decode_split_table(blocks, table) -> tuple[tuple, tuple]:
     for shape, start, end in zip(shapes, bounds, bounds[1:]):
         mine = every[start:end]
         parts.append((tuple(dict.fromkeys(owner[r] for r in mine)),
-                      NonCrossingPartition._unchecked(shape, len(mine)),
+                      NonCrossingPartition._unchecked(blocks=shape,
+                                                        size=len(mine)),
                       mine))
     indices = tuple(range(len(shapes)))
     splits = []

@@ -10,7 +10,7 @@ from nc_hopf.tensor import DecoratedNC
 from split_tables import decode_split_table
 
 # keyed by an order n no larger than the size cap, so the cap bounds them
-ORDER_KEYED = {"_nc_shapes", "_type_gathers", "_type_table"}
+ORDER_KEYED = {"_nc_shapes", "_type_table"}
 
 
 def test_only_the_order_keyed_caches_are_unbounded():

@@ -31,6 +31,7 @@ from nc_hopf.transforms import (
     FREE,
     CumulantSequence,
     MomentSequence,
+    MultiCumulantMap,
     MultiMomentMap,
     bell_polynomials,
     classical_cumulants_from_moments,
@@ -109,7 +110,10 @@ class TestSequenceTypes:
          "CumulantSequence, not MomentSequence"),
         (generalized_free_cumulants, MomentSequence((1, 2, 3)),
          "MultiMomentMap, not MomentSequence"),
-    ], ids=["m2k", "m2c", "k2m", "c2m", "bell", "multi"])
+        (generalized_free_cumulants,
+         MultiCumulantMap(("a",), 2, {("a",): 1, ("a", "a"): 1}),
+         "MultiMomentMap, not MultiCumulantMap"),
+    ], ids=["m2k", "m2c", "k2m", "c2m", "bell", "multi", "multi-cumulants"])
     def test_the_wrong_sequence_type_raises_before_any_work(
             self, monkeypatch, transform, given, expected):
         # cumulants read as moments would take k_1 for m_0; moments have no
@@ -122,6 +126,65 @@ class TestSequenceTypes:
         monkeypatch.setattr(transforms, "_degree_scaled", unreachable)
         with pytest.raises(ValueError, match=f"^expected a {expected}$"):
             transform(given)
+
+
+def stored_types(value) -> list:
+    """The type of each field of ``value``, and of each value stored in a
+    field that is a tuple or a dict, keyed by position or by key."""
+    out = []
+    for field in value._values():
+        items = (field.items() if isinstance(field, dict)
+                 else enumerate(field) if isinstance(field, tuple) else ())
+        out.append((type(field), [(key, type(v)) for key, v in items]))
+    return out
+
+
+class TestUncheckedResults:
+    """The transforms build their results without the constructor's
+    checks; each result must be what its public constructor makes of the
+    same fields: the same class, fields and hash, and the same type for
+    every stored value."""
+
+    @staticmethod
+    def values(kind, n):
+        return (tuple(range(2, n + 2)) if kind == "integer"
+                else random_values(n, 7))
+
+    def assert_passes_the_constructor(self, result, twin):
+        assert type(result) is type(twin)
+        assert result == twin and hash(result) == hash(twin)
+        assert stored_types(result) == stored_types(twin)
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "symbolic"])
+    @pytest.mark.parametrize("flavor", [CLASSICAL, FREE])
+    def test_moments_pass_the_constructor(self, flavor, kind):
+        given = (symbolic_cumulants(5, flavor) if kind == "symbolic"
+                 else CumulantSequence(self.values(kind, 5), flavor))
+        transform = (classical_moments_from_cumulants if flavor == CLASSICAL
+                     else free_moments_from_cumulants)
+        m = transform(given)
+        self.assert_passes_the_constructor(m, MomentSequence(m.values))
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "symbolic"])
+    @pytest.mark.parametrize("flavor", [CLASSICAL, FREE])
+    def test_cumulants_pass_the_constructor(self, flavor, kind):
+        given = (symbolic_moments(5, flavor) if kind == "symbolic"
+                 else MomentSequence.of(self.values(kind, 5)))
+        transform = (classical_cumulants_from_moments if flavor == CLASSICAL
+                     else free_cumulants_from_moments)
+        c = transform(given)
+        assert c.flavor == flavor
+        self.assert_passes_the_constructor(
+            c, CumulantSequence(c.values, c.flavor))
+
+    @pytest.mark.parametrize("kind", ["integer", "rational"])
+    def test_multi_cumulants_pass_the_constructor(self, kind):
+        values = self.values(kind, 3)
+        phi = moment_map(("a", "b"), 3,
+                         lambda w: values[len(w) - 1] * (1 + w.count("b")))
+        k = generalized_free_cumulants(phi)
+        self.assert_passes_the_constructor(
+            k, MultiCumulantMap(k.alphabet, k.order, k.table))
 
 
 class TestClassical:
@@ -292,7 +355,7 @@ class TestTypeWeights:
 
     def test_type_table_rows(self):
         for n in range(1, 13):
-            table = transforms._type_table(n)
+            table, _, _ = transforms._type_table(n)
             assert [row[0] for row in table] == list(
                 transforms._integer_partitions(n, n))
             for lam, *weights in table:
@@ -391,7 +454,7 @@ class TestRecursionWork:
         # (C(n-2, 2) products), so C(N, 2) + C(N-1, 3) in all
         value = Tally()
         moments = transforms._free_moments_series(
-            CumulantSequence._unchecked((value,) * order, FREE))
+            CumulantSequence._unchecked(values=(value,) * order, flavor=FREE))
         assert len(moments) == order
         assert Tally.constants == []
         assert Tally.products == comb(order, 2) + comb(order - 1, 3)
@@ -402,7 +465,8 @@ class TestRecursionWork:
         # 2n - 1 products for n >= 1, so (N - 1)^2 in all
         value = Tally()
         b = bell_polynomials(
-            CumulantSequence._unchecked((value,) * order, CLASSICAL))
+            CumulantSequence._unchecked(values=(value,) * order,
+                                        flavor=CLASSICAL))
         assert len(b) == order + 1
         assert Tally.constants == []
         assert Tally.products == (order - 1) ** 2
@@ -779,11 +843,12 @@ class TestDegreeScaling:
         real = transforms._type_table
 
         def off(n):
-            rows = real(n)
+            rows, *gathers = real(n)
             if n != 3:
-                return rows
+                return (rows, *gathers)
             lam, *weights = rows[1]
-            return (rows[0], (lam, *[w + 1 for w in weights]), *rows[2:])
+            return ((rows[0], (lam, *[w + 1 for w in weights]), *rows[2:]),
+                    *gathers)
 
         monkeypatch.setattr(transforms, "_type_table", off)
         flavor = CLASSICAL if "c" in direction else FREE

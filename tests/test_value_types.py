@@ -395,11 +395,11 @@ def test_every_record_class_is_listed():
 
 
 def test_only_the_base_classes_define_the_value_contract():
-    # immutability and pickling are written once, in Record and Value, and
-    # so are equality and hashing for every class deriving from Record
-    # (Poly is not a Record and writes its own)
+    # immutability, pickling and unchecked construction are written once,
+    # in Record and Value, and so are equality and hashing for every class
+    # deriving from Record (Poly is not a Record and writes its own)
     root = Path(__file__).resolve().parents[1] / "src"
-    contract = {"__setattr__", "__delattr__", "__reduce__"}
+    contract = {"__setattr__", "__delattr__", "__reduce__", "_unchecked"}
     # the one exception: a moment table hashes without its table, a dict
     allowed = {"MultiMomentMap.__hash__"}
     found = []
